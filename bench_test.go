@@ -234,12 +234,12 @@ func BenchmarkBaldurSimulatorSharded(b *testing.B) {
 	totalPackets := 0
 	var totalEvents, totalEpochs uint64
 	for i := 0; i < b.N; i++ {
-		p, epochs, err := exp.RunOpenLoopEpochs("baldur", "random_permutation", 0.7, sc)
+		d, err := exp.RunOpenLoopDetail("baldur", "random_permutation", 0.7, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		totalEvents += p.Events
-		totalEpochs += epochs
+		totalEvents += d.Events
+		totalEpochs += d.Epochs
 		totalPackets += sc.Nodes * sc.PacketsPerNode
 	}
 	b.ReportMetric(float64(totalPackets)/b.Elapsed().Seconds(), "packets/s")

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"baldur/internal/check"
+	"baldur/internal/elecnet"
 	"baldur/internal/exp"
 	"baldur/internal/netsim"
 	"baldur/internal/prof"
@@ -178,10 +179,9 @@ func runServiceWorkload(network, specPath string, sc exp.Scale) {
 func simulatedNodes(network string, sc exp.Scale) int {
 	switch network {
 	case "fattree":
-		return sc.FatTreeK * sc.FatTreeK * sc.FatTreeK / 4
+		return elecnet.FatTreeNodes(sc.FatTreeK)
 	case "dragonfly":
-		p := sc.DragonflyP
-		return 2 * p * p * (2*p*p + 1)
+		return elecnet.DragonflyNodes(sc.DragonflyP)
 	}
 	return sc.Nodes
 }

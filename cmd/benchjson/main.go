@@ -378,12 +378,12 @@ func benchBaldurSimulatorSharded(b *testing.B) {
 	totalPackets := 0
 	var totalEvents, totalEpochs uint64
 	for i := 0; i < b.N; i++ {
-		p, epochs, err := exp.RunOpenLoopEpochs("baldur", "random_permutation", 0.7, sc)
+		d, err := exp.RunOpenLoopDetail("baldur", "random_permutation", 0.7, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		totalEvents += p.Events
-		totalEpochs += epochs
+		totalEvents += d.Events
+		totalEpochs += d.Epochs
 		totalPackets += sc.Nodes * sc.PacketsPerNode
 	}
 	b.ReportMetric(float64(sc.Shards), "shards")
@@ -403,10 +403,11 @@ func benchTelemetryOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Fresh Options per run: the harness treats them as per-run state.
 		sc.Telemetry = &telemetry.Options{}
-		_, tel, err := exp.RunOpenLoopTelemetry("baldur", "random_permutation", 0.7, sc)
+		d, err := exp.RunOpenLoopDetail("baldur", "random_permutation", 0.7, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
+		tel := d.Telemetry
 		totalSamples += len(tel.Sampler.Samples)
 		for s := 0; s < tel.Reg.Shards(); s++ {
 			totalRecords += tel.Ring(s).Len()
@@ -433,7 +434,7 @@ func benchTraceOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sc := benchScale()
 			sc.Telemetry = &telemetry.Options{FlightRecords: 1 << 17, TraceSample: every}
-			if _, _, err := exp.RunOpenLoopTelemetry("baldur", "random_permutation", 0.7, sc); err != nil {
+			if _, err := exp.RunOpenLoopDetail("baldur", "random_permutation", 0.7, sc); err != nil {
 				b.Fatal(err)
 			}
 		}

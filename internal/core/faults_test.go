@@ -102,7 +102,7 @@ func TestAttemptCapDrainsFaultedRun(t *testing.T) {
 			src := src
 			n.ScheduleNode(src, 0, eventFunc(func() { n.Send(src, 15-src, 0) }))
 		}
-		more := netsim.RunChecked(n, sim.Time(2*sim.Millisecond), nil, aud)
+		more, _ := netsim.Drive(n, nil, netsim.DriveOptions{Deadline: sim.Time(2 * sim.Millisecond), Aud: aud})
 		if more {
 			t.Errorf("K=%d: capped faulted run did not drain", k)
 		}
@@ -138,7 +138,7 @@ func TestRestorationRestoresDelivery(t *testing.T) {
 	aud := check.New(check.Options{})
 	n.AttachAudit(aud)
 	n.Send(0, 9, 0)
-	netsim.RunChecked(n, sim.Time(20*sim.Microsecond), nil, aud)
+	netsim.Drive(n, nil, netsim.DriveOptions{Deadline: sim.Time(20 * sim.Microsecond), Aud: aud})
 	n.SyncStats()
 	if n.Stats.Delivered != 0 || n.Stats.FaultDrops == 0 {
 		t.Fatalf("construction broke: delivered=%d faultDrops=%d while the switch is dead",
@@ -147,7 +147,7 @@ func TestRestorationRestoresDelivery(t *testing.T) {
 	if err := n.ClearFault(FaultSpec{Stage: 0, Switch: 0}); err != nil {
 		t.Fatal(err)
 	}
-	more := netsim.RunChecked(n, sim.Time(2*sim.Millisecond), nil, aud)
+	more, _ := netsim.Drive(n, nil, netsim.DriveOptions{Deadline: sim.Time(2 * sim.Millisecond), Aud: aud})
 	if more {
 		t.Error("run did not drain after restoration")
 	}

@@ -63,6 +63,23 @@ func (n *Network) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 	c.eng.ScheduleKey(t, c.act.Next(), ev)
 }
 
+// Ledger returns the packet counters of n.Stats (netsim.Network).
+func (n *Network) Ledger() netsim.Ledger {
+	st := &n.Stats
+	return netsim.Ledger{
+		Injected:        st.Injected,
+		Delivered:       st.Delivered,
+		Duplicates:      st.Duplicates,
+		DataAttempts:    st.DataAttempts,
+		DataDrops:       st.DataDrops,
+		AckAttempts:     st.AckAttempts,
+		AckDrops:        st.AckDrops,
+		Retransmissions: st.Retransmissions,
+		GaveUp:          st.GaveUp,
+		FaultDrops:      st.FaultDrops,
+	}
+}
+
 // SyncStats folds per-shard and per-NIC statistics into n.Stats. It is
 // idempotent and invoked by Run; tests that drive the engine directly call
 // it before reading order-sensitive aggregates (AckLatency). All merges run

@@ -532,6 +532,11 @@ func (n *engine) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 	nic.eng.ScheduleKey(t, nic.act.Next(), ev)
 }
 
+// Ledger returns the aggregate counters (netsim.Network).
+func (n *engine) Ledger() netsim.Ledger {
+	return netsim.Ledger{Injected: n.Injected, Delivered: n.Delivered, Dropped: n.Dropped, MaxHops: n.MaxHops}
+}
+
 // SyncStats folds per-shard counters into the embedded aggregate. Sums and
 // a max, so the result is invariant to the shard count. Idempotent; no-op
 // with a single shard (the aggregate is live).

@@ -159,7 +159,7 @@ type CellResult struct {
 	Checkpoints int
 	Violations  []check.Violation
 
-	fp harness.Fingerprint
+	fp netsim.Ledger
 }
 
 func (c *CellResult) id() string {
@@ -176,7 +176,7 @@ func (c *CellResult) invKey() string {
 	return fmt.Sprintf("%s/%d/%d/%d/%s", c.Net, c.NodesExp, c.LoadPct, c.Seed, c.Script)
 }
 
-func retxRatio(fp harness.Fingerprint) float64 {
+func retxRatio(fp netsim.Ledger) float64 {
 	if fp.Injected == 0 || fp.DataAttempts == 0 {
 		return 1
 	}
@@ -202,117 +202,103 @@ func runCampaignCell(spec CampaignSpec, netName string, nodesExp, loadPct, shard
 		FaultStage:     -1,
 		Seed:           seed,
 	}.Canon()
-	net, read, err := harness.Build(cfg, shards)
+	net, _, err := harness.Build(cfg, shards)
 	if err != nil {
 		return res, err
-	}
-	var tel *telemetry.Telemetry
-	if spec.TraceDir != "" || spec.TraceSample > 0 {
-		fr := spec.FlightRecords
-		if fr == 0 {
-			fr = 1 << 17
-		}
-		tel = telemetry.New(telemetry.Options{
-			FlightRecords: fr,
-			TraceSample:   spec.TraceSample,
-			Label:         res.id(),
-		}, netsim.NumShards(net))
-		net.(netsim.Instrumented).AttachTelemetry(tel)
-	}
-	var col netsim.Collector
-	col.Attach(net)
-	if spec.Workload != nil {
-		ws := *spec.Workload
-		if ws.Seed == 0 {
-			ws.Seed = 1
-		}
-		ws.Seed += seed
-		drv, err := workload.New(ws)
-		if err != nil {
-			return res, err
-		}
-		if err := drv.Attach(net); err != nil {
-			return res, err
-		}
-	} else {
-		ol := traffic.OpenLoop{
-			Pattern:        traffic.RandomPermutation(net.NumNodes(), cfg.Seed+10),
-			Load:           float64(cfg.LoadPct) / 100,
-			PacketsPerNode: cfg.PacketsPerNode,
-			Seed:           cfg.Seed + 100,
-		}
-		ol.Start(net)
-	}
-	var aud *check.Auditor
-	if spec.Audit {
-		aud = check.New(check.Options{})
-		net.(netsim.Audited).AttachAudit(aud)
-	}
-	var spanAud *check.SpanAudit
-	if aud != nil && tel != nil && tel.TraceEvery() > 0 {
-		spanAud = netsim.AttachSpanAudit(net)
 	}
 	ctrl := faults.NewController(compiled)
 	var regions []telemetry.Region
 	var prevDelivered uint64
 	var prevAt sim.Time
 	inWindow := false
-	more, err := faults.Run(net, ctrl, faults.RunOptions{
-		Deadline: sim.Time(0).Add(sim.Microseconds(spec.HorizonUS)),
-		Interval: sim.Microseconds(spec.SliceUS),
-		Tel:      tel,
-		Aud:      aud,
-		Observe: func(at sim.Time, drained bool) {
-			fp := read()
-			outstanding := int64(fp.Injected) - int64(fp.Delivered) - int64(fp.GaveUp) - int64(fp.Dropped)
-			if fp.Delivered == prevDelivered && outstanding > 0 {
-				res.UnavailUS += sim.Duration(at-prevAt).Seconds() * 1e6
-				if !inWindow {
-					res.UnavailWindows++
-					inWindow = true
-					regions = append(regions, telemetry.Region{Name: "unavailable", From: prevAt, To: at})
-				} else {
-					regions[len(regions)-1].To = at
-				}
-			} else {
-				inWindow = false
+	var col netsim.Collector
+	c := &cell{
+		net: net, label: res.id(), col: &col,
+		start: func(net netsim.Network) error {
+			ol := traffic.OpenLoop{
+				Pattern:        traffic.RandomPermutation(net.NumNodes(), cfg.Seed+10),
+				Load:           float64(cfg.LoadPct) / 100,
+				PacketsPerNode: cfg.PacketsPerNode,
+				Seed:           cfg.Seed + 100,
 			}
-			prevDelivered, prevAt = fp.Delivered, at
+			ol.Start(net)
+			return nil
 		},
-	})
-	if err != nil {
-		return res, err
+		faults: ctrl,
+		drive: netsim.DriveOptions{
+			Deadline: sim.Time(0).Add(sim.Microseconds(spec.HorizonUS)),
+			Interval: sim.Microseconds(spec.SliceUS),
+			Observe: func(at sim.Time, drained bool) {
+				fp := net.Ledger()
+				outstanding := int64(fp.Injected) - int64(fp.Delivered) - int64(fp.GaveUp) - int64(fp.Dropped)
+				if fp.Delivered == prevDelivered && outstanding > 0 {
+					res.UnavailUS += sim.Duration(at-prevAt).Seconds() * 1e6
+					if !inWindow {
+						res.UnavailWindows++
+						inWindow = true
+						regions = append(regions, telemetry.Region{Name: "unavailable", From: prevAt, To: at})
+					} else {
+						regions[len(regions)-1].To = at
+					}
+				} else {
+					inWindow = false
+				}
+				prevDelivered, prevAt = fp.Delivered, at
+			},
+		},
 	}
-	if spanAud != nil {
-		spanAud.VerifyInto(aud, tel.Rec.Records(), tel.Rec.Overwritten() > 0)
-	}
-	if tel != nil && spec.TraceDir != "" {
-		if err := writeCellTrace(spec.TraceDir, &res, tel, regions); err != nil {
-			return res, err
+	if spec.Workload != nil {
+		c.start = func(net netsim.Network) error {
+			ws := *spec.Workload
+			if ws.Seed == 0 {
+				ws.Seed = 1
+			}
+			ws.Seed += seed
+			drv, err := workload.New(ws)
+			if err != nil {
+				return err
+			}
+			return drv.Attach(net)
 		}
 	}
-	fp := read()
-	res.fp = fp
-	res.Injected = fp.Injected
-	res.Delivered = fp.Delivered
-	res.GaveUp = fp.GaveUp
-	res.FaultDrops = fp.FaultDrops
-	res.Dropped = fp.Dropped
-	res.Retransmissions = fp.Retransmissions
-	res.DeliveredFrac = 1
-	if fp.Injected > 0 {
-		res.DeliveredFrac = float64(fp.Delivered) / float64(fp.Injected)
+	if spec.TraceDir != "" || spec.TraceSample > 0 {
+		fr := spec.FlightRecords
+		if fr == 0 {
+			fr = 1 << 17
+		}
+		c.tel = &telemetry.Options{FlightRecords: fr, TraceSample: spec.TraceSample}
 	}
-	res.TailNS = col.TailNS()
-	res.TailInflation = 1
-	res.RetxAmp = 1
-	res.FaultEvents = ctrl.Applied()
-	res.Finished = !more
-	if aud != nil {
-		res.Checkpoints = aud.Checkpoints()
-		res.Violations = aud.Violations()
+	if spec.TraceDir != "" {
+		c.export = func(tel *telemetry.Telemetry) error { return writeCellTrace(spec.TraceDir, &res, tel, regions) }
 	}
-	return res, nil
+	if spec.Audit {
+		c.audit = &check.Options{}
+	}
+	err = c.run(func() error {
+		fp := net.Ledger()
+		res.fp = fp
+		res.Injected = fp.Injected
+		res.Delivered = fp.Delivered
+		res.GaveUp = fp.GaveUp
+		res.FaultDrops = fp.FaultDrops
+		res.Dropped = fp.Dropped
+		res.Retransmissions = fp.Retransmissions
+		res.DeliveredFrac = 1
+		if fp.Injected > 0 {
+			res.DeliveredFrac = float64(fp.Delivered) / float64(fp.Injected)
+		}
+		res.TailNS = col.TailNS()
+		res.TailInflation = 1
+		res.RetxAmp = 1
+		res.FaultEvents = ctrl.Applied()
+		res.Finished = !c.more
+		if aud := c.drive.Aud; aud != nil {
+			res.Checkpoints = aud.Checkpoints()
+			res.Violations = aud.Violations()
+		}
+		return nil
+	})
+	return res, err
 }
 
 // writeCellTrace exports one campaign cell's Perfetto trace: flight records
@@ -421,7 +407,7 @@ func RunCampaign(spec CampaignSpec) (*CampaignReport, error) {
 	// Serial fold in canonical order: baselines precede their script cells
 	// within each (config, seed) group by construction of enumCells.
 	rep := &CampaignReport{Spec: spec}
-	baselines := make(map[string]harness.Fingerprint)
+	baselines := make(map[string]netsim.Ledger)
 	baseTails := make(map[string]float64)
 	invariant := make(map[string]*CellResult)
 	for i := range cells {

@@ -1,6 +1,10 @@
 package exp
 
-import "testing"
+import (
+	"testing"
+
+	"baldur/internal/netsim"
+)
 
 // goldPoint pins the exact statistics a seeded Quick-scale run must
 // reproduce. The values were captured from the reference implementation and
@@ -43,14 +47,29 @@ func checkGold(t *testing.T, label string, p Point, g goldPoint) {
 }
 
 // TestSeededReplayGolden re-runs seeded Quick-scale experiments on every
-// network and requires bit-identical statistics.
+// network and requires bit-identical statistics. The drained transpose runs
+// also check each network's ledger: every injected packet is delivered,
+// abandoned or dropped, and the network's delivered count is the
+// collector's.
 func TestSeededReplayGolden(t *testing.T) {
 	for _, g := range goldTranspose07 {
-		p, err := RunOpenLoop(g.network, "transpose", 0.7, Quick)
+		var col netsim.Collector
+		d, net, err := runOpenLoopCell(&col, g.network, "transpose", 0.7, Quick)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGold(t, "transpose@0.7", p, g)
+		checkGold(t, "transpose@0.7", d.Point, g)
+		l := net.Ledger()
+		if !d.Finished || l.Injected == 0 {
+			t.Fatalf("%s: run did not drain or injected nothing: %+v", g.network, l)
+		}
+		if l.Injected != l.Delivered+l.GaveUp+l.Dropped {
+			t.Errorf("%s: injected %d != delivered %d + gave up %d + dropped %d",
+				g.network, l.Injected, l.Delivered, l.GaveUp, l.Dropped)
+		}
+		if l.Delivered != col.Delivered() {
+			t.Errorf("%s: ledger delivered %d != collector %d", g.network, l.Delivered, col.Delivered())
+		}
 	}
 	for _, g := range goldRandomPerm05 {
 		p, err := RunOpenLoop(g.network, "random_permutation", 0.5, Quick)

@@ -179,100 +179,147 @@ func (sc Scale) maxSim() sim.Time {
 // NetworkNames lists the evaluated networks in the paper's order.
 var NetworkNames = []string{"baldur", "multibutterfly", "dragonfly", "fattree", "ideal"}
 
-// instance couples a live network with its metadata.
-type instance struct {
-	name string
-	net  netsim.Network
-	// drained reports outstanding work (Baldur only; lossless networks
-	// drain by construction when the engine empties).
-	stats func() (drops uint64, attempts uint64)
-}
-
 // build constructs one named network at the given scale. Patterns are
 // generated per network because node counts differ slightly (1,024 vs
 // 1,056), exactly as in the paper.
-func build(name string, sc Scale) (*instance, error) {
+func build(name string, sc Scale) (netsim.Network, error) {
 	switch name {
 	case "baldur":
-		n, err := core.New(core.Config{Nodes: sc.Nodes, Seed: sc.Seed, Shards: sc.Shards})
-		if err != nil {
-			return nil, err
-		}
-		return &instance{
-			name: name, net: n,
-			stats: func() (uint64, uint64) { return n.Stats.DataDrops, n.Stats.DataAttempts },
-		}, nil
+		return core.New(core.Config{Nodes: sc.Nodes, Seed: sc.Seed, Shards: sc.Shards})
 	case "multibutterfly":
-		n, err := elecnet.NewMultiButterfly(elecnet.MBConfig{Nodes: sc.Nodes, Multiplicity: 4, Seed: sc.Seed, Shards: sc.Shards})
-		if err != nil {
-			return nil, err
-		}
-		return &instance{name: name, net: n, stats: zeroStats}, nil
+		return elecnet.NewMultiButterfly(elecnet.MBConfig{Nodes: sc.Nodes, Multiplicity: 4, Seed: sc.Seed, Shards: sc.Shards})
 	case "dragonfly":
-		n, err := elecnet.NewDragonfly(elecnet.DragonflyConfig{P: sc.DragonflyP, Seed: sc.Seed, Shards: sc.Shards})
-		if err != nil {
-			return nil, err
-		}
-		return &instance{name: name, net: n, stats: zeroStats}, nil
+		return elecnet.NewDragonfly(elecnet.DragonflyConfig{P: sc.DragonflyP, Seed: sc.Seed, Shards: sc.Shards})
 	case "fattree":
-		n, err := elecnet.NewFatTree(elecnet.FatTreeConfig{K: sc.FatTreeK, Shards: sc.Shards})
-		if err != nil {
-			return nil, err
-		}
-		return &instance{name: name, net: n, stats: zeroStats}, nil
+		return elecnet.NewFatTree(elecnet.FatTreeConfig{K: sc.FatTreeK, Shards: sc.Shards})
 	case "ideal":
-		return &instance{name: name, net: elecnet.NewIdeal(sc.Nodes, 0), stats: zeroStats}, nil
+		return elecnet.NewIdeal(sc.Nodes, 0), nil
 	}
 	return nil, fmt.Errorf("exp: unknown network %q", name)
 }
 
-func zeroStats() (uint64, uint64) { return 0, 0 }
+// buildWithPattern builds the named network and generates the named
+// pattern sized for it.
+func buildWithPattern(network, pattern string, sc Scale) (netsim.Network, *traffic.Pattern, error) {
+	net, err := build(network, sc)
+	if err != nil {
+		return nil, nil, err
+	}
+	pat, err := patternFor(pattern, net.NumNodes(), sc)
+	return net, pat, err
+}
+
+// cell is one packet-level simulation: a built network, the traffic source
+// that drives it, and the probes attached around the run. Every cell kind —
+// open loop, ping-pong, workload, latency profile and fault campaign — runs
+// through cell.run, so a probe wired there reaches all of them.
+type cell struct {
+	net   netsim.Network
+	label string                     // names the cell in telemetry and errors
+	col   *netsim.Collector          // caller-owned: series runners reuse one across loads
+	start func(netsim.Network) error // attaches the traffic source
+	tel   *telemetry.Options         // nil: no telemetry
+	audit *check.Options             // nil: no auditor
+	// strict fails the cell on any audit violation; campaign cells record
+	// violations in their report instead.
+	strict bool
+	faults netsim.Timeline // nil: no fault script
+	// drive carries the deadline, slice width and observer; run attaches
+	// the telemetry layer and auditor to it.
+	drive  netsim.DriveOptions
+	export func(*telemetry.Telemetry) error // nil: telemetry is not exported
+
+	// Set by run: whether events remained queued at the deadline, and the
+	// span audit when one was armed.
+	more  bool
+	spans *check.SpanAudit
+}
+
+// run executes the cell: telemetry → collector → traffic → audit → span
+// audit → drive → span verify, then fold (where the caller reads its
+// results) and export. The attach order is fixed because delivery callbacks
+// run in registration order. The span audit is armed whenever an audited
+// cell also traces packet lifecycles.
+func (c *cell) run(fold func() error) error {
+	if c.tel != nil {
+		c.drive.Tel = attachTelemetry(c.net, *c.tel, c.label)
+	}
+	c.col.Attach(c.net)
+	if err := c.start(c.net); err != nil {
+		return err
+	}
+	if au, ok := c.net.(netsim.Audited); ok && c.audit != nil {
+		c.drive.Aud = check.New(*c.audit)
+		au.AttachAudit(c.drive.Aud)
+	}
+	tel, aud := c.drive.Tel, c.drive.Aud
+	if aud != nil && tel != nil && tel.TraceEvery() > 0 {
+		c.spans = netsim.AttachSpanAudit(c.net)
+	}
+	var err error
+	if c.more, err = netsim.Drive(c.net, c.faults, c.drive); err != nil {
+		return err
+	}
+	if c.spans != nil {
+		c.spans.VerifyInto(aud, tel.Rec.Records(), tel.Rec.Overwritten() > 0)
+	}
+	if c.strict && aud != nil {
+		if err := aud.Err(); err != nil {
+			return fmt.Errorf("exp: %s: %w", c.label, err)
+		}
+	}
+	if err := fold(); err != nil {
+		return err
+	}
+	if tel != nil && c.export != nil {
+		return c.export(tel)
+	}
+	return nil
+}
+
+// point folds the cell into the fields every packet-tier Point shares.
+func (c *cell) point(network string) Point {
+	p := Point{
+		Network:  network,
+		AvgNS:    c.col.AvgNS(),
+		TailNS:   c.col.TailNS(),
+		Finished: !c.more,
+		Events:   netsim.Events(c.net),
+	}
+	if l := c.net.Ledger(); l.DataAttempts > 0 {
+		p.DropRate = float64(l.DataDrops) / float64(l.DataAttempts)
+	}
+	return p
+}
+
+// newCell returns a cell of net configured from the scale: its telemetry
+// and audit options, warmup and safety horizon. Any audit violation fails
+// the cell, and telemetry is exported under label when the scale runs many
+// cells.
+func (sc Scale) newCell(net netsim.Network, col *netsim.Collector, label string, start func(netsim.Network) error) *cell {
+	col.Warmup = sim.Time(sc.Warmup)
+	return &cell{
+		net: net, label: label, col: col, start: start,
+		tel: sc.Telemetry, audit: sc.Audit, strict: true,
+		drive:  netsim.DriveOptions{Deadline: sc.maxSim()},
+		export: func(tel *telemetry.Telemetry) error { return writeTelemetry(tel, sc, label) },
+	}
+}
 
 // attachTelemetry builds and attaches a telemetry layer for net when the
-// scale requests one and the network supports instrumentation (the ideal
-// network does not). cell names the run for watch lines and per-cell paths.
-func attachTelemetry(net netsim.Network, sc Scale, cell string) *telemetry.Telemetry {
-	if sc.Telemetry == nil {
-		return nil
-	}
+// network supports instrumentation (the ideal network does not). label
+// names the run for watch lines and per-cell paths unless opts has one.
+func attachTelemetry(net netsim.Network, opts telemetry.Options, label string) *telemetry.Telemetry {
 	in, ok := net.(netsim.Instrumented)
 	if !ok {
 		return nil
 	}
-	opts := *sc.Telemetry
 	if opts.Label == "" {
-		opts.Label = cell
+		opts.Label = label
 	}
 	tel := telemetry.New(opts, netsim.NumShards(net))
 	in.AttachTelemetry(tel)
 	return tel
-}
-
-// attachAudit builds and attaches an invariant auditor for net when the
-// scale requests one and the network supports auditing (the ideal network
-// does not).
-func attachAudit(net netsim.Network, sc Scale) *check.Auditor {
-	if sc.Audit == nil {
-		return nil
-	}
-	au, ok := net.(netsim.Audited)
-	if !ok {
-		return nil
-	}
-	aud := check.New(*sc.Audit)
-	au.AttachAudit(aud)
-	return aud
-}
-
-// auditErr wraps an auditor's verdict with the cell it came from.
-func auditErr(aud *check.Auditor, network, pattern string) error {
-	if aud == nil {
-		return nil
-	}
-	if err := aud.Err(); err != nil {
-		return fmt.Errorf("exp: %s/%s: %w", network, pattern, err)
-	}
-	return nil
 }
 
 // writeTelemetry exports a cell's telemetry, tagging output paths when the
@@ -334,70 +381,70 @@ type Point struct {
 	Events        uint64 // simulator events executed; 0 under the twin tier
 }
 
+// OpenLoopDetail is one open-loop cell's Point plus what the run reports
+// beside it.
+type OpenLoopDetail struct {
+	Point
+	// Epochs counts the lockstep synchronization epochs the sharded engine
+	// executed (0 for serial and twin-tier runs). Epochs depend on the shard
+	// count, so they are kept beside the Point, which stays bit-identical
+	// across shard counts.
+	Epochs uint64
+	// Telemetry is the cell's telemetry layer — the sampled series, flight
+	// records and registry totals (nil when sc.Telemetry is nil or the
+	// network is uninstrumented).
+	Telemetry *telemetry.Telemetry
+}
+
+// openLoop returns the open-loop traffic source of one cell.
+func openLoop(pat *traffic.Pattern, load float64, sc Scale) func(netsim.Network) error {
+	return func(net netsim.Network) error {
+		ol := traffic.OpenLoop{
+			Pattern:        pat,
+			Load:           load,
+			PacketsPerNode: sc.PacketsPerNode,
+			Seed:           sc.Seed + 100,
+		}
+		ol.Start(net)
+		return nil
+	}
+}
+
+// pingPong returns the closed-loop ping-pong traffic source of one cell.
+func pingPong(pat *traffic.Pattern, sc Scale) func(netsim.Network) error {
+	return func(net netsim.Network) error {
+		pp := traffic.PingPong{Pattern: pat, Rounds: sc.PacketsPerNode}
+		pp.Start(net)
+		return nil
+	}
+}
+
 // runOpenLoopCell measures one (network, pattern, load) cell into col,
 // whose sample and histogram allocations are reused across calls (series
-// runners sweep five loads through one collector).
-func runOpenLoopCell(col *netsim.Collector, network, pattern string, load float64, sc Scale) (Point, netsim.Network, *telemetry.Telemetry, error) {
+// runners sweep five loads through one collector). It also returns the
+// network (nil under the twin tier).
+func runOpenLoopCell(col *netsim.Collector, network, pattern string, load float64, sc Scale) (OpenLoopDetail, netsim.Network, error) {
 	if sc.Fidelity == netsim.FidelityTwin {
 		p, err := twinOpenLoopCell(network, pattern, load, sc)
-		return p, nil, nil, err
+		return OpenLoopDetail{Point: p}, nil, err
 	}
-	inst, err := build(network, sc)
+	net, pat, err := buildWithPattern(network, pattern, sc)
 	if err != nil {
-		return Point{}, nil, nil, err
+		return OpenLoopDetail{}, nil, err
 	}
-	pat, err := patternFor(pattern, inst.net.NumNodes(), sc)
-	if err != nil {
-		return Point{}, nil, nil, err
-	}
-	var cell string
-	var tel *telemetry.Telemetry
-	if sc.Telemetry != nil {
-		// Only name the cell when telemetry wants it: the Sprintf would be
-		// the sole allocation on the disabled path.
-		cell = fmt.Sprintf("%s-%s-%g", network, pattern, load)
-		tel = attachTelemetry(inst.net, sc, cell)
-	}
-	col.Warmup = sim.Time(sc.Warmup)
-	col.Attach(inst.net)
-	ol := traffic.OpenLoop{
-		Pattern:        pat,
-		Load:           load,
-		PacketsPerNode: sc.PacketsPerNode,
-		Seed:           sc.Seed + 100,
-	}
-	ol.Start(inst.net)
-	aud := attachAudit(inst.net, sc)
-	var spans *check.SpanAudit
-	if aud != nil && tel != nil && tel.TraceEvery() > 0 {
-		spans = netsim.AttachSpanAudit(inst.net)
-	}
-	more := netsim.RunChecked(inst.net, sc.maxSim(), tel, aud)
-	if spans != nil {
-		spans.VerifyInto(aud, tel.Rec.Records(), tel.Rec.Overwritten() > 0)
-	}
-	if err := auditErr(aud, network, pattern); err != nil {
-		return Point{}, nil, nil, err
-	}
-	drops, attempts := inst.stats()
-	p := Point{
-		Network:  network,
-		Load:     load,
-		AvgNS:    col.AvgNS(),
-		TailNS:   col.TailNS(),
-		Finished: !more,
-		Events:   netsim.Events(inst.net),
-	}
-	if last := col.LastDelivery(); last > 0 {
-		p.ThroughputPPS = float64(col.Delivered()) / sim.Duration(last).Seconds()
-	}
-	if attempts > 0 {
-		p.DropRate = float64(drops) / float64(attempts)
-	}
-	if err := writeTelemetry(tel, sc, cell); err != nil {
-		return Point{}, nil, nil, err
-	}
-	return p, inst.net, tel, nil
+	c := sc.newCell(net, col, fmt.Sprintf("%s-%s-%g", network, pattern, load), openLoop(pat, load, sc))
+	var d OpenLoopDetail
+	err = c.run(func() error {
+		d.Point = c.point(network)
+		d.Load = load
+		if last := col.LastDelivery(); last > 0 {
+			d.ThroughputPPS = float64(col.Delivered()) / sim.Duration(last).Seconds()
+		}
+		d.Epochs = netsim.Epochs(net)
+		d.Telemetry = c.drive.Tel
+		return nil
+	})
+	return d, net, err
 }
 
 // twinOpenLoopCell answers one open-loop cell from the analytical tier:
@@ -438,34 +485,16 @@ func twinOpenLoopCell(network, pattern string, load float64, sc Scale) (Point, e
 
 // RunOpenLoop measures one (network, pattern, load) cell.
 func RunOpenLoop(network, pattern string, load float64, sc Scale) (Point, error) {
-	var col netsim.Collector
-	p, _, _, err := runOpenLoopCell(&col, network, pattern, load, sc)
-	return p, err
+	d, err := RunOpenLoopDetail(network, pattern, load, sc)
+	return d.Point, err
 }
 
-// RunOpenLoopEpochs is RunOpenLoop plus the number of lockstep
-// synchronization epochs the sharded engine executed (0 for serial runs).
-// Epochs depend on the shard count, so they are reported beside the Point
-// rather than inside it, which stays bit-identical across shard counts.
-func RunOpenLoopEpochs(network, pattern string, load float64, sc Scale) (Point, uint64, error) {
+// RunOpenLoopDetail is RunOpenLoop plus the cell's epoch count and
+// telemetry layer.
+func RunOpenLoopDetail(network, pattern string, load float64, sc Scale) (OpenLoopDetail, error) {
 	var col netsim.Collector
-	p, net, _, err := runOpenLoopCell(&col, network, pattern, load, sc)
-	if err != nil {
-		return Point{}, 0, err
-	}
-	if net == nil { // twin tier: no engine, no epochs
-		return p, 0, nil
-	}
-	return p, netsim.Epochs(net), nil
-}
-
-// RunOpenLoopTelemetry is RunOpenLoop with the cell's telemetry layer (nil
-// when sc.Telemetry is nil or the network is uninstrumented) returned for
-// inspection — the sampled series, flight records and registry totals.
-func RunOpenLoopTelemetry(network, pattern string, load float64, sc Scale) (Point, *telemetry.Telemetry, error) {
-	var col netsim.Collector
-	p, _, tel, err := runOpenLoopCell(&col, network, pattern, load, sc)
-	return p, tel, err
+	d, _, err := runOpenLoopCell(&col, network, pattern, load, sc)
+	return d, err
 }
 
 // RunPingPong measures a closed-loop ping-pong workload on one network.
@@ -475,39 +504,18 @@ func RunPingPong(network, pattern string, sc Scale) (Point, error) {
 	if sc.Fidelity == netsim.FidelityTwin {
 		return Point{}, fmt.Errorf("exp: ping-pong cells are packet-only (fidelity %q)", sc.Fidelity)
 	}
-	inst, err := build(network, sc)
+	net, pat, err := buildWithPattern(network, pattern, sc)
 	if err != nil {
 		return Point{}, err
-	}
-	pat, err := patternFor(pattern, inst.net.NumNodes(), sc)
-	if err != nil {
-		return Point{}, err
-	}
-	var cell string
-	var tel *telemetry.Telemetry
-	if sc.Telemetry != nil {
-		cell = fmt.Sprintf("%s-%s", network, pattern)
-		tel = attachTelemetry(inst.net, sc, cell)
 	}
 	var col netsim.Collector
-	col.Warmup = sim.Time(sc.Warmup)
-	col.Attach(inst.net)
-	pp := traffic.PingPong{Pattern: pat, Rounds: sc.PacketsPerNode}
-	pp.Start(inst.net)
-	aud := attachAudit(inst.net, sc)
-	more := netsim.RunChecked(inst.net, sc.maxSim(), tel, aud)
-	if err := auditErr(aud, network, pattern); err != nil {
-		return Point{}, err
-	}
-	drops, attempts := inst.stats()
-	p := Point{Network: network, AvgNS: col.AvgNS(), TailNS: col.TailNS(), Finished: !more, Events: netsim.Events(inst.net)}
-	if attempts > 0 {
-		p.DropRate = float64(drops) / float64(attempts)
-	}
-	if err := writeTelemetry(tel, sc, cell); err != nil {
-		return Point{}, err
-	}
-	return p, nil
+	c := sc.newCell(net, &col, fmt.Sprintf("%s-%s", network, pattern), pingPong(pat, sc))
+	var p Point
+	err = c.run(func() error {
+		p = c.point(network)
+		return nil
+	})
+	return p, err
 }
 
 // renderTable renders rows as a fixed-width text table.

@@ -148,11 +148,11 @@ func Fig6(sc Scale, patterns []string, loads []float64, networks []string) ([]Fi
 		c := cells[ci]
 		var col netsim.Collector
 		for li, load := range loads {
-			p, _, _, err := runOpenLoopCell(&col, c.net, patterns[c.pat], load, sc)
+			d, _, err := runOpenLoopCell(&col, c.net, patterns[c.pat], load, sc)
 			if err != nil {
 				return fmt.Errorf("fig6 %s/%s@%.1f: %w", c.net, patterns[c.pat], load, err)
 			}
-			results[c.pat].Points[c.base+li] = p
+			results[c.pat].Points[c.base+li] = d.Point
 		}
 		return nil
 	})
@@ -241,11 +241,11 @@ func Fig7(sc Scale, networks []string) ([]Fig7Row, error) {
 // built unsharded.
 func RunTrace(network, workload string, sc Scale) (Point, error) {
 	sc.Shards = 0
-	inst, err := build(network, sc)
+	net, err := build(network, sc)
 	if err != nil {
 		return Point{}, err
 	}
-	w := trace.ByName(workload, inst.net.NumNodes(), trace.Options{
+	w := trace.ByName(workload, net.NumNodes(), trace.Options{
 		Iterations: sc.TraceIters,
 		Seed:       sc.Seed + 7,
 	})
@@ -256,11 +256,11 @@ func RunTrace(network, workload string, sc Scale) (Point, error) {
 	var tel *telemetry.Telemetry
 	if sc.Telemetry != nil {
 		cell = fmt.Sprintf("%s-%s", network, workload)
-		tel = attachTelemetry(inst.net, sc, cell)
+		tel = attachTelemetry(net, *sc.Telemetry, cell)
 	}
 	var col netsim.Collector
-	col.Attach(inst.net)
-	rep, err := trace.NewReplayer(inst.net, w)
+	col.Attach(net)
+	rep, err := trace.NewReplayer(net, w)
 	if err != nil {
 		return Point{}, err
 	}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"baldur/internal/netsim"
-	"baldur/internal/sim"
-	"baldur/internal/traffic"
 )
 
 // LatencyProfile is the full latency distribution of one (network, pattern,
@@ -25,38 +23,30 @@ type LatencyProfile struct {
 
 // Profile measures the latency distribution for one cell.
 func Profile(network, pattern string, load float64, sc Scale) (LatencyProfile, error) {
-	inst, err := build(network, sc)
-	if err != nil {
-		return LatencyProfile{}, err
-	}
-	pat, err := patternFor(pattern, inst.net.NumNodes(), sc)
+	net, pat, err := buildWithPattern(network, pattern, sc)
 	if err != nil {
 		return LatencyProfile{}, err
 	}
 	var col netsim.Collector
-	col.Warmup = sim.Time(sc.Warmup)
-	col.Attach(inst.net)
-	ol := traffic.OpenLoop{
-		Pattern:        pat,
-		Load:           load,
-		PacketsPerNode: sc.PacketsPerNode,
-		Seed:           sc.Seed + 100,
-	}
-	ol.Start(inst.net)
-	netsim.Run(inst.net, sc.maxSim())
-	h := col.Merged()
-	return LatencyProfile{
-		Network: network,
-		Pattern: pattern,
-		Load:    load,
-		P50:     h.Quantile(0.50),
-		P90:     h.Quantile(0.90),
-		P99:     h.Quantile(0.99),
-		P999:    h.Quantile(0.999),
-		Max:     h.Max(),
-		Mean:    col.AvgNS(),
-		Samples: col.Samples(),
-	}, nil
+	c := sc.newCell(net, &col, fmt.Sprintf("%s-%s-%g-profile", network, pattern, load), openLoop(pat, load, sc))
+	var lp LatencyProfile
+	err = c.run(func() error {
+		h := col.Merged()
+		lp = LatencyProfile{
+			Network: network,
+			Pattern: pattern,
+			Load:    load,
+			P50:     h.Quantile(0.50),
+			P90:     h.Quantile(0.90),
+			P99:     h.Quantile(0.99),
+			P999:    h.Quantile(0.999),
+			Max:     h.Max(),
+			Mean:    col.AvgNS(),
+			Samples: col.Samples(),
+		}
+		return nil
+	})
+	return lp, err
 }
 
 // RenderProfiles formats a set of profiles as a percentile table.

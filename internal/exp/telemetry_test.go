@@ -23,10 +23,11 @@ func runTelemetryCell(t *testing.T, pattern string, load float64, shards int, op
 	sc.Shards = shards
 	sc.Telemetry = &opts
 	var col netsim.Collector
-	p, net, tel, err := runOpenLoopCell(&col, "baldur", pattern, load, sc)
+	d, net, err := runOpenLoopCell(&col, "baldur", pattern, load, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, tel := d.Point, d.Telemetry
 	bn, ok := net.(*core.Network)
 	if !ok {
 		t.Fatalf("baldur cell returned %T", net)

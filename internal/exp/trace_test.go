@@ -14,29 +14,56 @@ import (
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
 	"baldur/internal/traffic"
+	"baldur/internal/workload"
 )
 
-// runTraceCell runs one lifecycle-traced cell of any network. The rings are
-// sized to never wrap (a wrapped ring keeps per-shard suffixes, which
-// legitimately differ across shard layouts) and the auditor is attached, so
-// runOpenLoopCell's built-in span audit enforces the attribution invariant
-// on every traced delivery.
-func runTraceCell(t *testing.T, network, pattern string, load float64, shards, every int) *telemetry.Telemetry {
+// runTraceCell runs one lifecycle-traced cell of any network. traffic is an
+// open-loop pattern, a ping-pong pattern, or "workload" for the two-tenant
+// service mix. The rings are sized to never wrap (a wrapped ring keeps
+// per-shard suffixes, which legitimately differ across shard layouts) and
+// the auditor is attached, so the cell's built-in span audit enforces the
+// attribution invariant on every traced delivery.
+func runTraceCell(t *testing.T, network, traffic string, load float64, shards, every int) *telemetry.Telemetry {
 	t.Helper()
 	sc := Quick
 	sc.Shards = shards
 	sc.Telemetry = &telemetry.Options{FlightRecords: 1 << 17, TraceSample: every}
 	sc.Audit = &check.Options{}
-	var col netsim.Collector
-	_, _, tel, err := runOpenLoopCell(&col, network, pattern, load, sc)
+	net, err := build(network, sc)
 	if err != nil {
-		t.Fatalf("%s/%s K=%d: %v", network, pattern, shards, err)
+		t.Fatal(err)
 	}
+	var start func(netsim.Network) error
+	if traffic == "workload" {
+		drv, err := workload.New(testWorkloadSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		start = drv.Attach
+	} else {
+		pat, err := patternFor(traffic, net.NumNodes(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start = openLoop(pat, load, sc)
+		if strings.HasPrefix(traffic, "ping_pong") {
+			start = pingPong(pat, sc)
+		}
+	}
+	var col netsim.Collector
+	c := sc.newCell(net, &col, traffic, start)
+	if err := c.run(func() error { return nil }); err != nil {
+		t.Fatalf("%s/%s K=%d: %v", network, traffic, shards, err)
+	}
+	tel := c.drive.Tel
 	if tel == nil {
-		t.Fatalf("%s/%s K=%d: telemetry layer not attached", network, pattern, shards)
+		t.Fatalf("%s/%s K=%d: telemetry layer not attached", network, traffic, shards)
 	}
 	if tel.Rec.Overwritten() > 0 {
-		t.Fatalf("%s/%s K=%d: flight recorder wrapped; raise FlightRecords", network, pattern, shards)
+		t.Fatalf("%s/%s K=%d: flight recorder wrapped; raise FlightRecords", network, traffic, shards)
+	}
+	if c.spans == nil || c.spans.Witnessed() == 0 {
+		t.Fatalf("%s/%s K=%d: span audit witnessed no traced deliveries", network, traffic, shards)
 	}
 	return tel
 }
@@ -45,32 +72,35 @@ func runTraceCell(t *testing.T, network, pattern string, load float64, shards, e
 // traced-packet set and the exported span stream are bit-identical for
 // K ∈ {1, 2, 4}, on both the Baldur model and a buffered electrical model
 // (dragonfly), because sampling hashes only the shard-layout-independent
-// packet id and spans carry virtual times.
+// packet id and spans carry virtual times. Open-loop, ping-pong and
+// service-workload traffic each run the in-run span audit.
 func TestTraceStreamShardCountInvariant(t *testing.T) {
 	for _, network := range []string{"baldur", "dragonfly"} {
-		var base string
-		for _, k := range []int{1, 2, 4} {
-			tel := runTraceCell(t, network, "random_permutation", 0.5, k, 2)
-			recs := tel.Rec.Records()
-			spans := 0
-			for i := range recs {
-				if recs[i].Kind == telemetry.KindSpan {
-					spans++
+		for _, traffic := range []string{"random_permutation", "ping_pong1", "workload"} {
+			var base string
+			for _, k := range []int{1, 2, 4} {
+				tel := runTraceCell(t, network, traffic, 0.5, k, 2)
+				recs := tel.Rec.Records()
+				spans := 0
+				for i := range recs {
+					if recs[i].Kind == telemetry.KindSpan {
+						spans++
+					}
 				}
-			}
-			if spans == 0 {
-				t.Fatalf("%s K=%d: no span records captured", network, k)
-			}
-			var sb strings.Builder
-			if err := telemetry.WriteFlightCSV(&sb, recs, 1); err != nil {
-				t.Fatal(err)
-			}
-			if k == 1 {
-				base = sb.String()
-				continue
-			}
-			if sb.String() != base {
-				t.Errorf("%s: exported span stream differs between K=1 and K=%d", network, k)
+				if spans == 0 {
+					t.Fatalf("%s/%s K=%d: no span records captured", network, traffic, k)
+				}
+				var sb strings.Builder
+				if err := telemetry.WriteFlightCSV(&sb, recs, 1); err != nil {
+					t.Fatal(err)
+				}
+				if k == 1 {
+					base = sb.String()
+					continue
+				}
+				if sb.String() != base {
+					t.Errorf("%s/%s: exported span stream differs between K=1 and K=%d", network, traffic, k)
+				}
 			}
 		}
 	}

@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
-	"baldur/internal/core"
-	"baldur/internal/elecnet"
 	"baldur/internal/netsim"
-	"baldur/internal/sim"
-	"baldur/internal/telemetry"
 	"baldur/internal/workload"
 
 	// The built-in policy plugins register themselves by name; linking them
@@ -40,25 +36,6 @@ type SLOReport struct {
 	Events          uint64
 }
 
-// injectedOf reads a network's injected-packet ledger (the same counter the
-// check conservation ledger audits). The analytic ideal network keeps one
-// too; unknown implementations report 0.
-func injectedOf(net netsim.Network) uint64 {
-	switch n := net.(type) {
-	case *core.Network:
-		return n.Stats.Injected
-	case *elecnet.MultiButterfly:
-		return n.Injected
-	case *elecnet.Dragonfly:
-		return n.Injected
-	case *elecnet.FatTree:
-		return n.Injected
-	case *elecnet.Ideal:
-		return n.Injected
-	}
-	return 0
-}
-
 // RunWorkload runs one workload spec on one network at the given scale and
 // returns the per-tenant SLO report. Workload cells are packet-only (flows
 // have no twin-tier analogue yet). When the run drains before the safety
@@ -74,53 +51,42 @@ func RunWorkload(network string, spec workload.Spec, sc Scale) (*SLOReport, erro
 	if err != nil {
 		return nil, err
 	}
-	inst, err := build(network, sc)
+	net, err := build(network, sc)
 	if err != nil {
 		return nil, err
 	}
-	var cell string
-	var tel *telemetry.Telemetry
-	if sc.Telemetry != nil {
-		cell = fmt.Sprintf("%s-workload-%s", network, drv.Spec().Name)
-		tel = attachTelemetry(inst.net, sc, cell)
-	}
 	var col netsim.Collector
-	col.Warmup = sim.Time(sc.Warmup)
-	col.Attach(inst.net)
-	if err := drv.Attach(inst.net); err != nil {
-		return nil, err
-	}
-	aud := attachAudit(inst.net, sc)
-	more := netsim.RunChecked(inst.net, sc.maxSim(), tel, aud)
-	if err := auditErr(aud, network, "workload:"+drv.Spec().Name); err != nil {
-		return nil, err
-	}
-	arrived, admitted, rejected, apkts := drv.Totals()
-	rep := &SLOReport{
-		Network:         network,
-		Workload:        drv.Spec().Name,
-		Tenants:         drv.TenantSLOs(),
-		Arrived:         arrived,
-		Admitted:        admitted,
-		Rejected:        rejected,
-		AdmittedPackets: apkts,
-		Injected:        injectedOf(inst.net),
-		Delivered:       col.Delivered(),
-		IncompleteFlows: drv.IncompleteFlows(),
-		Finished:        !more,
-		Events:          netsim.Events(inst.net),
-	}
-	if arrived != admitted+rejected {
-		return nil, fmt.Errorf("exp: %s workload %q: ledger mismatch: arrived %d != admitted %d + rejected %d",
-			network, rep.Workload, arrived, admitted, rejected)
-	}
-	// An unfinished run legitimately has flow senders holding unsent
-	// packets, so only a drained run must reconcile exactly.
-	if rep.Finished && rep.Injected != apkts {
-		return nil, fmt.Errorf("exp: %s workload %q: conservation mismatch: network injected %d packets, driver admitted %d",
-			network, rep.Workload, rep.Injected, apkts)
-	}
-	if err := writeTelemetry(tel, sc, cell); err != nil {
+	c := sc.newCell(net, &col, fmt.Sprintf("%s-workload-%s", network, drv.Spec().Name), drv.Attach)
+	var rep *SLOReport
+	err = c.run(func() error {
+		arrived, admitted, rejected, apkts := drv.Totals()
+		rep = &SLOReport{
+			Network:         network,
+			Workload:        drv.Spec().Name,
+			Tenants:         drv.TenantSLOs(),
+			Arrived:         arrived,
+			Admitted:        admitted,
+			Rejected:        rejected,
+			AdmittedPackets: apkts,
+			Injected:        net.Ledger().Injected,
+			Delivered:       col.Delivered(),
+			IncompleteFlows: drv.IncompleteFlows(),
+			Finished:        !c.more,
+			Events:          netsim.Events(net),
+		}
+		if arrived != admitted+rejected {
+			return fmt.Errorf("exp: %s workload %q: ledger mismatch: arrived %d != admitted %d + rejected %d",
+				network, rep.Workload, arrived, admitted, rejected)
+		}
+		// An unfinished run legitimately has flow senders holding unsent
+		// packets, so only a drained run must reconcile exactly.
+		if rep.Finished && rep.Injected != apkts {
+			return fmt.Errorf("exp: %s workload %q: conservation mismatch: network injected %d packets, driver admitted %d",
+				network, rep.Workload, rep.Injected, apkts)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return rep, nil

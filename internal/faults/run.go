@@ -3,7 +3,6 @@ package faults
 import (
 	"fmt"
 
-	"baldur/internal/check"
 	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
@@ -40,7 +39,7 @@ func (c *Controller) NextAt() (sim.Time, bool) {
 }
 
 // ApplyDue applies every event with At <= now. The caller must hold a full
-// barrier (all shard goroutines parked): Run's slice boundaries are.
+// barrier (all shard goroutines parked): netsim.Drive's slice boundaries are.
 func (c *Controller) ApplyDue(net netsim.Network, now sim.Time, tel *telemetry.Telemetry) (int, error) {
 	n := 0
 	for c.next < len(c.script.Events) && c.script.Events[c.next].At <= now {
@@ -118,79 +117,13 @@ func (c *Controller) applyIncast(net netsim.Network, ev Event, now sim.Time) err
 }
 
 // RunOptions configures a scripted run.
-type RunOptions struct {
-	// Deadline bounds virtual time.
-	Deadline sim.Time
-	// Interval is the slice width between barriers (0: the telemetry
-	// sample interval if attached, else the audit interval, else
-	// check.DefaultInterval). Fault events additionally force a barrier at
-	// their exact times.
-	Interval sim.Duration
-	// Tel, when non-nil, is sampled at every boundary (as RunSampled).
-	Tel *telemetry.Telemetry
-	// Aud, when non-nil, checkpoints at every boundary (as RunChecked).
-	Aud *check.Auditor
-	// Observe, when non-nil, is called at every boundary after the
-	// network ran to at (and before the barrier's due events apply) —
-	// the hook availability tracking hangs off.
-	Observe func(at sim.Time, drained bool)
-}
+type RunOptions = netsim.DriveOptions
 
-// Run drives net to the deadline in barrier-aligned slices, applying ctrl's
-// due events at each boundary. Boundaries are multiples of the interval plus
-// the exact event times — none of which depend on the shard count, and each
-// boundary is a full barrier of the sharded engine, so scripted runs are
+// Run drives net to the deadline with netsim.Drive, applying ctrl's due
+// events at each slice boundary; every event time is a boundary. Boundaries
+// are full barriers of the sharded engine, so scripted runs are
 // bit-identical for any K. Returns true if events remain queued at the
 // deadline (the run did not drain).
 func Run(net netsim.Network, ctrl *Controller, opts RunOptions) (bool, error) {
-	iv := opts.Interval
-	if iv == 0 {
-		switch {
-		case opts.Tel != nil:
-			iv = opts.Tel.Interval()
-		case opts.Aud != nil:
-			iv = opts.Aud.Interval()
-		default:
-			iv = check.DefaultInterval
-		}
-	}
-	now := net.Engine().Now()
-	// Events due at or before the start apply before anything runs.
-	if _, err := ctrl.ApplyDue(net, now, opts.Tel); err != nil {
-		return true, err
-	}
-	for {
-		t := now.Add(iv)
-		if at, ok := ctrl.NextAt(); ok && at < t {
-			t = at
-			if t <= now {
-				t = now.Add(sim.Picosecond)
-			}
-		}
-		if t > opts.Deadline {
-			t = opts.Deadline
-		}
-		more := netsim.Run(net, t)
-		if opts.Tel != nil {
-			opts.Tel.Sample(t, netsim.Events(net), netsim.Epochs(net))
-		}
-		drained := !more && !ctrl.Pending()
-		if opts.Aud != nil {
-			opts.Aud.Checkpoint(t, drained)
-		}
-		if opts.Observe != nil {
-			opts.Observe(t, drained)
-		}
-		applied, err := ctrl.ApplyDue(net, t, opts.Tel)
-		if err != nil {
-			return more, err
-		}
-		if t >= opts.Deadline {
-			return more, nil
-		}
-		if !more && !ctrl.Pending() && applied == 0 {
-			return false, nil
-		}
-		now = t
-	}
+	return netsim.Drive(net, ctrl, opts)
 }

@@ -86,6 +86,9 @@ type Network interface {
 	// On sharded networks the callback runs on the destination node's
 	// shard; callbacks must only touch per-node or per-shard state.
 	OnDeliver(fn func(p *Packet, at sim.Time))
+	// Ledger returns the network's packet accounting as of the last
+	// barrier (the aggregate Run folds on sharded networks).
+	Ledger() Ledger
 }
 
 // Sharded is implemented by networks that support multi-shard parallel
@@ -123,72 +126,136 @@ type Instrumented interface {
 // layer. AttachAudit registers the network's conservation ledgers and pool
 // censuses as checkpoint callbacks on a and arms the per-shard audit
 // counters; it must be called before the run starts, at most once per
-// network instance. Runs driven by RunChecked then evaluate every ledger at
-// each slice barrier and once more when the run drains or hits the deadline.
+// network instance. Runs driven by Drive then evaluate every ledger at each
+// slice barrier and once more when the run drains or hits the deadline.
 type Audited interface {
 	Network
 	AttachAudit(a *check.Auditor)
 }
 
-// RunChecked drives n to the deadline like RunSampled and additionally runs
-// an audit checkpoint at every slice boundary plus a final one at the
-// drained/deadline barrier. With a nil aud it is exactly RunSampled (and
-// with both nil, exactly Run). When both telemetry and auditor are attached
-// the telemetry interval drives the slicing, so audit checkpoints land on
-// sample barriers and the telemetry-vs-stats cross-checks see matched
-// snapshots. Returns true if events remain queued.
-func RunChecked(n Network, deadline sim.Time, tel *telemetry.Telemetry, aud *check.Auditor) bool {
-	if aud == nil {
-		return RunSampled(n, deadline, tel)
-	}
-	iv := aud.Interval()
-	if tel != nil {
-		iv = tel.Interval()
-	}
-	for t := n.Engine().Now().Add(iv); t < deadline; t = t.Add(iv) {
-		more := Run(n, t)
-		if tel != nil {
-			tel.Sample(t, Events(n), Epochs(n))
-		}
-		aud.Checkpoint(t, !more)
-		if !more {
-			return false
-		}
-	}
-	more := Run(n, deadline)
-	if tel != nil {
-		tel.Sample(deadline, Events(n), Epochs(n))
-	}
-	aud.Checkpoint(deadline, !more)
-	return more
+// Ledger is a network's packet accounting, folded across shards at the last
+// barrier: the counters conservation audits, run fingerprints and
+// availability tracking read. Each network fills the counters it keeps and
+// leaves the rest zero (the lossless electrical networks make no attempts
+// and retransmit nothing; Baldur keeps no hop bound).
+type Ledger struct {
+	Injected        uint64 // unique data packets handed to Send
+	Delivered       uint64 // unique data packets delivered
+	Duplicates      uint64 // redundant deliveries discarded by dedup
+	DataAttempts    uint64 // data transmissions entering the fabric
+	DataDrops       uint64 // data transmissions dropped in-network
+	AckAttempts     uint64
+	AckDrops        uint64
+	Retransmissions uint64
+	GaveUp          uint64 // data packets abandoned at the attempt cap
+	FaultDrops      uint64 // transmissions lost to injected faults
+	Dropped         uint64 // packets lost to faults on lossless networks
+	MaxHops         int
 }
 
-// RunSampled drives n to the deadline in telemetry-interval slices, taking
-// one metric sample at each interval boundary and a final one at the
-// deadline. Every slice boundary is a full barrier of the sharded engine,
-// so sampling composes with parallel execution without perturbing event
-// order — the sampled series is bit-identical for any shard count. With a
-// nil tel it is equivalent to Run. Returns true if events remain queued.
-func RunSampled(n Network, deadline sim.Time, tel *telemetry.Telemetry) bool {
-	if tel == nil {
-		return Run(n, deadline)
+// Timeline is a time-ordered schedule of actions that may only run at a full
+// barrier of the sharded engine (faults.Controller walking a fault script).
+type Timeline interface {
+	// NextAt returns the time of the next unapplied action.
+	NextAt() (sim.Time, bool)
+	// Pending reports whether unapplied actions remain.
+	Pending() bool
+	// ApplyDue applies every action due at or before now and returns how
+	// many it applied.
+	ApplyDue(n Network, now sim.Time, tel *telemetry.Telemetry) (int, error)
+}
+
+// DriveOptions configures Drive.
+type DriveOptions struct {
+	// Deadline bounds virtual time.
+	Deadline sim.Time
+	// Interval is the slice width between barriers (0: the telemetry
+	// sample interval if attached, else the audit interval, else
+	// check.DefaultInterval). Timeline actions additionally force a barrier
+	// at their exact times.
+	Interval sim.Duration
+	// Tel, when non-nil, takes one metric sample at every boundary.
+	Tel *telemetry.Telemetry
+	// Aud, when non-nil, runs an audit checkpoint at every boundary.
+	Aud *check.Auditor
+	// Observe, when non-nil, is called at every boundary after the
+	// network ran to at (and before the barrier's due actions apply) —
+	// the hook availability tracking hangs off.
+	Observe func(at sim.Time, drained bool)
+}
+
+// Drive runs n to the deadline. With no timeline, telemetry, auditor or
+// observer it is exactly one Run call. Otherwise it runs in barrier-aligned
+// slices, and at each boundary it samples tel, checkpoints aud (drained is
+// true once no events remain queued and no timeline action is pending),
+// calls Observe, and applies the timeline's due actions. Boundaries are
+// multiples of the interval plus the exact action times, clipped to the
+// deadline — none of which depend on the shard count, and each boundary is a
+// full barrier of the sharded engine, so sliced runs are bit-identical for
+// any K. A run that drains stops at the first boundary after it does, since
+// every further slice would be empty. Returns true if events remain queued
+// at the deadline; an error comes only from the timeline.
+func Drive(n Network, tl Timeline, opts DriveOptions) (bool, error) {
+	if tl == nil && opts.Tel == nil && opts.Aud == nil && opts.Observe == nil {
+		return Run(n, opts.Deadline), nil
 	}
-	iv := tel.Interval()
-	for t := n.Engine().Now().Add(iv); t < deadline; t = t.Add(iv) {
-		more := Run(n, t)
-		tel.Sample(t, Events(n), Epochs(n))
-		if !more {
-			// Drained before the safety horizon: every remaining interval
-			// would be an all-zero row (and horizons are typically many
-			// thousands of intervals long). Whether events remain is
-			// invariant to the shard count, so stopping here keeps the
-			// series identical for any K.
-			return false
+	iv := opts.Interval
+	if iv == 0 {
+		switch {
+		case opts.Tel != nil:
+			iv = opts.Tel.Interval()
+		case opts.Aud != nil:
+			iv = opts.Aud.Interval()
+		default:
+			iv = check.DefaultInterval
 		}
 	}
-	more := Run(n, deadline)
-	tel.Sample(deadline, Events(n), Epochs(n))
-	return more
+	now := n.Engine().Now()
+	// Actions due at or before the start apply before anything runs.
+	if tl != nil {
+		if _, err := tl.ApplyDue(n, now, opts.Tel); err != nil {
+			return true, err
+		}
+	}
+	for {
+		t := now.Add(iv)
+		if tl != nil {
+			if at, ok := tl.NextAt(); ok && at < t {
+				t = at
+				if t <= now {
+					t = now.Add(sim.Picosecond)
+				}
+			}
+		}
+		if t > opts.Deadline {
+			t = opts.Deadline
+		}
+		more := Run(n, t)
+		if opts.Tel != nil {
+			opts.Tel.Sample(t, Events(n), Epochs(n))
+		}
+		drained := !more && (tl == nil || !tl.Pending())
+		if opts.Aud != nil {
+			opts.Aud.Checkpoint(t, drained)
+		}
+		if opts.Observe != nil {
+			opts.Observe(t, drained)
+		}
+		applied := 0
+		if tl != nil {
+			var err error
+			if applied, err = tl.ApplyDue(n, t, opts.Tel); err != nil {
+				return more, err
+			}
+		}
+		if t >= opts.Deadline {
+			return more, nil
+		}
+		if drained && applied == 0 {
+			return false, nil
+		}
+		now = t
+	}
 }
 
 // Run drives n to the deadline: the sharded fast path when available,

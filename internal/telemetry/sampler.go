@@ -25,8 +25,8 @@ type Sample struct {
 }
 
 // Sampler turns the registry into a time series: one Sample per interval
-// boundary, taken at barriers by the run driver (netsim.RunSampled or the
-// trace replayer), so sampling composes with the sharded engine without
+// boundary, taken at barriers by the run driver (netsim.Drive or the trace
+// replayer), so sampling composes with the sharded engine without
 // touching its determinism guarantee.
 type Sampler struct {
 	// Interval is the simulated time between samples.
