@@ -71,6 +71,8 @@ type (
 	Time = sim.Time
 	// Duration is a virtual-time span in picoseconds.
 	Duration = sim.Duration
+	// EventFunc adapts a function to an event for Engine().Schedule.
+	EventFunc = sim.EventFunc
 )
 
 // Common duration units.

@@ -59,7 +59,7 @@ func TestFacadeBaselines(t *testing.T) {
 		}
 		delivered := 0
 		net.OnDeliver(func(p *baldur.Packet, _ baldur.Time) { delivered++ })
-		net.Engine().At(0, func() { net.Send(0, net.NumNodes()-1, 0) })
+		net.Engine().Schedule(0, baldur.EventFunc(func() { net.Send(0, net.NumNodes()-1, 0) }))
 		net.Engine().Run()
 		if delivered != 1 {
 			t.Errorf("%s: delivered = %d", tc.name, delivered)

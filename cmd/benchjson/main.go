@@ -52,9 +52,8 @@ type report struct {
 // threshold. The experiment-level entries (fig6, full simulator runs) vary
 // too much across runner generations to gate automatically.
 var checkedBenchmarks = map[string]bool{
-	"engine_schedule_dispatch_closure": true,
-	"engine_schedule_dispatch_typed":   true,
-	"telemetry_overhead":               true,
+	"engine_schedule_dispatch_typed": true,
+	"telemetry_overhead":             true,
 }
 
 // checkTolerance is the allowed ns/op growth over the committed baseline
@@ -119,7 +118,6 @@ func main() {
 		name string
 		fn   func(b *testing.B)
 	}{
-		{"engine_schedule_dispatch_closure", benchEngineClosure},
 		{"engine_schedule_dispatch_typed", benchEngineTyped},
 		{"fig6_transpose", benchFig6Transpose},
 		{"baldur_simulator", benchBaldurSimulator},
@@ -281,28 +279,8 @@ func compare(base, fresh report, w io.Writer) bool {
 	return ok
 }
 
-// benchEngineClosure mirrors BenchmarkEngineScheduleDispatch in
-// internal/sim: a self-rescheduling closure with 1000 events in flight.
-func benchEngineClosure(b *testing.B) {
-	e := sim.NewEngine()
-	rng := sim.NewRNG(1)
-	var fn func()
-	n := 0
-	fn = func() {
-		if n < b.N {
-			n++
-			e.After(sim.Duration(rng.Intn(1000)+1), fn)
-		}
-	}
-	for i := 0; i < 1000 && n < b.N; i++ {
-		n++
-		e.At(sim.Time(rng.Intn(1000)), fn)
-	}
-	b.ResetTimer()
-	e.Run()
-}
-
-// jsonEvent is the typed-path analogue: one event rescheduling itself.
+// jsonEvent mirrors BenchmarkEngineScheduleDispatchTyped in internal/sim:
+// one event rescheduling itself with 1000 events in flight.
 type jsonEvent struct {
 	rng *sim.RNG
 	n   int

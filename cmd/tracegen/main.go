@@ -11,7 +11,8 @@ import (
 	"fmt"
 	"os"
 
-	"baldur/internal/core"
+	"baldur/internal/check"
+	"baldur/internal/check/harness"
 	"baldur/internal/elecnet"
 	"baldur/internal/netsim"
 	"baldur/internal/trace"
@@ -25,7 +26,7 @@ func main() {
 		msg      = flag.Int("message-bytes", 0, "override per-message size")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		replay   = flag.String("replay", "", "replay this trace file instead of generating")
-		network  = flag.String("net", "baldur", "replay target: baldur|fattree|dragonfly")
+		network  = flag.String("net", "baldur", "replay target: baldur|multibutterfly|dragonfly|fattree|ideal")
 		dfP      = flag.Int("dragonfly-p", 2, "dragonfly parameter p for -replay")
 		ftK      = flag.Int("fattree-k", 8, "fat-tree radix for -replay")
 	)
@@ -61,28 +62,22 @@ func main() {
 	fatalIf(w.Save(os.Stdout))
 }
 
+// buildNet sizes the named network for ranks (growing the node count,
+// fat-tree k or dragonfly p from the flags until every rank has a node) and
+// builds it through harness.Build.
 func buildNet(name string, ranks, dfP, ftK int, seed uint64) (netsim.Network, error) {
-	switch name {
-	case "baldur":
-		n := 4
-		for n < ranks {
-			n <<= 1
-		}
-		return core.New(core.Config{Nodes: n, Seed: seed})
-	case "fattree":
-		k := ftK
-		for elecnet.FatTreeNodes(k) < ranks {
-			k += 2
-		}
-		return elecnet.NewFatTree(elecnet.FatTreeConfig{K: k})
-	case "dragonfly":
-		p := dfP
-		for elecnet.DragonflyNodes(p) < ranks {
-			p++
-		}
-		return elecnet.NewDragonfly(elecnet.DragonflyConfig{P: p, Seed: seed})
+	cfg := check.FuzzConfig{Net: name, NodesExp: 2, DragonflyP: dfP, FatTreeK: ftK, FaultStage: -1, Seed: seed}
+	for 1<<cfg.NodesExp < ranks {
+		cfg.NodesExp++
 	}
-	return nil, fmt.Errorf("unknown network %q", name)
+	for elecnet.FatTreeNodes(cfg.FatTreeK) < ranks {
+		cfg.FatTreeK += 2
+	}
+	for elecnet.DragonflyNodes(cfg.DragonflyP) < ranks {
+		cfg.DragonflyP++
+	}
+	net, _, err := harness.Build(cfg, 0)
+	return net, err
 }
 
 func fatalIf(err error) {

@@ -21,10 +21,14 @@ var Nets = []string{"baldur", "multibutterfly", "dragonfly", "fattree"}
 type FuzzConfig struct {
 	// Net names the network: one of Nets.
 	Net string
-	// NodesExp sets the node count to 1<<NodesExp (baldur and the
-	// electrical multi-butterfly; dragonfly and fat-tree have fixed small
-	// shapes).
+	// NodesExp sets the node count to 1<<NodesExp (baldur, the electrical
+	// multi-butterfly and the ideal network).
 	NodesExp int
+	// DragonflyP and FatTreeK size the dragonfly (p) and the fat-tree (k
+	// ports per switch); 0 selects the model default. Canon pins them to the
+	// smallest shapes.
+	DragonflyP int
+	FatTreeK   int
 	// Multiplicity is the path multiplicity (baldur 1..3, mb 2..4).
 	Multiplicity int
 	// LoadPct is the offered load in percent of line rate.
@@ -97,6 +101,7 @@ func (c FuzzConfig) Canon() FuzzConfig {
 		c.Seed = 1
 	}
 
+	c.DragonflyP, c.FatTreeK = 0, 0
 	switch c.Net {
 	case "baldur":
 		c.NodesExp = clampInt(c.NodesExp, minNodesExp, maxNodesExp)
@@ -132,12 +137,12 @@ func (c FuzzConfig) Canon() FuzzConfig {
 	case "dragonfly":
 		// Fixed smallest shape (p=2: 72 nodes); heavier per packet, so
 		// keep the injection shorter.
-		c.NodesExp, c.Multiplicity = 0, 0
+		c.NodesExp, c.Multiplicity, c.DragonflyP = 0, 0, 2
 		c.PacketsPerNode = clampInt(c.PacketsPerNode, 1, 6)
 		c.zeroBaldurOnly()
 	case "fattree":
 		// Fixed smallest shape (k=4: 16 hosts).
-		c.NodesExp, c.Multiplicity = 0, 0
+		c.NodesExp, c.Multiplicity, c.FatTreeK = 0, 0, 4
 		c.zeroBaldurOnly()
 	}
 	return c
@@ -208,6 +213,8 @@ func (c FuzzConfig) GoLiteral() string {
 		}
 	}
 	f("NodesExp", c.NodesExp)
+	f("DragonflyP", c.DragonflyP)
+	f("FatTreeK", c.FatTreeK)
 	f("Multiplicity", c.Multiplicity)
 	f("LoadPct", c.LoadPct)
 	f("PacketsPerNode", c.PacketsPerNode)

@@ -1,12 +1,15 @@
-// Package harness runs the differential-fuzz configurations of
-// internal/check: one randomized small simulation executed four ways —
-// serial vs sharded, audits on vs off — with every run reduced to a
-// comparable Fingerprint. Any fingerprint divergence or audit violation is a
-// bug in the simulator (or the auditor), never in the workload.
+// Package harness builds networks from a check.FuzzConfig and runs the
+// differential-fuzz configurations of internal/check: one randomized small
+// simulation executed four ways — serial vs sharded, audits on vs off — with
+// every run reduced to a comparable Fingerprint. Any fingerprint divergence
+// or audit violation is a bug in the simulator (or the auditor), never in
+// the workload.
 //
-// The package sits below cmd/simfuzz and the native fuzz targets; it lives
-// outside internal/check itself because it needs the concrete networks,
-// which import check.
+// Build is the one switch from network name to constructor: the experiment
+// runners (internal/exp), fault campaigns, cmd/tracegen and the fuzzer all
+// construct their networks through it. The package lives outside
+// internal/check itself because it needs the concrete networks, which
+// import check.
 package harness
 
 import (
@@ -50,9 +53,10 @@ type Result struct {
 }
 
 // Build constructs the configured network with the given shard count and
-// returns it plus a stats reader. The campaign runner (internal/exp) reuses
-// it so scenario cells exercise the exact networks the fuzz differential
-// covers.
+// returns it plus a stats reader. It does not canonicalize cfg: zero
+// protocol and shape fields select the model defaults. Besides check.Nets it
+// builds the analytic "ideal" network (1<<NodesExp nodes), which the
+// experiment runners compare against but the fuzzer does not.
 func Build(cfg check.FuzzConfig, shards int) (netsim.Network, func() Fingerprint, error) {
 	var net netsim.Network
 	var err error
@@ -83,9 +87,11 @@ func Build(cfg check.FuzzConfig, shards int) (netsim.Network, func() Fingerprint
 			Shards:       shards,
 		})
 	case "dragonfly":
-		net, err = elecnet.NewDragonfly(elecnet.DragonflyConfig{P: 2, Seed: cfg.Seed, Shards: shards})
+		net, err = elecnet.NewDragonfly(elecnet.DragonflyConfig{P: cfg.DragonflyP, Seed: cfg.Seed, Shards: shards})
 	case "fattree":
-		net, err = elecnet.NewFatTree(elecnet.FatTreeConfig{K: 4, Shards: shards})
+		net, err = elecnet.NewFatTree(elecnet.FatTreeConfig{K: cfg.FatTreeK, Shards: shards})
+	case "ideal":
+		net = elecnet.NewIdeal(1<<cfg.NodesExp, 0)
 	default:
 		err = fmt.Errorf("harness: unknown network %q", cfg.Net)
 	}

@@ -104,7 +104,7 @@ func TestMultiplicityLatencyTradeoff(t *testing.T) {
 		n := mustNew(t, Config{Nodes: 64, Multiplicity: m, Seed: 2})
 		var got float64
 		n.OnDeliver(func(p *netsim.Packet, at sim.Time) { got = float64(at.Sub(p.Created).Nanoseconds()) })
-		n.Engine().At(0, func() { n.Send(1, 62, 0) })
+		n.Engine().Schedule(0, sim.EventFunc(func() { n.Send(1, 62, 0) }))
 		n.Engine().Run()
 		return got
 	}

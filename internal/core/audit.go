@@ -155,14 +155,14 @@ func (n *Network) audit(a *check.Auditor, at sim.Time, drained bool) {
 			"ack drops+matched+unmatched=%d exceeds ack attempts=%d", got, bound)
 	}
 
-	census := n.se.Census()
+	pending := n.se.Pending()
 	if evLive < 0 || ackLive < 0 {
 		a.Violatef(at, -1, "core/pools",
 			"negative live pool balance: events=%d acks=%d (double free)", evLive, ackLive)
 	}
-	if evLive > int64(census.Pending) {
+	if evLive > int64(pending) {
 		a.Violatef(at, -1, "core/pools",
-			"%d live pooled events but only %d events queued (leak)", evLive, census.Pending)
+			"%d live pooled events but only %d events queued (leak)", evLive, pending)
 	}
 
 	if drained {
@@ -204,9 +204,9 @@ func (n *Network) audit(a *check.Auditor, at sim.Time, drained bool) {
 			a.Violatef(at, -1, "core/pools",
 				"drained with live pool balance events=%d acks=%d", evLive, ackLive)
 		}
-		if census.Pending != 0 {
+		if pending != 0 {
 			a.Violatef(at, -1, "core/pools",
-				"drained flag set but %d events still queued", census.Pending)
+				"drained flag set but %d events still queued", pending)
 		}
 	}
 

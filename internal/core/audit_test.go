@@ -50,7 +50,7 @@ func TestAuditCleanOnRetxPath(t *testing.T) {
 		n.AttachAudit(aud)
 		for src := 0; src < 16; src++ {
 			src := src
-			n.ScheduleNode(src, 0, eventFunc(func() { n.Send(src, 15-src, 0) }))
+			n.ScheduleNode(src, 0, sim.EventFunc(func() { n.Send(src, 15-src, 0) }))
 		}
 		netsim.Drive(n, nil, netsim.DriveOptions{Deadline: sim.Time(100 * sim.Microsecond), Aud: aud})
 		if err := aud.Err(); err != nil {
@@ -73,7 +73,7 @@ func TestAuditCatchesRetxLeak(t *testing.T) {
 	aud := check.New(check.Options{})
 	n.AttachAudit(aud)
 	n.Send(0, 9, 0)
-	n.Engine().At(sim.Time(50*sim.Nanosecond), func() { n.nics[3].retxBytes += 7 })
+	n.Engine().Schedule(sim.Time(50*sim.Nanosecond), sim.EventFunc(func() { n.nics[3].retxBytes += 7 }))
 	netsim.Drive(n, nil, netsim.DriveOptions{Deadline: sim.Time(100 * sim.Microsecond), Aud: aud})
 	vs := aud.Violations()
 	if len(vs) == 0 {
@@ -89,8 +89,3 @@ func TestAuditCatchesRetxLeak(t *testing.T) {
 		t.Errorf("no core/retx-bytes violation naming nic 3; first: %s", vs[0])
 	}
 }
-
-// eventFunc adapts a closure to sim.Event for ScheduleNode.
-type eventFunc func()
-
-func (f eventFunc) Run(*sim.Engine) { f() }

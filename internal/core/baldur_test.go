@@ -57,7 +57,7 @@ func TestSinglePacketZeroLoadLatency(t *testing.T) {
 	n := mustNew(t, Config{})
 	var got sim.Duration
 	n.OnDeliver(func(p *netsim.Packet, at sim.Time) { got = at.Sub(p.Created) })
-	n.Engine().At(0, func() { n.Send(3, 900, 0) })
+	n.Engine().Schedule(0, sim.EventFunc(func() { n.Send(3, 900, 0) }))
 	n.Engine().Run()
 	wantLo, wantHi := sim.Nanoseconds(378), sim.Nanoseconds(381)
 	if got < wantLo || got > wantHi {
@@ -74,11 +74,11 @@ func TestUncontendedStreamNoDrops(t *testing.T) {
 	n := mustNew(t, Config{Nodes: 64, Multiplicity: 1, Seed: 5})
 	var delivered int
 	n.OnDeliver(func(*netsim.Packet, sim.Time) { delivered++ })
-	n.Engine().At(0, func() {
+	n.Engine().Schedule(0, sim.EventFunc(func() {
 		for i := 0; i < 50; i++ {
 			n.Send(1, 37, 0)
 		}
-	})
+	}))
 	n.Engine().Run()
 	if delivered != 50 {
 		t.Errorf("delivered = %d, want 50", delivered)
@@ -95,12 +95,12 @@ func TestContentionDropsAndRetransmits(t *testing.T) {
 	n := mustNew(t, Config{Nodes: 16, Multiplicity: 1, Seed: 2})
 	var delivered int
 	n.OnDeliver(func(*netsim.Packet, sim.Time) { delivered++ })
-	n.Engine().At(0, func() {
+	n.Engine().Schedule(0, sim.EventFunc(func() {
 		for i := 0; i < 20; i++ {
 			n.Send(0, 9, 0)
 			n.Send(5, 9, 0)
 		}
-	})
+	}))
 	n.Engine().Run()
 	if delivered != 40 {
 		t.Errorf("delivered = %d, want 40", delivered)
@@ -123,13 +123,13 @@ func TestExactlyOnceDeliveryUnderHeavyLoss(t *testing.T) {
 	seen := map[uint64]int{}
 	n.OnDeliver(func(p *netsim.Packet, _ sim.Time) { seen[p.ID]++ })
 	const perNode = 5
-	n.Engine().At(0, func() {
+	n.Engine().Schedule(0, sim.EventFunc(func() {
 		for src := 1; src < 32; src++ {
 			for k := 0; k < perNode; k++ {
 				n.Send(src, 0, 0)
 			}
 		}
-	})
+	}))
 	n.Engine().Run()
 	want := 31 * perNode
 	if len(seen) != want {
@@ -197,12 +197,12 @@ func TestDisableRetransmitCountsLosses(t *testing.T) {
 	n := mustNew(t, Config{Nodes: 16, Multiplicity: 1, Seed: 4, DisableRetransmit: true})
 	var delivered int
 	n.OnDeliver(func(*netsim.Packet, sim.Time) { delivered++ })
-	n.Engine().At(0, func() {
+	n.Engine().Schedule(0, sim.EventFunc(func() {
 		for i := 0; i < 10; i++ {
 			n.Send(0, 9, 0)
 			n.Send(5, 9, 0)
 		}
-	})
+	}))
 	n.Engine().Run()
 	if n.Stats.Retransmissions != 0 {
 		t.Error("retransmissions occurred with protocol disabled")

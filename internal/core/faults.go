@@ -164,7 +164,7 @@ func (n *Network) ProbePath(src, dst int) bool {
 		}
 	})
 	eng := n.Engine()
-	eng.At(eng.Now(), func() { probe = n.Send(src, dst, probeSize) })
+	eng.Schedule(eng.Now(), sim.EventFunc(func() { probe = n.Send(src, dst, probeSize) }))
 	eng.Run()
 	// Splice out exactly the observer registered above — not whatever
 	// happens to be last, which could be a callback someone else added

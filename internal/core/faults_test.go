@@ -100,7 +100,7 @@ func TestAttemptCapDrainsFaultedRun(t *testing.T) {
 		n.AttachAudit(aud)
 		for src := 0; src < 4; src++ {
 			src := src
-			n.ScheduleNode(src, 0, eventFunc(func() { n.Send(src, 15-src, 0) }))
+			n.ScheduleNode(src, 0, sim.EventFunc(func() { n.Send(src, 15-src, 0) }))
 		}
 		more, _ := netsim.Drive(n, nil, netsim.DriveOptions{Deadline: sim.Time(2 * sim.Millisecond), Aud: aud})
 		if more {
@@ -236,10 +236,10 @@ func TestTestModeRestrictsPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		n.Engine().At(0, func() {
+		n.Engine().Schedule(0, sim.EventFunc(func() {
 			n.Send(0, 9, 0)
 			n.Send(1, 9, 0) // same first-stage switch, same direction
-		})
+		}))
 		n.Engine().Run()
 		return n.Stats.DataDrops
 	}
@@ -266,9 +266,9 @@ func TestProbePathIgnoresCoexistingWorkload(t *testing.T) {
 	// and is delivered. The probe must still report failure.
 	n := mustNew(t, Config{Nodes: 64, Multiplicity: 1, Seed: 1, DisableRetransmit: true})
 	n.Send(0, 33, 0) // blocker: occupies stage-0 switch 0 when the probe's head arrives
-	n.Engine().At(sim.Time(5*sim.Nanosecond), func() {
+	n.Engine().Schedule(sim.Time(5*sim.Nanosecond), sim.EventFunc(func() {
 		n.Send(1, 33, 64) // workload packet matching the probe's old signature
-	})
+	}))
 	if n.ProbePath(1, 33) {
 		t.Error("dropped probe reported delivered (workload packet matched the probe signature)")
 	}
@@ -291,9 +291,9 @@ func TestProbePathRemovesOnlyItsObserver(t *testing.T) {
 	eng := n.Engine()
 	// Registered from an event at t=0: runs after ProbePath appends its
 	// observer, so B lands last in the list.
-	eng.At(0, func() {
+	eng.Schedule(0, sim.EventFunc(func() {
 		n.OnDeliver(func(*netsim.Packet, sim.Time) { bCount++ })
-	})
+	}))
 	if !n.ProbePath(0, 9) {
 		t.Fatal("probe lost on a healthy network")
 	}

@@ -85,7 +85,7 @@ func TestValiantDelivers(t *testing.T) {
 	}
 	got := 0
 	n.OnDeliver(func(*netsim.Packet, sim.Time) { got++ })
-	n.Engine().At(0, func() {
+	n.Engine().Schedule(0, sim.EventFunc(func() {
 		for s := 0; s < 6; s++ {
 			for d := 0; d < 6; d++ {
 				if s != d {
@@ -93,7 +93,7 @@ func TestValiantDelivers(t *testing.T) {
 				}
 			}
 		}
-	})
+	}))
 	n.Engine().Run()
 	if got != 30 {
 		t.Errorf("delivered %d of 30 under pure Valiant", got)

@@ -123,11 +123,11 @@ func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 			"%s: negative live pool balance: states=%d credits=%d (double free)",
 			n.name, stateLive, credLive)
 	}
-	census := n.se.Census()
-	if credLive > int64(census.Pending) {
+	pending := n.se.Pending()
+	if credLive > int64(pending) {
 		a.Violatef(at, -1, "elec/pools",
 			"%s: %d live credit events but only %d events queued (leak)",
-			n.name, credLive, census.Pending)
+			n.name, credLive, pending)
 	}
 
 	if drained {
@@ -144,9 +144,9 @@ func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 				"%s: drained with live pool balance states=%d credits=%d",
 				n.name, stateLive, credLive)
 		}
-		if census.Pending != 0 {
+		if pending != 0 {
 			a.Violatef(at, -1, "elec/pools",
-				"%s: drained flag set but %d events still queued", n.name, census.Pending)
+				"%s: drained flag set but %d events still queued", n.name, pending)
 		}
 	}
 

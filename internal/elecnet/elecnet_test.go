@@ -22,11 +22,11 @@ func TestIdealFlatLatency(t *testing.T) {
 	n := NewIdeal(64, 0)
 	var lat []sim.Duration
 	n.OnDeliver(func(p *netsim.Packet, at sim.Time) { lat = append(lat, at.Sub(p.Created)) })
-	n.Engine().At(0, func() {
+	n.Engine().Schedule(0, sim.EventFunc(func() {
 		n.Send(0, 1, 512)
 		n.Send(5, 9, 512)
-	})
-	n.Engine().At(1000, func() { n.Send(3, 4, 512) })
+	}))
+	n.Engine().Schedule(1000, sim.EventFunc(func() { n.Send(3, 4, 512) }))
 	n.Engine().Run()
 	if len(lat) != 3 {
 		t.Fatalf("delivered %d", len(lat))
@@ -45,7 +45,7 @@ func TestMBZeroLoadLatency(t *testing.T) {
 	}
 	var got sim.Duration
 	n.OnDeliver(func(p *netsim.Packet, at sim.Time) { got = at.Sub(p.Created) })
-	n.Engine().At(0, func() { n.Send(17, 901, 0) })
+	n.Engine().Schedule(0, sim.EventFunc(func() { n.Send(17, 901, 0) }))
 	n.Engine().Run()
 	// 100 ns host link + 10 x (90 ns router + serialization overlap...) —
 	// VCT: head moves at 90ns+10ns per stage; last bit = head + 163.84.
@@ -130,7 +130,7 @@ func TestDragonflyAllPairsSmall(t *testing.T) {
 	got := map[key]int{}
 	n.OnDeliver(func(p *netsim.Packet, _ sim.Time) { got[key{p.Src, p.Dst}]++ })
 	want := 0
-	n.Engine().At(0, func() {
+	n.Engine().Schedule(0, sim.EventFunc(func() {
 		for s := 0; s < 6; s++ {
 			for d := 0; d < 6; d++ {
 				if s != d {
@@ -139,7 +139,7 @@ func TestDragonflyAllPairsSmall(t *testing.T) {
 				}
 			}
 		}
-	})
+	}))
 	n.Engine().Run()
 	if len(got) != want {
 		t.Fatalf("delivered %d pairs, want %d", len(got), want)
@@ -216,7 +216,7 @@ func TestFatTreeAllPairsSmall(t *testing.T) {
 	got := map[key]int{}
 	n.OnDeliver(func(p *netsim.Packet, _ sim.Time) { got[key{p.Src, p.Dst}]++ })
 	want := 0
-	n.Engine().At(0, func() {
+	n.Engine().Schedule(0, sim.EventFunc(func() {
 		for s := 0; s < 16; s++ {
 			for d := 0; d < 16; d++ {
 				if s != d {
@@ -225,7 +225,7 @@ func TestFatTreeAllPairsSmall(t *testing.T) {
 				}
 			}
 		}
-	})
+	}))
 	n.Engine().Run()
 	if len(got) != want {
 		t.Fatalf("delivered %d pairs, want %d", len(got), want)
@@ -245,10 +245,10 @@ func TestFatTreeZeroLoadLatency(t *testing.T) {
 			crossPod = at.Sub(p.Created)
 		}
 	})
-	n.Engine().At(0, func() {
+	n.Engine().Schedule(0, sim.EventFunc(func() {
 		n.Send(0, 1, 0)    // same edge switch
 		n.Send(2, 1000, 0) // cross pod, distinct source NIC
-	})
+	}))
 	n.Engine().Run()
 	// Same edge: 10 + 90 + 10 + 163.84 = ~274 ns.
 	if sameEdge < sim.Nanoseconds(270) || sameEdge > sim.Nanoseconds(280) {

@@ -59,3 +59,32 @@ func TestRunPingPongAudited(t *testing.T) {
 		t.Error("audited ping-pong run did not finish")
 	}
 }
+
+// TestRunTraceAudited replays the AMG and FB traces on every auditable
+// network with the invariant-audit layer armed: the trace cell must
+// checkpoint, finish, and measure exactly the Point an unaudited replay does.
+func TestRunTraceAudited(t *testing.T) {
+	for _, wl := range []string{"AMG", "FB"} {
+		for _, network := range []string{"baldur", "multibutterfly", "dragonfly", "fattree"} {
+			base, err := RunTrace(network, wl, Quick)
+			if err != nil {
+				t.Fatalf("%s/%s unaudited: %v", network, wl, err)
+			}
+			sc := Quick
+			sc.Audit = &check.Options{}
+			p, c, err := runTrace(network, wl, sc)
+			if err != nil {
+				t.Fatalf("%s/%s audited: %v", network, wl, err)
+			}
+			if p != base {
+				t.Errorf("%s/%s: audited point %+v != unaudited %+v", network, wl, p, base)
+			}
+			if !p.Finished {
+				t.Errorf("%s/%s: audited replay did not finish", network, wl)
+			}
+			if n := c.drive.Aud.Checkpoints(); n == 0 {
+				t.Errorf("%s/%s: the cell's auditor ran no checkpoints", network, wl)
+			}
+		}
+	}
+}

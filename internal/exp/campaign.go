@@ -224,7 +224,7 @@ func runCampaignCell(spec CampaignSpec, netName string, nodesExp, loadPct, shard
 			ol.Start(net)
 			return nil
 		},
-		faults: ctrl,
+		timeline: ctrl,
 		drive: netsim.DriveOptions{
 			Deadline: sim.Time(0).Add(sim.Microseconds(spec.HorizonUS)),
 			Interval: sim.Microseconds(spec.SliceUS),

@@ -35,6 +35,26 @@ var goldRandomPerm05 = []goldPoint{
 	{"ideal", 200, 200.85352906156825, 0},
 }
 
+// goldTrace pins the Fig 7 HPC trace anchors at Quick scale. avg and tail
+// were captured from the trace replayer's own slicing loop, before replay
+// ran as a cell through netsim.Drive; drop is the cell's DropRate.
+var goldTrace = map[string][]goldPoint{
+	"AMG": {
+		{"baldur", 3048.6507725694441, 8097.9068547309253, 0.0014386419220256078},
+		{"multibutterfly", 3481.6605324074076, 7912.9504065523361, 0},
+		{"dragonfly", 3855.1849074074071, 9741.9846861022907, 0},
+		{"fattree", 3596.0709686609684, 9089.5931151797831, 0},
+		{"ideal", 200, 200.85352906156825, 0},
+	},
+	"FB": {
+		{"baldur", 1638.1683559782591, 6280.5128997666825, 0.21218274111675126},
+		{"multibutterfly", 2405.8283695652181, 9519.477448358617, 0},
+		{"dragonfly", 4298.4063541666665, 15464.43673897687, 0},
+		{"fattree", 4730.8888505747154, 15464.43673897687, 0},
+		{"ideal", 200, 200.85352906156825, 0},
+	},
+}
+
 func checkGold(t *testing.T, label string, p Point, g goldPoint) {
 	t.Helper()
 	if p.AvgNS != g.avgNS || p.TailNS != g.tailNS || p.DropRate != g.drop {
@@ -83,6 +103,18 @@ func TestSeededReplayGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGold(t, "ping_pong1", p, goldPoint{"baldur", 373.13999999999987, 374.80593816208005, 0})
+	for _, wl := range []string{"AMG", "FB"} {
+		for _, g := range goldTrace[wl] {
+			p, err := RunTrace(g.network, wl, Quick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p.Finished {
+				t.Errorf("%s %s: replay did not finish", wl, g.network)
+			}
+			checkGold(t, wl, p, g)
+		}
+	}
 }
 
 // TestShardCountInvariant is the end-to-end determinism guarantee of the

@@ -11,11 +11,11 @@ package exp
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"baldur/internal/check"
-	"baldur/internal/core"
-	"baldur/internal/elecnet"
+	"baldur/internal/check/harness"
 	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
@@ -26,7 +26,7 @@ import (
 // Scale selects the experiment size.
 type Scale struct {
 	Name           string
-	Nodes          int // Baldur / electrical MB node count (power of two)
+	Nodes          int // Baldur / electrical MB / ideal node count (a power of two >= 4)
 	PacketsPerNode int
 	DragonflyP     int // dragonfly parameter p
 	FatTreeK       int // fat-tree radix
@@ -179,23 +179,24 @@ func (sc Scale) maxSim() sim.Time {
 // NetworkNames lists the evaluated networks in the paper's order.
 var NetworkNames = []string{"baldur", "multibutterfly", "dragonfly", "fattree", "ideal"}
 
-// build constructs one named network at the given scale. Patterns are
-// generated per network because node counts differ slightly (1,024 vs
-// 1,056), exactly as in the paper.
+// build constructs one named network at the given scale through the one
+// network builder, harness.Build. Patterns are generated per network because
+// node counts differ slightly (1,024 vs 1,056), exactly as in the paper.
+// Protocol fields stay zero (the model defaults), and zero dragonfly p or
+// fat-tree k select the electrical models' defaults.
 func build(name string, sc Scale) (netsim.Network, error) {
-	switch name {
-	case "baldur":
-		return core.New(core.Config{Nodes: sc.Nodes, Seed: sc.Seed, Shards: sc.Shards})
-	case "multibutterfly":
-		return elecnet.NewMultiButterfly(elecnet.MBConfig{Nodes: sc.Nodes, Multiplicity: 4, Seed: sc.Seed, Shards: sc.Shards})
-	case "dragonfly":
-		return elecnet.NewDragonfly(elecnet.DragonflyConfig{P: sc.DragonflyP, Seed: sc.Seed, Shards: sc.Shards})
-	case "fattree":
-		return elecnet.NewFatTree(elecnet.FatTreeConfig{K: sc.FatTreeK, Shards: sc.Shards})
-	case "ideal":
-		return elecnet.NewIdeal(sc.Nodes, 0), nil
+	if sc.Nodes < 4 || sc.Nodes&(sc.Nodes-1) != 0 {
+		return nil, fmt.Errorf("exp: nodes = %d, want a power of two >= 4", sc.Nodes)
 	}
-	return nil, fmt.Errorf("exp: unknown network %q", name)
+	net, _, err := harness.Build(check.FuzzConfig{
+		Net:        name,
+		NodesExp:   bits.TrailingZeros(uint(sc.Nodes)),
+		DragonflyP: sc.DragonflyP,
+		FatTreeK:   sc.FatTreeK,
+		FaultStage: -1,
+		Seed:       sc.Seed,
+	}, sc.Shards)
+	return net, err
 }
 
 // buildWithPattern builds the named network and generates the named
@@ -211,19 +212,22 @@ func buildWithPattern(network, pattern string, sc Scale) (netsim.Network, *traff
 
 // cell is one packet-level simulation: a built network, the traffic source
 // that drives it, and the probes attached around the run. Every cell kind —
-// open loop, ping-pong, workload, latency profile and fault campaign — runs
-// through cell.run, so a probe wired there reaches all of them.
+// open loop, ping-pong, workload, latency profile, HPC trace replay and
+// fault campaign — runs through cell.run, so a probe wired there reaches all
+// of them.
 type cell struct {
 	net   netsim.Network
 	label string                     // names the cell in telemetry and errors
 	col   *netsim.Collector          // caller-owned: series runners reuse one across loads
-	start func(netsim.Network) error // attaches the traffic source
+	start func(netsim.Network) error // attaches the traffic source; may set timeline
 	tel   *telemetry.Options         // nil: no telemetry
 	audit *check.Options             // nil: no auditor
 	// strict fails the cell on any audit violation; campaign cells record
 	// violations in their report instead.
 	strict bool
-	faults netsim.Timeline // nil: no fault script
+	// timeline is applied at barriers: a fault script, or a trace replay's
+	// progress watchdog (nil: none).
+	timeline netsim.Timeline
 	// drive carries the deadline, slice width and observer; run attaches
 	// the telemetry layer and auditor to it.
 	drive  netsim.DriveOptions
@@ -239,7 +243,8 @@ type cell struct {
 // audit → drive → span verify, then fold (where the caller reads its
 // results) and export. The attach order is fixed because delivery callbacks
 // run in registration order. The span audit is armed whenever an audited
-// cell also traces packet lifecycles.
+// cell also traces packet lifecycles. An error from the drive (the timeline
+// failed) is returned after the cell still verified, folded and exported.
 func (c *cell) run(fold func() error) error {
 	if c.tel != nil {
 		c.drive.Tel = attachTelemetry(c.net, *c.tel, c.label)
@@ -256,10 +261,8 @@ func (c *cell) run(fold func() error) error {
 	if aud != nil && tel != nil && tel.TraceEvery() > 0 {
 		c.spans = netsim.AttachSpanAudit(c.net)
 	}
-	var err error
-	if c.more, err = netsim.Drive(c.net, c.faults, c.drive); err != nil {
-		return err
-	}
+	var driveErr error
+	c.more, driveErr = netsim.Drive(c.net, c.timeline, c.drive)
 	if c.spans != nil {
 		c.spans.VerifyInto(aud, tel.Rec.Records(), tel.Rec.Overwritten() > 0)
 	}
@@ -272,9 +275,11 @@ func (c *cell) run(fold func() error) error {
 		return err
 	}
 	if tel != nil && c.export != nil {
-		return c.export(tel)
+		if err := c.export(tel); err != nil {
+			return err
+		}
 	}
-	return nil
+	return driveErr
 }
 
 // point folds the cell into the fields every packet-tier Point shares.

@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"baldur/internal/sim"
 )
 
 // tiny returns a minimal scale for fast harness tests.
@@ -220,6 +223,37 @@ func TestUnknownNamesError(t *testing.T) {
 	}
 	if _, err := RunTrace("baldur", "nope", tiny()); err == nil {
 		t.Error("unknown workload accepted")
+	}
+	// Every network refuses a node count the builder cannot map exactly,
+	// naming the value.
+	for _, nodes := range []int{1000, 2, 0} {
+		sc := tiny()
+		sc.Nodes = nodes
+		for _, network := range NetworkNames {
+			_, err := RunOpenLoop(network, "transpose", 0.5, sc)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprint(nodes)) {
+				t.Errorf("%s with %d nodes: err = %v, want one naming the value", network, nodes, err)
+			}
+		}
+	}
+}
+
+// TestRunTraceWatchdogTrip drives a trace cell whose watchdog window is far
+// shorter than a packet's flight, so the watchdog trips at an early
+// boundary and stops the drive. RunTrace must still fold the partial run
+// into an unfinished Point instead of failing.
+func TestRunTraceWatchdogTrip(t *testing.T) {
+	sc := tiny()
+	sc.Watchdog = sim.Nanosecond
+	p, c, err := runTrace("baldur", "AMG", sc)
+	if err != nil {
+		t.Fatalf("a watchdog trip is not an error: %v", err)
+	}
+	if p.Finished || !c.more {
+		t.Errorf("tripped replay reported finished=%v with events queued=%v", p.Finished, c.more)
+	}
+	if p.Events == 0 {
+		t.Errorf("tripped replay folded no events: %+v", p)
 	}
 }
 

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -14,7 +15,6 @@ import (
 	"baldur/internal/power"
 	"baldur/internal/reliability"
 	"baldur/internal/stats"
-	"baldur/internal/telemetry"
 	"baldur/internal/tl"
 	"baldur/internal/trace"
 	"baldur/internal/traffic"
@@ -236,49 +236,57 @@ func Fig7(sc Scale, networks []string) ([]Fig7Row, error) {
 	return rows, nil
 }
 
-// RunTrace replays a named HPC workload on a network. Trace replay drives
-// the engine through serial closure callbacks, so the network is always
-// built unsharded.
+// RunTrace replays a named HPC workload on a network. A stuck replay (the
+// watchdog tripped, or the engine drained with ranks blocked) prints its
+// diagnosis to stderr and yields Finished=false, not an error.
 func RunTrace(network, workload string, sc Scale) (Point, error) {
+	p, _, err := runTrace(network, workload, sc)
+	return p, err
+}
+
+// runTrace runs one trace-replay cell and also returns the cell. The
+// replayer holds global rank state, so the network is always built serial.
+func runTrace(network, workload string, sc Scale) (Point, *cell, error) {
 	sc.Shards = 0
 	net, err := build(network, sc)
 	if err != nil {
-		return Point{}, err
+		return Point{}, nil, err
 	}
 	w := trace.ByName(workload, net.NumNodes(), trace.Options{
 		Iterations: sc.TraceIters,
 		Seed:       sc.Seed + 7,
 	})
 	if w == nil {
-		return Point{}, fmt.Errorf("unknown workload %q", workload)
-	}
-	var cell string
-	var tel *telemetry.Telemetry
-	if sc.Telemetry != nil {
-		cell = fmt.Sprintf("%s-%s", network, workload)
-		tel = attachTelemetry(net, *sc.Telemetry, cell)
+		return Point{}, nil, fmt.Errorf("unknown workload %q", workload)
 	}
 	var col netsim.Collector
-	col.Attach(net)
-	rep, err := trace.NewReplayer(net, w)
-	if err != nil {
-		return Point{}, err
+	var rep *trace.Replayer
+	c := sc.newCell(net, &col, fmt.Sprintf("%s-%s", network, workload), nil)
+	// The replay source registers its delivery callback after the
+	// collector's and hands the cell its watchdog timeline.
+	c.start = func(net netsim.Network) (err error) {
+		if rep, err = trace.NewReplayer(net, w); err != nil {
+			return err
+		}
+		rep.Watchdog = sc.Watchdog
+		c.timeline = rep.Start()
+		return nil
 	}
-	rep.Watchdog = sc.Watchdog
-	rep.Tel = tel
-	st := rep.Run()
-	if st.Stuck != nil {
-		fmt.Fprintln(os.Stderr, st.Stuck.String())
+	var p Point
+	err = c.run(func() error {
+		st := rep.Stats()
+		if st.Stuck != nil {
+			fmt.Fprintln(os.Stderr, st.Stuck.String())
+		}
+		p = c.point(network)
+		p.Finished = st.Completed
+		return nil
+	})
+	var stuck *trace.StuckReport
+	if errors.As(err, &stuck) {
+		err = nil // the fold printed it; the Point is unfinished
 	}
-	if err := writeTelemetry(tel, sc, cell); err != nil {
-		return Point{}, err
-	}
-	return Point{
-		Network:  network,
-		AvgNS:    col.AvgNS(),
-		TailNS:   col.TailNS(),
-		Finished: st.Completed,
-	}, nil
+	return p, c, err
 }
 
 // RenderFig7 formats the normalized table plus geomeans, like the paper's

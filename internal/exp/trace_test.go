@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,46 +14,26 @@ import (
 	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
+	"baldur/internal/trace"
 	"baldur/internal/traffic"
 	"baldur/internal/workload"
 )
 
 // runTraceCell runs one lifecycle-traced cell of any network. traffic is an
-// open-loop pattern, a ping-pong pattern, or "workload" for the two-tenant
-// service mix. The rings are sized to never wrap (a wrapped ring keeps
-// per-shard suffixes, which legitimately differ across shard layouts) and
-// the auditor is attached, so the cell's built-in span audit enforces the
-// attribution invariant on every traced delivery.
+// open-loop pattern, a ping-pong pattern, "workload" for the two-tenant
+// service mix, or an HPC trace name (replayed serially whatever shards is).
+// The rings are sized to never wrap (a wrapped ring keeps per-shard suffixes,
+// which legitimately differ across shard layouts) and the auditor is
+// attached, so the cell's built-in span audit enforces the attribution
+// invariant on every traced delivery.
 func runTraceCell(t *testing.T, network, traffic string, load float64, shards, every int) *telemetry.Telemetry {
 	t.Helper()
 	sc := Quick
 	sc.Shards = shards
 	sc.Telemetry = &telemetry.Options{FlightRecords: 1 << 17, TraceSample: every}
 	sc.Audit = &check.Options{}
-	net, err := build(network, sc)
+	c, err := traceCell(network, traffic, load, sc)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var start func(netsim.Network) error
-	if traffic == "workload" {
-		drv, err := workload.New(testWorkloadSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		start = drv.Attach
-	} else {
-		pat, err := patternFor(traffic, net.NumNodes(), sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		start = openLoop(pat, load, sc)
-		if strings.HasPrefix(traffic, "ping_pong") {
-			start = pingPong(pat, sc)
-		}
-	}
-	var col netsim.Collector
-	c := sc.newCell(net, &col, traffic, start)
-	if err := c.run(func() error { return nil }); err != nil {
 		t.Fatalf("%s/%s K=%d: %v", network, traffic, shards, err)
 	}
 	tel := c.drive.Tel
@@ -66,6 +47,47 @@ func runTraceCell(t *testing.T, network, traffic string, load float64, shards, e
 		t.Fatalf("%s/%s K=%d: span audit witnessed no traced deliveries", network, traffic, shards)
 	}
 	return tel
+}
+
+// traceCell builds and runs the cell runTraceCell inspects.
+func traceCell(network, traffic string, load float64, sc Scale) (*cell, error) {
+	if slices.Contains(trace.Names(), traffic) {
+		_, c, err := runTrace(network, traffic, sc)
+		return c, err
+	}
+	net, err := build(network, sc)
+	if err != nil {
+		return nil, err
+	}
+	var start func(netsim.Network) error
+	if traffic == "workload" {
+		drv, err := workload.New(testWorkloadSpec())
+		if err != nil {
+			return nil, err
+		}
+		start = drv.Attach
+	} else {
+		pat, err := patternFor(traffic, net.NumNodes(), sc)
+		if err != nil {
+			return nil, err
+		}
+		start = openLoop(pat, load, sc)
+		if strings.HasPrefix(traffic, "ping_pong") {
+			start = pingPong(pat, sc)
+		}
+	}
+	var col netsim.Collector
+	c := sc.newCell(net, &col, traffic, start)
+	return c, c.run(func() error { return nil })
+}
+
+// TestTraceReplayCellSpanAudit runs the span audit on an HPC trace replay:
+// the replay is one more cell traffic source, so its traced deliveries are
+// witnessed and tiled like any other cell's.
+func TestTraceReplayCellSpanAudit(t *testing.T) {
+	for _, network := range []string{"baldur", "dragonfly"} {
+		runTraceCell(t, network, "AMG", 0, 1, 8)
+	}
 }
 
 // TestTraceStreamShardCountInvariant checks the acceptance criterion: the

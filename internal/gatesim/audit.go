@@ -16,7 +16,8 @@ type gateAudit struct {
 // transition-event balance is non-negative and bounded by the engine's
 // queued events, and that it reaches exactly zero when the circuit settles:
 // a drift in either direction means a leaked or double-freed levelEvent.
-// Call before the run starts, at most once per circuit.
+// Call before the run starts and before PlaySignal (played edges are pooled
+// transition events too), at most once per circuit.
 func (c *Circuit) AttachAudit(a *check.Auditor) {
 	c.aud = &gateAudit{}
 	a.OnCheckpoint(func(at sim.Time, drained bool) {

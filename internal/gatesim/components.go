@@ -291,8 +291,7 @@ func (a *arbiter2) inputChanged(c *Circuit, port int, level bool) {
 func (c *Circuit) PlaySignal(n Node, sig *optsig.Signal) {
 	c.nodes[n].driven = true
 	for _, e := range sig.Edges() {
-		e := e
-		c.eng.At(sim.Time(e.T), func() { c.setLevel(n, e.Level) })
+		c.scheduleLevel(sim.Time(e.T), n, e.Level)
 	}
 }
 

@@ -4,14 +4,10 @@ package sim
 // at absolute virtual times; ties are broken by scheduling order so that a
 // run is a pure function of its inputs and RNG seeds.
 //
-// Two scheduling APIs share one queue and one FIFO sequence space:
-//
-//   - the typed fast path, Schedule/ScheduleAfter, takes an Event value.
-//     Callers pre-bind their handlers (typically a pooled struct or a model
-//     object that implements Event), so steady-state scheduling performs no
-//     heap allocation;
-//   - the closure path, At/After, wraps func() values in engine-pooled
-//     adapters. It allocates only what the closure itself captures.
+// Schedule/ScheduleAfter take an Event value. Callers pre-bind their
+// handlers (typically a pooled struct or a model object that implements
+// Event), so steady-state scheduling performs no heap allocation; cold paths
+// and tests wrap a plain function in EventFunc.
 //
 // The pending-event set is a 4-ary implicit heap ordered by timestamp
 // alone. Timestamps are 8-byte keys in their own array, so the four
@@ -30,7 +26,6 @@ type Engine struct {
 	ats    []int64 // heap keys: timestamps, ordered by the 4-ary heap
 	ents   []entry // parallel payloads: FIFO sequence + event
 	halted bool
-	fnFree *funcEvent
 
 	// Tie group being dispatched: entries sharing one timestamp, sorted
 	// by seq. bi indexes the next entry to dispatch.
@@ -43,35 +38,27 @@ type Engine struct {
 	Executed uint64
 }
 
-// Event is the typed unit of work of the fast path. Run is invoked with the
-// engine clock already advanced to the event's timestamp; handlers that need
-// the time read e.Now(). Implementations that want zero-allocation
-// scheduling keep the Event value alive across schedules (a free list, or
-// the model object itself).
+// Event is the unit of work. Run is invoked with the engine clock already
+// advanced to the event's timestamp; handlers that need the time read
+// e.Now(). Implementations that want zero-allocation scheduling keep the
+// Event value alive across schedules (a free list, or the model object
+// itself).
 type Event interface {
 	Run(e *Engine)
 }
+
+// EventFunc adapts a plain function to Event, for cold paths and tests. A
+// func value converts to an interface without allocating, so scheduling a
+// prebuilt EventFunc costs what any other event does.
+type EventFunc func()
+
+// Run calls f.
+func (f EventFunc) Run(*Engine) { f() }
 
 // entry is the payload of one queue slot: the FIFO tie-break and the event.
 type entry struct {
 	seq uint64
 	ev  Event
-}
-
-// funcEvent adapts the closure API onto the typed queue. Instances are
-// recycled through the engine's free list, so At/After do not allocate an
-// adapter per call.
-type funcEvent struct {
-	fn   func()
-	next *funcEvent
-}
-
-func (f *funcEvent) Run(e *Engine) {
-	fn := f.fn
-	f.fn = nil
-	f.next = e.fnFree
-	e.fnFree = f
-	fn()
 }
 
 // NewEngine returns an engine positioned at time zero with an empty queue.
@@ -85,31 +72,7 @@ func (e *Engine) Now() Time { return e.now }
 // Pending reports the number of events waiting in the queue.
 func (e *Engine) Pending() int { return len(e.ats) + len(e.batch) - e.bi }
 
-// Census is a snapshot of an engine's queue and pool occupancy, taken by the
-// audit layer (internal/check) at checkpoint barriers to detect event leaks:
-// every pooled model event is either queued, in a mailbox, or parked on a
-// free list, so a cross-shard balance that drifts means a leak or a
-// double-free.
-type Census struct {
-	// Pending counts queued events, including the tie batch being
-	// dispatched (and, for sharded engines, undelivered mailbox relays).
-	Pending int
-	// FreeFuncEvents counts recycled closure adapters parked on the
-	// engine's free list.
-	FreeFuncEvents int
-}
-
-// Census walks the engine's free list and queue counters. Call only between
-// dispatches (at a barrier, or while the engine is not running).
-func (e *Engine) Census() Census {
-	n := 0
-	for f := e.fnFree; f != nil; f = f.next {
-		n++
-	}
-	return Census{Pending: e.Pending(), FreeFuncEvents: n}
-}
-
-// Schedule enqueues ev to run at absolute time t (typed fast path).
+// Schedule enqueues ev to run at absolute time t.
 // Scheduling in the past panics: it is always a model bug and silently
 // clamping would corrupt causality.
 func (e *Engine) Schedule(t Time, ev Event) {
@@ -143,27 +106,6 @@ func (e *Engine) ScheduleKey(t Time, key uint64, ev Event) {
 		panic("sim: event scheduled in the past: " + t.String() + " < " + e.now.String())
 	}
 	e.push(int64(t), entry{seq: key, ev: ev})
-}
-
-// At schedules fn to run at absolute time t (closure path).
-func (e *Engine) At(t Time, fn func()) {
-	f := e.fnFree
-	if f != nil {
-		e.fnFree = f.next
-		f.next = nil
-	} else {
-		f = new(funcEvent)
-	}
-	f.fn = fn
-	e.Schedule(t, f)
-}
-
-// After schedules fn to run d after the current time.
-func (e *Engine) After(d Duration, fn func()) {
-	if d < 0 {
-		panic("sim: negative delay " + d.String())
-	}
-	e.At(e.now.Add(d), fn)
 }
 
 // Halt stops the run loop after the currently executing event returns.

@@ -8,9 +8,9 @@ import (
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.At(30, func() { got = append(got, 3) })
-	e.At(10, func() { got = append(got, 1) })
-	e.At(20, func() { got = append(got, 2) })
+	e.Schedule(30, EventFunc(func() { got = append(got, 3) }))
+	e.Schedule(10, EventFunc(func() { got = append(got, 1) }))
+	e.Schedule(20, EventFunc(func() { got = append(got, 2) }))
 	end := e.Run()
 	if end != 30 {
 		t.Errorf("final time = %v, want 30ps", end)
@@ -25,7 +25,7 @@ func TestEngineFIFOAtEqualTimes(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(5, func() { got = append(got, i) })
+		e.Schedule(5, EventFunc(func() { got = append(got, i) }))
 	}
 	e.Run()
 	for i, v := range got {
@@ -42,10 +42,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	recurse = func() {
 		fired++
 		if fired < 10 {
-			e.After(7, recurse)
+			e.ScheduleAfter(7, EventFunc(recurse))
 		}
 	}
-	e.At(0, recurse)
+	e.Schedule(0, EventFunc(recurse))
 	end := e.Run()
 	if fired != 10 {
 		t.Errorf("fired = %d, want 10", fired)
@@ -57,14 +57,14 @@ func TestEngineNestedScheduling(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {
+	e.Schedule(100, EventFunc(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(50, func() {})
-	})
+		e.Schedule(50, EventFunc(func() {}))
+	}))
 	e.Run()
 }
 
@@ -75,19 +75,19 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	e.After(-1, func() {})
+	e.ScheduleAfter(-1, EventFunc(func() {}))
 }
 
 func TestEngineHalt(t *testing.T) {
 	e := NewEngine()
 	var count int
 	for i := 1; i <= 10; i++ {
-		e.At(Time(i), func() {
+		e.Schedule(Time(i), EventFunc(func() {
 			count++
 			if count == 5 {
 				e.Halt()
 			}
-		})
+		}))
 	}
 	e.Run()
 	if count != 5 {
@@ -102,7 +102,7 @@ func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	var count int
 	for i := 1; i <= 10; i++ {
-		e.At(Time(i*10), func() { count++ })
+		e.Schedule(Time(i*10), EventFunc(func() { count++ }))
 	}
 	more := e.RunUntil(55)
 	if !more {
@@ -132,12 +132,12 @@ func TestEngineMonotoneDispatchProperty(t *testing.T) {
 		var last Time = -1
 		ok := true
 		for _, d := range delays {
-			e.At(Time(d), func() {
+			e.Schedule(Time(d), EventFunc(func() {
 				if e.Now() < last {
 					ok = false
 				}
 				last = e.Now()
-			})
+			}))
 		}
 		e.Run()
 		return ok
@@ -150,7 +150,7 @@ func TestEngineMonotoneDispatchProperty(t *testing.T) {
 func TestEngineExecutedCount(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 42; i++ {
-		e.At(Time(i), func() {})
+		e.Schedule(Time(i), EventFunc(func() {}))
 	}
 	e.Run()
 	if e.Executed != 42 {
@@ -159,11 +159,10 @@ func TestEngineExecutedCount(t *testing.T) {
 }
 
 // TestEngineFIFOStress hammers the equal-time tie path with interleaved
-// closure (At/After) and typed (Schedule/ScheduleAfter) scheduling: many
-// events collapse onto few distinct timestamps, events reschedule onto the
-// time currently being dispatched, and the engine must still dispatch every
-// tie group in exact scheduling order despite event pooling and the
-// tie-batch drain in the heap.
+// EventFunc and typed-struct events: many events collapse onto few distinct
+// timestamps, events reschedule onto the time currently being dispatched, and
+// the engine must still dispatch every tie group in exact scheduling order
+// despite the tie-batch drain in the heap.
 func TestEngineFIFOStress(t *testing.T) {
 	e := NewEngine()
 	rng := NewRNG(7)
@@ -173,12 +172,12 @@ func TestEngineFIFOStress(t *testing.T) {
 		s := seq
 		seq++
 		if s%2 == 0 {
-			e.At(t, func() { got = append(got, rec{e.Now(), s}) })
+			e.Schedule(t, EventFunc(func() { got = append(got, rec{e.Now(), s}) }))
 		} else {
 			e.Schedule(t, recEvent{&got, s})
 		}
 	}
-	// Phase 1: 2000 events over only 8 distinct times, mixed APIs.
+	// Phase 1: 2000 events over only 8 distinct times, both event kinds.
 	for i := 0; i < 2000; i++ {
 		schedule(Time(rng.Intn(8)))
 	}
@@ -188,12 +187,12 @@ func TestEngineFIFOStress(t *testing.T) {
 		at := Time(10 + rng.Intn(4))
 		s := seq
 		seq++
-		e.At(at, func() {
+		e.Schedule(at, EventFunc(func() {
 			got = append(got, rec{e.Now(), s})
 			s2 := seq
 			seq++
 			e.Schedule(at, recEvent{&got, s2})
-		})
+		}))
 	}
 	e.Run()
 	if len(got) != seq {
@@ -207,6 +206,25 @@ func TestEngineFIFOStress(t *testing.T) {
 			t.Fatalf("FIFO violated within tie group at %d: seq %d after %d (t=%v)",
 				i, got[i].seq, got[i-1].seq, got[i].at)
 		}
+	}
+}
+
+// TestEventFuncSchedulesWithoutAllocating pins the cost of the EventFunc
+// adapter: scheduling and dispatching a prebuilt EventFunc allocates nothing
+// (a func value fits an interface without boxing).
+func TestEventFuncSchedulesWithoutAllocating(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	fn := EventFunc(func() { n++ })
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.ScheduleAfter(1, fn)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("EventFunc schedule+dispatch allocated %.1f times per run, want 0", allocs)
+	}
+	if n != 1001 {
+		t.Errorf("dispatched %d events, want 1001 (one warm-up run plus 1000)", n)
 	}
 }
 
@@ -224,65 +242,8 @@ func (r recEvent) Run(e *Engine) {
 	*r.got = append(*r.got, rec{e.Now(), r.seq})
 }
 
-// TestEngineClosureTypedEquivalent schedules the same workload once through
-// the closure API and once through the typed API and requires the identical
-// dispatch order: At/After are thin wrappers and must not perturb ordering.
-func TestEngineClosureTypedEquivalent(t *testing.T) {
-	run := func(typed bool) []int {
-		e := NewEngine()
-		rng := NewRNG(3)
-		var got []int
-		for i := 0; i < 500; i++ {
-			i := i
-			at := Time(rng.Intn(20))
-			if typed {
-				e.Schedule(at, orderEvent{&got, i})
-			} else {
-				e.At(at, func() { got = append(got, i) })
-			}
-		}
-		e.Run()
-		return got
-	}
-	closure, typed := run(false), run(true)
-	for i := range closure {
-		if closure[i] != typed[i] {
-			t.Fatalf("closure and typed paths diverge at %d: %d vs %d", i, closure[i], typed[i])
-		}
-	}
-}
-
-type orderEvent struct {
-	got *[]int
-	i   int
-}
-
-func (o orderEvent) Run(*Engine) { *o.got = append(*o.got, o.i) }
-
-func BenchmarkEngineScheduleDispatch(b *testing.B) {
-	e := NewEngine()
-	rng := NewRNG(1)
-	b.ReportAllocs()
-	var fn func()
-	n := 0
-	fn = func() {
-		if n < b.N {
-			n++
-			e.After(Duration(rng.Intn(1000)+1), fn)
-		}
-	}
-	// Keep 1000 events in flight, a realistic queue depth.
-	for i := 0; i < 1000 && n < b.N; i++ {
-		n++
-		e.At(Time(rng.Intn(1000)), fn)
-	}
-	b.ResetTimer()
-	e.Run()
-}
-
-// tbEvent is the typed-path analogue of the closure benchmark above: a
-// single event rescheduling itself, the steady-state pattern of the
-// converted network models.
+// tbEvent is a single event rescheduling itself, the steady-state pattern
+// of the network models.
 type tbEvent struct {
 	rng *RNG
 	n   int

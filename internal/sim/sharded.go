@@ -104,7 +104,9 @@ func (se *ShardedEngine) Executed() uint64 {
 }
 
 // Pending sums queued events across shards, including undelivered mailbox
-// relays.
+// relays. The audit layer compares it with the models' live pooled events at
+// checkpoint barriers: every pooled event is queued, in a mailbox, or parked
+// on a free list, so more live events than pending ones means a leak.
 func (se *ShardedEngine) Pending() int {
 	n := 0
 	for _, sh := range se.shards {
@@ -114,21 +116,6 @@ func (se *ShardedEngine) Pending() int {
 		}
 	}
 	return n
-}
-
-// Census sums per-shard engine censuses, counting undelivered mailbox
-// relays as pending. Call only at a barrier.
-func (se *ShardedEngine) Census() Census {
-	var c Census
-	for _, sh := range se.shards {
-		ec := sh.Eng.Census()
-		c.Pending += ec.Pending
-		c.FreeFuncEvents += ec.FreeFuncEvents
-		for _, box := range sh.in {
-			c.Pending += len(box.cur) + len(box.prev)
-		}
-	}
-	return c
 }
 
 // Post schedules ev at (t, key) on shard to, from shard s. Local posts go

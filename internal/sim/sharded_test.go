@@ -146,9 +146,9 @@ func TestRunBeforeAndAdvanceTo(t *testing.T) {
 	e := NewEngine()
 	var got []Time
 	rec := func() { got = append(got, e.Now()) }
-	e.At(Time(10), rec)
-	e.At(Time(20), rec)
-	e.At(Time(30), rec)
+	e.Schedule(Time(10), EventFunc(rec))
+	e.Schedule(Time(20), EventFunc(rec))
+	e.Schedule(Time(30), EventFunc(rec))
 	e.RunBefore(Time(20)) // strictly-less-than semantics
 	if len(got) != 1 || got[0] != Time(10) {
 		t.Fatalf("RunBefore(20) ran %v, want [10]", got)
@@ -176,16 +176,11 @@ func TestScheduleKeyOrdersTies(t *testing.T) {
 	mk := func(id int) func() { return func() { order = append(order, id) } }
 	// Insert out of key order at one timestamp; dispatch must be by key.
 	a1, a2, a3 := MakeActor(1), MakeActor(2), MakeActor(3)
-	e.ScheduleKey(Time(100), a3.Next(), fnEvent(mk(3)))
-	e.ScheduleKey(Time(100), a1.Next(), fnEvent(mk(1)))
-	e.ScheduleKey(Time(100), a2.Next(), fnEvent(mk(2)))
+	e.ScheduleKey(Time(100), a3.Next(), EventFunc(mk(3)))
+	e.ScheduleKey(Time(100), a1.Next(), EventFunc(mk(1)))
+	e.ScheduleKey(Time(100), a2.Next(), EventFunc(mk(2)))
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("dispatch order %v, want [1 2 3]", order)
 	}
 }
-
-// fnEvent is a throwaway Event for tests.
-type fnEvent func()
-
-func (f fnEvent) Run(*Engine) { f() }

@@ -14,6 +14,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"baldur/internal/netsim"
@@ -113,7 +114,7 @@ func (w *Workload) TotalMessages() int {
 
 // Stats reports the outcome of a replay.
 type Stats struct {
-	Makespan  sim.Duration // virtual time until the last rank finished
+	Makespan  sim.Duration // virtual time at which the last rank finished its program
 	Packets   uint64       // data packets injected
 	Completed bool         // all ranks ran their program to the end
 	// Stuck is non-nil when the replay did not complete: either the
@@ -132,9 +133,12 @@ type StuckRank struct {
 	Need    int  // packets the Recv still requires, when Waiting
 }
 
-// StuckReport diagnoses a replay that stopped making progress.
+// StuckReport diagnoses a replay that stopped making progress. It is the
+// error netsim.Drive returns when the watchdog trips.
 type StuckReport struct {
-	At sim.Time // virtual time of the diagnosis
+	// At is the virtual time of the diagnosis: the boundary the watchdog
+	// tripped at, or for a deadlock the last time any rank ran.
+	At sim.Time
 	// Window is the no-progress window that tripped the watchdog; 0 when
 	// the engine drained outright (Deadlock).
 	Window   sim.Duration
@@ -167,14 +171,32 @@ func (s *StuckReport) String() string {
 	return b.String()
 }
 
-// rankState is the replay state of one node.
+// Error returns the diagnostic, so a watchdog trip stops netsim.Drive.
+func (s *StuckReport) Error() string { return s.String() }
+
+// rankState is the replay state of one node. It is also the rank's compute
+// wake event: a rank has at most one pending wake.
 type rankState struct {
+	r       *Replayer
+	rank    int
 	pc      int
 	waiting bool // blocked in a Recv
 	waitSrc int
 	need    int // packets still needed by the current Recv
 	pending map[int]int
 	done    bool
+}
+
+// Run resumes the rank when its compute op ends.
+func (st *rankState) Run(*sim.Engine) { st.r.step(st.rank) }
+
+// kickoff starts every rank at the replay's start time.
+type kickoff struct{ r *Replayer }
+
+func (k kickoff) Run(*sim.Engine) {
+	for rank := range k.r.ranks {
+		k.r.step(rank)
+	}
 }
 
 // Replayer executes a workload on a network.
@@ -185,8 +207,7 @@ type Replayer struct {
 	// ranks and their pending Recv peers instead of spinning silently.
 	Watchdog sim.Duration
 	// Tel, when non-nil, receives one metric sample per telemetry interval
-	// while the replay runs (trace replays are serial, so sampling here is
-	// a plain interval loop rather than a shard barrier).
+	// while Run drives the replay.
 	Tel *telemetry.Telemetry
 
 	net      netsim.Network
@@ -194,7 +215,8 @@ type Replayer struct {
 	ranks    []*rankState
 	stats    Stats
 	alive    int
-	progress uint64 // counts rank program-counter advances
+	progress uint64   // counts rank program-counter advances
+	lastStep sim.Time // when a rank last ran
 }
 
 // NewReplayer wires a replayer to the network. The workload's node count
@@ -210,111 +232,89 @@ func NewReplayer(net netsim.Network, w *Workload) (*Replayer, error) {
 	r := &Replayer{net: net, w: w}
 	r.ranks = make([]*rankState, len(w.Programs))
 	for i := range r.ranks {
-		r.ranks[i] = &rankState{pending: map[int]int{}}
+		r.ranks[i] = &rankState{r: r, rank: i, pending: map[int]int{}}
 	}
 	r.alive = len(w.Programs)
 	net.OnDeliver(r.onDeliver)
 	return r, nil
 }
 
-// Run replays the workload to completion and returns the statistics. It
-// drives the network's engine, so attach collectors beforehand.
+// noDeadline bounds Run's drive: beyond any replay, and one below the
+// largest Time so the engines' inclusive-deadline arithmetic cannot overflow.
+const noDeadline = sim.Time(math.MaxInt64 - 1)
+
+// Run replays the workload to completion and returns the statistics: Start,
+// then netsim.Drive on the watchdog timeline with no deadline, sampling Tel
+// at every boundary. It drives the network's engine, so attach collectors
+// beforehand.
 func (r *Replayer) Run() Stats {
-	eng := r.net.Engine()
-	eng.At(eng.Now(), func() {
-		for rank := range r.ranks {
-			r.step(rank)
-		}
-	})
-	if r.Watchdog > 0 || r.Tel != nil {
-		r.runWatched(eng)
-	} else {
-		eng.Run()
-	}
-	r.stats.Makespan = eng.Now().Sub(0)
-	r.stats.Completed = r.alive == 0
-	if !r.stats.Completed && r.stats.Stuck == nil {
-		// The engine drained with ranks still blocked: a deadlock (e.g. a
-		// lossy run that exhausted retransmissions, or a circular Recv).
-		r.stats.Stuck = r.stuckReport(eng.Now(), 0, true)
-	}
-	return r.stats
+	// Drive fails only when the watchdog trips, which Stats reports.
+	_, _ = netsim.Drive(r.net, r.Start(), netsim.DriveOptions{Deadline: noDeadline, Tel: r.Tel})
+	return r.Stats()
 }
 
-// runWatched drives the engine in bounded slices so the replay can take
-// telemetry samples and check the progress watchdog at virtual-time
-// boundaries. Slices use RunBefore, which leaves the clock at the last
-// dispatched event, so Makespan is identical to a plain Run.
-func (r *Replayer) runWatched(eng *sim.Engine) {
-	var iv sim.Duration
-	nextSample := sim.Time(0)
-	lastSampleAt := sim.Time(-1)
-	if r.Tel != nil {
-		iv = r.Tel.Interval()
-		nextSample = eng.Now().Add(iv)
+// Start schedules every rank's first step at the current virtual time and
+// returns the progress watchdog as a timeline for netsim.Drive, or nil when
+// Watchdog is 0. Call it once, then drive the network.
+func (r *Replayer) Start() netsim.Timeline {
+	eng := r.net.Engine()
+	eng.Schedule(eng.Now(), kickoff{r})
+	if r.Watchdog <= 0 {
+		return nil
 	}
-	// The loop samples only at interval boundaries; deliveries between the
-	// last boundary and the drain (or the watchdog trip) still need a row.
-	defer func() {
-		if iv > 0 && eng.Now() > lastSampleAt {
-			r.Tel.Sample(eng.Now(), eng.Executed, 0)
-		}
-	}()
-	lastProg := r.progress
-	lastProgAt := eng.Now() // start of the current no-progress window
-	lastProgExec := eng.Executed
-	for eng.Pending() > 0 {
-		// The next boundary: the earlier of the sample tick and the
-		// watchdog checkpoint.
-		b := sim.Time(0)
-		set := false
-		if iv > 0 {
-			b, set = nextSample, true
-		}
-		if r.Watchdog > 0 {
-			if c := lastProgAt.Add(r.Watchdog); !set || c < b {
-				b, set = c, true
-			}
-		}
-		if !set {
-			eng.Run()
-			return
-		}
-		eng.RunBefore(b + 1) // inclusive of events exactly at b
-		if iv > 0 && b == nextSample {
-			r.Tel.Sample(nextSample, eng.Executed, 0)
-			lastSampleAt = nextSample
-			nextSample = nextSample.Add(iv)
-		}
-		if r.Watchdog <= 0 {
-			continue
-		}
-		switch {
-		case r.progress != lastProg:
-			// Some rank advanced inside the slice; restart the window at
-			// the boundary (conservative: the advance happened at or
-			// before b).
-			lastProg, lastProgAt, lastProgExec = r.progress, b, eng.Executed
-		case eng.Executed == lastProgExec:
-			// Nothing even executed — an idle gap (e.g. a long compute op
-			// with its wakeup far in the future). Not stuck: fast-forward
-			// the window to the next pending event.
-			if eng.Pending() > 0 && eng.NextTime() > lastProgAt {
-				lastProgAt = eng.NextTime()
-			}
-		case b >= lastProgAt.Add(r.Watchdog):
-			// Events kept executing for a full window with no rank
-			// advancing: the replay is spinning (e.g. endless
-			// retransmissions into a faulty fabric). Diagnose and stop —
-			// unless the engine drained inside the slice, which is a
-			// deadlock and is reported by Run after the loop exits.
-			if eng.Pending() == 0 {
-				continue
-			}
-			r.stats.Stuck = r.stuckReport(eng.Now(), r.Watchdog, false)
-			return
-		}
+	return &watchdog{r: r, from: eng.Now(), executed: netsim.Events(r.net)}
+}
+
+// Stats reports the replay's outcome. A replay that neither completed nor
+// tripped the watchdog is a deadlock once the engine has drained (e.g. a
+// lossy run that exhausted retransmissions, or a circular Recv); one cut
+// short by a deadline has no stuck report.
+func (r *Replayer) Stats() Stats {
+	st := r.stats
+	st.Completed = r.alive == 0
+	if !st.Completed && st.Stuck == nil && r.net.Engine().Pending() == 0 {
+		st.Stuck = r.stuckReport(r.lastStep, 0, true)
 	}
+	return st
+}
+
+// watchdog is the progress watchdog as a netsim.Timeline. It has no actions
+// of its own: it asks Drive for a boundary at the end of the current
+// no-progress window, and at every boundary restarts the window (a rank
+// advanced), fast-forwards it across an idle gap (nothing executed, e.g. a
+// long compute op with its wakeup far in the future), or trips.
+type watchdog struct {
+	r        *Replayer
+	prog     uint64   // r.progress when the window started
+	from     sim.Time // start of the current no-progress window
+	executed uint64   // events dispatched when the window started
+}
+
+func (w *watchdog) NextAt() (sim.Time, bool) { return w.from.Add(w.r.Watchdog), true }
+
+func (w *watchdog) Pending() bool { return false }
+
+// ApplyDue checks progress at boundary now. A trip records the stuck report
+// and returns it as the error that stops Drive; a run that drained inside
+// the window is a deadlock, which Stats reports instead.
+func (w *watchdog) ApplyDue(n netsim.Network, now sim.Time, _ *telemetry.Telemetry) (int, error) {
+	eng := n.Engine()
+	switch {
+	case w.r.progress != w.prog:
+		// The advance happened at or before now: restart the window here.
+		w.prog, w.from, w.executed = w.r.progress, now, netsim.Events(n)
+	case netsim.Events(n) == w.executed:
+		if eng.Pending() > 0 && eng.NextTime() > w.from {
+			w.from = eng.NextTime()
+		}
+	case now >= w.from.Add(w.r.Watchdog) && eng.Pending() > 0:
+		// Events kept executing for a full window with no rank advancing:
+		// the replay is spinning (e.g. endless retransmissions into a
+		// faulty fabric).
+		w.r.stats.Stuck = w.r.stuckReport(now, w.r.Watchdog, false)
+		return 0, w.r.stats.Stuck
+	}
+	return 0, nil
 }
 
 // stuckReport snapshots every unfinished rank.
@@ -339,11 +339,13 @@ func (r *Replayer) stuckReport(at sim.Time, window sim.Duration, deadlock bool) 
 func (r *Replayer) step(rank int) {
 	st := r.ranks[rank]
 	prog := r.w.Programs[rank]
+	r.lastStep = r.net.Engine().Now()
 	for !st.done {
 		if st.pc >= len(prog) {
 			st.done = true
 			r.alive--
 			r.progress++
+			r.stats.Makespan = r.lastStep.Sub(0)
 			return
 		}
 		op := prog[st.pc]
@@ -365,7 +367,7 @@ func (r *Replayer) step(rank int) {
 			st.pc++
 			r.progress++
 			if op.Dur > 0 {
-				r.net.Engine().After(op.Dur, func() { r.step(rank) })
+				r.net.Engine().ScheduleAfter(op.Dur, st)
 				return
 			}
 		case OpRecv:
