@@ -67,6 +67,14 @@ const checkTolerance = 0.15
 // orders-of-magnitude ratio, so the gate pins the claim itself.
 const twinSpeedupFloor = 100.0
 
+// tieDispatchRatioCeil is the absolute ceiling on engine_tie_dispatch's
+// ns/op divided by engine_schedule_dispatch_typed's from the same run. A
+// dispatch inside an 8,192-wide same-time tie group costs about one plain
+// dispatch when the group is sorted in O(n log n); a quadratic sort puts it
+// near 100x. Dividing by a kernel loop timed in the same process cancels
+// runner speed, so like twinSpeedupFloor this gates the fresh run alone.
+const tieDispatchRatioCeil = 4.0
+
 // datacenterBytesPerNodeCeil is the absolute ceiling on peak resident
 // bytes per simulated node for the scale_datacenter entry (128K-node runs).
 // Measured ~4.3 KB/node with the SoA state layout; the ceiling leaves
@@ -119,6 +127,7 @@ func main() {
 		fn   func(b *testing.B)
 	}{
 		{"engine_schedule_dispatch_typed", benchEngineTyped},
+		{"engine_tie_dispatch", benchEngineTieDispatch},
 		{"fig6_transpose", benchFig6Transpose},
 		{"baldur_simulator", benchBaldurSimulator},
 		{"baldur_simulator_sharded", benchBaldurSimulatorSharded},
@@ -203,9 +212,28 @@ func compare(base, fresh report, w io.Writer) bool {
 		baseline[r.Name] = r
 	}
 	ok := true
-	produced := make(map[string]bool, len(fresh.Benchmarks))
+	produced := make(map[string]result, len(fresh.Benchmarks))
 	for _, r := range fresh.Benchmarks {
-		produced[r.Name] = true
+		produced[r.Name] = r
+	}
+	for _, r := range fresh.Benchmarks {
+		if r.Name == "engine_tie_dispatch" {
+			typed := produced["engine_schedule_dispatch_typed"]
+			if typed.NsPerOp <= 0 {
+				fmt.Fprintf(w, "check %-36s FAIL: no engine_schedule_dispatch_typed ns/op in this run to divide by\n", r.Name)
+				ok = false
+				continue
+			}
+			x := r.NsPerOp / typed.NsPerOp
+			verdict := "ok"
+			if x > tieDispatchRatioCeil {
+				verdict = "REGRESSION"
+				ok = false
+			}
+			fmt.Fprintf(w, "check %-36s %8.2fx engine_schedule_dispatch_typed (ceiling %.0fx) %s\n",
+				r.Name, x, tieDispatchRatioCeil, verdict)
+			continue
+		}
 		if r.Name == "scale_datacenter" {
 			bpn := r.Extra["bytes_per_node"]
 			if bpn <= 0 {
@@ -272,7 +300,7 @@ func compare(base, fresh report, w io.Writer) bool {
 			r.Name, b.NsPerOp, r.NsPerOp, (ratio-1)*100, verdict)
 	}
 	for _, b := range base.Benchmarks {
-		if checkedBenchmarks[b.Name] && !produced[b.Name] {
+		if _, found := produced[b.Name]; checkedBenchmarks[b.Name] && !found {
 			fmt.Fprintf(w, "check %-36s WARN: in baseline but not produced by this run; baseline is stale\n", b.Name)
 		}
 	}
@@ -301,6 +329,35 @@ func benchEngineTyped(b *testing.B) {
 	for i := 0; i < 1000 && ev.n < b.N; i++ {
 		ev.n++
 		e.Schedule(sim.Time(rng.Intn(1000)), ev)
+	}
+	b.ResetTimer()
+	e.Run()
+}
+
+// tieGroupWidth is engine_tie_dispatch's group size: one event per node of
+// an 8K-node network sending in lockstep.
+const tieGroupWidth = 8192
+
+// jsonTieEvent mirrors BenchmarkEngineTieGroup in internal/sim: width
+// events share each timestamp, each rescheduling 1 ns ahead while enough
+// dispatches remain, so every time step is one tie group.
+type jsonTieEvent struct{ left, width int }
+
+func (ev *jsonTieEvent) Run(e *sim.Engine) {
+	ev.left--
+	if ev.left >= ev.width {
+		e.ScheduleAfter(sim.Nanosecond, ev)
+	}
+}
+
+// benchEngineTieDispatch times one dispatch inside tieGroupWidth-wide tie
+// groups, the shape of closed-loop ping-pong's synchronised sends. -check
+// gates it as a ratio to engine_schedule_dispatch_typed.
+func benchEngineTieDispatch(b *testing.B) {
+	e := sim.NewEngine()
+	ev := &jsonTieEvent{left: b.N, width: min(tieGroupWidth, b.N)}
+	for i := 0; i < ev.width; i++ {
+		e.Schedule(0, ev)
 	}
 	b.ResetTimer()
 	e.Run()

@@ -193,3 +193,36 @@ func TestCompareIgnoresUngatedBenchmarks(t *testing.T) {
 		t.Errorf("ungated benchmark produced output:\n%s", out.String())
 	}
 }
+
+func TestCompareTieDispatchRatio(t *testing.T) {
+	// engine_tie_dispatch is gated as a ratio to the typed engine loop of
+	// the same run, with no baseline entry: a quadratic tie-group sort
+	// (about 100x) fails, an O(n log n) one (about 1x) passes.
+	typed := result{Name: "engine_schedule_dispatch_typed", NsPerOp: 50}
+	fast := rep(typed, result{Name: "engine_tie_dispatch", NsPerOp: 45})
+	var out strings.Builder
+	if !compare(rep(), fast, &out) {
+		t.Errorf("a 0.9x tie dispatch failed the %.0fx ceiling:\n%s", tieDispatchRatioCeil, out.String())
+	}
+	if !strings.Contains(out.String(), "engine_tie_dispatch") || !strings.Contains(out.String(), "ok") {
+		t.Errorf("no ok verdict printed:\n%s", out.String())
+	}
+
+	slow := rep(typed, result{Name: "engine_tie_dispatch", NsPerOp: 5000})
+	out.Reset()
+	if compare(rep(), slow, &out) {
+		t.Error("a 100x tie dispatch passed the gate")
+	}
+	if !strings.Contains(out.String(), "REGRESSION") {
+		t.Errorf("no REGRESSION verdict printed:\n%s", out.String())
+	}
+
+	alone := rep(result{Name: "engine_tie_dispatch", NsPerOp: 45})
+	out.Reset()
+	if compare(rep(), alone, &out) {
+		t.Error("a tie dispatch with no typed loop to divide by passed the gate")
+	}
+	if !strings.Contains(out.String(), "FAIL") {
+		t.Errorf("no FAIL verdict printed:\n%s", out.String())
+	}
+}

@@ -1,5 +1,11 @@
 package sim
 
+import (
+	"cmp"
+	"slices"
+	"strconv"
+)
+
 // Engine is a deterministic discrete-event simulator. Events are scheduled
 // at absolute virtual times; ties are broken by scheduling order so that a
 // run is a pure function of its inputs and RNG seeds.
@@ -16,8 +22,11 @@ package sim
 // data-dependent branches, which is where a comparison-based queue spends
 // most of its time. FIFO order among equal timestamps is restored at
 // dispatch: when the popped root's timestamp still matches the new root,
-// the engine drains the whole tie group and sorts it by sequence number
-// (a handful of entries, insertion-sorted) before running it.
+// the engine drains the whole tie group and sorts it by tie-break key
+// before running it with pdqsort (slices.SortFunc: insertion sort up to 12
+// entries, linear on sorted or reversed runs, O(n log n) otherwise). An
+// event scheduled at the batch's own timestamp while the batch runs goes
+// into the heap and runs after the whole batch, whatever its key.
 //
 // The zero value is not ready to use; call NewEngine.
 type Engine struct {
@@ -99,8 +108,16 @@ func (e *Engine) ScheduleAfter(d Duration, ev Event) {
 // order at every timestamp is a pure function of the model, not of queue
 // insertion order.
 //
-// Keys share the sequence space of Schedule's FIFO counter; mixing the two
-// on one engine is safe but only FIFO-deterministic for the Schedule side.
+// Keys must be unique among the events pending at one timestamp: two
+// events at the same (t, key) have no defined order, so dispatch panics
+// when it finds one. Actor key streams guarantee this. Keys share the
+// sequence space of Schedule's FIFO counter (below 1<<32, where Actor keys
+// start); mixing the two on one engine is safe but only FIFO-deterministic
+// for the Schedule side.
+//
+// A key orders an event only within the tie group it is dispatched with.
+// An event scheduled at the current time while that time's group is being
+// dispatched runs after the whole group, even if its key is smaller.
 func (e *Engine) ScheduleKey(t Time, key uint64, ev Event) {
 	if t < e.now {
 		panic("sim: event scheduled in the past: " + t.String() + " < " + e.now.String())
@@ -132,22 +149,21 @@ func (e *Engine) next() (Time, Event) {
 	if len(e.ats) == 0 || e.ats[0] != at {
 		return Time(at), en.ev // sole event at this timestamp
 	}
-	// Tie group: drain every entry at this timestamp and restore FIFO
-	// order by sequence number.
+	// Tie group: drain every entry at this timestamp and restore the
+	// order of their tie-break keys.
 	b := append(e.batch[:0], en)
 	for len(e.ats) > 0 && e.ats[0] == at {
 		b = append(b, e.pop())
 	}
-	// Insertion sort: tie groups are small (same-time kicks and credit
-	// returns), and the pop order is already mostly sorted.
+	// Keys are unique within a group (see ScheduleKey), so the unstable
+	// sort has one answer. The 8K-wide groups of synchronised closed-loop
+	// sends come off the heap nearly reversed, so the sort must not be
+	// quadratic in that order.
+	slices.SortFunc(b, func(x, y entry) int { return cmp.Compare(x.seq, y.seq) })
 	for i := 1; i < len(b); i++ {
-		x := b[i]
-		j := i
-		for j > 0 && b[j-1].seq > x.seq {
-			b[j] = b[j-1]
-			j--
+		if b[i].seq == b[i-1].seq {
+			panic("sim: duplicate tie-break key " + strconv.FormatUint(b[i].seq, 10) + " at " + Time(at).String())
 		}
-		b[j] = x
 	}
 	ev := b[0].ev
 	b[0].ev = nil

@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -269,4 +273,184 @@ func BenchmarkEngineScheduleDispatchTyped(b *testing.B) {
 	}
 	b.ResetTimer()
 	e.Run()
+}
+
+// wideTie drives TestEngineWideTieGroupOrder. It mirrors the engine's FIFO
+// counter, so the test knows every event's tie-break key without asking
+// the engine.
+type wideTie struct {
+	e     *Engine
+	fifo  uint64
+	child Actor // key stream for ScheduleKey events spawned during a batch
+	got   []uint64
+}
+
+// wideEvent records its key when it runs; spawn 1 or 2 makes it schedule
+// one more event at its own timestamp, through Schedule or ScheduleKey.
+type wideEvent struct {
+	w     *wideTie
+	key   uint64
+	spawn int
+}
+
+func (w *wideTie) schedule(at Time, ev *wideEvent) {
+	w.fifo++
+	ev.key = w.fifo
+	w.e.Schedule(at, ev)
+}
+
+func (ev *wideEvent) Run(e *Engine) {
+	ev.w.got = append(ev.w.got, ev.key)
+	child := &wideEvent{w: ev.w}
+	switch ev.spawn {
+	case 1:
+		ev.w.schedule(e.Now(), child)
+	case 2:
+		child.key = ev.w.child.Next()
+		e.ScheduleKey(e.Now(), child.key, child)
+	}
+}
+
+// TestEngineWideTieGroupOrder checks dispatch order inside tie groups from
+// 1 to 8,192 entries. Each group mixes FIFO Schedule keys with keys from
+// many Actors, pushed in ascending, descending or shuffled key order, next
+// to events at other timestamps. Some events schedule one more event at
+// their own timestamp while the batch runs, through Schedule or through
+// ScheduleKey with keys smaller than most of the group's. The group must
+// run in ascending key order, then the events added during the batch, in
+// ascending key order among themselves.
+func TestEngineWideTieGroupOrder(t *testing.T) {
+	const at = Time(100)
+	for _, n := range []int{1, 12, 13, 1000, 8192} {
+		for _, order := range []string{"ascending", "descending", "shuffled"} {
+			t.Run(fmt.Sprintf("%d/%s", n, order), func(t *testing.T) {
+				w := &wideTie{e: NewEngine(), child: MakeActor(1)}
+				rng := NewRNG(uint64(n))
+				w.schedule(at-1, &wideEvent{w: w})
+
+				// Every third event takes a FIFO key at push time; the rest
+				// draw from 37 actors (ids 2..38, above the child stream).
+				actors := make([]Actor, 37)
+				for i := range actors {
+					actors[i] = MakeActor(uint32(i + 2))
+				}
+				var keyed, fifo []*wideEvent
+				for i := 0; i < n; i++ {
+					ev := &wideEvent{w: w, spawn: []int{0, 1, 0, 2, 0, 0, 0}[i%7]}
+					if i%3 == 0 {
+						fifo = append(fifo, ev)
+						continue
+					}
+					ev.key = actors[rng.Intn(len(actors))].Next()
+					keyed = append(keyed, ev)
+				}
+				switch order {
+				case "ascending":
+					slices.SortFunc(keyed, func(a, b *wideEvent) int { return cmp.Compare(a.key, b.key) })
+				case "descending":
+					slices.SortFunc(keyed, func(a, b *wideEvent) int { return cmp.Compare(b.key, a.key) })
+				case "shuffled":
+					idx := make([]int, len(keyed))
+					rng.Perm(idx)
+					shuffled := make([]*wideEvent, len(keyed))
+					for i, j := range idx {
+						shuffled[i] = keyed[j]
+					}
+					keyed = shuffled
+				}
+				group := make([]*wideEvent, 0, n)
+				for len(keyed)+len(fifo) > 0 {
+					if len(fifo) > 0 && (len(keyed) == 0 || rng.Intn(3) == 0) {
+						w.schedule(at, fifo[0])
+						group, fifo = append(group, fifo[0]), fifo[1:]
+						continue
+					}
+					w.e.ScheduleKey(at, keyed[0].key, keyed[0])
+					group, keyed = append(group, keyed[0]), keyed[1:]
+				}
+				w.schedule(at+1, &wideEvent{w: w})
+
+				// Reference: the group by key, then what it spawned by key.
+				slices.SortFunc(group, func(a, b *wideEvent) int { return cmp.Compare(a.key, b.key) })
+				nextFIFO, nextChild := w.fifo, MakeActor(1)
+				var want, spawned []uint64
+				for _, ev := range group {
+					want = append(want, ev.key)
+					switch ev.spawn {
+					case 1:
+						nextFIFO++
+						spawned = append(spawned, nextFIFO)
+					case 2:
+						spawned = append(spawned, nextChild.Next())
+					}
+				}
+				slices.Sort(spawned)
+				want = append(want, spawned...)
+
+				w.e.Run()
+				if len(w.got) != len(want)+2 {
+					t.Fatalf("dispatched %d events, want %d", len(w.got), len(want)+2)
+				}
+				got := w.got[1 : len(w.got)-1]
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("dispatch %d at t=%v: key %#x, want %#x", i, at, got[i], want[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestEngineDuplicateTieKeyPanics: two events at the same (t, key) have no
+// defined order, so dispatch refuses them instead of running them in heap
+// layout order.
+func TestEngineDuplicateTieKeyPanics(t *testing.T) {
+	e := NewEngine()
+	a := MakeActor(3)
+	key := a.Next()
+	e.ScheduleKey(5, a.Next(), EventFunc(func() {}))
+	e.ScheduleKey(5, key, EventFunc(func() {}))
+	e.ScheduleKey(5, key, EventFunc(func() {}))
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "sim: duplicate tie-break key") {
+			t.Fatalf("recovered %v, want a duplicate tie-break key panic", r)
+		}
+	}()
+	e.Run()
+	t.Fatal("Run dispatched a duplicate tie-break key without panicking")
+}
+
+// tieBenchEvent keeps width events at one timestamp: each dispatch
+// reschedules 1 ns ahead while enough dispatches remain, so every time
+// step is one tie group, the shape synchronised closed-loop sends produce.
+type tieBenchEvent struct{ left, width int }
+
+func (ev *tieBenchEvent) Run(e *Engine) {
+	ev.left--
+	if ev.left >= ev.width {
+		e.ScheduleAfter(Nanosecond, ev)
+	}
+}
+
+// BenchmarkEngineTieGroup times one dispatch inside tie groups of 16, 256
+// and 8,192 events.
+func BenchmarkEngineTieGroup(b *testing.B) {
+	for _, width := range []int{16, 256, 8192} {
+		b.Run(fmt.Sprint(width), func(b *testing.B) {
+			b.ReportAllocs()
+			e := NewEngine()
+			ev := &tieBenchEvent{left: b.N, width: min(width, b.N)}
+			for i := 0; i < ev.width; i++ {
+				e.Schedule(0, ev)
+			}
+			b.ResetTimer()
+			e.Run()
+			if e.Executed != uint64(b.N) {
+				b.Fatalf("dispatched %d events, want %d", e.Executed, b.N)
+			}
+		})
+	}
 }
