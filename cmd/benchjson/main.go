@@ -86,7 +86,7 @@ const datacenterBytesPerNodeCeil = 8192.0
 
 // faultsExtraAllocsCeil is the absolute ceiling on extra allocations per run
 // for driving a fault-free cell through faults.Run versus the plain
-// netsim.Run loop (the faults_overhead entry's extra_allocs_op metric). The
+// Network.Run loop (the faults_overhead entry's extra_allocs_op metric). The
 // disabled path's whole budget is the one Controller allocation per run plus
 // slack for runtime-internal allocations landing inside the measurement
 // window; an allocation creeping into the per-arrival fault guards would
@@ -483,7 +483,7 @@ func benchTraceOverhead(b *testing.B) {
 }
 
 // benchFaultsOverhead prices the fault-injection layer's disabled path: the
-// same open-loop baldur cell runs b.N times through the plain netsim.Run
+// same open-loop baldur cell runs b.N times through the plain Network.Run
 // loop and b.N times through faults.Run with an empty script, and the
 // allocation difference per run is reported as extra_allocs_op. The ns/op of
 // this entry covers both phases and is not gated; -check gates
@@ -518,7 +518,7 @@ func benchFaultsOverhead(b *testing.B) {
 		runtime.ReadMemStats(&after)
 		return float64(after.Mallocs-before.Mallocs) / float64(b.N)
 	}
-	plain := measure(func(net netsim.Network) { netsim.Run(net, deadline) })
+	plain := measure(func(net netsim.Network) { net.Run(deadline) })
 	scripted := measure(func(net netsim.Network) {
 		ctrl := faults.NewController(faults.Script{})
 		if _, err := faults.Run(net, ctrl, faults.RunOptions{Deadline: deadline}); err != nil {
@@ -585,7 +585,7 @@ func benchWorkloadOverhead(b *testing.B) {
 			}
 			ol.Start(net)
 			runtime.ReadMemStats(&before)
-			netsim.Run(net, deadline)
+			net.Run(deadline)
 			runtime.ReadMemStats(&after)
 			total += after.Mallocs - before.Mallocs
 		}

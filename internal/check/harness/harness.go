@@ -134,7 +134,7 @@ func Run(cfg check.FuzzConfig, shards int, audit bool, skew uint64) (Result, err
 	fp.Samples = col.Samples()
 	fp.AvgNS = col.AvgNS()
 	fp.TailNS = col.TailNS()
-	fp.Events = netsim.Events(net)
+	fp.Events = net.Events()
 	fp.Finished = !more
 	res := Result{FP: fp}
 	if aud != nil {

@@ -81,6 +81,7 @@ func TestAckPriorityMatters(t *testing.T) {
 	}
 	ol.Start(n)
 	n.Engine().Run()
+	n.SyncStats()
 	if n.Stats.AckLatency.N() == 0 {
 		t.Fatal("no ACK latencies recorded")
 	}

@@ -159,7 +159,8 @@ type Stats struct {
 	// MaxRetxBufBytes is the high-water mark of any node's unACKed
 	// buffer (the paper provisions 1 MB; measures 536 KB at load 0.7).
 	MaxRetxBufBytes int
-	// AckLatency collects ACK round-trip times (ns) for diagnostics.
+	// AckLatency collects ACK round-trip times (ns) for diagnostics, merged
+	// from the per-NIC moments in node order by SyncStats (which Run calls).
 	AckLatency stats.Running
 }
 
@@ -172,8 +173,7 @@ func (s *Stats) DataDropRate() float64 {
 	return float64(s.DataDrops) / float64(s.DataAttempts)
 }
 
-// Network is a Baldur network instance. It implements netsim.Network and
-// netsim.Sharded.
+// Network is a Baldur network instance. It implements netsim.Network.
 type Network struct {
 	cfg Config
 	se  *sim.ShardedEngine

@@ -281,12 +281,7 @@ func (c *nic) receive(p *netsim.Packet, at sim.Time) {
 						data.ID, int32(data.Src), int32(data.Dst), -1, 0)
 				}
 			}
-			lat := float64(at.Sub(data.Created).Nanoseconds())
-			c.ackLat.Add(lat)
-			// Keep the legacy live aggregate for serial callers that read
-			// Stats without SyncStats; overwritten by the node-order merge
-			// whenever SyncStats runs.
-			c.sh.stats.AckLatency.Add(lat)
+			c.ackLat.Add(float64(at.Sub(data.Created).Nanoseconds()))
 		} else if aud := c.sh.aud; aud != nil {
 			// Late ACK for a sequence already cleared: the duplicate
 			// delivery's redundant ACK.

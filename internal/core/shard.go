@@ -12,8 +12,10 @@ import (
 // touches — nothing here is shared between shards during an epoch.
 //
 // With Shards <= 1 there is a single shard holding the whole network, and
-// its stats pointer aliases Network.Stats so legacy serial callers (tests
-// driving Engine().Run() directly) observe counters live.
+// its stats pointer aliases Network.Stats, so serial callers driving
+// Engine().Run() directly observe the packet counters live. The ACK
+// round-trip moments are kept per NIC and reach Network.Stats only through
+// SyncStats, which Run calls.
 type coreShard struct {
 	sh      *sim.Shard
 	stats   *Stats
@@ -35,29 +37,29 @@ type coreShard struct {
 
 // Run dispatches all events up to and including deadline across every
 // shard, folds per-shard statistics into n.Stats, and reports whether
-// events remain queued (netsim.Sharded).
+// events remain queued (netsim.Network).
 func (n *Network) Run(deadline sim.Time) bool {
 	more := n.se.RunUntil(deadline)
 	n.SyncStats()
 	return more
 }
 
-// Events returns the total number of dispatched events (netsim.Sharded).
+// Events returns the total number of dispatched events.
 func (n *Network) Events() uint64 { return n.se.Executed() }
 
 // Epochs returns the number of barrier rounds executed so far (0 when
 // serial).
 func (n *Network) Epochs() uint64 { return n.se.Epochs }
 
-// NumShards returns the shard count K (netsim.Sharded).
+// NumShards returns the shard count K.
 func (n *Network) NumShards() int { return n.se.NumShards() }
 
-// NodeShard returns the shard owning a node's NIC (netsim.Sharded).
+// NodeShard returns the shard owning a node's NIC.
 func (n *Network) NodeShard(node int) int { return n.nics[node].sh.sh.ID }
 
 // ScheduleNode schedules ev on node's shard with the node's deterministic
-// tie-break key (netsim.Sharded). Call it before the run starts or from an
-// event already executing on that node's shard.
+// tie-break key. Call it before the run starts or from an event already
+// executing on that node's shard.
 func (n *Network) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 	c := &n.nics[node]
 	c.eng.ScheduleKey(t, c.act.Next(), ev)

@@ -504,29 +504,29 @@ func (n *engine) OnDeliver(fn func(p *netsim.Packet, at sim.Time)) {
 
 // Run dispatches all events up to and including deadline across every
 // shard, folds per-shard statistics, and reports whether events remain
-// queued (netsim.Sharded).
+// queued (netsim.Network).
 func (n *engine) Run(deadline sim.Time) bool {
 	more := n.se.RunUntil(deadline)
 	n.SyncStats()
 	return more
 }
 
-// Events returns the total number of dispatched events (netsim.Sharded).
+// Events returns the total number of dispatched events.
 func (n *engine) Events() uint64 { return n.se.Executed() }
 
 // Epochs returns the number of barrier rounds executed so far (0 when
 // serial).
 func (n *engine) Epochs() uint64 { return n.se.Epochs }
 
-// NumShards returns the shard count K (netsim.Sharded).
+// NumShards returns the shard count K.
 func (n *engine) NumShards() int { return n.se.NumShards() }
 
-// NodeShard returns the shard owning a node's NIC (netsim.Sharded).
+// NodeShard returns the shard owning a node's NIC.
 func (n *engine) NodeShard(node int) int { return n.nics[node].sh.sh.ID }
 
 // ScheduleNode schedules ev on node's shard with the node's deterministic
-// tie-break key (netsim.Sharded). Call it before the run starts or from an
-// event already executing on that node's shard.
+// tie-break key. Call it before the run starts or from an event already
+// executing on that node's shard.
 func (n *engine) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 	nic := &n.nics[node]
 	nic.eng.ScheduleKey(t, nic.act.Next(), ev)

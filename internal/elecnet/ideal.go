@@ -63,6 +63,26 @@ func (n *Ideal) Ledger() netsim.Ledger {
 	return netsim.Ledger{Injected: n.Injected, Delivered: n.Delivered}
 }
 
+// Run dispatches every event up to and including deadline and reports
+// whether events remain (netsim.Network). The ideal network is one shard.
+func (n *Ideal) Run(deadline sim.Time) bool { return n.eng.RunUntil(deadline) }
+
+// Events returns the number of dispatched events.
+func (n *Ideal) Events() uint64 { return n.eng.Executed }
+
+// Epochs returns 0: a single shard has no barriers.
+func (n *Ideal) Epochs() uint64 { return 0 }
+
+// NumShards returns 1.
+func (n *Ideal) NumShards() int { return 1 }
+
+// NodeShard returns 0, the only shard.
+func (n *Ideal) NodeShard(int) int { return 0 }
+
+// ScheduleNode schedules ev at t on the engine's FIFO path: with one shard
+// and no per-node actors, scheduling order is the tie-break.
+func (n *Ideal) ScheduleNode(_ int, t sim.Time, ev sim.Event) { n.eng.Schedule(t, ev) }
+
 // Send delivers the packet exactly 200 ns later, no queueing, no drops.
 func (n *Ideal) Send(src, dst, size int) *netsim.Packet {
 	n.nextID++

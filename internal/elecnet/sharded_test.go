@@ -29,12 +29,12 @@ func runShardedElec(t *testing.T, net netsim.Network, seed uint64) eshardResult 
 		Seed:           seed + 1,
 	}
 	ol.Start(net)
-	if more := netsim.Run(net, sim.Time(5*sim.Millisecond)); more {
+	if more := net.Run(sim.Time(5 * sim.Millisecond)); more {
 		t.Fatal("run hit the horizon")
 	}
 	return eshardResult{
 		stats:     net.(interface{ netStats() NetStats }).netStats(),
-		events:    netsim.Events(net),
+		events:    net.Events(),
 		delivered: col.Delivered(),
 		avgNS:     col.AvgNS(),
 		tailNS:    col.TailNS(),
@@ -54,7 +54,7 @@ func checkShardedElec(t *testing.T, name string, build func(shards int) netsim.N
 	}
 	for _, k := range []int{2, 4} {
 		net := build(k)
-		if got := netsim.NumShards(net); got < 2 {
+		if got := net.NumShards(); got < 2 {
 			t.Fatalf("%s shards=%d: partition produced %d shards", name, k, got)
 		}
 		got := runShardedElec(t, net, seed)

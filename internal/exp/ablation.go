@@ -32,187 +32,134 @@ type AblationRow struct {
 	Comments string
 }
 
-// Ablations runs the full suite at the given scale. The five ablations are
-// independent simulations, so they fan out through the shared worker pool;
-// the returned rows keep the fixed order above.
+// Ablations runs the full suite at the given scale. Each side of each pair
+// is one open-loop cell run through cell.run, so it honours sc's shards,
+// audit and telemetry like every other cell. The ten cells are independent
+// simulations and fan out through the shared worker pool; the returned rows
+// keep the fixed order above.
 func Ablations(sc Scale) ([]AblationRow, error) {
-	// 1. Wiring randomization (raw drop rate, transpose @0.7).
-	drop := func(regular bool) (float64, error) {
-		n, err := core.New(core.Config{
-			Nodes: sc.Nodes, Multiplicity: 4, Seed: sc.Seed,
-			DisableRetransmit: true, RegularWiring: regular,
-		})
+	// baldur runs ol as one cell of sc on the Baldur variant cfg selects.
+	baldur := func(sc Scale, label string, cfg core.Config, ol traffic.OpenLoop) (Point, netsim.Ledger, error) {
+		cfg.Nodes, cfg.Seed, cfg.Shards = sc.Nodes, sc.Seed, sc.Shards
+		n, err := core.New(cfg)
 		if err != nil {
-			return 0, err
+			return Point{}, netsim.Ledger{}, err
 		}
-		ol := traffic.OpenLoop{
-			Pattern: traffic.Transpose(sc.Nodes), Load: 0.7,
-			PacketsPerNode: sc.PacketsPerNode, Seed: sc.Seed + 9,
-		}
-		ol.Start(n)
-		n.Engine().RunUntil(sc.maxSim())
-		return n.Stats.DataDropRate() * 100, nil
+		p, err := sc.runOpenLoopOn(n, label, ol)
+		return p, n.Ledger(), err
 	}
-	wiringJob := func() (AblationRow, error) {
-		randomPct, err := drop(false)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		regularPct, err := drop(true)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		return AblationRow{
+	transpose := traffic.OpenLoop{
+		Pattern: traffic.Transpose(sc.Nodes), Load: 0.7,
+		PacketsPerNode: sc.PacketsPerNode, Seed: sc.Seed + 9,
+	}
+	suite := []struct {
+		row AblationRow
+		// side measures side A (b false) or side B (b true) of the pair.
+		side func(label string, b bool) (float64, error)
+	}{{
+		// 1. Wiring randomization (raw drop rate, transpose @0.7).
+		AblationRow{
 			Name: "wiring", Variant: "random vs regular butterfly",
-			MetricA: "random drop%", ValueA: randomPct,
-			MetricB: "regular drop%", ValueB: regularPct,
+			MetricA: "random drop%", MetricB: "regular drop%",
 			Comments: "transpose @0.7: expansion makes worst-case permutations benign",
-		}, nil
-	}
-
-	// 2. BEB (goodput at a fixed horizon under hotspot).
-	beb := func(disable bool) (float64, error) {
-		n, err := core.New(core.Config{
-			Nodes: sc.Nodes, Multiplicity: 2, Seed: sc.Seed, DisableBEB: disable,
-		})
-		if err != nil {
-			return 0, err
-		}
-		ol := traffic.OpenLoop{
-			Pattern: traffic.Hotspot(sc.Nodes, 0), Load: 0.7,
-			PacketsPerNode: sc.PacketsPerNode / 4, Seed: sc.Seed + 17,
-		}
-		ol.Start(n)
-		n.Engine().RunUntil(sim.Time(2 * sim.Millisecond))
-		return float64(n.Stats.Delivered), nil
-	}
-	bebJob := func() (AblationRow, error) {
-		withBEB, err := beb(false)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		withoutBEB, err := beb(true)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		return AblationRow{
+		},
+		func(label string, regular bool) (float64, error) {
+			p, _, err := baldur(sc, label, core.Config{
+				Multiplicity: 4, DisableRetransmit: true, RegularWiring: regular,
+			}, transpose)
+			return p.DropRate * 100, err
+		},
+	}, {
+		// 2. BEB (goodput at a fixed horizon under hotspot).
+		AblationRow{
 			Name: "beb", Variant: "backoff on vs off",
-			MetricA: "goodput with", ValueA: withBEB,
-			MetricB: "goodput without", ValueB: withoutBEB,
+			MetricA: "goodput with", MetricB: "goodput without",
 			Comments: "hotspot @0.7, 2 ms horizon: BEB prevents congestion collapse",
-		}, nil
-	}
-
-	// 3. Dragonfly routing.
-	dfly := func(routing string) (float64, error) {
-		n, err := elecnet.NewDragonfly(elecnet.DragonflyConfig{
-			P: sc.DragonflyP, Seed: sc.Seed, Routing: routing,
-		})
-		if err != nil {
-			return 0, err
-		}
-		var c netsim.Collector
-		c.Attach(n)
-		group := 2 * sc.DragonflyP * sc.DragonflyP
-		ol := traffic.OpenLoop{
-			Pattern: traffic.GroupPermutation(n.NumNodes(), group, sc.Seed+5),
-			Load:    0.7, PacketsPerNode: sc.PacketsPerNode, Seed: sc.Seed + 3,
-		}
-		ol.Start(n)
-		n.Engine().RunUntil(sc.maxSim())
-		return c.AvgNS(), nil
-	}
-	dflyJob := func() (AblationRow, error) {
-		ugalNS, err := dfly("ugal")
-		if err != nil {
-			return AblationRow{}, err
-		}
-		minimalNS, err := dfly("minimal")
-		if err != nil {
-			return AblationRow{}, err
-		}
-		return AblationRow{
+		},
+		func(label string, disable bool) (float64, error) {
+			hs := sc
+			hs.MaxSimTime = 2 * sim.Millisecond
+			_, l, err := baldur(hs, label, core.Config{Multiplicity: 2, DisableBEB: disable}, traffic.OpenLoop{
+				Pattern: traffic.Hotspot(sc.Nodes, 0), Load: 0.7,
+				PacketsPerNode: sc.PacketsPerNode / 4, Seed: sc.Seed + 17,
+			})
+			return float64(l.Delivered), err
+		},
+	}, {
+		// 3. Dragonfly routing.
+		AblationRow{
 			Name: "dragonfly-routing", Variant: "ugal vs minimal",
-			MetricA: "ugal avg ns", ValueA: ugalNS,
-			MetricB: "minimal avg ns", ValueB: minimalNS,
+			MetricA: "ugal avg ns", MetricB: "minimal avg ns",
 			Comments: "group permutation @0.7: the baseline needs its adaptivity",
-		}, nil
-	}
-
-	// 4. Multiplicity (latency with the protocol on).
-	mult := func(m int) (float64, error) {
-		n, err := core.New(core.Config{Nodes: sc.Nodes, Multiplicity: m, Seed: sc.Seed})
-		if err != nil {
-			return 0, err
-		}
-		var c netsim.Collector
-		c.Attach(n)
-		ol := traffic.OpenLoop{
-			Pattern: traffic.Transpose(sc.Nodes), Load: 0.7,
-			PacketsPerNode: sc.PacketsPerNode, Seed: sc.Seed + 9,
-		}
-		ol.Start(n)
-		n.Engine().RunUntil(sc.maxSim())
-		return c.AvgNS(), nil
-	}
-	multJob := func() (AblationRow, error) {
-		m1NS, err := mult(1)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		m4NS, err := mult(4)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		return AblationRow{
+		},
+		func(label string, minimal bool) (float64, error) {
+			routing := "ugal"
+			if minimal {
+				routing = "minimal"
+			}
+			n, err := elecnet.NewDragonfly(elecnet.DragonflyConfig{
+				P: sc.DragonflyP, Seed: sc.Seed, Routing: routing, Shards: sc.Shards,
+			})
+			if err != nil {
+				return 0, err
+			}
+			group := 2 * sc.DragonflyP * sc.DragonflyP
+			p, err := sc.runOpenLoopOn(n, label, traffic.OpenLoop{
+				Pattern: traffic.GroupPermutation(n.NumNodes(), group, sc.Seed+5),
+				Load:    0.7, PacketsPerNode: sc.PacketsPerNode, Seed: sc.Seed + 3,
+			})
+			return p.AvgNS, err
+		},
+	}, {
+		// 4. Multiplicity (latency with the protocol on).
+		AblationRow{
 			Name: "multiplicity", Variant: "m=1 vs m=4",
-			MetricA: "m1 avg ns", ValueA: m1NS,
-			MetricB: "m4 avg ns", ValueB: m4NS,
+			MetricA: "m1 avg ns", MetricB: "m4 avg ns",
 			Comments: "transpose @0.7 with retransmission: drops dominate at m=1",
-		}, nil
-	}
-
-	// 5. Link-rate headroom.
-	rate := func(bps float64) (float64, error) {
-		n, err := core.New(core.Config{Nodes: sc.Nodes, Seed: sc.Seed, LinkRate: bps})
-		if err != nil {
-			return 0, err
-		}
-		var c netsim.Collector
-		c.Attach(n)
-		ol := traffic.OpenLoop{
-			Pattern: traffic.RandomPermutation(sc.Nodes, sc.Seed+2), Load: 0.5,
-			PacketsPerNode: sc.PacketsPerNode, Seed: sc.Seed + 2,
-		}
-		ol.Start(n)
-		n.Engine().RunUntil(sc.maxSim())
-		return c.AvgNS(), nil
-	}
-	rateJob := func() (AblationRow, error) {
-		at25, err := rate(25e9)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		at400, err := rate(400e9)
-		if err != nil {
-			return AblationRow{}, err
-		}
-		return AblationRow{
+		},
+		func(label string, m4 bool) (float64, error) {
+			m := 1
+			if m4 {
+				m = 4
+			}
+			p, _, err := baldur(sc, label, core.Config{Multiplicity: m}, transpose)
+			return p.AvgNS, err
+		},
+	}, {
+		// 5. Link-rate headroom.
+		AblationRow{
 			Name: "link-rate", Variant: "25G vs 400G",
-			MetricA: "avg ns @25G", ValueA: at25,
-			MetricB: "avg ns @400G", ValueB: at400,
+			MetricA: "avg ns @25G", MetricB: "avg ns @400G",
 			Comments: "switching stays 1.5 ns/stage; latency approaches the 200 ns fiber floor",
-		}, nil
-	}
+		},
+		func(label string, fast bool) (float64, error) {
+			bps := 25e9
+			if fast {
+				bps = 400e9
+			}
+			p, _, err := baldur(sc, label, core.Config{LinkRate: bps}, traffic.OpenLoop{
+				Pattern: traffic.RandomPermutation(sc.Nodes, sc.Seed+2), Load: 0.5,
+				PacketsPerNode: sc.PacketsPerNode, Seed: sc.Seed + 2,
+			})
+			return p.AvgNS, err
+		},
+	}}
 
-	jobs := []func() (AblationRow, error){wiringJob, bebJob, dflyJob, multJob, rateJob}
-	rows := make([]AblationRow, len(jobs))
-	err := runParallel(len(jobs), sc.workers(), func(i int) error {
-		r, err := jobs[i]()
+	rows := make([]AblationRow, len(suite))
+	for i := range suite {
+		rows[i] = suite[i].row
+	}
+	err := runParallel(2*len(suite), sc.workers(), func(i int) error {
+		a, b := &suite[i/2], i%2 == 1
+		v, err := a.side(fmt.Sprintf("ablation-%s-%c", a.row.Name, "AB"[i%2]), b)
 		if err != nil {
 			return err
 		}
-		rows[i] = r
+		if b {
+			rows[i/2].ValueB = v
+		} else {
+			rows[i/2].ValueA = v
+		}
 		return nil
 	})
 	if err != nil {

@@ -6,13 +6,7 @@ import (
 )
 
 func TestAblationsSuite(t *testing.T) {
-	// The wiring ablation needs a scale where the regular butterfly's
-	// transpose congestion is visible (sqrt(N) flows per switch must
-	// exceed the multiplicity), so run at 256 nodes.
-	sc := Quick
-	sc.Nodes = 256
-	sc.PacketsPerNode = 60
-	rows, err := Ablations(sc)
+	rows, err := Ablations(ablationScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,3 +88,16 @@ func TestRunTraceAudited(t *testing.T) {
 		}
 	}
 }
+
+// TestTable5AndAblationsAudited runs Table V serially and the ablation
+// suite sharded with the invariant-audit layer armed: every variant cell
+// must pass its checkpoints and measure exactly what an unaudited serial
+// run does.
+func TestTable5AndAblationsAudited(t *testing.T) {
+	audited := func(sc Scale) Scale {
+		sc.Audit = &check.Options{}
+		return sc
+	}
+	sameRows(t, "table5", Table5, Quick, audited(Quick))
+	sameRows(t, "ablations", Ablations, ablationScale(), audited(withShards(ablationScale(), 2)))
+}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"reflect"
 	"testing"
 
 	"baldur/internal/netsim"
@@ -55,6 +56,54 @@ var goldTrace = map[string][]goldPoint{
 	},
 }
 
+// goldTable5 pins Table V at Quick scale, seed 1: the gate-count and
+// switch-latency models are the paper's published columns, and the measured
+// drop rates (transpose @0.7, retransmission off) are the packet engine's.
+var goldTable5 = []struct {
+	gates     int
+	latencyNS float64
+	dropPct   float64
+}{
+	{64, 0.14000000000000001, 47.678571428571431},
+	{300, 0.48999999999999999, 4.9285714285714288},
+	{642, 0.93999999999999995, 0.3392857142857143},
+	{1112, 1.5, 0},
+	{1710, 2.25, 0},
+}
+
+// ablationScale is the scale the ablation tests run at: the wiring
+// ablation needs 256 nodes for the regular butterfly's transpose
+// congestion to show (sqrt(N) flows per switch must exceed the
+// multiplicity).
+func ablationScale() Scale {
+	sc := Quick
+	sc.Nodes = 256
+	sc.PacketsPerNode = 60
+	return sc
+}
+
+func withShards(sc Scale, k int) Scale {
+	sc.Shards = k
+	return sc
+}
+
+// sameRows runs a row-producing experiment at ref and at sc and requires
+// identical rows: sharding and auditing change wall time, never answers.
+func sameRows[R any](t *testing.T, name string, run func(Scale) ([]R, error), ref, sc Scale) {
+	t.Helper()
+	want, err := run(ref)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	got, err := run(sc)
+	if err != nil {
+		t.Fatalf("%s shards=%d audited=%t: %v", name, sc.Shards, sc.Audit != nil, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s shards=%d audited=%t diverged:\n got %+v\nwant %+v", name, sc.Shards, sc.Audit != nil, got, want)
+	}
+}
+
 func checkGold(t *testing.T, label string, p Point, g goldPoint) {
 	t.Helper()
 	if p.AvgNS != g.avgNS || p.TailNS != g.tailNS || p.DropRate != g.drop {
@@ -103,6 +152,20 @@ func TestSeededReplayGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGold(t, "ping_pong1", p, goldPoint{"baldur", 373.13999999999987, 374.80593816208005, 0})
+	rows, err := Table5(Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(goldTable5) {
+		t.Fatalf("table5: %d rows, want %d", len(rows), len(goldTable5))
+	}
+	for i, g := range goldTable5 {
+		r := rows[i]
+		if r.Multiplicity != i+1 || r.Gates != g.gates || r.LatencyNS != g.latencyNS || r.DropRatePct != g.dropPct {
+			t.Errorf("table5 m=%d: got gates=%d latency=%.17g drop=%.17g, want gates=%d latency=%.17g drop=%.17g",
+				i+1, r.Gates, r.LatencyNS, r.DropRatePct, g.gates, g.latencyNS, g.dropPct)
+		}
+	}
 	for _, wl := range []string{"AMG", "FB"} {
 		for _, g := range goldTrace[wl] {
 			p, err := RunTrace(g.network, wl, Quick)
@@ -147,6 +210,10 @@ func TestShardCountInvariant(t *testing.T) {
 			}
 		}
 	}
+	// Table V and the ablations build their own network variants; they
+	// shard through the same cell path.
+	sameRows(t, "table5", Table5, Quick, withShards(Quick, 2))
+	sameRows(t, "ablations", Ablations, ablationScale(), withShards(ablationScale(), 2))
 	// The remaining electrical baselines get one lighter check each.
 	for _, network := range []string{"multibutterfly", "fattree"} {
 		ref, err := RunOpenLoop(network, "transpose", 0.5, Quick)

@@ -289,7 +289,7 @@ func (c *cell) point(network string) Point {
 		AvgNS:    c.col.AvgNS(),
 		TailNS:   c.col.TailNS(),
 		Finished: !c.more,
-		Events:   netsim.Events(c.net),
+		Events:   c.net.Events(),
 	}
 	if l := c.net.Ledger(); l.DataAttempts > 0 {
 		p.DropRate = float64(l.DataDrops) / float64(l.DataAttempts)
@@ -322,7 +322,7 @@ func attachTelemetry(net netsim.Network, opts telemetry.Options, label string) *
 	if opts.Label == "" {
 		opts.Label = label
 	}
-	tel := telemetry.New(opts, netsim.NumShards(net))
+	tel := telemetry.New(opts, net.NumShards())
 	in.AttachTelemetry(tel)
 	return tel
 }
@@ -424,6 +424,25 @@ func pingPong(pat *traffic.Pattern, sc Scale) func(netsim.Network) error {
 	}
 }
 
+// runOpenLoopOn runs ol on net as one open-loop cell of sc and returns its
+// Point. Table V and the ablations use it for the network variants that
+// harness.Build's name switch does not cover and for their own pattern
+// seeds; the cell honours sc's shards (through the variant's config),
+// audit, telemetry, warmup and horizon like every other cell.
+func (sc Scale) runOpenLoopOn(net netsim.Network, label string, ol traffic.OpenLoop) (Point, error) {
+	var col netsim.Collector
+	c := sc.newCell(net, &col, label, func(n netsim.Network) error {
+		ol.Start(n)
+		return nil
+	})
+	var p Point
+	err := c.run(func() error {
+		p = c.point(label)
+		return nil
+	})
+	return p, err
+}
+
 // runOpenLoopCell measures one (network, pattern, load) cell into col,
 // whose sample and histogram allocations are reused across calls (series
 // runners sweep five loads through one collector). It also returns the
@@ -445,7 +464,7 @@ func runOpenLoopCell(col *netsim.Collector, network, pattern string, load float6
 		if last := col.LastDelivery(); last > 0 {
 			d.ThroughputPPS = float64(col.Delivered()) / sim.Duration(last).Seconds()
 		}
-		d.Epochs = netsim.Epochs(net)
+		d.Epochs = net.Epochs()
 		d.Telemetry = c.drive.Tel
 		return nil
 	})

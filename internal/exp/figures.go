@@ -69,20 +69,20 @@ func Table5(sc Scale) ([]Table5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		pat := traffic.Transpose(n.NumNodes())
-		ol := traffic.OpenLoop{
-			Pattern:        pat,
+		p, err := sc.runOpenLoopOn(n, fmt.Sprintf("table5-m%d", m), traffic.OpenLoop{
+			Pattern:        traffic.Transpose(n.NumNodes()),
 			Load:           0.7,
 			PacketsPerNode: sc.PacketsPerNode,
 			Seed:           sc.Seed + 55,
+		})
+		if err != nil {
+			return nil, err
 		}
-		ol.Start(n)
-		n.Run(sc.maxSim())
 		rows = append(rows, Table5Row{
 			Multiplicity: m,
 			Gates:        tl.GatesPerSwitch(m),
 			LatencyNS:    tl.SwitchLatencyNS(m),
-			DropRatePct:  n.Stats.DataDropRate() * 100,
+			DropRatePct:  p.DropRate * 100,
 			PaperDropPct: tl.PaperDropRatePct(m),
 			SwitchPowerW: tl.SwitchPowerW(m),
 		})

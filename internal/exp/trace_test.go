@@ -190,7 +190,7 @@ func TestTraceAuditUnderFaultsWithRetransmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := telemetry.New(telemetry.Options{FlightRecords: 1 << 17, TraceSample: 1}, netsim.NumShards(net))
+	tel := telemetry.New(telemetry.Options{FlightRecords: 1 << 17, TraceSample: 1}, net.NumShards())
 	net.(netsim.Instrumented).AttachTelemetry(tel)
 	aud := check.New(check.Options{})
 	net.(netsim.Audited).AttachAudit(aud)

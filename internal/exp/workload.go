@@ -72,7 +72,7 @@ func RunWorkload(network string, spec workload.Spec, sc Scale) (*SLOReport, erro
 			Delivered:       col.Delivered(),
 			IncompleteFlows: drv.IncompleteFlows(),
 			Finished:        !c.more,
-			Events:          netsim.Events(net),
+			Events:          net.Events(),
 		}
 		if arrived != admitted+rejected {
 			return fmt.Errorf("exp: %s workload %q: ledger mismatch: arrived %d != admitted %d + rejected %d",

@@ -99,6 +99,11 @@ func TestCompileValidation(t *testing.T) {
 		{Flaps: []FlapSpec{{Target: TargetSpec{Kind: "switch"}, PeriodUS: 5, Duty: 0}}},
 		{Bursts: []BurstSpec{{Kind: "node", K: 5, AMax: 2}}}, // k > box
 		{Bursts: []BurstSpec{{Kind: "node", K: 0, AMax: 2}}},
+		{Flaps: []FlapSpec{{Target: TargetSpec{Kind: "node"}, PeriodUS: 1, Duty: 1, Count: -1}}},
+		// Sizes past the script bound, and a box whose area overflows int.
+		{Flaps: []FlapSpec{{Target: TargetSpec{Kind: "node"}, PeriodUS: 1, Duty: 1, Count: 1 << 40}}},
+		{Bursts: []BurstSpec{{Kind: "node", K: 1 << 40, AMax: 1 << 41}}},
+		{Bursts: []BurstSpec{{Kind: "link", K: 4, AMax: 1<<62 + 1, BMax: 4}}},
 	}
 	for i, spec := range bad {
 		if _, err := spec.Compile(1); err == nil {

@@ -109,7 +109,7 @@ func (c *Controller) applyIncast(net netsim.Network, ev Event, now sim.Time) err
 	at := now.Add(sim.Nanosecond)
 	for i := 0; i < srcs; i++ {
 		src := (ev.A + 1 + i) % nodes
-		netsim.ScheduleNode(net, src, at, &incastSender{
+		net.ScheduleNode(src, at, &incastSender{
 			net: net, src: src, dst: ev.A, count: pkts, size: c.PacketSize,
 		})
 	}

@@ -3,6 +3,7 @@ package faults
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"baldur/internal/sim"
@@ -105,6 +106,11 @@ func killFor(kind string) (Action, error) {
 // restoreOf maps a kill action to its restoration.
 func restoreOf(kill Action) Action { return kill + 1 }
 
+// maxScriptEvents bounds the events one compiled script may hold, so a
+// flap count or burst size typed a few digits too long is refused instead
+// of exhausting memory.
+const maxScriptEvents = 1 << 20
+
 // Compile expands the spec into a flat, time-sorted Script. The sort is
 // stable, so simultaneous events apply in spec order; all randomness (burst
 // victim sets) comes from seed.
@@ -151,6 +157,10 @@ func (s ScriptSpec) Compile(seed uint64) (Script, error) {
 		if count == 0 {
 			count = 1
 		}
+		if count < 0 || count > (maxScriptEvents-len(evs))/2 {
+			return Script{}, fmt.Errorf("faults: script %q flap %d: count %d outside [0, %d]",
+				s.Name, i, f.Count, (maxScriptEvents-len(evs))/2)
+		}
 		for c := 0; c < count; c++ {
 			down := f.StartUS + float64(c)*f.PeriodUS
 			evs = append(evs, Event{At: usTime(down), Action: kill, A: f.Target.A, B: f.Target.B})
@@ -167,9 +177,13 @@ func (s ScriptSpec) Compile(seed uint64) (Script, error) {
 		if bmax < 1 {
 			bmax = 1
 		}
-		if b.AMax < 1 || b.K < 1 || b.K > b.AMax*bmax {
+		if b.AMax < 1 || b.AMax > math.MaxInt/bmax || b.K < 1 || b.K > b.AMax*bmax {
 			return Script{}, fmt.Errorf("faults: script %q burst %d: k=%d outside box %d×%d",
 				s.Name, i, b.K, b.AMax, bmax)
+		}
+		if b.K > (maxScriptEvents-len(evs))/2 {
+			return Script{}, fmt.Errorf("faults: script %q burst %d: k=%d exceeds the %d-event script bound",
+				s.Name, i, b.K, maxScriptEvents)
 		}
 		// k distinct cells of the coordinate box, drawn from the burst's
 		// own forked stream so adding a burst does not shift its siblings.

@@ -68,13 +68,17 @@ type Packet struct {
 // OnDeliver) call this when taking a packet from their pool.
 func (p *Packet) Reset() { *p = Packet{} }
 
-// Network is a simulated interconnect. Implementations are externally
-// single-threaded: all calls must happen from the owning goroutine or from
-// within engine events.
+// Network is a simulated interconnect and the one run contract every
+// workload and experiment drives: Baldur (internal/core), the electrical
+// baselines and the ideal reference network (internal/elecnet) all
+// implement it, the serial-only ideal network as a single shard.
+// Implementations are externally single-threaded: all calls must happen
+// from the owning goroutine or from within engine events.
 type Network interface {
-	// Engine returns the event engine driving this network (the first
-	// shard's engine on sharded networks). Serial workload generators
-	// schedule their injections on it.
+	// Engine returns shard 0's event engine, which holds the whole
+	// network when serial. Workload generators schedule through
+	// ScheduleNode and runs go through Run; Engine serves the clock and
+	// the serial Engine().Run() idiom.
 	Engine() *sim.Engine
 	// NumNodes returns the number of server nodes.
 	NumNodes() int
@@ -89,19 +93,15 @@ type Network interface {
 	// Ledger returns the network's packet accounting as of the last
 	// barrier (the aggregate Run folds on sharded networks).
 	Ledger() Ledger
-}
-
-// Sharded is implemented by networks that support multi-shard parallel
-// execution (internal/core, internal/elecnet). Serial-only networks just
-// implement Network; the package-level helpers below fall back to the
-// engine for those.
-type Sharded interface {
-	Network
 	// Run dispatches all events up to and including deadline across every
 	// shard, folds per-shard statistics, and reports whether events remain.
 	Run(deadline sim.Time) bool
 	// Events returns the total number of dispatched events.
 	Events() uint64
+	// Epochs returns how many lockstep synchronization epochs the sharded
+	// engine has executed (0 for single-shard runs, where no barriers
+	// exist).
+	Epochs() uint64
 	// NumShards returns the shard count K (1 when serial).
 	NumShards() int
 	// NodeShard returns the shard owning a node's NIC.
@@ -197,7 +197,7 @@ type DriveOptions struct {
 // at the deadline; an error comes only from the timeline.
 func Drive(n Network, tl Timeline, opts DriveOptions) (bool, error) {
 	if tl == nil && opts.Tel == nil && opts.Aud == nil && opts.Observe == nil {
-		return Run(n, opts.Deadline), nil
+		return n.Run(opts.Deadline), nil
 	}
 	iv := opts.Interval
 	if iv == 0 {
@@ -230,9 +230,9 @@ func Drive(n Network, tl Timeline, opts DriveOptions) (bool, error) {
 		if t > opts.Deadline {
 			t = opts.Deadline
 		}
-		more := Run(n, t)
+		more := n.Run(t)
 		if opts.Tel != nil {
-			opts.Tel.Sample(t, Events(n), Epochs(n))
+			opts.Tel.Sample(t, n.Events(), n.Epochs())
 		}
 		drained := !more && (tl == nil || !tl.Pending())
 		if opts.Aud != nil {
@@ -258,58 +258,16 @@ func Drive(n Network, tl Timeline, opts DriveOptions) (bool, error) {
 	}
 }
 
-// Run drives n to the deadline: the sharded fast path when available,
-// otherwise the plain engine. It returns true if events remain queued.
-func Run(n Network, deadline sim.Time) bool {
-	if s, ok := n.(Sharded); ok {
-		return s.Run(deadline)
-	}
-	return n.Engine().RunUntil(deadline)
-}
+// Run is n.Run(deadline). Run, Events and Epochs forward to the Network
+// methods of the same name; they stay as package functions only because the
+// benchmark harness under bench/ calls them. Other code calls the methods.
+func Run(n Network, deadline sim.Time) bool { return n.Run(deadline) }
 
-// Events returns the number of events n has dispatched.
-func Events(n Network) uint64 {
-	if s, ok := n.(Sharded); ok {
-		return s.Events()
-	}
-	return n.Engine().Executed
-}
+// Events is n.Events().
+func Events(n Network) uint64 { return n.Events() }
 
-// NumShards returns n's shard count (1 for serial-only networks).
-func NumShards(n Network) int {
-	if s, ok := n.(Sharded); ok {
-		return s.NumShards()
-	}
-	return 1
-}
-
-// NodeShard returns the shard owning node (0 for serial-only networks).
-func NodeShard(n Network, node int) int {
-	if s, ok := n.(Sharded); ok {
-		return s.NodeShard(node)
-	}
-	return 0
-}
-
-// ScheduleNode schedules ev at t against node's shard. On serial-only
-// networks it uses the engine's FIFO path.
-func ScheduleNode(n Network, node int, t sim.Time, ev sim.Event) {
-	if s, ok := n.(Sharded); ok {
-		s.ScheduleNode(node, t, ev)
-		return
-	}
-	n.Engine().Schedule(t, ev)
-}
-
-// Epochs returns how many lockstep synchronization epochs n's sharded
-// engine has executed (0 for serial-only networks and single-shard runs,
-// where no barriers exist).
-func Epochs(n Network) uint64 {
-	if e, ok := n.(interface{ Epochs() uint64 }); ok {
-		return e.Epochs()
-	}
-	return 0
-}
+// Epochs is n.Epochs().
+func Epochs(n Network) uint64 { return n.Epochs() }
 
 // Collector accumulates the latency statistics the paper reports: average
 // and 99th-percentile ("tail") packet latency in nanoseconds.
@@ -352,7 +310,7 @@ type nodeAcc struct {
 // measured from packet creation (entering the source queue) to last-bit
 // delivery, the same definition CODES reports.
 func (c *Collector) Attach(n Network) {
-	k, nodes := NumShards(n), n.NumNodes()
+	k, nodes := n.NumShards(), n.NumNodes()
 	if len(c.shards) != k {
 		c.shards = make([]colShard, k)
 	} else {
@@ -371,7 +329,7 @@ func (c *Collector) Attach(n Network) {
 		}
 	}
 	for i := 0; i < nodes; i++ {
-		c.nodeShard[i] = int32(NodeShard(n, i))
+		c.nodeShard[i] = int32(n.NodeShard(i))
 	}
 	c.merged.Reset()
 	n.OnDeliver(func(p *Packet, at sim.Time) {
@@ -458,11 +416,11 @@ func (c *Collector) Merged() *stats.Histogram {
 // from, which is what the span-attribution invariant is checked against.
 // Attach before the run starts; call Verify/VerifyInto after it drains.
 func AttachSpanAudit(n Network) *check.SpanAudit {
-	a := check.NewSpanAudit(NumShards(n))
+	a := check.NewSpanAudit(n.NumShards())
 	nodes := n.NumNodes()
 	nodeShard := make([]int32, nodes)
 	for i := 0; i < nodes; i++ {
-		nodeShard[i] = int32(NodeShard(n, i))
+		nodeShard[i] = int32(n.NodeShard(i))
 	}
 	n.OnDeliver(func(p *Packet, at sim.Time) {
 		if !p.Traced {

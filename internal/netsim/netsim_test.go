@@ -22,6 +22,14 @@ func (f *fakeNet) Send(src, dst, size int) *Packet {
 }
 func (f *fakeNet) OnDeliver(fn func(*Packet, sim.Time)) { f.fns = append(f.fns, fn) }
 func (f *fakeNet) Ledger() Ledger                       { return Ledger{} }
+func (f *fakeNet) Run(deadline sim.Time) bool           { return f.eng.RunUntil(deadline) }
+func (f *fakeNet) Events() uint64                       { return f.eng.Executed }
+func (f *fakeNet) Epochs() uint64                       { return 0 }
+func (f *fakeNet) NumShards() int                       { return 1 }
+func (f *fakeNet) NodeShard(int) int                    { return 0 }
+func (f *fakeNet) ScheduleNode(_ int, t sim.Time, ev sim.Event) {
+	f.eng.Schedule(t, ev)
+}
 
 func (f *fakeNet) deliver(p *Packet, at sim.Time) {
 	for _, fn := range f.fns {

@@ -30,11 +30,10 @@ import (
 //
 // The zero value is not ready to use; call NewEngine.
 type Engine struct {
-	now    Time
-	seq    uint64
-	ats    []int64 // heap keys: timestamps, ordered by the 4-ary heap
-	ents   []entry // parallel payloads: FIFO sequence + event
-	halted bool
+	now  Time
+	seq  uint64
+	ats  []int64 // heap keys: timestamps, ordered by the 4-ary heap
+	ents []entry // parallel payloads: FIFO sequence + event
 
 	// Tie group being dispatched: entries sharing one timestamp, sorted
 	// by seq. bi indexes the next entry to dispatch.
@@ -45,6 +44,12 @@ type Engine struct {
 	// Executed counts events dispatched since construction; useful for
 	// reporting simulator throughput (events/sec) in benchmarks.
 	Executed uint64
+
+	// Pads the engine to two full cache lines. The shards of a sharded
+	// engine allocate their engines back to back, and each shard's
+	// goroutine writes its engine's fields on every dispatch; at 112 bytes
+	// neighbouring engines would share a line.
+	_ [16]byte
 }
 
 // Event is the unit of work. Run is invoked with the engine clock already
@@ -125,9 +130,6 @@ func (e *Engine) ScheduleKey(t Time, key uint64, ev Event) {
 	e.push(int64(t), entry{seq: key, ev: ev})
 }
 
-// Halt stops the run loop after the currently executing event returns.
-func (e *Engine) Halt() { e.halted = true }
-
 // peekAt returns the earliest pending timestamp; callers check Pending()>0.
 func (e *Engine) peekAt() Time {
 	if e.bi < len(e.batch) {
@@ -136,18 +138,19 @@ func (e *Engine) peekAt() Time {
 	return Time(e.ats[0])
 }
 
-// next removes and returns the earliest pending event, FIFO among ties.
-func (e *Engine) next() (Time, Event) {
+// next removes and returns the earliest pending event, FIFO among ties;
+// its timestamp is the one peekAt reported.
+func (e *Engine) next() Event {
 	if e.bi < len(e.batch) {
 		ev := e.batch[e.bi].ev
 		e.batch[e.bi].ev = nil
 		e.bi++
-		return e.batchAt, ev
+		return ev
 	}
 	at := e.ats[0]
 	en := e.pop()
 	if len(e.ats) == 0 || e.ats[0] != at {
-		return Time(at), en.ev // sole event at this timestamp
+		return en.ev // sole event at this timestamp
 	}
 	// Tie group: drain every entry at this timestamp and restore the
 	// order of their tie-break keys.
@@ -168,19 +171,29 @@ func (e *Engine) next() (Time, Event) {
 	ev := b[0].ev
 	b[0].ev = nil
 	e.batch, e.batchAt, e.bi = b, Time(at), 1
-	return Time(at), ev
+	return ev
 }
 
-// Run dispatches events until the queue drains or Halt is called. It returns
-// the final virtual time.
-func (e *Engine) Run() Time {
-	e.halted = false
-	for e.Pending() > 0 && !e.halted {
-		at, ev := e.next()
+// dispatch runs every pending event with timestamp <= last, including
+// those the running events schedule, and leaves later events queued. It is
+// the one dispatch loop behind Run, RunUntil and RunBefore.
+func (e *Engine) dispatch(last Time) {
+	for e.Pending() > 0 {
+		at := e.peekAt()
+		if at > last {
+			return
+		}
+		ev := e.next()
 		e.now = at
 		e.Executed++
 		ev.Run(e)
 	}
+}
+
+// Run dispatches events until the queue drains. It returns the final
+// virtual time.
+func (e *Engine) Run() Time {
+	e.dispatch(maxTime)
 	e.shrinkIfDrained()
 	return e.now
 }
@@ -189,17 +202,7 @@ func (e *Engine) Run() Time {
 // events queued, and advances the clock to exactly the deadline. It returns
 // true if the queue still holds events (i.e. the simulation was cut short).
 func (e *Engine) RunUntil(deadline Time) bool {
-	e.halted = false
-	for e.Pending() > 0 && !e.halted {
-		if e.peekAt() > deadline {
-			e.now = deadline
-			return true
-		}
-		at, ev := e.next()
-		e.now = at
-		e.Executed++
-		ev.Run(e)
-	}
+	e.dispatch(deadline)
 	if e.now < deadline {
 		e.now = deadline
 	}
@@ -212,18 +215,7 @@ func (e *Engine) RunUntil(deadline Time) bool {
 // to end when the queue drains early: the sharded engine owns the final
 // clock advance (AdvanceTo) so a shard that goes idle mid-epoch can still
 // accept mailbox deliveries timestamped inside the epoch.
-func (e *Engine) RunBefore(end Time) {
-	e.halted = false
-	for e.Pending() > 0 && !e.halted {
-		if e.peekAt() >= end {
-			return
-		}
-		at, ev := e.next()
-		e.now = at
-		e.Executed++
-		ev.Run(e)
-	}
-}
+func (e *Engine) RunBefore(end Time) { e.dispatch(end - 1) }
 
 // NextTime returns the earliest pending timestamp. Callers must check
 // Pending() > 0 first.

@@ -262,7 +262,7 @@ func (r *Replayer) Start() netsim.Timeline {
 	if r.Watchdog <= 0 {
 		return nil
 	}
-	return &watchdog{r: r, from: eng.Now(), executed: netsim.Events(r.net)}
+	return &watchdog{r: r, from: eng.Now(), executed: r.net.Events()}
 }
 
 // Stats reports the replay's outcome. A replay that neither completed nor
@@ -302,8 +302,8 @@ func (w *watchdog) ApplyDue(n netsim.Network, now sim.Time, _ *telemetry.Telemet
 	switch {
 	case w.r.progress != w.prog:
 		// The advance happened at or before now: restart the window here.
-		w.prog, w.from, w.executed = w.r.progress, now, netsim.Events(n)
-	case netsim.Events(n) == w.executed:
+		w.prog, w.from, w.executed = w.r.progress, now, n.Events()
+	case n.Events() == w.executed:
 		if eng.Pending() > 0 && eng.NextTime() > w.from {
 			w.from = eng.NextTime()
 		}

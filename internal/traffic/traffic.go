@@ -212,7 +212,7 @@ type OpenLoop struct {
 }
 
 // olInjector is one node's typed injection process. It lives on its source
-// node's shard (scheduled via netsim.ScheduleNode), so open-loop traffic
+// node's shard (scheduled via Network.ScheduleNode), so open-loop traffic
 // drives sharded networks without cross-shard Sends; the per-source RNG
 // keeps arrival times independent of every other node.
 type olInjector struct {
@@ -228,7 +228,7 @@ func (in *olInjector) Run(e *sim.Engine) {
 	in.net.Send(in.src, in.dst, in.size)
 	in.remaining--
 	if in.remaining > 0 {
-		netsim.ScheduleNode(in.net, in.src, e.Now().Add(in.rng.ExpDuration(in.mean)), in)
+		in.net.ScheduleNode(in.src, e.Now().Add(in.rng.ExpDuration(in.mean)), in)
 	}
 }
 
@@ -261,7 +261,7 @@ func (o *OpenLoop) Start(net netsim.Network) {
 			mean:      mean,
 			rng:       sim.NewRNG(o.Seed).Fork(uint64(src) + 1),
 		}
-		netsim.ScheduleNode(net, src, sim.Time(0).Add(in.rng.ExpDuration(mean)), in)
+		net.ScheduleNode(src, sim.Time(0).Add(in.rng.ExpDuration(mean)), in)
 	}
 }
 
@@ -292,7 +292,7 @@ func (s *ppStarter) Run(*sim.Engine) {
 
 // Start wires the driver to the network. Call before running the engine.
 // Both the opening sends and the replies execute on the owning node's
-// shard: starters go through netsim.ScheduleNode and the delivery callback
+// shard: starters go through Network.ScheduleNode and the delivery callback
 // runs where the packet lands, touching only that node's round counter.
 func (p *PingPong) Start(net netsim.Network) {
 	size := p.PacketSize
@@ -316,7 +316,7 @@ func (p *PingPong) Start(net netsim.Network) {
 	for src := 0; src < net.NumNodes(); src++ {
 		if dst := p.Pattern.Dest[src]; dst != -1 {
 			st := &ppStarter{net: net, src: src, dst: dst, size: size, remaining: remaining}
-			netsim.ScheduleNode(net, src, 0, st)
+			net.ScheduleNode(src, 0, st)
 		}
 	}
 }

@@ -105,10 +105,10 @@ func (d *Driver) Attach(net netsim.Network) error {
 	}
 	d.net = net
 	d.nodes = nodes
-	k := netsim.NumShards(net)
+	k := net.NumShards()
 	d.nodeShard = make([]int32, nodes)
 	for i := 0; i < nodes; i++ {
-		d.nodeShard[i] = int32(netsim.NodeShard(net, i))
+		d.nodeShard[i] = int32(net.NodeShard(i))
 	}
 	d.perShard = make([]shardAcc, k)
 	for s := range d.perShard {
@@ -161,7 +161,7 @@ func (d *Driver) Attach(net netsim.Network) error {
 				rng:    sim.NewRNG(tseed).Fork(uint64(src) + 1),
 			}
 			if first := in.arr.Next(0, in.rng); first <= d.deadline {
-				netsim.ScheduleNode(net, src, first, in)
+				net.ScheduleNode(src, first, in)
 			}
 		}
 	}
@@ -232,7 +232,7 @@ func (in *injector) Run(e *sim.Engine) {
 		return
 	}
 	if next := in.arr.Next(now, in.rng); next <= d.deadline {
-		netsim.ScheduleNode(d.net, in.src, next, in)
+		d.net.ScheduleNode(in.src, next, in)
 	}
 }
 
@@ -272,7 +272,7 @@ func (fs *flowSender) Run(e *sim.Engine) {
 	fs.bytesLeft -= size
 	fs.sent++
 	if fs.sent < fs.total {
-		netsim.ScheduleNode(d.net, fs.src, e.Now().Add(d.gap), fs)
+		d.net.ScheduleNode(fs.src, e.Now().Add(d.gap), fs)
 	}
 }
 
