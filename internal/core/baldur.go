@@ -137,23 +137,11 @@ func (c *Config) applyDefaults() error {
 	return nil
 }
 
-// Stats aggregates the network-wide counters of one run.
+// Stats aggregates the network-wide counters of one run: the packet ledger
+// plus Baldur's own diagnostics. Each shard counts into its own Stats;
+// SyncStats folds them.
 type Stats struct {
-	Injected        uint64 // unique data packets handed to Send
-	Delivered       uint64 // unique data packets delivered
-	Duplicates      uint64 // redundant deliveries discarded by dedup
-	DataAttempts    uint64 // data transmissions entering stage 0
-	DataDrops       uint64 // data transmissions dropped in-network
-	AckAttempts     uint64
-	AckDrops        uint64
-	Retransmissions uint64
-	// GaveUp counts data packets abandoned at Config.MaxAttempts: the
-	// sender cleared them from the retransmission buffer unACKed.
-	GaveUp uint64
-	// FaultDrops counts transmissions lost to injected faults (dead
-	// switches, degraded lasers, severed host links). It is a subset of
-	// DataDrops+AckDrops, never an extra loss category.
-	FaultDrops uint64
+	netsim.Ledger
 	// DropsByStage histograms where contention bites.
 	DropsByStage []uint64
 	// MaxRetxBufBytes is the high-water mark of any node's unACKed
@@ -162,15 +150,6 @@ type Stats struct {
 	// AckLatency collects ACK round-trip times (ns) for diagnostics, merged
 	// from the per-NIC moments in node order by SyncStats (which Run calls).
 	AckLatency stats.Running
-}
-
-// DataDropRate returns dropped / attempted data transmissions, the metric
-// of Table V.
-func (s *Stats) DataDropRate() float64 {
-	if s.DataAttempts == 0 {
-		return 0
-	}
-	return float64(s.DataDrops) / float64(s.DataAttempts)
 }
 
 // Network is a Baldur network instance. It implements netsim.Network.
@@ -340,7 +319,6 @@ func (n *Network) Send(src, dst, size int) *netsim.Packet {
 	nic.nextSeq++
 	nic.sh.stats.Injected++
 	if tp := nic.sh.tp; tp != nil {
-		tp.injected.Inc()
 		if tp.ring != nil {
 			tp.ring.Add(telemetry.Record{
 				At: p.Created, Pkt: p.ID, Kind: telemetry.KindInject,
@@ -380,39 +358,25 @@ func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 	if p.Ack {
 		dur = n.ackDur
 		n.fab.stats.AckAttempts++
-		if tp != nil {
-			tp.ackAttempts.Inc()
-		}
 	} else {
 		n.fab.stats.DataAttempts++
-		if tp != nil {
-			tp.dataAttempts.Inc()
-		}
 	}
 	perStage := n.cfg.SwitchLatency + n.cfg.InterStageDelay
 	sw, _ := n.mb.InjectionSwitch(p.Src)
 	if n.faulty && n.deadLink.Get(p.Src) {
 		// The source's host fiber is cut: the attempt never reaches
 		// stage 0.
-		n.dropFault(p, t0)
+		n.drop(p, -1, true, t0)
 		return
 	}
 	t := t0
 	for s := 0; s < n.mb.Stages; s++ {
-		if n.faulty {
-			if n.deadSwitch.Get(s*n.mb.SwitchesPerStage() + int(sw)) {
-				// The faulty switch loses everything.
-				n.fab.stats.FaultDrops++
-				n.drop(p, s, t)
-				return
-			}
-			if n.degrade > 0 && n.degradeRNG.Float64() < n.degrade {
-				// Degraded laser: the hop's light level is below the
-				// detection threshold.
-				n.fab.stats.FaultDrops++
-				n.drop(p, s, t)
-				return
-			}
+		// A faulty switch loses everything; a degraded laser leaves the
+		// hop's light level below the detection threshold.
+		if n.faulty && (n.deadSwitch.Get(s*n.mb.SwitchesPerStage()+int(sw)) ||
+			n.degrade > 0 && n.degradeRNG.Float64() < n.degrade) {
+			n.drop(p, s, true, t)
+			return
 		}
 		d := n.routeBit(p, s)
 		w := n.cfg.Wavelengths
@@ -437,7 +401,7 @@ func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 			// packet: bufferless drop. Wires already granted
 			// upstream still carry the dead packet's light; they
 			// stay occupied.
-			n.drop(p, s, t)
+			n.drop(p, s, false, t)
 			return
 		}
 		n.busy[base+found] = t.Add(dur + n.gap)
@@ -458,7 +422,7 @@ func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 	// sw is now the destination node id; last bit lands after the output
 	// host link plus the serialization time.
 	if n.faulty && n.deadLink.Get(int(sw)) {
-		n.dropFault(p, t)
+		n.drop(p, -1, true, t)
 		return
 	}
 	n.postReceive(t.Add(n.cfg.LinkDelay+dur), &n.nics[sw], p)
@@ -474,61 +438,33 @@ func (n *Network) routeBit(p *netsim.Packet, s int) int {
 	return n.mb.RoutingBit(p.Dst, s)
 }
 
-func (n *Network) drop(p *netsim.Packet, stage int, t sim.Time) {
-	n.fab.stats.DropsByStage[stage]++
+// drop loses a transmission at a switch stage, or on a severed host fiber
+// when stage < 0 (no contention stage to charge); fault attributes the loss
+// to an injected fault. The source discovers a lost data attempt via its
+// local timer, already scheduled. (With the protocol disabled the packet is
+// simply lost; nothing tracks it: enqueueData skips the outstanding set in
+// that mode.)
+func (n *Network) drop(p *netsim.Packet, stage int, fault bool, t sim.Time) {
+	st := n.fab.stats
+	if stage >= 0 {
+		st.DropsByStage[stage]++
+	}
+	if fault {
+		st.FaultDrops++
+	}
 	if n.dbgDrop != nil {
 		n.dbgDrop(p, stage)
 	}
-	if tp := n.fab.tp; tp != nil {
-		if p.Ack {
-			tp.ackDrops.Inc()
-		} else {
-			tp.dataDrops.Inc()
-		}
-		if tp.ring != nil {
-			tp.ring.Add(telemetry.Record{
-				At: t, Pkt: p.ID, Kind: telemetry.KindDrop,
-				Src: int32(p.Src), Dst: int32(p.Dst), Loc: int32(stage),
-			})
-		}
+	if tp := n.fab.tp; tp != nil && tp.ring != nil {
+		tp.ring.Add(telemetry.Record{
+			At: t, Pkt: p.ID, Kind: telemetry.KindDrop,
+			Src: int32(p.Src), Dst: int32(p.Dst), Loc: int32(stage),
+		})
 	}
 	if p.Ack {
-		n.fab.stats.AckDrops++
+		st.AckDrops++
 		n.fab.releaseAck(p)
 		return
 	}
-	n.fab.stats.DataDrops++
-	// The source discovers the loss via its local timer; nothing else to do
-	// here — the timeout event is already scheduled. (With the protocol
-	// disabled the packet is simply lost; nothing tracks it: enqueueData
-	// skips the outstanding set in that mode.)
-}
-
-// dropFault loses a transmission to a severed host link: the same ledgers as
-// an in-network drop (so the attempt accounting stays exact) but attributed
-// to FaultDrops instead of a contention stage.
-func (n *Network) dropFault(p *netsim.Packet, t sim.Time) {
-	n.fab.stats.FaultDrops++
-	if n.dbgDrop != nil {
-		n.dbgDrop(p, -1)
-	}
-	if tp := n.fab.tp; tp != nil {
-		if p.Ack {
-			tp.ackDrops.Inc()
-		} else {
-			tp.dataDrops.Inc()
-		}
-		if tp.ring != nil {
-			tp.ring.Add(telemetry.Record{
-				At: t, Pkt: p.ID, Kind: telemetry.KindDrop,
-				Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
-			})
-		}
-	}
-	if p.Ack {
-		n.fab.stats.AckDrops++
-		n.fab.releaseAck(p)
-		return
-	}
-	n.fab.stats.DataDrops++
+	st.DataDrops++
 }

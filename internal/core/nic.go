@@ -229,21 +229,18 @@ func (c *nic) timeout(seq uint64, attempt int) {
 	}
 	p.Retries++
 	c.sh.stats.Retransmissions++
-	if tp := c.sh.tp; tp != nil {
-		tp.retransmissions.Inc()
-		if tp.ring != nil {
-			tp.ring.Add(telemetry.Record{
-				At: c.eng.Now(), Pkt: p.ID, Kind: telemetry.KindRetransmit,
-				Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
-				Aux: int32(p.Retries),
-			})
-			if p.Traced {
-				// The attempt was lost: everything since its transmit
-				// start was spent waiting for this timer.
-				tp.ring.AddSpan(telemetry.PhaseRetxWait, p.TraceCursor, c.eng.Now(),
-					p.ID, int32(p.Src), int32(p.Dst), -1, int32(p.Retries))
-				p.TraceCursor = c.eng.Now()
-			}
+	if tp := c.sh.tp; tp != nil && tp.ring != nil {
+		tp.ring.Add(telemetry.Record{
+			At: c.eng.Now(), Pkt: p.ID, Kind: telemetry.KindRetransmit,
+			Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
+			Aux: int32(p.Retries),
+		})
+		if p.Traced {
+			// The attempt was lost: everything since its transmit
+			// start was spent waiting for this timer.
+			tp.ring.AddSpan(telemetry.PhaseRetxWait, p.TraceCursor, c.eng.Now(),
+				p.ID, int32(p.Src), int32(p.Dst), -1, int32(p.Retries))
+			p.TraceCursor = c.eng.Now()
 		}
 	}
 	if !n.cfg.DisableBEB {
@@ -300,9 +297,6 @@ func (c *nic) receive(p *netsim.Packet, at sim.Time) {
 		c.deliverUnique(p, at)
 	} else {
 		c.sh.stats.Duplicates++
-		if tp := c.sh.tp; tp != nil {
-			tp.duplicates.Inc()
-		}
 	}
 	ack := c.sh.acquireAck()
 	ack.ID = 0 // ACKs are anonymous
@@ -318,16 +312,13 @@ func (c *nic) receive(p *netsim.Packet, at sim.Time) {
 func (c *nic) deliverUnique(p *netsim.Packet, at sim.Time) {
 	n := c.net
 	c.sh.stats.Delivered++
-	if tp := c.sh.tp; tp != nil {
-		tp.delivered.Inc()
-		if tp.ring != nil {
-			tp.ring.Add(telemetry.Record{
-				At: at, Pkt: p.ID, Kind: telemetry.KindDeliver,
-				Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
-			})
-			if p.Traced {
-				c.traceFlight(tp.ring, p, at)
-			}
+	if tp := c.sh.tp; tp != nil && tp.ring != nil {
+		tp.ring.Add(telemetry.Record{
+			At: at, Pkt: p.ID, Kind: telemetry.KindDeliver,
+			Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
+		})
+		if p.Traced {
+			c.traceFlight(tp.ring, p, at)
 		}
 	}
 	for _, fn := range n.onDeliver {

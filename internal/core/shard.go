@@ -66,21 +66,7 @@ func (n *Network) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 }
 
 // Ledger returns the packet counters of n.Stats (netsim.Network).
-func (n *Network) Ledger() netsim.Ledger {
-	st := &n.Stats
-	return netsim.Ledger{
-		Injected:        st.Injected,
-		Delivered:       st.Delivered,
-		Duplicates:      st.Duplicates,
-		DataAttempts:    st.DataAttempts,
-		DataDrops:       st.DataDrops,
-		AckAttempts:     st.AckAttempts,
-		AckDrops:        st.AckDrops,
-		Retransmissions: st.Retransmissions,
-		GaveUp:          st.GaveUp,
-		FaultDrops:      st.FaultDrops,
-	}
-}
+func (n *Network) Ledger() netsim.Ledger { return n.Stats.Ledger }
 
 // SyncStats folds per-shard and per-NIC statistics into n.Stats. It is
 // idempotent and invoked by Run; tests that drive the engine directly call
@@ -89,27 +75,14 @@ func (n *Network) Ledger() netsim.Ledger {
 func (n *Network) SyncStats() {
 	if len(n.shards) > 1 {
 		agg := Stats{DropsByStage: n.Stats.DropsByStage}
-		for i := range agg.DropsByStage {
-			agg.DropsByStage[i] = 0
-		}
+		clear(agg.DropsByStage)
 		for _, sh := range n.shards {
 			s := sh.stats
-			agg.Injected += s.Injected
-			agg.Delivered += s.Delivered
-			agg.Duplicates += s.Duplicates
-			agg.DataAttempts += s.DataAttempts
-			agg.DataDrops += s.DataDrops
-			agg.AckAttempts += s.AckAttempts
-			agg.AckDrops += s.AckDrops
-			agg.Retransmissions += s.Retransmissions
-			agg.GaveUp += s.GaveUp
-			agg.FaultDrops += s.FaultDrops
+			agg.Ledger.Add(&s.Ledger)
 			for j, v := range s.DropsByStage {
 				agg.DropsByStage[j] += v
 			}
-			if s.MaxRetxBufBytes > agg.MaxRetxBufBytes {
-				agg.MaxRetxBufBytes = s.MaxRetxBufBytes
-			}
+			agg.MaxRetxBufBytes = max(agg.MaxRetxBufBytes, s.MaxRetxBufBytes)
 		}
 		n.Stats = agg
 	}

@@ -36,9 +36,6 @@ type elecAudit struct {
 //     to capacity.
 //   - elec/pools — pooled states and credit events balance across shards
 //     and are exactly zero once the run drains, with no events left queued.
-//   - elec/telemetry — when an attached telemetry layer is shared with the
-//     auditor (Auditor.Tel), the folded injected/delivered counter totals
-//     equal the NetStats fields they shadow.
 func (n *engine) AttachAudit(a *check.Auditor) {
 	for _, sh := range n.shards {
 		sh.aud = &elecAudit{}
@@ -147,27 +144,6 @@ func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 		if pending != 0 {
 			a.Violatef(at, -1, "elec/pools",
 				"%s: drained flag set but %d events still queued", n.name, pending)
-		}
-	}
-
-	if a.Tel == nil {
-		return
-	}
-	reg := a.Tel.Reg
-	for _, pair := range [...]struct {
-		name string
-		want uint64
-	}{
-		{"injected", n.Injected},
-		{"delivered", n.Delivered},
-		{"dropped", n.Dropped},
-	} {
-		if reg.Index(pair.name) < 0 {
-			continue // telemetry attached to a different network
-		}
-		if got := reg.Total(pair.name); got != pair.want {
-			a.Violatef(at, -1, "elec/telemetry",
-				"%s: counter %q totals %d but stats say %d", n.name, pair.name, got, pair.want)
 		}
 	}
 }

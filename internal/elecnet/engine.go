@@ -77,20 +77,13 @@ func (c *EngineConfig) slotsPerVC() int {
 	return per
 }
 
-// NetStats are the counters every electrical network keeps. They are
-// accumulated per shard during a run and folded — sums for the counters,
-// max for the hop bound, both invariant to the fold order — into the
-// embedded aggregate by SyncStats. With a single shard the aggregate is
-// updated live.
-type NetStats struct {
-	Injected  uint64
-	Delivered uint64
-	// Dropped counts packets lost to injected faults (dead routers or
-	// ports, degraded links, severed node attachments). The engine is
-	// lossless otherwise, so Dropped is zero in a fault-free run.
-	Dropped uint64
-	MaxHops int
-}
+// NetStats are the counters every electrical network keeps: the packet
+// ledger's Injected, Delivered, Dropped (packets lost to injected faults —
+// dead routers or ports, degraded links, severed node attachments; zero in
+// a fault-free run, since the engine is lossless otherwise) and MaxHops.
+// They are accumulated per shard during a run and folded into the embedded
+// aggregate by SyncStats. With a single shard the aggregate is updated live.
+type NetStats = netsim.Ledger
 
 // eshard is one partition of an electrical network: a block of routers and
 // their co-located NICs. Each shard owns an event queue, a NetStats slice
@@ -466,10 +459,8 @@ func (n *engine) partition(shards, units int, routerUnit func(int) int, nodeUnit
 	n.se = sim.NewShardedEngine(k, la)
 	n.shards = make([]*eshard, k)
 	for i := range n.shards {
-		sh := &eshard{sh: n.se.Shard(i)}
-		if k == 1 {
-			sh.stats = &n.NetStats
-		} else {
+		sh := &eshard{sh: n.se.Shard(i), stats: &n.NetStats}
+		if k > 1 {
 			sh.stats = &NetStats{}
 		}
 		n.shards[i] = sh
@@ -533,9 +524,7 @@ func (n *engine) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 }
 
 // Ledger returns the aggregate counters (netsim.Network).
-func (n *engine) Ledger() netsim.Ledger {
-	return netsim.Ledger{Injected: n.Injected, Delivered: n.Delivered, Dropped: n.Dropped, MaxHops: n.MaxHops}
-}
+func (n *engine) Ledger() netsim.Ledger { return n.NetStats }
 
 // SyncStats folds per-shard counters into the embedded aggregate. Sums and
 // a max, so the result is invariant to the shard count. Idempotent; no-op
@@ -546,12 +535,7 @@ func (n *engine) SyncStats() {
 	}
 	var agg NetStats
 	for _, sh := range n.shards {
-		agg.Injected += sh.stats.Injected
-		agg.Delivered += sh.stats.Delivered
-		agg.Dropped += sh.stats.Dropped
-		if sh.stats.MaxHops > agg.MaxHops {
-			agg.MaxHops = sh.stats.MaxHops
-		}
+		agg.Add(sh.stats)
 	}
 	n.NetStats = agg
 }
@@ -577,7 +561,6 @@ func (n *engine) Send(src, dst, size int) *netsim.Packet {
 	}
 	nic.sh.stats.Injected++
 	if tp := nic.sh.tp; tp != nil {
-		tp.injected.Inc()
 		if tp.ring != nil {
 			tp.ring.Add(telemetry.Record{
 				At: p.Created, Pkt: p.ID, Kind: telemetry.KindInject,
@@ -858,14 +841,11 @@ func (n *engine) scheduleCreditReturn(from *router, in int16, vc int, tailAt sim
 
 func (n *engine) deliver(sh *eshard, p *netsim.Packet, at sim.Time) {
 	sh.stats.Delivered++
-	if tp := sh.tp; tp != nil {
-		tp.delivered.Inc()
-		if tp.ring != nil {
-			tp.ring.Add(telemetry.Record{
-				At: at, Pkt: p.ID, Kind: telemetry.KindDeliver,
-				Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
-			})
-		}
+	if tp := sh.tp; tp != nil && tp.ring != nil {
+		tp.ring.Add(telemetry.Record{
+			At: at, Pkt: p.ID, Kind: telemetry.KindDeliver,
+			Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
+		})
 	}
 	for _, fn := range n.onDeliver {
 		fn(p, at)

@@ -22,17 +22,14 @@ func (n *engine) refreshFaulty() {
 	n.faulty = n.deadRouter.Any() || n.deadPort.Any() || n.deadNode.Any() || n.degrade > 0
 }
 
-// countDrop tallies one faulted-away packet on sh's stats and telemetry.
+// countDrop tallies one faulted-away packet on sh's ledger and flight ring.
 func (n *engine) countDrop(sh *eshard, p *netsim.Packet, at sim.Time) {
 	sh.stats.Dropped++
-	if tp := sh.tp; tp != nil {
-		tp.dropped.Inc()
-		if tp.ring != nil {
-			tp.ring.Add(telemetry.Record{
-				At: at, Pkt: p.ID, Kind: telemetry.KindDrop,
-				Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
-			})
-		}
+	if tp := sh.tp; tp != nil && tp.ring != nil {
+		tp.ring.Add(telemetry.Record{
+			At: at, Pkt: p.ID, Kind: telemetry.KindDrop,
+			Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
+		})
 	}
 }
 

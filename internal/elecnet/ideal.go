@@ -15,8 +15,8 @@ type Ideal struct {
 	nextID    uint64
 	evFree    *idealEvent
 
-	Injected  uint64
-	Delivered uint64
+	// NetStats holds Injected and Delivered; nothing is ever dropped.
+	NetStats
 }
 
 // idealEvent is the pooled delivery event of one in-flight packet.
@@ -59,9 +59,7 @@ func (n *Ideal) OnDeliver(fn func(p *netsim.Packet, at sim.Time)) {
 }
 
 // Ledger returns the injected and delivered counts (netsim.Network).
-func (n *Ideal) Ledger() netsim.Ledger {
-	return netsim.Ledger{Injected: n.Injected, Delivered: n.Delivered}
-}
+func (n *Ideal) Ledger() netsim.Ledger { return n.NetStats }
 
 // Run dispatches every event up to and including deadline and reports
 // whether events remain (netsim.Network). The ideal network is one shard.

@@ -9,7 +9,7 @@ import (
 )
 
 type eshardResult struct {
-	stats     NetStats
+	ledger    netsim.Ledger
 	events    uint64
 	delivered uint64
 	avgNS     float64
@@ -33,7 +33,7 @@ func runShardedElec(t *testing.T, net netsim.Network, seed uint64) eshardResult 
 		t.Fatal("run hit the horizon")
 	}
 	return eshardResult{
-		stats:     net.(interface{ netStats() NetStats }).netStats(),
+		ledger:    net.Ledger(),
 		events:    net.Events(),
 		delivered: col.Delivered(),
 		avgNS:     col.AvgNS(),
@@ -41,16 +41,12 @@ func runShardedElec(t *testing.T, net netsim.Network, seed uint64) eshardResult 
 	}
 }
 
-// netStats exposes the folded aggregate for the test (promoted fields are
-// not addressable through the Network interface).
-func (n *engine) netStats() NetStats { return n.NetStats }
-
 func checkShardedElec(t *testing.T, name string, build func(shards int) netsim.Network) {
 	t.Helper()
 	const seed = 11
 	ref := runShardedElec(t, build(1), seed)
-	if ref.stats.Injected == 0 || ref.stats.Injected != ref.stats.Delivered {
-		t.Fatalf("%s serial: injected %d delivered %d", name, ref.stats.Injected, ref.stats.Delivered)
+	if ref.ledger.Injected == 0 || ref.ledger.Injected != ref.ledger.Delivered {
+		t.Fatalf("%s serial: injected %d delivered %d", name, ref.ledger.Injected, ref.ledger.Delivered)
 	}
 	for _, k := range []int{2, 4} {
 		net := build(k)

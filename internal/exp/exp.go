@@ -284,17 +284,15 @@ func (c *cell) run(fold func() error) error {
 
 // point folds the cell into the fields every packet-tier Point shares.
 func (c *cell) point(network string) Point {
-	p := Point{
+	l := c.net.Ledger()
+	return Point{
 		Network:  network,
 		AvgNS:    c.col.AvgNS(),
 		TailNS:   c.col.TailNS(),
+		DropRate: l.DataDropRate(),
 		Finished: !c.more,
 		Events:   c.net.Events(),
 	}
-	if l := c.net.Ledger(); l.DataAttempts > 0 {
-		p.DropRate = float64(l.DataDrops) / float64(l.DataAttempts)
-	}
-	return p
 }
 
 // newCell returns a cell of net configured from the scale: its telemetry

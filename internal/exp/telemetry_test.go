@@ -9,9 +9,14 @@ import (
 	"strings"
 	"testing"
 
+	"baldur/internal/check"
+	"baldur/internal/check/harness"
 	"baldur/internal/core"
+	"baldur/internal/faults"
 	"baldur/internal/netsim"
+	"baldur/internal/sim"
 	"baldur/internal/telemetry"
+	"baldur/internal/traffic"
 )
 
 // runTelemetryCell runs one telemetry-enabled Baldur cell and returns the
@@ -38,47 +43,120 @@ func runTelemetryCell(t *testing.T, pattern string, load float64, shards int, op
 	return p, bn, tel, &col
 }
 
+// runFaultedTelemetryCell runs one telemetry-enabled cell of the canonical
+// fuzz configuration under open-loop load while flapScript kills and
+// restores switch/router 0, so the fault-drop ledgers count.
+func runFaultedTelemetryCell(t *testing.T, network string, shards int) (netsim.Network, *telemetry.Telemetry, *netsim.Collector) {
+	t.Helper()
+	cfg := check.FuzzConfig{
+		Net: network, NodesExp: 3, LoadPct: 70,
+		PacketsPerNode: 12, MaxAttempts: 16, FaultStage: -1, Seed: 1,
+	}.Canon()
+	net, _, err := harness.Build(cfg, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := net.NumShards(); got != shards {
+		t.Fatalf("%s built %d shards, want %d", network, got, shards)
+	}
+	script, err := flapScript().Compile(cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var col netsim.Collector
+	c := &cell{
+		net: net, label: network, col: &col,
+		start: func(net netsim.Network) error {
+			ol := traffic.OpenLoop{
+				Pattern:        traffic.RandomPermutation(net.NumNodes(), cfg.Seed+10),
+				Load:           float64(cfg.LoadPct) / 100,
+				PacketsPerNode: cfg.PacketsPerNode,
+				Seed:           cfg.Seed + 100,
+			}
+			ol.Start(net)
+			return nil
+		},
+		timeline: faults.NewController(script),
+		tel:      &telemetry.Options{SampleInterval: sim.Microseconds(0.5)},
+		drive:    netsim.DriveOptions{Deadline: sim.Time(0).Add(sim.Microseconds(500))},
+	}
+	if err := c.run(func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if c.more {
+		t.Fatalf("%s K=%d: faulted cell did not drain", network, shards)
+	}
+	return net, c.drive.Tel, &col
+}
+
+// ledgerMetrics names the ledger counter behind each telemetry metric the
+// networks bind to their per-shard ledgers.
+var ledgerMetrics = map[string]func(netsim.Ledger) uint64{
+	"injected":        func(l netsim.Ledger) uint64 { return l.Injected },
+	"delivered":       func(l netsim.Ledger) uint64 { return l.Delivered },
+	"duplicates":      func(l netsim.Ledger) uint64 { return l.Duplicates },
+	"data_attempts":   func(l netsim.Ledger) uint64 { return l.DataAttempts },
+	"data_drops":      func(l netsim.Ledger) uint64 { return l.DataDrops },
+	"ack_attempts":    func(l netsim.Ledger) uint64 { return l.AckAttempts },
+	"ack_drops":       func(l netsim.Ledger) uint64 { return l.AckDrops },
+	"retransmissions": func(l netsim.Ledger) uint64 { return l.Retransmissions },
+	"dropped":         func(l netsim.Ledger) uint64 { return l.Dropped },
+}
+
 // TestTelemetryCountersMatchRunStatistics checks the tentpole accounting
 // invariant: summing the sampled per-interval counter deltas reproduces the
-// end-of-run model statistics exactly. random_permutation at 0.5 is used
-// because the seeded Quick run drops packets there, exercising the drop
-// counters with nonzero values.
+// end-of-run ledger exactly, and so do the registry totals. Baldur runs
+// random_permutation at 0.5, where the seeded Quick run drops packets; the
+// electrical fat-tree runs a fault script at K=1 and K=2, so packets are
+// faulted away and the per-shard ledgers fold across shards.
 func TestTelemetryCountersMatchRunStatistics(t *testing.T) {
-	_, net, tel, col := runTelemetryCell(t, "random_permutation", 0.5, 0, telemetry.Options{})
-	st := net.Stats
-	for _, c := range []struct {
-		name string
-		want uint64
+	baldur := func(t *testing.T) (netsim.Network, *telemetry.Telemetry, *netsim.Collector) {
+		_, net, tel, col := runTelemetryCell(t, "random_permutation", 0.5, 0, telemetry.Options{})
+		return net, tel, col
+	}
+	fattree := func(k int) func(*testing.T) (netsim.Network, *telemetry.Telemetry, *netsim.Collector) {
+		return func(t *testing.T) (netsim.Network, *telemetry.Telemetry, *netsim.Collector) {
+			return runFaultedTelemetryCell(t, "fattree", k)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		run     func(*testing.T) (netsim.Network, *telemetry.Telemetry, *netsim.Collector)
+		metrics []string
+		nonzero string // the seeded run must drive this counter above zero
 	}{
-		{"injected", st.Injected},
-		{"delivered", st.Delivered},
-		{"duplicates", st.Duplicates},
-		{"data_attempts", st.DataAttempts},
-		{"data_drops", st.DataDrops},
-		{"ack_attempts", st.AckAttempts},
-		{"ack_drops", st.AckDrops},
-		{"retransmissions", st.Retransmissions},
+		{"baldur", baldur, []string{"injected", "delivered", "duplicates", "data_attempts",
+			"data_drops", "ack_attempts", "ack_drops", "retransmissions"}, "data_drops"},
+		{"fattree-faults-K1", fattree(1), []string{"injected", "delivered", "dropped"}, "dropped"},
+		{"fattree-faults-K2", fattree(2), []string{"injected", "delivered", "dropped"}, "dropped"},
 	} {
-		id := tel.Reg.Index(c.name)
-		if id < 0 {
-			t.Fatalf("counter %q not registered", c.name)
-		}
-		var sum uint64
-		for _, sm := range tel.Sampler.Samples {
-			sum += sm.Values[id]
-		}
-		if sum != c.want {
-			t.Errorf("summed %s deltas = %d, want model total %d", c.name, sum, c.want)
-		}
-		if got := tel.Reg.Total(c.name); got != c.want {
-			t.Errorf("registry total %s = %d, want %d", c.name, got, c.want)
-		}
-	}
-	if st.DataDrops == 0 {
-		t.Error("seeded run produced no drops; drop accounting untested")
-	}
-	if got := tel.Reg.Total("delivered"); got != col.Delivered() {
-		t.Errorf("delivered counter %d != collector %d", got, col.Delivered())
+		t.Run(tc.name, func(t *testing.T) {
+			net, tel, col := tc.run(t)
+			l := net.Ledger()
+			for _, name := range tc.metrics {
+				want := ledgerMetrics[name](l)
+				id := tel.Reg.Index(name)
+				if id < 0 {
+					t.Fatalf("counter %q not registered", name)
+				}
+				var sum uint64
+				for _, sm := range tel.Sampler.Samples {
+					sum += sm.Values[id]
+				}
+				if sum != want {
+					t.Errorf("summed %s deltas = %d, want ledger total %d", name, sum, want)
+				}
+				if got := tel.Reg.Total(name); got != want {
+					t.Errorf("registry total %s = %d, want %d", name, got, want)
+				}
+			}
+			if ledgerMetrics[tc.nonzero](l) == 0 {
+				t.Errorf("seeded run left %s at zero; that accounting is untested", tc.nonzero)
+			}
+			if got := tel.Reg.Total("delivered"); got != col.Delivered() {
+				t.Errorf("delivered counter %d != collector %d", got, col.Delivered())
+			}
+		})
 	}
 }
 

@@ -133,9 +133,11 @@ type Audited interface {
 	AttachAudit(a *check.Auditor)
 }
 
-// Ledger is a network's packet accounting, folded across shards at the last
-// barrier: the counters conservation audits, run fingerprints and
-// availability tracking read. Each network fills the counters it keeps and
+// Ledger is a network's packet accounting and its only copy: every shard
+// counts into its own Ledger, Network.Ledger returns them folded (Add) at the
+// last barrier, and telemetry reads the per-shard values in place
+// (RegisterLedger). Conservation audits, run fingerprints and availability
+// tracking read these counters. Each network fills the counters it keeps and
 // leaves the rest zero (the lossless electrical networks make no attempts
 // and retransmit nothing; Baldur keeps no hop bound).
 type Ledger struct {
@@ -148,9 +150,75 @@ type Ledger struct {
 	AckDrops        uint64
 	Retransmissions uint64
 	GaveUp          uint64 // data packets abandoned at the attempt cap
-	FaultDrops      uint64 // transmissions lost to injected faults
+	FaultDrops      uint64 // transmissions lost to faults (within DataDrops+AckDrops)
 	Dropped         uint64 // packets lost to faults on lossless networks
 	MaxHops         int
+}
+
+// Add folds o into l: the counters sum and the hop bound takes the max, both
+// invariant to the fold order, so a per-shard fold is shard-count invariant.
+func (l *Ledger) Add(o *Ledger) {
+	l.Injected += o.Injected
+	l.Delivered += o.Delivered
+	l.Duplicates += o.Duplicates
+	l.DataAttempts += o.DataAttempts
+	l.DataDrops += o.DataDrops
+	l.AckAttempts += o.AckAttempts
+	l.AckDrops += o.AckDrops
+	l.Retransmissions += o.Retransmissions
+	l.GaveUp += o.GaveUp
+	l.FaultDrops += o.FaultDrops
+	l.Dropped += o.Dropped
+	l.MaxHops = max(l.MaxHops, o.MaxHops)
+}
+
+// DataDropRate returns dropped / attempted data transmissions, the metric
+// of Table V (0 when nothing was attempted).
+func (l *Ledger) DataDropRate() float64 {
+	if l.DataAttempts == 0 {
+		return 0
+	}
+	return float64(l.DataDrops) / float64(l.DataAttempts)
+}
+
+// ledgerCounter returns the address of the Ledger counter exported under
+// the telemetry metric name.
+func (l *Ledger) ledgerCounter(name string) *uint64 {
+	switch name {
+	case "injected":
+		return &l.Injected
+	case "delivered":
+		return &l.Delivered
+	case "duplicates":
+		return &l.Duplicates
+	case "data_attempts":
+		return &l.DataAttempts
+	case "data_drops":
+		return &l.DataDrops
+	case "ack_attempts":
+		return &l.AckAttempts
+	case "ack_drops":
+		return &l.AckDrops
+	case "retransmissions":
+		return &l.Retransmissions
+	case "dropped":
+		return &l.Dropped
+	}
+	panic("netsim: no ledger counter named " + name)
+}
+
+// RegisterLedger registers the named ledger counters in reg, in the order
+// given, as counters whose per-shard values are the fields of shards (one
+// ledger per shard, in shard order). The registry reads the model's own
+// accounting at barriers, so the sampled series cannot drift from it.
+func RegisterLedger(reg *telemetry.Registry, shards []*Ledger, names ...string) {
+	for _, name := range names {
+		vals := make([]*uint64, len(shards))
+		for i, l := range shards {
+			vals[i] = l.ledgerCounter(name)
+		}
+		reg.CounterOf(name, vals)
+	}
 }
 
 // Timeline is a time-ordered schedule of actions that may only run at a full

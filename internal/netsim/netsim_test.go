@@ -196,3 +196,27 @@ func TestDriveBoundaries(t *testing.T) {
 		})
 	}
 }
+
+// TestLedgerAddFoldsEveryCounter guards the one fold every network's
+// Ledger() goes through: each uint64 counter sums and MaxHops takes the max,
+// so a counter added to Ledger but not to Add fails here.
+func TestLedgerAddFoldsEveryCounter(t *testing.T) {
+	var a, b Ledger
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		if va.Field(i).Kind() == reflect.Uint64 {
+			va.Field(i).SetUint(uint64(i + 1))
+			vb.Field(i).SetUint(uint64(100 * (i + 1)))
+		}
+	}
+	a.MaxHops, b.MaxHops = 7, 3
+	a.Add(&b)
+	for i := 0; i < va.NumField(); i++ {
+		if f := va.Field(i); f.Kind() == reflect.Uint64 && f.Uint() != uint64(101*(i+1)) {
+			t.Errorf("%s = %d after Add, want %d", va.Type().Field(i).Name, f.Uint(), 101*(i+1))
+		}
+	}
+	if a.MaxHops != 7 {
+		t.Errorf("MaxHops = %d after Add, want max 7", a.MaxHops)
+	}
+}

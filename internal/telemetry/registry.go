@@ -10,8 +10,9 @@
 // When attached, every handle resolves to a pre-computed slot pointer, so
 // steady-state recording also performs no allocation.
 //
-// Determinism: counters accumulate into per-shard slots (each updated only
-// by its owning shard's goroutine during an epoch) and are folded across
+// Determinism: counters accumulate into per-shard slots, or into the model's
+// own per-shard values for counters registered with CounterOf (each updated
+// only by its owning shard's goroutine during an epoch), and are folded across
 // shards in ascending shard order at barriers. Because every model event
 // executes exactly once regardless of the shard count and integer sums are
 // order-invariant, the folded metric series is bit-identical for any K —
@@ -43,12 +44,13 @@ type slot struct {
 
 // Registry holds the named metrics of one run. Metrics are registered at
 // attach time (before the run starts); recording happens through resolved
-// Count handles and is allocation-free.
+// Count handles, or directly into model memory for counters registered with
+// CounterOf, and is allocation-free.
 type Registry struct {
 	shards int
 	names  []string
 	kinds  []MetricKind
-	slots  [][]slot // per metric: one padded slot per shard
+	vals   [][]*uint64 // per metric: one value per shard, in shard order
 }
 
 // NewRegistry returns an empty registry for a K-shard run.
@@ -65,7 +67,27 @@ func (r *Registry) Counter(name string) int { return r.add(name, KindCounter) }
 // Gauge registers an instantaneous gauge and returns its metric id.
 func (r *Registry) Gauge(name string) int { return r.add(name, KindGauge) }
 
+// CounterOf registers a cumulative counter whose per-shard values live in
+// the model — vals holds one pointer per shard, in shard order — and returns
+// its metric id. Each value must only be written by its shard's goroutine;
+// the registry reads them at barriers, like its own slots.
+func (r *Registry) CounterOf(name string, vals []*uint64) int {
+	if len(vals) != r.shards {
+		panic(fmt.Sprintf("telemetry: counter %q has %d shard values, registry has %d shards", name, len(vals), r.shards))
+	}
+	return r.register(name, KindCounter, vals)
+}
+
 func (r *Registry) add(name string, kind MetricKind) int {
+	slots := make([]slot, r.shards)
+	vals := make([]*uint64, r.shards)
+	for i := range slots {
+		vals[i] = &slots[i].v
+	}
+	return r.register(name, kind, vals)
+}
+
+func (r *Registry) register(name string, kind MetricKind, vals []*uint64) int {
 	for _, n := range r.names {
 		if n == name {
 			panic(fmt.Sprintf("telemetry: metric %q registered twice", name))
@@ -73,7 +95,7 @@ func (r *Registry) add(name string, kind MetricKind) int {
 	}
 	r.names = append(r.names, name)
 	r.kinds = append(r.kinds, kind)
-	r.slots = append(r.slots, make([]slot, r.shards))
+	r.vals = append(r.vals, vals)
 	return len(r.names) - 1
 }
 
@@ -92,7 +114,7 @@ func (c Count) Add(n uint64) { *c.v += n }
 func (c Count) Set(n uint64) { *c.v = n }
 
 // Count resolves the handle for metric id on the given shard.
-func (r *Registry) Count(id, shard int) Count { return Count{v: &r.slots[id][shard].v} }
+func (r *Registry) Count(id, shard int) Count { return Count{v: r.vals[id][shard]} }
 
 // Shards returns the shard count the registry was built for.
 func (r *Registry) Shards() int { return r.shards }
@@ -118,12 +140,8 @@ func (r *Registry) Index(name string) int {
 // epochs or after a run — never while shard goroutines are dispatching.
 func (r *Registry) Fold(dst []uint64) []uint64 {
 	dst = dst[:0]
-	for _, s := range r.slots {
-		var v uint64
-		for i := range s {
-			v += s[i].v
-		}
-		dst = append(dst, v)
+	for id := range r.vals {
+		dst = append(dst, r.fold(id))
 	}
 	return dst
 }
@@ -134,9 +152,14 @@ func (r *Registry) Total(name string) uint64 {
 	if id < 0 {
 		return 0
 	}
+	return r.fold(id)
+}
+
+// fold sums metric id across shards in ascending shard order.
+func (r *Registry) fold(id int) uint64 {
 	var v uint64
-	for i := range r.slots[id] {
-		v += r.slots[id][i].v
+	for _, p := range r.vals[id] {
+		v += *p
 	}
 	return v
 }

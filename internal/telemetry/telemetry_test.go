@@ -164,6 +164,65 @@ func TestSamplerDeltasAndGaugeLevels(t *testing.T) {
 	}
 }
 
+// TestRegistryModelOwnedCounters covers counters whose per-shard values
+// live in the model (CounterOf): they interleave with registry-owned
+// metrics in registration order, fold across shards in shard order, and the
+// sampler turns the model's live values into per-interval deltas.
+func TestRegistryModelOwnedCounters(t *testing.T) {
+	var model [2]struct{ injected, dropped uint64 }
+	reg := NewRegistry(2)
+	own := reg.Counter("hops")
+	inj := reg.CounterOf("injected", []*uint64{&model[0].injected, &model[1].injected})
+	g := reg.Gauge("queued")
+	drop := reg.CounterOf("dropped", []*uint64{&model[0].dropped, &model[1].dropped})
+	if got, want := strings.Join(reg.Names(), ","), "hops,injected,queued,dropped"; got != want {
+		t.Fatalf("names = %s, want %s", got, want)
+	}
+	if k := reg.Kinds(); k[inj] != KindCounter || k[drop] != KindCounter {
+		t.Fatalf("model-owned metrics registered as %v", k)
+	}
+	s := &Sampler{Interval: sim.Duration(10)}
+
+	model[0].injected, model[1].injected = 3, 4
+	model[1].dropped = 1
+	reg.Count(own, 1).Add(2)
+	reg.Count(g, 0).Set(9)
+	if got := reg.Fold(nil); got[own] != 2 || got[inj] != 7 || got[g] != 9 || got[drop] != 1 {
+		t.Errorf("Fold = %v, want [2 7 9 1]", got)
+	}
+	s.Take(sim.Time(10), reg, 0, 0)
+
+	// The model keeps counting; no handle is resolved or re-registered.
+	model[0].injected += 10
+	model[1].injected++
+	model[0].dropped += 2
+	s.Take(sim.Time(20), reg, 0, 0)
+
+	if got := reg.Total("injected"); got != 18 {
+		t.Errorf("Total(injected) = %d, want 18", got)
+	}
+	if got := reg.Total("dropped"); got != 3 {
+		t.Errorf("Total(dropped) = %d, want 3", got)
+	}
+	s0, s1 := s.Samples[0], s.Samples[1]
+	if s0.Values[inj] != 7 || s1.Values[inj] != 11 {
+		t.Errorf("injected deltas = %d,%d, want 7,11", s0.Values[inj], s1.Values[inj])
+	}
+	if s0.Values[drop] != 1 || s1.Values[drop] != 2 {
+		t.Errorf("dropped deltas = %d,%d, want 1,2", s0.Values[drop], s1.Values[drop])
+	}
+	if s1.Values[own] != 0 || s1.Values[g] != 9 {
+		t.Errorf("registry-owned metrics disturbed: hops delta %d, gauge %d", s1.Values[own], s1.Values[g])
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CounterOf with the wrong shard count did not panic")
+		}
+	}()
+	reg.CounterOf("short", []*uint64{&model[0].injected})
+}
+
 func TestWatchLineDerivesUtilization(t *testing.T) {
 	reg := NewRegistry(1)
 	d := reg.Counter("drops")
