@@ -27,7 +27,7 @@ func TestRandomizedWiringImmuneToTranspose(t *testing.T) {
 	// 256 nodes / m=4 / transpose / 0.7 load we measure ~0.1% vs ~39%.
 	pat := traffic.Transpose(256)
 	random := rawDropRate(t, Config{Nodes: 256, Multiplicity: 4, Seed: 3}, pat, 120)
-	regular := rawDropRate(t, Config{Nodes: 256, Multiplicity: 4, Seed: 3, RegularWiring: true}, pat, 120)
+	regular := rawDropRate(t, Config{Nodes: 256, Multiplicity: 4, Seed: 3, Topology: "butterfly"}, pat, 120)
 	if random > 0.02 {
 		t.Errorf("randomized wiring drop rate %.4f on transpose, want < 2%%", random)
 	}
@@ -46,7 +46,7 @@ func TestWorstCaseGapGrowsWithScale(t *testing.T) {
 	// flat — the scalability half of the immunity claim.
 	gap := func(nodes int) float64 {
 		pat := traffic.Transpose(nodes)
-		regular := rawDropRate(t, Config{Nodes: nodes, Multiplicity: 4, Seed: 3, RegularWiring: true}, pat, 60)
+		regular := rawDropRate(t, Config{Nodes: nodes, Multiplicity: 4, Seed: 3, Topology: "butterfly"}, pat, 60)
 		return regular
 	}
 	small, large := gap(64), gap(1024)
@@ -61,7 +61,7 @@ func TestRandomizedBeatsRegularOnBenignTrafficToo(t *testing.T) {
 	// lose.
 	pat := traffic.RandomPermutation(256, 5)
 	random := rawDropRate(t, Config{Nodes: 256, Multiplicity: 3, Seed: 3}, pat, 120)
-	regular := rawDropRate(t, Config{Nodes: 256, Multiplicity: 3, Seed: 3, RegularWiring: true}, pat, 120)
+	regular := rawDropRate(t, Config{Nodes: 256, Multiplicity: 3, Seed: 3, Topology: "butterfly"}, pat, 120)
 	if random > regular+0.005 {
 		t.Errorf("randomized wiring worse on benign traffic: %.4f vs %.4f", random, regular)
 	}

@@ -82,7 +82,7 @@ func (n *Network) audit(a *check.Auditor, at sim.Time, drained bool) {
 			want += p.Size
 		})
 		if c.retxBytes != want {
-			a.Violatef(at, c.sh.sh.ID, "core/retx-bytes",
+			a.Violatef(at, c.sh.Sim.ID, "core/retx-bytes",
 				"nic %d: retxBytes=%d but outstanding sums to %d bytes over %d packets",
 				c.id, c.retxBytes, want, c.outstanding.Len())
 		}
@@ -152,7 +152,7 @@ func (n *Network) audit(a *check.Auditor, at sim.Time, drained bool) {
 			"ack drops+matched+unmatched=%d exceeds ack attempts=%d", got, bound)
 	}
 
-	pending := n.se.Pending()
+	pending := n.Queued()
 	if evLive < 0 || ackLive < 0 {
 		a.Violatef(at, -1, "core/pools",
 			"negative live pool balance: events=%d acks=%d (double free)", evLive, ackLive)

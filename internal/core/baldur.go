@@ -70,16 +70,13 @@ type Config struct {
 	// switches, severed links — still drain. 0 means unlimited, the
 	// paper's protocol.
 	MaxAttempts int
-	// RegularWiring replaces the randomized inter-stage matchings with a
-	// classic deterministic butterfly (ablation of the expansion
-	// property: without randomization the network is not immune to
-	// worst-case permutations, Sec IV-E). Equivalent to
-	// Topology == "butterfly".
-	RegularWiring bool
 	// Topology selects the multi-stage wiring: "" or "multibutterfly"
-	// (randomized matchings, the paper's design), "butterfly" (regular,
-	// ablation) or "omega" (perfect-shuffle stages — the paper expects
-	// equivalent behaviour across multi-stage topologies, Sec IV).
+	// (randomized matchings, the paper's design), "butterfly" (a classic
+	// deterministic butterfly: the ablation of the expansion property —
+	// without randomization the network is not immune to worst-case
+	// permutations, Sec IV-E) or "omega" (perfect-shuffle stages — the
+	// paper expects equivalent behaviour across multi-stage topologies,
+	// Sec IV).
 	Topology string
 	// Wavelengths enables wavelength-division multiplexing on the
 	// network wires: each inter-stage wire carries this many independent
@@ -138,8 +135,8 @@ func (c *Config) applyDefaults() error {
 }
 
 // Stats aggregates the network-wide counters of one run: the packet ledger
-// plus Baldur's own diagnostics. Each shard counts into its own Stats;
-// SyncStats folds them.
+// plus Baldur's own diagnostics. Each shard counts into its own ledger and
+// diagnostics; SyncStats folds them.
 type Stats struct {
 	netsim.Ledger
 	// DropsByStage histograms where contention bites.
@@ -152,10 +149,12 @@ type Stats struct {
 	AckLatency stats.Running
 }
 
-// Network is a Baldur network instance. It implements netsim.Network.
+// Network is a Baldur network instance. It implements netsim.Network; the
+// embedded shard runtime provides the run, ledger and delivery plumbing.
 type Network struct {
+	netsim.Shards
+
 	cfg Config
-	se  *sim.ShardedEngine
 	mb  *topo.MultiButterfly
 	// nics is one contiguous slab indexed by node id; it is sized once at
 	// construction and never reallocated, so &nics[i] pointers stay valid
@@ -163,11 +162,10 @@ type Network struct {
 	nics []nic
 
 	// shards[0] is the optical fabric (and, when serial, everything);
-	// shards[1..] hold NIC blocks. fab/fabEng/fabAct are shard 0's handles,
+	// shards[1..] hold NIC blocks. fab/fabAct are shard 0's handles,
 	// used by traverse and the receive handoff.
 	shards []*coreShard
 	fab    *coreShard
-	fabEng *sim.Engine
 	fabAct sim.Actor
 
 	// busy[s*busyStride + k*2m*w + d*m*w + slot] is the time until which
@@ -177,11 +175,10 @@ type Network struct {
 	busy       []sim.Time
 	busyStride int
 
-	onDeliver []func(*netsim.Packet, sim.Time)
-	gap       sim.Duration // inter-packet dark gap a wire needs (6T + margin)
-	duration  sim.Duration // data packet wire occupancy
-	ackDur    sim.Duration
-	rto       sim.Duration
+	gap      sim.Duration // inter-packet dark gap a wire needs (6T + margin)
+	duration sim.Duration // data packet wire occupancy
+	ackDur   sim.Duration
+	rto      sim.Duration
 	// flight is the fixed transmit-start→delivery time of a successful
 	// data attempt: serialization + both host fibers + every stage's
 	// switch latency and inter-stage fiber. Baldur's fabric is bufferless,
@@ -190,9 +187,9 @@ type Network struct {
 	// per-stage spans at the destination without touching sender state.
 	flight sim.Duration
 
-	// dbgDrop, when non-nil, observes every drop (testing hook; fabric
+	// onDrop, when non-nil, observes every drop (ProbePath's hook; fabric
 	// shard only).
-	dbgDrop func(p *netsim.Packet, stage int)
+	onDrop func(p *netsim.Packet)
 
 	// Fault state (Sec IV-F diagnosis plus internal/faults scripting):
 	// deadSwitch is a set over (stage, switch), deadLink a set over severed
@@ -241,17 +238,17 @@ func New(cfg Config) (*Network, error) {
 	} else if k-1 > cfg.Nodes {
 		k = cfg.Nodes + 1
 	}
-	n.se = sim.NewShardedEngine(k, cfg.LinkDelay)
 	n.shards = make([]*coreShard, k)
+	views := make([]*netsim.Shard, k)
 	for i := range n.shards {
-		st := &n.Stats
+		sh := &coreShard{dropsByStage: n.Stats.DropsByStage, maxRetx: &n.Stats.MaxRetxBufBytes}
 		if k > 1 {
-			st = &Stats{DropsByStage: make([]uint64, mb.Stages)}
+			sh.dropsByStage, sh.maxRetx = make([]uint64, mb.Stages), new(int)
 		}
-		n.shards[i] = &coreShard{sh: n.se.Shard(i), stats: st}
+		n.shards[i], views[i] = sh, &sh.Shard
 	}
+	n.Shards = netsim.NewShards(cfg.LinkDelay, &n.Stats.Ledger, n.foldDiag, views...)
 	n.fab = n.shards[0]
-	n.fabEng = n.fab.sh.Eng
 	n.fabAct = sim.MakeActor(1)
 
 	base := sim.NewRNG(cfg.Seed ^ 0xba1d0e)
@@ -273,10 +270,6 @@ func headerDuration(stages int) sim.Duration {
 	return sim.Duration(stages*slotPS) * sim.Picosecond
 }
 
-// Engine returns the simulation engine (shard 0's engine, which holds the
-// whole network when serial). Sharded runs are driven through Run instead.
-func (n *Network) Engine() *sim.Engine { return n.fabEng }
-
 // NumNodes returns the node count.
 func (n *Network) NumNodes() int { return n.cfg.Nodes }
 
@@ -288,13 +281,6 @@ func (n *Network) Multiplicity() int { return n.cfg.Multiplicity }
 
 // Stages returns the number of switch stages (log2 N).
 func (n *Network) Stages() int { return n.mb.Stages }
-
-// OnDeliver registers a unique-delivery callback. Multiple callbacks are
-// invoked in registration order (e.g. a stats collector plus a closed-loop
-// workload driver).
-func (n *Network) OnDeliver(fn func(p *netsim.Packet, at sim.Time)) {
-	n.onDeliver = append(n.onDeliver, fn)
-}
 
 // Send creates and enqueues a data packet. It panics on invalid node ids
 // (always a workload bug).
@@ -317,33 +303,9 @@ func (n *Network) Send(src, dst, size int) *netsim.Packet {
 		Seq:     nic.nextSeq,
 	}
 	nic.nextSeq++
-	nic.sh.stats.Injected++
-	if tp := nic.sh.tp; tp != nil {
-		if tp.ring != nil {
-			tp.ring.Add(telemetry.Record{
-				At: p.Created, Pkt: p.ID, Kind: telemetry.KindInject,
-				Src: int32(src), Dst: int32(dst), Loc: -1,
-			})
-		}
-		if telemetry.Sampled(p.ID, tp.traceEvery) {
-			p.Traced = true
-			p.TraceCursor = p.Created
-		}
-	}
+	nic.sh.Inject(p)
 	nic.enqueueData(p)
 	return p
-}
-
-// Pending reports whether any data packet is still in flight or queued
-// anywhere (used by harnesses to decide when a run has drained).
-func (n *Network) Pending() bool {
-	for i := range n.nics {
-		nc := &n.nics[i]
-		if nc.queueLen() > 0 || nc.outstanding.Len() > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // traverse evaluates a transmission's full path through the network. It is
@@ -354,12 +316,12 @@ func (n *Network) Pending() bool {
 func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 	m := n.cfg.Multiplicity
 	dur := n.duration
-	tp := n.fab.tp
+	tp := n.fab.Probe
 	if p.Ack {
 		dur = n.ackDur
-		n.fab.stats.AckAttempts++
+		n.fab.Ledger.AckAttempts++
 	} else {
-		n.fab.stats.DataAttempts++
+		n.fab.Ledger.DataAttempts++
 	}
 	perStage := n.cfg.SwitchLatency + n.cfg.InterStageDelay
 	sw, _ := n.mb.InjectionSwitch(p.Src)
@@ -406,14 +368,8 @@ func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 		}
 		n.busy[base+found] = t.Add(dur + n.gap)
 		if tp != nil {
-			tp.hops.Inc()
-			if tp.ring != nil {
-				tp.ring.Add(telemetry.Record{
-					At: t, Dur: dur, Pkt: p.ID, Kind: telemetry.KindHop,
-					Src: int32(p.Src), Dst: int32(p.Dst),
-					Loc: int32(s), Aux: int32(sw),
-				})
-			}
+			tp.Hops.Inc()
+			n.fab.Record(telemetry.KindHop, p, t, dur, int32(s), int32(sw))
 		}
 		ref := n.mb.OutWire(s, sw, d, found/w)
 		sw = ref.Switch
@@ -445,22 +401,17 @@ func (n *Network) routeBit(p *netsim.Packet, s int) int {
 // simply lost; nothing tracks it: enqueueData skips the outstanding set in
 // that mode.)
 func (n *Network) drop(p *netsim.Packet, stage int, fault bool, t sim.Time) {
-	st := n.fab.stats
+	st := n.fab.Ledger
 	if stage >= 0 {
-		st.DropsByStage[stage]++
+		n.fab.dropsByStage[stage]++
 	}
 	if fault {
 		st.FaultDrops++
 	}
-	if n.dbgDrop != nil {
-		n.dbgDrop(p, stage)
+	if n.onDrop != nil {
+		n.onDrop(p)
 	}
-	if tp := n.fab.tp; tp != nil && tp.ring != nil {
-		tp.ring.Add(telemetry.Record{
-			At: t, Pkt: p.ID, Kind: telemetry.KindDrop,
-			Src: int32(p.Src), Dst: int32(p.Dst), Loc: int32(stage),
-		})
-	}
+	n.fab.Record(telemetry.KindDrop, p, t, 0, int32(stage), 0)
 	if p.Ack {
 		st.AckDrops++
 		n.fab.releaseAck(p)

@@ -140,8 +140,11 @@ func TestExactlyOnceDeliveryUnderHeavyLoss(t *testing.T) {
 			t.Errorf("packet %d delivered %d times via OnDeliver", id, count)
 		}
 	}
-	if n.Pending() {
-		t.Error("network still pending after drain")
+	if q := n.Engine().Pending(); q != 0 {
+		t.Errorf("%d events still queued after drain", q)
+	}
+	if l := n.Ledger(); l.Delivered != l.Injected {
+		t.Errorf("ledger after drain: delivered %d of %d injected", l.Delivered, l.Injected)
 	}
 }
 

@@ -82,7 +82,7 @@ func (c *nic) postTraverse(t sim.Time, p *netsim.Packet) {
 	fab := c.net.fab
 	ev := c.sh.acquireEvent()
 	ev.kind, ev.nic, ev.p, ev.home = evTraverse, c, p, fab
-	c.sh.sh.Post(fab.sh, t, c.act.Next(), ev)
+	c.sh.Sim.Post(fab.Sim, t, c.act.Next(), ev)
 }
 
 // postReceive hands p's last-bit arrival to the destination NIC's shard.
@@ -90,7 +90,7 @@ func (c *nic) postTraverse(t sim.Time, p *netsim.Packet) {
 func (n *Network) postReceive(t sim.Time, dst *nic, p *netsim.Packet) {
 	ev := n.fab.acquireEvent()
 	ev.kind, ev.nic, ev.p, ev.home = evReceive, dst, p, dst.sh
-	n.fab.sh.Post(dst.sh.sh, t, n.fabAct.Next(), ev)
+	n.fab.Sim.Post(dst.sh.Sim, t, n.fabAct.Next(), ev)
 }
 
 // Run is the NIC's wire-free event: the tail of the previous packet has

@@ -22,7 +22,7 @@ type FaultSpec struct {
 }
 
 func (n *Network) switchIndex(f FaultSpec) (int, error) {
-	if f.Stage >= n.mb.Stages || f.Switch < 0 || int(f.Switch) >= n.mb.SwitchesPerStage() {
+	if f.Stage < 0 || f.Stage >= n.mb.Stages || f.Switch < 0 || int(f.Switch) >= n.mb.SwitchesPerStage() {
 		return 0, fmt.Errorf("core: fault %+v out of range", f)
 	}
 	return f.Stage*n.mb.SwitchesPerStage() + int(f.Switch), nil
@@ -37,15 +37,8 @@ func (n *Network) refreshFaulty() {
 // InjectFault marks a switch as faulty; faults accumulate into a set, so
 // several switches can be dead at once. Packets that reach a dead switch are
 // dropped silently (counted in Stats as drops at that stage, and in
-// FaultDrops). Passing a negative stage clears every switch fault — the
-// pre-set-API convention, kept so existing callers work; new code should use
-// ClearFault.
+// FaultDrops); ClearFault restores one.
 func (n *Network) InjectFault(f FaultSpec) error {
-	if f.Stage < 0 {
-		n.deadSwitch.Reset()
-		n.refreshFaulty()
-		return nil
-	}
 	idx, err := n.switchIndex(f)
 	if err != nil {
 		return err
@@ -142,33 +135,27 @@ func (n *Network) Wiring() *topo.MultiButterfly { return n.mb }
 // and reports whether it was delivered. It runs the engine to completion,
 // so use it on an otherwise idle network built with DisableRetransmit (a
 // probe lost to a fault would otherwise be retransmitted until the attempt
-// cap — forever, with MaxAttempts unset).
+// cap — forever, with MaxAttempts unset). Without retransmission every
+// transmission is either delivered or dropped exactly once, so the probe
+// was delivered iff no drop matched it.
 func (n *Network) ProbePath(src, dst int) bool {
 	if !n.cfg.DisableRetransmit {
 		panic("core: ProbePath requires DisableRetransmit (diagnosis runs without the reliability protocol)")
 	}
-	if n.se.NumShards() > 1 {
+	if n.NumShards() > 1 {
 		panic("core: ProbePath requires a serial network (Shards <= 1)")
 	}
-	delivered := false
-	// The observer matches the probe packet by identity, not by any
+	// The drop observer matches the probe packet by identity, not by any
 	// (src, dst, size) signature: workload packets with the same endpoints
-	// and size must not register as probe deliveries. The probe pointer is
-	// filled in when the deferred Send runs.
+	// and size must not register as the probe. The probe pointer is filled
+	// in when the deferred Send runs.
 	const probeSize = 64
 	var probe *netsim.Packet
-	idx := len(n.onDeliver)
-	n.OnDeliver(func(p *netsim.Packet, _ sim.Time) {
-		if p == probe {
-			delivered = true
-		}
-	})
+	dropped := false
+	n.onDrop = func(p *netsim.Packet) { dropped = dropped || p == probe }
+	defer func() { n.onDrop = nil }()
 	eng := n.Engine()
 	eng.Schedule(eng.Now(), sim.EventFunc(func() { probe = n.Send(src, dst, probeSize) }))
 	eng.Run()
-	// Splice out exactly the observer registered above — not whatever
-	// happens to be last, which could be a callback someone else added
-	// while the probe was in flight.
-	n.onDeliver = append(n.onDeliver[:idx], n.onDeliver[idx+1:]...)
-	return delivered
+	return !dropped
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"baldur/internal/check"
+	"baldur/internal/faults"
 	"baldur/internal/netsim"
 	"baldur/internal/reliability"
 	"baldur/internal/sim"
@@ -17,15 +18,26 @@ func TestInjectFaultValidation(t *testing.T) {
 	if err := n.InjectFault(FaultSpec{Stage: 0, Switch: 5}); err != nil {
 		t.Errorf("valid fault rejected: %v", err)
 	}
-	if err := n.InjectFault(FaultSpec{Stage: -1}); err != nil {
-		t.Errorf("clearing fault failed: %v", err)
+	if err := n.InjectFault(FaultSpec{Stage: -1}); err == nil {
+		t.Error("negative-stage fault accepted")
+	}
+	// A fault script reaches the same switch targets through ApplyFault: a
+	// negative stage must be refused and leave the armed fault in place (a
+	// kill used to clear every switch fault, a restore to index out of
+	// range).
+	for _, action := range []faults.Action{faults.KillSwitch, faults.RestoreSwitch} {
+		if err := n.ApplyFault(faults.Event{Action: action, A: -1}); err == nil {
+			t.Errorf("%v at stage -1 accepted", action)
+		}
+		if n.deadSwitch.Count() != 1 || !n.deadSwitch.Get(5) || !n.faulty {
+			t.Errorf("%v at stage -1 changed the fault set: %d dead switches", action, n.deadSwitch.Count())
+		}
 	}
 }
 
 func TestFaultSetAccumulatesAndClears(t *testing.T) {
-	// Faults now form a set: injecting a second switch must not forget the
-	// first, ClearFault removes exactly one, and the legacy negative-stage
-	// spec still clears everything.
+	// Faults form a set: injecting a second switch must not forget the
+	// first, and ClearFault removes exactly one.
 	n := mustNew(t, Config{Nodes: 64, Multiplicity: 2, Seed: 1, DisableRetransmit: true})
 	if err := n.InjectFault(FaultSpec{Stage: 0, Switch: 0}); err != nil {
 		t.Fatal(err)
@@ -49,11 +61,11 @@ func TestFaultSetAccumulatesAndClears(t *testing.T) {
 	if n.ProbePath(2, 33) {
 		t.Error("clearing one fault also cleared the other")
 	}
-	if err := n.InjectFault(FaultSpec{Stage: -1}); err != nil {
+	if err := n.ClearFault(FaultSpec{Stage: 0, Switch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !n.ProbePath(2, 33) {
-		t.Error("negative-stage clear left a fault armed")
+		t.Error("clearing the second fault left it armed")
 	}
 	if err := n.ClearFault(FaultSpec{Stage: 99, Switch: 0}); err == nil {
 		t.Error("out-of-range ClearFault accepted")
@@ -282,23 +294,19 @@ func TestProbePathIgnoresCoexistingWorkload(t *testing.T) {
 
 func TestProbePathRemovesOnlyItsObserver(t *testing.T) {
 	// Regression: ProbePath used to strip the *last* delivery observer on
-	// exit. An observer registered while the probe was in flight landed
-	// after ProbePath's own and was removed in its place, leaving the
-	// stale probe observer armed.
+	// exit, so an observer registered while the probe was in flight was
+	// removed in place of the probe's own. Every user observer must keep
+	// firing after a probe.
 	n := mustNew(t, Config{Nodes: 16, Multiplicity: 1, Seed: 1, DisableRetransmit: true})
 	var aCount, bCount int
 	n.OnDeliver(func(*netsim.Packet, sim.Time) { aCount++ })
 	eng := n.Engine()
-	// Registered from an event at t=0: runs after ProbePath appends its
-	// observer, so B lands last in the list.
+	// Registered from an event at t=0, while the probe is in flight.
 	eng.Schedule(0, sim.EventFunc(func() {
 		n.OnDeliver(func(*netsim.Packet, sim.Time) { bCount++ })
 	}))
 	if !n.ProbePath(0, 9) {
 		t.Fatal("probe lost on a healthy network")
-	}
-	if len(n.onDeliver) != 2 {
-		t.Fatalf("%d observers left after ProbePath, want the 2 user observers", len(n.onDeliver))
 	}
 	a0, b0 := aCount, bCount
 	n.Send(0, 9, 0)

@@ -59,7 +59,7 @@ func (c *nic) init(n *Network, id int, sh *coreShard, rng *sim.RNG) {
 	c.net = n
 	c.id = id
 	c.sh = sh
-	c.eng = sh.sh.Eng
+	c.eng = sh.Sim.Eng
 	c.act = sim.MakeActor(uint32(id) + 2) // 1 is the fabric
 	c.rng = *rng
 }
@@ -92,8 +92,8 @@ func (c *nic) enqueueData(p *netsim.Packet) {
 	if !c.net.cfg.DisableRetransmit {
 		c.outstanding.put(p.Seq, p)
 		c.retxBytes += p.Size
-		if c.retxBytes > c.sh.stats.MaxRetxBufBytes {
-			c.sh.stats.MaxRetxBufBytes = c.retxBytes
+		if c.retxBytes > *c.sh.maxRetx {
+			*c.sh.maxRetx = c.retxBytes
 		}
 	}
 	c.pump()
@@ -142,15 +142,9 @@ func (c *nic) pump() {
 	if p.NotBefore > start {
 		start = p.NotBefore // backoff window (head-of-line by design:
 		// BEB throttles the whole transmitter, Sec IV-E)
-		if tp := c.sh.tp; tp != nil {
-			tp.blocks.Inc()
-			if tp.ring != nil {
-				tp.ring.Add(telemetry.Record{
-					At: now, Dur: start.Sub(now), Pkt: p.ID,
-					Kind: telemetry.KindBlock,
-					Src:  int32(p.Src), Dst: int32(p.Dst), Loc: -1,
-				})
-			}
+		if tp := c.sh.Probe; tp != nil {
+			tp.Blocks.Inc()
+			c.sh.Record(telemetry.KindBlock, p, now, start.Sub(now), -1, 0)
 		}
 	}
 	if p.Traced {
@@ -159,12 +153,10 @@ func (c *nic) pump() {
 		// injection wire at pop time (wire_busy), then the BEB window
 		// (backoff). The spans tile [TraceCursor, start) exactly, and the
 		// attempt's transmission starts at start.
-		if tp := c.sh.tp; tp != nil && tp.ring != nil {
-			src, dst, att := int32(p.Src), int32(p.Dst), int32(p.Retries)
-			tp.ring.AddSpan(telemetry.PhaseQueue, p.TraceCursor, now, p.ID, src, dst, -1, att)
-			tp.ring.AddSpan(telemetry.PhaseWireBusy, now, wireWait, p.ID, src, dst, -1, att)
-			tp.ring.AddSpan(telemetry.PhaseBackoff, wireWait, start, p.ID, src, dst, -1, att)
-		}
+		att := int32(p.Retries)
+		c.sh.Span(telemetry.PhaseQueue, p.TraceCursor, now, p, -1, att)
+		c.sh.Span(telemetry.PhaseWireBusy, now, wireWait, p, -1, att)
+		c.sh.Span(telemetry.PhaseBackoff, wireWait, start, p, -1, att)
 		p.TraceCursor = start
 	}
 	c.popFront()
@@ -224,24 +216,17 @@ func (c *nic) timeout(seq uint64, attempt int) {
 		// severed link drains instead of retransmitting forever. A late
 		// ACK for it lands in the auditor's unmatched tally.
 		c.forget(p)
-		c.sh.stats.GaveUp++
+		c.sh.Ledger.GaveUp++
 		return
 	}
 	p.Retries++
-	c.sh.stats.Retransmissions++
-	if tp := c.sh.tp; tp != nil && tp.ring != nil {
-		tp.ring.Add(telemetry.Record{
-			At: c.eng.Now(), Pkt: p.ID, Kind: telemetry.KindRetransmit,
-			Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
-			Aux: int32(p.Retries),
-		})
-		if p.Traced {
-			// The attempt was lost: everything since its transmit
-			// start was spent waiting for this timer.
-			tp.ring.AddSpan(telemetry.PhaseRetxWait, p.TraceCursor, c.eng.Now(),
-				p.ID, int32(p.Src), int32(p.Dst), -1, int32(p.Retries))
-			p.TraceCursor = c.eng.Now()
-		}
+	c.sh.Ledger.Retransmissions++
+	c.sh.Record(telemetry.KindRetransmit, p, c.eng.Now(), 0, -1, int32(p.Retries))
+	if p.Traced {
+		// The attempt was lost: everything since its transmit start was
+		// spent waiting for this timer.
+		c.sh.Span(telemetry.PhaseRetxWait, p.TraceCursor, c.eng.Now(), p, -1, int32(p.Retries))
+		p.TraceCursor = c.eng.Now()
 	}
 	if !n.cfg.DisableBEB {
 		exp := p.Retries
@@ -264,19 +249,13 @@ func (c *nic) receive(p *netsim.Packet, at sim.Time) {
 		if data := c.outstanding.get(p.AckFor); data != nil {
 			data.Acked = true
 			c.forget(data)
-			if tp := c.sh.tp; tp != nil && tp.ring != nil {
-				tp.ring.Add(telemetry.Record{
-					At: at, Pkt: data.ID, Kind: telemetry.KindAck,
-					Src: int32(data.Src), Dst: int32(data.Dst), Loc: -1,
-				})
-				if data.Traced {
-					// Post-delivery phase: the receiver stamped the
-					// ACK's Created with the data arrival time, so
-					// [Created, at) is the ACK's return trip. Excluded
-					// from the latency-sum invariant by construction.
-					tp.ring.AddSpan(telemetry.PhaseAck, p.Created, at,
-						data.ID, int32(data.Src), int32(data.Dst), -1, 0)
-				}
+			c.sh.Record(telemetry.KindAck, data, at, 0, -1, 0)
+			if data.Traced {
+				// Post-delivery phase: the receiver stamped the ACK's
+				// Created with the data arrival time, so [Created, at)
+				// is the ACK's return trip. Excluded from the
+				// latency-sum invariant by construction.
+				c.sh.Span(telemetry.PhaseAck, p.Created, at, data, -1, 0)
 			}
 			c.ackLat.Add(float64(at.Sub(data.Created).Nanoseconds()))
 		} else if aud := c.sh.aud; aud != nil {
@@ -296,7 +275,7 @@ func (c *nic) receive(p *netsim.Packet, at sim.Time) {
 	if fresh {
 		c.deliverUnique(p, at)
 	} else {
-		c.sh.stats.Duplicates++
+		c.sh.Ledger.Duplicates++
 	}
 	ack := c.sh.acquireAck()
 	ack.ID = 0 // ACKs are anonymous
@@ -309,21 +288,14 @@ func (c *nic) receive(p *netsim.Packet, at sim.Time) {
 	c.enqueueAckFront(ack)
 }
 
+// deliverUnique records the deliver event, then the delivered attempt's
+// flight spans, then calls the delivery callbacks.
 func (c *nic) deliverUnique(p *netsim.Packet, at sim.Time) {
-	n := c.net
-	c.sh.stats.Delivered++
-	if tp := c.sh.tp; tp != nil && tp.ring != nil {
-		tp.ring.Add(telemetry.Record{
-			At: at, Pkt: p.ID, Kind: telemetry.KindDeliver,
-			Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
-		})
-		if p.Traced {
-			c.traceFlight(tp.ring, p, at)
-		}
+	c.sh.Delivered(p, at)
+	if p.Traced {
+		c.traceFlight(p, at)
 	}
-	for _, fn := range n.onDeliver {
-		fn(p, at)
-	}
+	c.net.Notify(p, at)
 }
 
 // traceFlight reconstructs the delivered attempt's flight spans at the
@@ -334,19 +306,18 @@ func (c *nic) deliverUnique(p *netsim.Packet, at sim.Time) {
 // network constants — the source shard still owns the mutable packet state
 // (cursor, retry bookkeeping), which is why the attempt is reconstructed
 // rather than carried on the packet.
-func (c *nic) traceFlight(ring *telemetry.Ring, p *netsim.Packet, at sim.Time) {
+func (c *nic) traceFlight(p *netsim.Packet, at sim.Time) {
 	n := c.net
-	src, dst := int32(p.Src), int32(p.Dst)
 	perStage := n.cfg.SwitchLatency + n.cfg.InterStageDelay
 	t := at.Add(-n.flight)
-	ring.AddSpan(telemetry.PhaseLink, t, t.Add(n.cfg.LinkDelay), p.ID, src, dst, -1, 0)
+	c.sh.Span(telemetry.PhaseLink, t, t.Add(n.cfg.LinkDelay), p, -1, 0)
 	t = t.Add(n.cfg.LinkDelay)
 	for s := 0; s < n.mb.Stages; s++ {
-		ring.AddSpan(telemetry.PhaseHop, t, t.Add(perStage), p.ID, src, dst, int32(s), 0)
+		c.sh.Span(telemetry.PhaseHop, t, t.Add(perStage), p, int32(s), 0)
 		t = t.Add(perStage)
 	}
-	ring.AddSpan(telemetry.PhaseLink, t, t.Add(n.cfg.LinkDelay), p.ID, src, dst, -1, 1)
-	ring.AddSpan(telemetry.PhaseWire, at.Add(-n.duration), at, p.ID, src, dst, -1, 0)
+	c.sh.Span(telemetry.PhaseLink, t, t.Add(n.cfg.LinkDelay), p, -1, 1)
+	c.sh.Span(telemetry.PhaseWire, at.Add(-n.duration), at, p, -1, 0)
 }
 
 // seqTracker deduplicates per-source sequence numbers with O(1) memory for

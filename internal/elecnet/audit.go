@@ -74,7 +74,7 @@ func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 				q += port.queues[vi].len()
 			}
 			if q != port.queued {
-				a.Violatef(at, r.sh.sh.ID, "elec/queues",
+				a.Violatef(at, r.sh.Sim.ID, "elec/queues",
 					"%s: router %d port %d caches queued=%d but VC queues hold %d",
 					n.name, r.id, pi, port.queued, q)
 			}
@@ -84,11 +84,11 @@ func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 			}
 			for vc, cr := range port.credits {
 				if cr < 0 || cr > per {
-					a.Violatef(at, r.sh.sh.ID, "elec/credits",
+					a.Violatef(at, r.sh.Sim.ID, "elec/credits",
 						"%s: router %d port %d vc %d holds %d credits (capacity %d)",
 						n.name, r.id, pi, vc, cr, per)
 				} else if drained && cr != per {
-					a.Violatef(at, r.sh.sh.ID, "elec/credits",
+					a.Violatef(at, r.sh.Sim.ID, "elec/credits",
 						"%s: drained with router %d port %d vc %d at %d/%d credits",
 						n.name, r.id, pi, vc, cr, per)
 				}
@@ -100,11 +100,11 @@ func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 		queuedStates += int64(nic.queue.len())
 		for vc, cr := range nic.credits {
 			if cr < 0 || cr > per {
-				a.Violatef(at, nic.sh.sh.ID, "elec/credits",
+				a.Violatef(at, nic.sh.Sim.ID, "elec/credits",
 					"%s: nic %d vc %d holds %d credits (capacity %d)",
 					n.name, nic.id, vc, cr, per)
 			} else if drained && cr != per {
-				a.Violatef(at, nic.sh.sh.ID, "elec/credits",
+				a.Violatef(at, nic.sh.Sim.ID, "elec/credits",
 					"%s: drained with nic %d vc %d at %d/%d credits",
 					n.name, nic.id, vc, cr, per)
 			}
@@ -120,7 +120,7 @@ func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 			"%s: negative live pool balance: states=%d credits=%d (double free)",
 			n.name, stateLive, credLive)
 	}
-	pending := n.se.Pending()
+	pending := n.Queued()
 	if credLive > int64(pending) {
 		a.Violatef(at, -1, "elec/pools",
 			"%s: %d live credit events but only %d events queued (leak)",

@@ -18,6 +18,30 @@ func drainCheck(t *testing.T, net netsim.Network, injected func() uint64, delive
 	}
 }
 
+// TestIdealIsUninstrumented guards the shard runtime's promotion boundary:
+// the ideal network embeds netsim.Shards, which must not lend it the
+// telemetry or audit surface the buffered networks declare themselves.
+func TestIdealIsUninstrumented(t *testing.T) {
+	var ideal netsim.Network = NewIdeal(4, 0)
+	if _, ok := ideal.(netsim.Instrumented); ok {
+		t.Error("*Ideal implements netsim.Instrumented")
+	}
+	if _, ok := ideal.(netsim.Audited); ok {
+		t.Error("*Ideal implements netsim.Audited")
+	}
+	mb, err := NewMultiButterfly(MBConfig{Nodes: 16, Multiplicity: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buffered netsim.Network = mb
+	if _, ok := buffered.(netsim.Instrumented); !ok {
+		t.Error("*MultiButterfly lost netsim.Instrumented")
+	}
+	if _, ok := buffered.(netsim.Audited); !ok {
+		t.Error("*MultiButterfly lost netsim.Audited")
+	}
+}
+
 func TestIdealFlatLatency(t *testing.T) {
 	n := NewIdeal(64, 0)
 	var lat []sim.Duration

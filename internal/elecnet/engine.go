@@ -86,20 +86,18 @@ func (c *EngineConfig) slotsPerVC() int {
 type NetStats = netsim.Ledger
 
 // eshard is one partition of an electrical network: a block of routers and
-// their co-located NICs. Each shard owns an event queue, a NetStats slice
-// and the free lists its goroutine touches; nothing here is shared between
-// shards during an epoch. Pooled objects (pktState, creditEvent) migrate:
-// they are acquired from the free list of the shard that schedules them and
-// released into the free list of the shard that executes them.
+// their co-located NICs. It embeds the runtime's netsim.Shard (engine shard,
+// ledger, telemetry probe) and adds the free lists its goroutine touches;
+// nothing here is shared between shards during an epoch. Pooled objects
+// (pktState, creditEvent) migrate: they are acquired from the free list of
+// the shard that schedules them and released into the free list of the
+// shard that executes them.
 type eshard struct {
-	sh       *sim.Shard
-	stats    *NetStats
+	netsim.Shard
 	stFree   *pktState
 	credFree *creditEvent
-	// tp is the shard's telemetry probe; nil (the default) disables
-	// recording, and every hook is guarded by that single nil check.
-	tp *elecProbe
-	// aud is the shard's audit counters; same nil-to-disable contract.
+	// aud is the shard's audit counters; nil disables auditing, like the
+	// probe.
 	aud *elecAudit
 }
 
@@ -144,7 +142,7 @@ func (st *pktState) Run(e *sim.Engine) {
 			n.countDrop(sh, p, e.Now())
 			return
 		}
-		n.deliver(sh, p, e.Now())
+		n.Deliver(&sh.Shard, p, e.Now())
 		return
 	}
 	n.arrive(st.holdRouter, st.holdIn, st)
@@ -311,20 +309,21 @@ type routeFunc func(net *engine, r *router, st *pktState) int
 
 // engine is the shared buffered-network core. Concrete networks embed it,
 // provide topology plus a routeFunc, and finish construction with
-// partition.
+// partition; the embedded shard runtime provides the run, ledger and
+// delivery plumbing.
 type engine struct {
+	netsim.Shards
+
 	cfg    EngineConfig
-	se     *sim.ShardedEngine
 	shards []*eshard
 	// routers and nics are contiguous slabs indexed by id. They are sized
 	// once at construction (initRouters / initNICs) and never reallocated,
 	// so interior pointers (&routers[i], port backrefs, pooled events'
 	// receiver fields) stay valid for the life of the network.
-	routers   []router
-	nics      []enic
-	route     routeFunc
-	onDeliver []func(*netsim.Packet, sim.Time)
-	name      string
+	routers []router
+	nics    []enic
+	route   routeFunc
+	name    string
 
 	// creditSlab is the chunk allocator newCredits carves per-port credit
 	// vectors from, replacing one small heap object per port.
@@ -346,7 +345,7 @@ type engine struct {
 	outStride  int
 	seed       uint64
 
-	// NetStats is the aggregate view (live with one shard; refreshed by
+	// NetStats is the aggregate ledger (live with one shard; refreshed by
 	// SyncStats — called by Run — otherwise). The embedding promotes
 	// Injected/Delivered/MaxHops onto the concrete network types.
 	NetStats
@@ -398,7 +397,7 @@ func (n *engine) scheduleCredit(from *router, t sim.Time, nic *enic, r *router, 
 		src.aud.credit.Get()
 	}
 	c.n, c.home, c.nic, c.r, c.port, c.vc = n, dst, nic, r, int32(port), int32(vc)
-	src.sh.Post(dst.sh, t, from.act.Next(), c)
+	src.Sim.Post(dst.Sim, t, from.act.Next(), c)
 }
 
 func newEngine(cfg EngineConfig, name string, defaultVCs int) *engine {
@@ -456,64 +455,31 @@ func (n *engine) partition(shards, units int, routerUnit func(int) int, nodeUnit
 	if la == sim.Duration(math.MaxInt64) {
 		la = sim.Nanosecond // single shard: the lookahead is unused
 	}
-	n.se = sim.NewShardedEngine(k, la)
 	n.shards = make([]*eshard, k)
+	views := make([]*netsim.Shard, k)
 	for i := range n.shards {
-		sh := &eshard{sh: n.se.Shard(i), stats: &n.NetStats}
-		if k > 1 {
-			sh.stats = &NetStats{}
-		}
-		n.shards[i] = sh
+		n.shards[i] = &eshard{}
+		views[i] = &n.shards[i].Shard
 	}
+	n.Shards = netsim.NewShards(la, &n.NetStats, nil, views...)
 	for i := range n.routers {
 		r := &n.routers[i]
 		r.sh = n.shards[rsh[i]]
-		r.eng = r.sh.sh.Eng
+		r.eng = r.sh.Sim.Eng
 		r.act = sim.MakeActor(uint32(i) + 1)
 	}
 	for i := range n.nics {
 		nic := &n.nics[i]
 		nic.sh = n.shards[nsh[i]]
-		nic.eng = nic.sh.sh.Eng
+		nic.eng = nic.sh.Sim.Eng
 		nic.act = sim.MakeActor(uint32(len(n.routers)+i) + 1)
 	}
 }
 
-// Engine returns shard 0's event queue: with a single shard (the default)
-// that is the whole simulation, preserving the serial Engine().Run() idiom.
-// Sharded runs must use Run instead.
-func (n *engine) Engine() *sim.Engine { return n.shards[0].sh.Eng }
-
 func (n *engine) NumNodes() int { return len(n.nics) }
 
-// OnDeliver registers a delivery callback. Callbacks run on the shard of
-// the packet's destination node and must touch only per-node or per-shard
-// state.
-func (n *engine) OnDeliver(fn func(p *netsim.Packet, at sim.Time)) {
-	n.onDeliver = append(n.onDeliver, fn)
-}
-
-// Run dispatches all events up to and including deadline across every
-// shard, folds per-shard statistics, and reports whether events remain
-// queued (netsim.Network).
-func (n *engine) Run(deadline sim.Time) bool {
-	more := n.se.RunUntil(deadline)
-	n.SyncStats()
-	return more
-}
-
-// Events returns the total number of dispatched events.
-func (n *engine) Events() uint64 { return n.se.Executed() }
-
-// Epochs returns the number of barrier rounds executed so far (0 when
-// serial).
-func (n *engine) Epochs() uint64 { return n.se.Epochs }
-
-// NumShards returns the shard count K.
-func (n *engine) NumShards() int { return n.se.NumShards() }
-
 // NodeShard returns the shard owning a node's NIC.
-func (n *engine) NodeShard(node int) int { return n.nics[node].sh.sh.ID }
+func (n *engine) NodeShard(node int) int { return n.nics[node].sh.Sim.ID }
 
 // ScheduleNode schedules ev on node's shard with the node's deterministic
 // tie-break key. Call it before the run starts or from an event already
@@ -521,23 +487,6 @@ func (n *engine) NodeShard(node int) int { return n.nics[node].sh.sh.ID }
 func (n *engine) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 	nic := &n.nics[node]
 	nic.eng.ScheduleKey(t, nic.act.Next(), ev)
-}
-
-// Ledger returns the aggregate counters (netsim.Network).
-func (n *engine) Ledger() netsim.Ledger { return n.NetStats }
-
-// SyncStats folds per-shard counters into the embedded aggregate. Sums and
-// a max, so the result is invariant to the shard count. Idempotent; no-op
-// with a single shard (the aggregate is live).
-func (n *engine) SyncStats() {
-	if len(n.shards) == 1 {
-		return
-	}
-	var agg NetStats
-	for _, sh := range n.shards {
-		agg.Add(sh.stats)
-	}
-	n.NetStats = agg
 }
 
 // Send creates a packet and enqueues it at src's NIC. In sharded runs it
@@ -559,19 +508,7 @@ func (n *engine) Send(src, dst, size int) *netsim.Packet {
 		Size:    size,
 		Created: nic.eng.Now(),
 	}
-	nic.sh.stats.Injected++
-	if tp := nic.sh.tp; tp != nil {
-		if tp.ring != nil {
-			tp.ring.Add(telemetry.Record{
-				At: p.Created, Pkt: p.ID, Kind: telemetry.KindInject,
-				Src: int32(src), Dst: int32(dst), Loc: -1,
-			})
-		}
-		if telemetry.Sampled(p.ID, tp.traceEvery) {
-			p.Traced = true
-			p.TraceCursor = p.Created
-		}
-	}
+	nic.sh.Inject(p)
 	st := n.acquireState(nic.sh, p)
 	nic.queue.push(st)
 	n.kickNIC(nic)
@@ -632,15 +569,9 @@ func (n *engine) serviceNIC(nic *enic) {
 		st := nic.queue.peek()
 		vc := st.vc(n.cfg.VirtualChannels)
 		if nic.credits[vc] <= 0 {
-			if tp := nic.sh.tp; tp != nil {
-				tp.blocks.Inc()
-				if tp.ring != nil {
-					tp.ring.Add(telemetry.Record{
-						At: now, Pkt: st.pkt.ID, Kind: telemetry.KindBlock,
-						Src: int32(st.pkt.Src), Dst: int32(st.pkt.Dst),
-						Loc: -1, Aux: int32(vc),
-					})
-				}
+			if tp := nic.sh.Probe; tp != nil {
+				tp.Blocks.Inc()
+				nic.sh.Record(telemetry.KindBlock, st.pkt, now, 0, -1, int32(vc))
 			}
 			return // waits for a credit return to kick us
 		}
@@ -652,10 +583,7 @@ func (n *engine) serviceNIC(nic *enic) {
 			// Source-queue wait ends here; the head hits the wire now.
 			// Serialization overlaps the cut-through pipeline and is
 			// attributed once, at the ejection port.
-			if tp := nic.sh.tp; tp != nil && tp.ring != nil {
-				tp.ring.AddSpan(telemetry.PhaseQueue, p.TraceCursor, now,
-					p.ID, int32(p.Src), int32(p.Dst), -1, int32(vc))
-			}
+			nic.sh.Span(telemetry.PhaseQueue, p.TraceCursor, now, p, -1, int32(vc))
 			p.TraceCursor = now
 		}
 		st.holdRouter = nic.edge
@@ -663,7 +591,7 @@ func (n *engine) serviceNIC(nic *enic) {
 		edge := &n.routers[nic.edge]
 		st.home = edge.sh
 		headAt := now.Add(nic.linkDelay + n.cfg.RouterLatency)
-		nic.sh.sh.Post(edge.sh.sh, headAt, nic.act.Next(), st)
+		nic.sh.Sim.Post(edge.sh.Sim, headAt, nic.act.Next(), st)
 	}
 }
 
@@ -678,19 +606,16 @@ func (n *engine) arrive(rid int32, in int16, st *pktState) {
 		return
 	}
 	st.hop++
-	if st.hop > r.sh.stats.MaxHops {
-		r.sh.stats.MaxHops = st.hop
+	if st.hop > r.sh.Ledger.MaxHops {
+		r.sh.Ledger.MaxHops = st.hop
 	}
-	if tp := r.sh.tp; tp != nil {
-		tp.hops.Inc()
+	if tp := r.sh.Probe; tp != nil {
+		tp.Hops.Inc()
 	}
 	if p := st.pkt; p.Traced {
 		// Head propagation from the previous pop point: upstream link
 		// plus this router's pipeline latency.
-		if tp := r.sh.tp; tp != nil && tp.ring != nil {
-			tp.ring.AddSpan(telemetry.PhaseHop, p.TraceCursor, r.eng.Now(),
-				p.ID, int32(p.Src), int32(p.Dst), rid, int32(st.hop))
-		}
+		r.sh.Span(telemetry.PhaseHop, p.TraceCursor, r.eng.Now(), p, rid, int32(st.hop))
 		p.TraceCursor = r.eng.Now()
 	}
 	out := n.route(n, r, st)
@@ -749,8 +674,8 @@ func (n *engine) servicePort(r *router, out int) {
 			break
 		}
 		if vc < 0 {
-			if tp := r.sh.tp; tp != nil {
-				tp.blocks.Inc()
+			if tp := r.sh.Probe; tp != nil {
+				tp.Blocks.Inc()
 			}
 			return // every waiting VC is out of credits; a return kicks us
 		}
@@ -759,20 +684,11 @@ func (n *engine) servicePort(r *router, out int) {
 		port.queued--
 		dur := n.ser(st.pkt.Size)
 		port.busyUntil = now.Add(dur)
-		if tp := r.sh.tp; tp != nil && tp.ring != nil {
-			tp.ring.Add(telemetry.Record{
-				At: now, Dur: dur, Pkt: st.pkt.ID, Kind: telemetry.KindHop,
-				Src: int32(st.pkt.Src), Dst: int32(st.pkt.Dst),
-				Loc: r.id, Aux: int32(vc),
-			})
-		}
+		r.sh.Record(telemetry.KindHop, st.pkt, now, dur, r.id, int32(vc))
 		if p := st.pkt; p.Traced {
 			// Output-queue/credit stall since the head arrived (or since
 			// the previous service attempt advanced the cursor).
-			if tp := r.sh.tp; tp != nil && tp.ring != nil {
-				tp.ring.AddSpan(telemetry.PhaseStall, p.TraceCursor, now,
-					p.ID, int32(p.Src), int32(p.Dst), r.id, int32(vc))
-			}
+			r.sh.Span(telemetry.PhaseStall, p.TraceCursor, now, p, r.id, int32(vc))
 			p.TraceCursor = now
 		}
 
@@ -787,18 +703,14 @@ func (n *engine) servicePort(r *router, out int) {
 				// Final hop: serialization (counted exactly once per
 				// packet, here) then the ejection fiber; delivery fires
 				// at the link span's end.
-				if tp := r.sh.tp; tp != nil && tp.ring != nil {
-					tp.ring.AddSpan(telemetry.PhaseWire, now, port.busyUntil,
-						p.ID, int32(p.Src), int32(p.Dst), r.id, int32(vc))
-					tp.ring.AddSpan(telemetry.PhaseLink, port.busyUntil, port.busyUntil.Add(port.linkDelay),
-						p.ID, int32(p.Src), int32(p.Dst), -1, 0)
-				}
+				r.sh.Span(telemetry.PhaseWire, now, port.busyUntil, p, r.id, int32(vc))
+				r.sh.Span(telemetry.PhaseLink, port.busyUntil, port.busyUntil.Add(port.linkDelay), p, -1, 0)
 				p.TraceCursor = port.busyUntil.Add(port.linkDelay)
 			}
 			st.eject = true
 			dst := &n.nics[port.node]
 			st.home = dst.sh
-			r.sh.sh.Post(dst.sh.sh, port.busyUntil.Add(port.linkDelay), r.act.Next(), st)
+			r.sh.Sim.Post(dst.sh.Sim, port.busyUntil.Add(port.linkDelay), r.act.Next(), st)
 			continue
 		}
 		port.credits[vc]--
@@ -807,7 +719,7 @@ func (n *engine) servicePort(r *router, out int) {
 		peer := &n.routers[port.peer]
 		st.home = peer.sh
 		headAt := now.Add(port.linkDelay + n.cfg.RouterLatency)
-		r.sh.sh.Post(peer.sh.sh, headAt, r.act.Next(), st)
+		r.sh.Sim.Post(peer.sh.Sim, headAt, r.act.Next(), st)
 	}
 }
 
@@ -837,19 +749,6 @@ func (n *engine) scheduleCreditReturn(from *router, in int16, vc int, tailAt sim
 	up := &n.routers[feeder.feederRouter]
 	upPort := int(feeder.feederPort)
 	n.scheduleCredit(from, tailAt.Add(up.out[upPort].linkDelay), nil, up, upPort, vc)
-}
-
-func (n *engine) deliver(sh *eshard, p *netsim.Packet, at sim.Time) {
-	sh.stats.Delivered++
-	if tp := sh.tp; tp != nil && tp.ring != nil {
-		tp.ring.Add(telemetry.Record{
-			At: at, Pkt: p.ID, Kind: telemetry.KindDeliver,
-			Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
-		})
-	}
-	for _, fn := range n.onDeliver {
-		fn(p, at)
-	}
 }
 
 // connect wires output port (a, ap) to input port (b, bp) with the given

@@ -24,13 +24,8 @@ func (n *engine) refreshFaulty() {
 
 // countDrop tallies one faulted-away packet on sh's ledger and flight ring.
 func (n *engine) countDrop(sh *eshard, p *netsim.Packet, at sim.Time) {
-	sh.stats.Dropped++
-	if tp := sh.tp; tp != nil && tp.ring != nil {
-		tp.ring.Add(telemetry.Record{
-			At: at, Pkt: p.ID, Kind: telemetry.KindDrop,
-			Src: int32(p.Src), Dst: int32(p.Dst), Loc: -1,
-		})
-	}
+	sh.Ledger.Dropped++
+	sh.Record(telemetry.KindDrop, p, at, 0, -1, 0)
 }
 
 // dropState discards a packet that holds no input-buffer slot (still at its

@@ -1,21 +1,6 @@
 package elecnet
 
-import (
-	"baldur/internal/netsim"
-	"baldur/internal/telemetry"
-)
-
-// elecProbe is one shard's resolved telemetry handles for the buffered
-// router engine. A nil probe (the default) disables recording; every hook
-// is guarded by that single nil check.
-type elecProbe struct {
-	hops   telemetry.Count
-	blocks telemetry.Count
-	ring   *telemetry.Ring
-	// traceEvery is the resolved 1-in-N lifecycle-trace sampling rate
-	// (0: span capture off). Nonzero only when ring is non-nil.
-	traceEvery int
-}
+import "baldur/internal/telemetry"
 
 // AttachTelemetry registers the electrical networks' metrics and resolves
 // per-shard probes (netsim.Instrumented). It instruments the shared router
@@ -23,22 +8,8 @@ type elecProbe struct {
 // same schema; the packet counters are the shards' own ledgers. Call before
 // the run starts, at most once.
 func (n *engine) AttachTelemetry(tel *telemetry.Telemetry) {
+	n.BindTelemetry(tel, "injected", "delivered", "dropped")
 	reg := tel.Reg
-	ledgers := make([]*netsim.Ledger, len(n.shards))
-	for i, sh := range n.shards {
-		ledgers[i] = sh.stats
-	}
-	netsim.RegisterLedger(reg, ledgers, "injected", "delivered", "dropped")
-	hops := reg.Counter("hops")
-	blocks := reg.Counter("blocks")
-	for i, sh := range n.shards {
-		sh.tp = &elecProbe{
-			hops:       reg.Count(hops, i),
-			blocks:     reg.Count(blocks, i),
-			ring:       tel.Ring(i),
-			traceEvery: tel.TraceEvery(),
-		}
-	}
 	// Gauge refresh runs at sample barriers only — shard goroutines are
 	// parked, so walking every NIC and router is safe. Values land in shard
 	// 0's slots (gauges are instants, not sums).

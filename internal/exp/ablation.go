@@ -64,9 +64,11 @@ func Ablations(sc Scale) ([]AblationRow, error) {
 			Comments: "transpose @0.7: expansion makes worst-case permutations benign",
 		},
 		func(label string, regular bool) (float64, error) {
-			p, _, err := baldur(sc, label, core.Config{
-				Multiplicity: 4, DisableRetransmit: true, RegularWiring: regular,
-			}, transpose)
+			cfg := core.Config{Multiplicity: 4, DisableRetransmit: true}
+			if regular {
+				cfg.Topology = "butterfly"
+			}
+			p, _, err := baldur(sc, label, cfg, transpose)
 			return p.DropRate * 100, err
 		},
 	}, {

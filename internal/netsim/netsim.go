@@ -136,7 +136,7 @@ type Audited interface {
 // Ledger is a network's packet accounting and its only copy: every shard
 // counts into its own Ledger, Network.Ledger returns them folded (Add) at the
 // last barrier, and telemetry reads the per-shard values in place
-// (RegisterLedger). Conservation audits, run fingerprints and availability
+// (Shards.BindTelemetry). Conservation audits, run fingerprints and availability
 // tracking read these counters. Each network fills the counters it keeps and
 // leaves the rest zero (the lossless electrical networks make no attempts
 // and retransmit nothing; Baldur keeps no hop bound).
@@ -205,20 +205,6 @@ func (l *Ledger) ledgerCounter(name string) *uint64 {
 		return &l.Dropped
 	}
 	panic("netsim: no ledger counter named " + name)
-}
-
-// RegisterLedger registers the named ledger counters in reg, in the order
-// given, as counters whose per-shard values are the fields of shards (one
-// ledger per shard, in shard order). The registry reads the model's own
-// accounting at barriers, so the sampled series cannot drift from it.
-func RegisterLedger(reg *telemetry.Registry, shards []*Ledger, names ...string) {
-	for _, name := range names {
-		vals := make([]*uint64, len(shards))
-		for i, l := range shards {
-			vals[i] = l.ledgerCounter(name)
-		}
-		reg.CounterOf(name, vals)
-	}
 }
 
 // Timeline is a time-ordered schedule of actions that may only run at a full
