@@ -37,7 +37,7 @@ func main() {
 		dfP      = flag.Int("dragonfly-p", 4, "dragonfly parameter p (nodes = 2p^2(2p^2+1))")
 		ftK      = flag.Int("fattree-k", 16, "fat-tree radix k (nodes = k^3/4)")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		fidelity = flag.String("fidelity", "packet", "evaluation tier: packet (discrete-event simulation) or twin (analytical flow-level model; open-loop patterns only)")
+		fidelity = flag.String("fidelity", "packet", "evaluation tier: packet (discrete-event simulation) or twin (analytical flow-level model of baldur, multibutterfly, fattree and ideal on open-loop patterns; dragonfly runs on the packet tier)")
 		maxMS    = flag.Float64("max-sim-ms", 1000, "virtual-time safety horizon in milliseconds")
 		shards   = flag.Int("shards", 0, "conservative-parallel shard count (0 or 1 = serial; statistics are identical for any value)")
 		watchdog = flag.Float64("watchdog", 0, "trace-replay progress watchdog window in simulated microseconds (0: off)")

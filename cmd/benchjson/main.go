@@ -28,6 +28,7 @@ import (
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
 	"baldur/internal/traffic"
+	"baldur/internal/twin"
 	"baldur/internal/workload"
 )
 
@@ -598,9 +599,9 @@ func benchWorkloadOverhead(b *testing.B) {
 }
 
 // benchTwinSpeedup measures the analytical twin's wall-clock advantage over
-// the packet engine on the heavy half of a Fig-6 sweep column (every
-// network, transpose, loads 0.7 and 0.9 — the cells that dominate a real
-// sweep's wall time). Packets per node is pinned at the paper's 10,000: the
+// the packet engine on the heavy half of a Fig-6 sweep column (every network
+// the twin models, transpose, loads 0.7 and 0.9 — the cells that dominate a
+// real sweep's wall time). Packets per node is pinned at the paper's 10,000: the
 // packet engine's cost scales linearly with per-node volume while the
 // twin's is nearly independent of it (its only O(packets) term is the
 // injection-draw replay at ~10 ns/draw), so CI-sized node counts at full
@@ -611,7 +612,7 @@ func benchTwinSpeedup(b *testing.B) {
 	sc := exp.Quick
 	sc.PacketsPerNode = 10000
 	g := calib.Grid{
-		Networks: exp.NetworkNames,
+		Networks: twin.Networks,
 		Patterns: []string{"transpose"},
 		Loads:    []float64{0.7, 0.9},
 	}

@@ -32,7 +32,7 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit CSV instead of tables (fig6/fig7 only)")
 		out      = flag.String("out", "", "also write each experiment's output to <dir>/<exp>.txt")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		fidelity = flag.String("fidelity", "packet", "evaluation tier: packet (discrete-event simulation) or twin (analytical flow-level model; open-loop cells only, e.g. -exp fig6)")
+		fidelity = flag.String("fidelity", "packet", "evaluation tier: packet (discrete-event simulation) or twin (analytical flow-level model for open-loop cells, e.g. -exp fig6, of baldur, multibutterfly, fattree and ideal; dragonfly cells run on the packet tier)")
 		shards   = flag.Int("shards", -1, "conservative-parallel shards per simulation (-1: auto — GOMAXPROCS at full scale, serial otherwise; statistics are identical for any value)")
 		watchdog = flag.Float64("watchdog", 0, "trace-replay progress watchdog window in simulated microseconds (0: off)")
 	)

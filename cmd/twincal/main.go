@@ -1,13 +1,12 @@
 // Command twincal calibrates the analytical twin against the packet engine.
 //
-// It runs a pinned (network, pattern, load) grid under both fidelity tiers,
-// records the twin's per-cell relative error on mean latency, p99 latency,
-// and throughput, and either writes a fresh baseline or gates against a
-// committed one:
+// It runs the pinned (network, pattern, load) grid of every network the twin
+// models under both fidelity tiers, records the twin's per-cell relative
+// error on mean latency, p99 latency, and throughput, and either writes a
+// fresh baseline or gates against a committed one:
 //
-//	twincal -out BENCH_twin.json               # regenerate the baseline
-//	twincal -grid smoke -check BENCH_twin.json # CI drift gate (exit 1 on drift)
-//	twincal -grid full  -check BENCH_twin.json # full-grid gate
+//	twincal -out BENCH_twin.json   # regenerate the baseline
+//	twincal -check BENCH_twin.json # drift gate (exit 1 on drift)
 package main
 
 import (
@@ -23,7 +22,6 @@ func main() {
 	var (
 		out     = flag.String("out", "BENCH_twin.json", "write the calibration report (with stamped bounds) to this file")
 		checkAt = flag.String("check", "", "compare against this committed baseline instead of writing; exit 1 when any cell drifts beyond its bound")
-		grid    = flag.String("grid", "full", "calibration grid: full (all patterns x loads) or smoke (transpose at 0.3/0.7)")
 		scale   = flag.String("scale", "quick", "scale: quick|medium|full")
 		seed    = flag.Uint64("seed", 1, "random seed (both tiers)")
 	)
@@ -42,17 +40,7 @@ func main() {
 	}
 	sc.Seed = *seed
 
-	var g calib.Grid
-	switch *grid {
-	case "full":
-		g = calib.FullGrid()
-	case "smoke":
-		g = calib.SmokeGrid()
-	default:
-		fatal(fmt.Errorf("unknown grid %q", *grid))
-	}
-
-	rep, err := calib.Run(sc, g)
+	rep, err := calib.Run(sc, calib.FullGrid())
 	if err != nil {
 		fatal(err)
 	}

@@ -27,6 +27,7 @@ import (
 
 	"baldur/internal/exp"
 	"baldur/internal/netsim"
+	"baldur/internal/twin"
 )
 
 // Cell is one calibration point: the twin's relative error per metric
@@ -76,24 +77,13 @@ type Grid struct {
 	Loads    []float64
 }
 
-// FullGrid is the Table-VI/Fig-6 sweep: every network, every open-loop
-// pattern, every load.
+// FullGrid is the Table-VI/Fig-6 sweep over every network the twin models:
+// every open-loop pattern, every load.
 func FullGrid() Grid {
 	return Grid{
-		Networks: exp.NetworkNames,
+		Networks: twin.Networks,
 		Patterns: exp.Fig6Patterns,
 		Loads:    exp.Fig6Loads,
-	}
-}
-
-// SmokeGrid is the CI-sized subset: every network on one pattern at a light
-// and a heavy load. Check compares only cells present in both reports, so
-// the smoke run gates against the committed full-grid baseline directly.
-func SmokeGrid() Grid {
-	return Grid{
-		Networks: exp.NetworkNames,
-		Patterns: []string{"transpose"},
-		Loads:    []float64{0.3, 0.7},
 	}
 }
 
@@ -190,7 +180,8 @@ func bound(err, floor float64) float64 {
 
 // Check compares a fresh run against the committed baseline: every fresh
 // cell present in the baseline must have each |error| within the baseline's
-// committed bound and must classify the saturation regime identically.
+// committed bound and must classify the saturation regime identically. An
+// error that is not a number within its bound (NaN, ±Inf) drifts.
 // Fresh cells missing from the baseline are reported and skipped (the run
 // that introduces them regenerates the baseline). Returns an error naming
 // the number of violations, or nil.
@@ -209,7 +200,7 @@ func Check(fresh, baseline Report, w io.Writer) error {
 		cellOK := true
 		metric := func(name string, err, bnd float64) {
 			verdict := "ok"
-			if math.Abs(err) > bnd {
+			if !(math.Abs(err) <= bnd) {
 				verdict = "DRIFT"
 				cellOK = false
 			}

@@ -103,32 +103,6 @@ func AnalyticalMB(cfg MBConfig) (MBInputs, error) {
 	return MBInputs{Cfg: cfg, Wiring: wiring}, nil
 }
 
-// DragonflyInputs are the analytical inputs of the dragonfly: the defaulted
-// configuration plus the derived dimensions and routing helpers.
-type DragonflyInputs struct {
-	Cfg        DragonflyConfig // defaulted, including Cfg.Engine
-	P, A, H, G int
-	Nodes      int
-}
-
-// AnalyticalDragonfly derives the dragonfly's analytical inputs.
-func AnalyticalDragonfly(cfg DragonflyConfig) (DragonflyInputs, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return DragonflyInputs{}, err
-	}
-	p := cfg.P
-	a, h := 2*p, p
-	g := a*h + 1
-	return DragonflyInputs{Cfg: cfg, P: p, A: a, H: h, G: g, Nodes: a * p * g}, nil
-}
-
-// ExitChannel returns the global channel index group G uses to reach group D
-// (the same map the simulator wires: channel c of G lands in (G+c+1)%g).
-func (in DragonflyInputs) ExitChannel(G, D int) int {
-	return (D - G - 1 + in.G) % in.G
-}
-
 // FatTreeInputs are the analytical inputs of the fat-tree.
 type FatTreeInputs struct {
 	Cfg   FatTreeConfig // defaulted, including Cfg.Engine

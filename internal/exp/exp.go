@@ -12,6 +12,7 @@ package exp
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"baldur/internal/check"
@@ -66,8 +67,10 @@ type Scale struct {
 	// Fidelity selects the model tier for open-loop cells: packet (the
 	// event-level engine, the default) or twin (the analytical flow-level
 	// model in internal/twin — microseconds per cell, calibrated against
-	// the packet engine by internal/check/calib). Workload replays and
-	// ping-pong cells are packet-only.
+	// the packet engine by internal/check/calib). The twin answers only
+	// the networks in twin.Networks; the others' open-loop cells run on
+	// the packet engine. Workload replays and ping-pong cells are
+	// packet-only.
 	Fidelity netsim.Fidelity
 	// MaxParallel caps the number of simulation cells resident at once in
 	// the fan-out runners (0: GOMAXPROCS, the historical behaviour). Every
@@ -381,7 +384,7 @@ type Point struct {
 	// it is the throughput metric the twin calibration gates on.
 	ThroughputPPS float64
 	Finished      bool   // false if the safety horizon cut the run short
-	Events        uint64 // simulator events executed; 0 under the twin tier
+	Events        uint64 // simulator events executed; 0 for a twin-modelled cell
 }
 
 // OpenLoopDetail is one open-loop cell's Point plus what the run reports
@@ -443,10 +446,12 @@ func (sc Scale) runOpenLoopOn(net netsim.Network, label string, ol traffic.OpenL
 
 // runOpenLoopCell measures one (network, pattern, load) cell into col,
 // whose sample and histogram allocations are reused across calls (series
-// runners sweep five loads through one collector). It also returns the
-// network (nil under the twin tier).
+// runners sweep five loads through one collector). Under the twin tier a
+// network the twin models is answered analytically; any other network runs
+// on the packet engine, so its Point carries Events > 0. It also returns
+// the network (nil for a twin-modelled cell).
 func runOpenLoopCell(col *netsim.Collector, network, pattern string, load float64, sc Scale) (OpenLoopDetail, netsim.Network, error) {
-	if sc.Fidelity == netsim.FidelityTwin {
+	if sc.Fidelity == netsim.FidelityTwin && slices.Contains(twin.Networks, network) {
 		p, err := twinOpenLoopCell(network, pattern, load, sc)
 		return OpenLoopDetail{Point: p}, nil, err
 	}
@@ -478,7 +483,6 @@ func twinOpenLoopCell(network, pattern string, load float64, sc Scale) (Point, e
 	tc := twin.Config{
 		Nodes:          sc.Nodes,
 		PacketsPerNode: sc.PacketsPerNode,
-		DragonflyP:     sc.DragonflyP,
 		FatTreeK:       sc.FatTreeK,
 		Seed:           sc.Seed,
 	}

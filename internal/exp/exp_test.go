@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -133,6 +134,53 @@ func TestFig6SmallSweep(t *testing.T) {
 	out := RenderFig6(res[0])
 	if !strings.Contains(out, "transpose") || !strings.Contains(out, "baldur") {
 		t.Errorf("render incomplete:\n%s", out)
+	}
+}
+
+// TestFig6Ordering pins the shape of the Quick-scale Fig 6 sweep on the
+// packet tier as orderings and growth bands, not numeric goldens:
+//   - Baldur has the lowest avg and p99 of the four real networks at every
+//     load <= 0.7, on every pattern (closest at seed 1: group_permutation
+//     @0.7, multi-butterfly p99 1.12x Baldur's);
+//   - from load 0.1 to 0.9 the dragonfly's avg grows at least 5x (7.2-16.5x
+//     at seed 1), Baldur's 2-5x (2.8-3.3x) and the electrical
+//     multi-butterfly's at most 2x (1.5x): it stays flat to 0.9.
+func TestFig6Ordering(t *testing.T) {
+	nets := []string{"baldur", "multibutterfly", "dragonfly", "fattree"}
+	res, err := Fig6(Quick, nil, nil, nets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := Fig6Loads[0], Fig6Loads[len(Fig6Loads)-1]
+	growthBand := map[string][2]float64{"baldur": {2, 5}, "multibutterfly": {1, 2}, "dragonfly": {5, math.Inf(1)}}
+	for _, r := range res {
+		at := make(map[string]map[float64]Point)
+		for _, p := range r.Points {
+			if at[p.Network] == nil {
+				at[p.Network] = make(map[float64]Point)
+			}
+			at[p.Network][p.Load] = p
+		}
+		for _, load := range Fig6Loads {
+			if load > 0.7 {
+				continue
+			}
+			b := at["baldur"][load]
+			for _, net := range nets[1:] {
+				o := at[net][load]
+				if !(b.AvgNS < o.AvgNS && b.TailNS < o.TailNS) {
+					t.Errorf("%s@%.1f: baldur avg/p99 %.0f/%.0f ns not below %s's %.0f/%.0f ns",
+						r.Pattern, load, b.AvgNS, b.TailNS, net, o.AvgNS, o.TailNS)
+				}
+			}
+		}
+		for net, band := range growthBand {
+			g := at[net][last].AvgNS / at[net][first].AvgNS
+			if g < band[0] || g > band[1] {
+				t.Errorf("%s %s: avg grew %.2fx from load %.1f to %.1f, want %g-%gx",
+					r.Pattern, net, g, first, last, band[0], band[1])
+			}
+		}
 	}
 }
 

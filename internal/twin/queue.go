@@ -110,9 +110,11 @@ func tailDecay(c int, rho, service float64) float64 {
 		return 0
 	}
 	r := math.Min(rho, rhoCap)
-	// Newton iteration on f(u) = r*(e^u - 1) - u, seeded by the
-	// heavy-traffic root u ~ 2(1-r).
-	u := 2 * (1 - r)
+	// Newton iteration on the convex f(u) = r*(e^u - 1) - u, seeded at
+	// u = 2 ln(1/r): right of f's minimum at ln(1/r), so the slope is
+	// positive and the iteration converges to the positive root for every
+	// r (the seed is the heavy-traffic root 2(1-r) as r -> 1).
+	u := -2 * math.Log(r)
 	for i := 0; i < 40; i++ {
 		eu := math.Exp(u)
 		f := r*(eu-1) - u

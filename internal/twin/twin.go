@@ -1,8 +1,8 @@
 // Package twin is the analytical (flow-level) model tier of the simulator:
-// for every network it answers the same open-loop (pattern, load) questions
-// the packet-level engine answers — average and p99 latency, drop rate,
-// throughput — in microseconds instead of seconds, by computing per-link
-// offered loads from the traffic matrix and applying queueing
+// for the networks in Networks it answers the same open-loop (pattern, load)
+// questions the packet-level engine answers — average and p99 latency, drop
+// rate, throughput — in microseconds instead of seconds, by computing
+// per-link offered loads from the traffic matrix and applying queueing
 // approximations. For Baldur the model couples per-wire-group loss
 // probabilities (finite-source Engset) with a retransmission-expectation
 // fixed point; for the electrical baselines it applies link-level waiting
@@ -22,6 +22,14 @@ import (
 	"baldur/internal/traffic"
 )
 
+// Networks lists the networks the twin models, in the paper's order. It is
+// the one place that knows which networks have a model: the experiment
+// harness answers every other network's twin-tier cell on the packet
+// engine, and the calibration grid covers exactly these. The dragonfly has
+// no model — its UGAL routing couples path choice to queue occupancy, and
+// no flow-level fixed point stayed inside the calibration bounds.
+var Networks = []string{"baldur", "multibutterfly", "fattree", "ideal"}
+
 // Config sizes the modelled networks. The fields mirror exp.Scale so the
 // twin answers exactly the cells the packet engine runs.
 type Config struct {
@@ -30,12 +38,11 @@ type Config struct {
 	// PacketsPerNode is the open-loop injection count per transmitting
 	// node (finite-run effects: transient backlog, injection makespan).
 	PacketsPerNode int
-	// DragonflyP is the dragonfly parameter p; FatTreeK the fat-tree radix.
-	DragonflyP int
-	FatTreeK   int
+	// FatTreeK is the fat-tree radix.
+	FatTreeK int
 	// Seed drives the topology randomization (Baldur/MB wiring) and the
-	// stochastic model components (UGAL tie-breaking jitter), mirroring
-	// the packet engine's seed so twin runs are reproducible the same way.
+	// injection replay, mirroring the packet engine's seed so twin runs
+	// are reproducible the same way.
 	Seed uint64
 }
 
@@ -63,12 +70,6 @@ func NumNodes(network string, cfg Config) (int, error) {
 	switch network {
 	case "baldur", "multibutterfly", "ideal":
 		return cfg.Nodes, nil
-	case "dragonfly":
-		p := cfg.DragonflyP
-		if p == 0 {
-			p = 4
-		}
-		return elecnet.DragonflyNodes(p), nil
 	case "fattree":
 		k := cfg.FatTreeK
 		if k == 0 {
@@ -76,7 +77,11 @@ func NumNodes(network string, cfg Config) (int, error) {
 		}
 		return elecnet.FatTreeNodes(k), nil
 	}
-	return 0, fmt.Errorf("twin: unknown network %q", network)
+	return 0, errNoModel(network)
+}
+
+func errNoModel(network string) error {
+	return fmt.Errorf("twin: no model for network %q (modelled: %v); run it on the packet tier", network, Networks)
 }
 
 // EvalOpenLoop evaluates one open-loop cell analytically. The pattern must
@@ -101,14 +106,12 @@ func EvalOpenLoop(network string, pat *traffic.Pattern, load float64, cfg Config
 		return evalBaldur(pat, load, cfg)
 	case "multibutterfly":
 		return evalMB(pat, load, cfg)
-	case "dragonfly":
-		return evalDragonfly(pat, load, cfg)
 	case "fattree":
 		return evalFatTree(pat, load, cfg)
 	case "ideal":
 		return evalIdeal(pat, load, cfg)
 	}
-	return Point{}, fmt.Errorf("twin: unknown network %q", network)
+	return Point{}, errNoModel(network)
 }
 
 // workloadSeedOffset is the offset the experiment harness adds to the base
