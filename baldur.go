@@ -49,8 +49,10 @@ import (
 
 // Core network types.
 type (
-	// Config parameterizes a Baldur network (zero value = the paper's
-	// 1,024-node Table VI configuration).
+	// Config parameterizes a Baldur network: size, multiplicity, wiring,
+	// line rate and the reliability-protocol knobs. Packet size, host
+	// links and switch latency are fixed at the paper's Table V/VI values;
+	// the zero value is its 1,024-node configuration.
 	Config = core.Config
 	// Network is a Baldur network instance.
 	Network = core.Network
@@ -86,7 +88,9 @@ const (
 // New builds a Baldur network.
 func New(cfg Config) (*Network, error) { return core.New(cfg) }
 
-// Baseline networks.
+// Baseline networks. Their configs set size, seed, sharding and (for the
+// dragonfly) the routing policy; router latency, buffers, virtual channels
+// and link delays are fixed at the paper's Table VI values.
 type (
 	// MBConfig configures the electrical multi-butterfly baseline.
 	MBConfig = elecnet.MBConfig
@@ -121,9 +125,10 @@ func NewIdeal(nodes int, latency Duration) *elecnet.Ideal {
 type (
 	// Pattern maps each source to its destination.
 	Pattern = traffic.Pattern
-	// OpenLoop injects packets with exponential inter-arrival at a load.
+	// OpenLoop injects 512 B packets with exponential inter-arrival at a
+	// fraction of the 25 Gbps line rate.
 	OpenLoop = traffic.OpenLoop
-	// PingPong is the closed-loop request/reply driver.
+	// PingPong is the closed-loop request/reply driver (512 B packets).
 	PingPong = traffic.PingPong
 )
 

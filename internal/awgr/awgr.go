@@ -14,6 +14,7 @@ package awgr
 import (
 	"math"
 
+	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/tl"
 )
@@ -92,7 +93,7 @@ func Compare() Comparison {
 // 32-node scale (for context next to the AWGR's header cost).
 func BaldurZeroLoadLatency() sim.Duration {
 	stages := 5
-	return 2*100*sim.Nanosecond +
+	return 2*netsim.HostLinkDelay +
 		sim.Duration(stages)*sim.Nanoseconds(tl.SwitchLatencyNS(3)) +
-		sim.SerializationTime(512, 25e9)
+		sim.SerializationTime(netsim.PacketSize, netsim.LineRate)
 }

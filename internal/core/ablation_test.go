@@ -117,84 +117,8 @@ func TestMultiplicityLatencyTradeoff(t *testing.T) {
 	}
 }
 
-func TestOmegaIsomorphism(t *testing.T) {
-	// Sec IV: "we expect Baldur to achieve similar results with other
-	// multi-stage topologies (e.g., Benes, Omega) because many
-	// multi-stage networks are largely isomorphic". Compare the two
-	// deterministic variants (regular butterfly and omega) under the
-	// benign random permutation: their drop rates must be in the same
-	// regime; and omega, like the butterfly, must be vulnerable to an
-	// adversarial permutation while the randomized network is not.
-	uniform := traffic.RandomPermutation(256, 5)
-	bf := rawDropRate(t, Config{Nodes: 256, Multiplicity: 2, Topology: "butterfly"}, uniform, 100)
-	om := rawDropRate(t, Config{Nodes: 256, Multiplicity: 2, Topology: "omega"}, uniform, 100)
-	lo, hi := bf/3-0.01, bf*3+0.01
-	if om < lo || om > hi {
-		t.Errorf("omega drop %.4f not within 3x of butterfly %.4f on uniform traffic", om, bf)
-	}
-
-	adversarial := traffic.Transpose(256)
-	omAdv := rawDropRate(t, Config{Nodes: 256, Multiplicity: 4, Topology: "omega"}, adversarial, 100)
-	random := rawDropRate(t, Config{Nodes: 256, Multiplicity: 4}, adversarial, 100)
-	if omAdv < 5*random {
-		t.Errorf("omega (deterministic) not clearly worse than randomized on transpose: %.4f vs %.4f", omAdv, random)
-	}
-}
-
 func TestUnknownTopologyRejected(t *testing.T) {
 	if _, err := New(Config{Nodes: 64, Topology: "torus"}); err == nil {
 		t.Error("unknown topology accepted")
-	}
-}
-
-func TestBenesImmuneViaRoutingRandomness(t *testing.T) {
-	// A Benes network with *regular* wiring must still be immune to the
-	// adversarial transpose, because its Valiant distribution stages
-	// randomize routing even when the wiring is deterministic. This
-	// separates the two sources of randomness the paper's multi-butterfly
-	// combines: the butterfly needs random wiring; Benes does not.
-	adversarial := traffic.Transpose(256)
-	benesRegular := rawDropRate(t, Config{Nodes: 256, Multiplicity: 4, Topology: "benes-regular"}, adversarial, 80)
-	butterflyRegular := rawDropRate(t, Config{Nodes: 256, Multiplicity: 4, Topology: "butterfly"}, adversarial, 80)
-	if benesRegular > 0.05 {
-		t.Errorf("regular-wired Benes drop %.4f on transpose; Valiant should make it benign", benesRegular)
-	}
-	if butterflyRegular < 5*benesRegular {
-		t.Errorf("regular butterfly (%.4f) not clearly worse than regular Benes (%.4f)",
-			butterflyRegular, benesRegular)
-	}
-}
-
-func TestBenesSimilarToMultiButterfly(t *testing.T) {
-	// Sec IV: Baldur should achieve similar results on Benes. Compare
-	// zero-ish-load latency (Benes pays ~2x the stages) and drop rates on
-	// a benign pattern.
-	uniform := traffic.RandomPermutation(256, 5)
-	mbDrop := rawDropRate(t, Config{Nodes: 256, Multiplicity: 4}, uniform, 80)
-	benesDrop := rawDropRate(t, Config{Nodes: 256, Multiplicity: 4, Topology: "benes"}, uniform, 80)
-	if benesDrop > mbDrop+0.02 {
-		t.Errorf("benes drop %.4f much worse than multibutterfly %.4f", benesDrop, mbDrop)
-	}
-}
-
-func TestBenesDeliversExactlyOnce(t *testing.T) {
-	n := mustNew(t, Config{Nodes: 64, Multiplicity: 2, Topology: "benes", Seed: 4})
-	seen := map[uint64]int{}
-	n.OnDeliver(func(p *netsim.Packet, _ sim.Time) { seen[p.ID]++ })
-	ol := traffic.OpenLoop{
-		Pattern:        traffic.Bisection(64, 3),
-		Load:           0.7,
-		PacketsPerNode: 30,
-		Seed:           6,
-	}
-	ol.Start(n)
-	n.Engine().Run()
-	if len(seen) != 64*30 {
-		t.Fatalf("unique = %d, want %d", len(seen), 64*30)
-	}
-	for id, c := range seen {
-		if c != 1 {
-			t.Errorf("packet %d delivered %d times", id, c)
-		}
 	}
 }

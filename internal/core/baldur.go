@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"baldur/internal/faults"
 	"baldur/internal/netsim"
@@ -25,6 +26,11 @@ import (
 	"baldur/internal/topo"
 )
 
+// ackSize is the acknowledgement size in bytes. The data packet size, line
+// rate and host link delay are the shared Table VI values in netsim; the
+// per-stage switch latency is Table V's value for the multiplicity.
+const ackSize = 32
+
 // Config parametrizes a Baldur network. The zero value is completed by
 // applyDefaults to the paper's Table VI configuration.
 type Config struct {
@@ -33,22 +39,9 @@ type Config struct {
 	// Multiplicity is the path multiplicity m; 0 selects the paper's
 	// design rule for the node count (tl.RequiredMultiplicity).
 	Multiplicity int
-	// PacketSize is the data packet size in bytes (default 512).
-	PacketSize int
-	// AckSize is the acknowledgement size in bytes (default 32).
-	AckSize int
-	// LinkRate is the line data rate in bit/s (default 25 Gbps).
+	// LinkRate is the line data rate in bit/s (default netsim.LineRate,
+	// 25 Gbps; the link-rate ablation raises it).
 	LinkRate float64
-	// LinkDelay is the host-to-network (and network-to-host) fiber delay
-	// (default 100 ns, Table VI).
-	LinkDelay sim.Duration
-	// InterStageDelay is the waveguide delay between stages inside the
-	// optical interposers (default 0; the paper folds it into the 100 ns
-	// links).
-	InterStageDelay sim.Duration
-	// SwitchLatency is the per-stage switch latency; 0 selects Table V's
-	// value for the multiplicity.
-	SwitchLatency sim.Duration
 	// RTO is the retransmission timeout; 0 derives it from the zero-load
 	// round trip plus margin.
 	RTO sim.Duration
@@ -71,19 +64,11 @@ type Config struct {
 	// paper's protocol.
 	MaxAttempts int
 	// Topology selects the multi-stage wiring: "" or "multibutterfly"
-	// (randomized matchings, the paper's design), "butterfly" (a classic
-	// deterministic butterfly: the ablation of the expansion property —
-	// without randomization the network is not immune to worst-case
-	// permutations, Sec IV-E) or "omega" (perfect-shuffle stages — the
-	// paper expects equivalent behaviour across multi-stage topologies,
-	// Sec IV).
+	// (randomized matchings, the paper's design) or "butterfly" (a
+	// classic deterministic butterfly: the ablation of the expansion
+	// property — without randomization the network is not immune to
+	// worst-case permutations, Sec IV-E).
 	Topology string
-	// Wavelengths enables wavelength-division multiplexing on the
-	// network wires: each inter-stage wire carries this many independent
-	// lambda channels (Sec III notes TLs of different bandgaps support
-	// WDM). Host links remain single-channel (one modulator per NIC).
-	// Default 1 (the paper's evaluated configuration).
-	Wavelengths int
 	// Seed drives topology randomization and backoff draws.
 	Seed uint64
 	// Shards selects the parallel execution width: 0 or 1 runs serially;
@@ -94,7 +79,12 @@ type Config struct {
 	Shards int
 }
 
+// applyDefaults fills the zero fields and refuses values the model cannot
+// run: every rejected value would otherwise panic mid-run or be ignored.
 func (c *Config) applyDefaults() error {
+	if c.Nodes < 0 {
+		return fmt.Errorf("core: nodes %d < 0", c.Nodes)
+	}
 	if c.Nodes == 0 {
 		c.Nodes = 1024
 	}
@@ -104,32 +94,34 @@ func (c *Config) applyDefaults() error {
 	if c.Multiplicity < 1 {
 		return fmt.Errorf("core: multiplicity %d < 1", c.Multiplicity)
 	}
-	if c.PacketSize == 0 {
-		c.PacketSize = 512
-	}
-	if c.AckSize == 0 {
-		c.AckSize = 32
-	}
 	if c.LinkRate == 0 {
-		c.LinkRate = 25e9
+		c.LinkRate = netsim.LineRate
 	}
-	if c.LinkDelay == 0 {
-		c.LinkDelay = 100 * sim.Nanosecond
+	if !(c.LinkRate > 0) {
+		return fmt.Errorf("core: link rate %v, want > 0", c.LinkRate)
 	}
-	if c.SwitchLatency == 0 {
-		c.SwitchLatency = sim.Nanoseconds(tl.SwitchLatencyNS(c.Multiplicity))
+	if c.RTO < 0 {
+		return fmt.Errorf("core: RTO %v < 0", c.RTO)
 	}
 	if c.BEBSlot == 0 {
 		c.BEBSlot = 200 * sim.Nanosecond
 	}
+	if c.BEBSlot < 0 {
+		return fmt.Errorf("core: BEB slot %v < 0", c.BEBSlot)
+	}
 	if c.MaxBackoffExp == 0 {
 		c.MaxBackoffExp = 10
 	}
-	if c.Wavelengths == 0 {
-		c.Wavelengths = 1
+	if c.MaxBackoffExp < 0 {
+		return fmt.Errorf("core: max backoff exponent %d < 0", c.MaxBackoffExp)
 	}
-	if c.Wavelengths < 1 {
-		return fmt.Errorf("core: wavelengths %d < 1", c.Wavelengths)
+	// The widest backoff, 1<<MaxBackoffExp slots, must fit in a Duration
+	// (and its window in an int).
+	if c.BEBSlot > math.MaxInt64>>c.MaxBackoffExp {
+		return fmt.Errorf("core: backoff of 2^%d slots of %v overflows", c.MaxBackoffExp, c.BEBSlot)
+	}
+	if c.MaxAttempts < 0 {
+		return fmt.Errorf("core: max attempts %d < 0", c.MaxAttempts)
 	}
 	return nil
 }
@@ -168,10 +160,10 @@ type Network struct {
 	fab    *coreShard
 	fabAct sim.Actor
 
-	// busy[s*busyStride + k*2m*w + d*m*w + slot] is the time until which
-	// that output (wire, lambda) of switch k at stage s is carrying a
-	// packet: one flat array for the whole fabric instead of a slice per
-	// stage. Touched only by the fabric shard.
+	// busy[s*busyStride + k*2m + d*m + path] is the time until which
+	// that output wire of switch k at stage s is carrying a packet: one
+	// flat array for the whole fabric instead of a slice per stage.
+	// Touched only by the fabric shard.
 	busy       []sim.Time
 	busyStride int
 
@@ -179,12 +171,13 @@ type Network struct {
 	duration sim.Duration // data packet wire occupancy
 	ackDur   sim.Duration
 	rto      sim.Duration
+	perStage sim.Duration // Table V switch latency for the multiplicity
 	// flight is the fixed transmit-start→delivery time of a successful
 	// data attempt: serialization + both host fibers + every stage's
-	// switch latency and inter-stage fiber. Baldur's fabric is bufferless,
-	// so every delivered packet spends exactly this long in flight; the
-	// lifecycle tracer uses it to reconstruct the delivered attempt's
-	// per-stage spans at the destination without touching sender state.
+	// switch latency. Baldur's fabric is bufferless, so every delivered
+	// packet spends exactly this long in flight; the lifecycle tracer uses
+	// it to reconstruct the delivered attempt's per-stage spans at the
+	// destination without touching sender state.
 	flight sim.Duration
 
 	// onDrop, when non-nil, observes every drop (ProbePath's hook; fabric
@@ -219,10 +212,10 @@ func New(cfg Config) (*Network, error) {
 	}
 	n := &Network{cfg: cfg, mb: mb}
 	n.duration, n.ackDur, n.gap, n.rto = deriveTiming(cfg, mb)
-	perStage := cfg.SwitchLatency + cfg.InterStageDelay
-	n.flight = n.duration + 2*cfg.LinkDelay + sim.Duration(mb.Stages)*perStage
-	// One slot per (stage, wire, lambda channel).
-	n.busyStride = mb.SwitchesPerStage() * 2 * cfg.Multiplicity * cfg.Wavelengths
+	n.perStage = switchLatency(cfg.Multiplicity)
+	n.flight = n.duration + 2*netsim.HostLinkDelay + sim.Duration(mb.Stages)*n.perStage
+	// One slot per (stage, output wire).
+	n.busyStride = mb.SwitchesPerStage() * 2 * cfg.Multiplicity
 	n.busy = make([]sim.Time, mb.Stages*n.busyStride)
 	n.Stats.DropsByStage = make([]uint64, mb.Stages)
 	n.testPath = -1
@@ -247,7 +240,7 @@ func New(cfg Config) (*Network, error) {
 		}
 		n.shards[i], views[i] = sh, &sh.Shard
 	}
-	n.Shards = netsim.NewShards(cfg.LinkDelay, &n.Stats.Ledger, n.foldDiag, views...)
+	n.Shards = netsim.NewShards(netsim.HostLinkDelay, &n.Stats.Ledger, n.foldDiag, views...)
 	n.fab = n.shards[0]
 	n.fabAct = sim.MakeActor(1)
 
@@ -289,7 +282,7 @@ func (n *Network) Send(src, dst, size int) *netsim.Packet {
 		panic(fmt.Sprintf("core: Send(%d,%d) outside [0,%d)", src, dst, n.cfg.Nodes))
 	}
 	if size <= 0 {
-		size = n.cfg.PacketSize
+		size = netsim.PacketSize
 	}
 	nic := &n.nics[src]
 	// IDs are per-source (high bits = src+1) so allocation is shard-local
@@ -323,7 +316,6 @@ func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 	} else {
 		n.fab.Ledger.DataAttempts++
 	}
-	perStage := n.cfg.SwitchLatency + n.cfg.InterStageDelay
 	sw, _ := n.mb.InjectionSwitch(p.Src)
 	if n.faulty && n.deadLink.Get(p.Src) {
 		// The source's host fiber is cut: the attempt never reaches
@@ -340,18 +332,16 @@ func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 			n.drop(p, s, true, t)
 			return
 		}
-		d := n.routeBit(p, s)
-		w := n.cfg.Wavelengths
-		base := s*n.busyStride + (int(sw)*2*m+d*m)*w
-		found := -1 // slot index: path*W + lambda
+		d := n.mb.RoutingBit(p.Dst, s)
+		base := s*n.busyStride + int(sw)*2*m + d*m
+		found := -1 // path index
 		if n.testPath >= 0 {
-			// Diagnostic mode: only the configured path is enabled
-			// (lambda 0).
-			if n.busy[base+n.testPath*w] <= t {
-				found = n.testPath * w
+			// Diagnostic mode: only the configured path is enabled.
+			if n.busy[base+n.testPath] <= t {
+				found = n.testPath
 			}
 		} else {
-			for q := 0; q < m*w; q++ {
+			for q := 0; q < m; q++ {
 				if n.busy[base+q] <= t {
 					found = q
 					break
@@ -359,8 +349,8 @@ func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 			}
 		}
 		if found < 0 {
-			// Every (path, lambda) of the direction is carrying a
-			// packet: bufferless drop. Wires already granted
+			// Every path of the direction is carrying a packet:
+			// bufferless drop. Wires already granted
 			// upstream still carry the dead packet's light; they
 			// stay occupied.
 			n.drop(p, s, false, t)
@@ -371,9 +361,9 @@ func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 			tp.Hops.Inc()
 			n.fab.Record(telemetry.KindHop, p, t, dur, int32(s), int32(sw))
 		}
-		ref := n.mb.OutWire(s, sw, d, found/w)
+		ref := n.mb.OutWire(s, sw, d, found)
 		sw = ref.Switch
-		t = t.Add(perStage)
+		t = t.Add(n.perStage)
 	}
 	// sw is now the destination node id; last bit lands after the output
 	// host link plus the serialization time.
@@ -381,17 +371,7 @@ func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 		n.drop(p, -1, true, t)
 		return
 	}
-	n.postReceive(t.Add(n.cfg.LinkDelay+dur), &n.nics[sw], p)
-}
-
-// routeBit returns the output direction for packet p at stage s: a
-// per-attempt random bit in a Benes distribution stage, the destination bit
-// otherwise.
-func (n *Network) routeBit(p *netsim.Packet, s int) int {
-	if s < n.mb.DistStages {
-		return int(p.RouteTag>>uint(s)) & 1
-	}
-	return n.mb.RoutingBit(p.Dst, s)
+	n.postReceive(t.Add(netsim.HostLinkDelay+dur), &n.nics[sw], p)
 }
 
 // drop loses a transmission at a switch stage, or on a severed host fiber

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"baldur/internal/netsim"
@@ -17,17 +18,42 @@ func mustNew(t testing.TB, cfg Config) *Network {
 	return n
 }
 
+// TestConfigDefaults pins the Table VI and Table V constants the model runs
+// at: a silent edit to any of them changes every result, so it must fail
+// here first.
 func TestConfigDefaults(t *testing.T) {
+	if netsim.PacketSize != 512 || ackSize != 32 || netsim.LineRate != 25e9 ||
+		netsim.HostLinkDelay != 100*sim.Nanosecond {
+		t.Errorf("Table VI: data %d B, ACK %d B, line %v bit/s, host link %v; want 512 B, 32 B, 25e9, 100ns",
+			netsim.PacketSize, ackSize, netsim.LineRate, netsim.HostLinkDelay)
+	}
 	n := mustNew(t, Config{})
 	cfg := n.Config()
-	if cfg.Nodes != 1024 || cfg.Multiplicity != 4 || cfg.PacketSize != 512 {
+	if cfg.Nodes != 1024 || cfg.Multiplicity != 4 || cfg.LinkRate != 25e9 {
 		t.Errorf("defaults = %+v", cfg)
-	}
-	if cfg.SwitchLatency != sim.Nanoseconds(1.5) {
-		t.Errorf("switch latency = %v, want 1.5ns (Table V, m=4)", cfg.SwitchLatency)
 	}
 	if n.Stages() != 10 {
 		t.Errorf("stages = %d", n.Stages())
+	}
+	hdr := headerDuration(n.Stages())
+	if want := sim.SerializationTime(512, 25e9) + hdr; n.duration != want {
+		t.Errorf("data wire time = %v, want %v", n.duration, want)
+	}
+	if want := sim.SerializationTime(32, 25e9) + hdr; n.ackDur != want {
+		t.Errorf("ACK wire time = %v, want %v", n.ackDur, want)
+	}
+	if want := n.duration + 2*100*sim.Nanosecond + 10*sim.Nanoseconds(1.5); n.flight != want {
+		t.Errorf("flight = %v, want %v", n.flight, want)
+	}
+	// Table V switch latency per multiplicity.
+	for m, ns := range map[int]float64{1: 0.14, 2: 0.49, 3: 0.94, 4: 1.5, 5: 2.25} {
+		in, err := Analytical(Config{Nodes: 64, Multiplicity: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.PerStage != sim.Nanoseconds(ns) {
+			t.Errorf("m=%d: switch latency %v, want %vns (Table V)", m, in.PerStage, ns)
+		}
 	}
 }
 
@@ -37,6 +63,37 @@ func TestRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Nodes: 16, Multiplicity: -1}); err == nil {
 		t.Error("negative multiplicity accepted")
+	}
+}
+
+// TestRejectsValuesThatPanicMidRun covers the knobs whose bad values used to
+// be accepted and then panic on the first transmit or timeout (or be
+// silently ignored): New must refuse each one with an error.
+func TestRejectsValuesThatPanicMidRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative nodes", Config{Nodes: -4}},
+		{"negative link rate", Config{Nodes: 16, LinkRate: -25e9}},
+		{"NaN link rate", Config{Nodes: 16, LinkRate: math.NaN()}},
+		{"negative RTO", Config{Nodes: 16, RTO: -5}},
+		{"negative BEB slot", Config{Nodes: 16, BEBSlot: -1}},
+		{"negative backoff exponent", Config{Nodes: 16, MaxBackoffExp: -1}},
+		{"overflowing backoff exponent", Config{Nodes: 16, MaxBackoffExp: 63}},
+		{"overflowing backoff window", Config{Nodes: 16, MaxBackoffExp: 62}},
+		{"negative max attempts", Config{Nodes: 16, MaxAttempts: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("New panicked: %v", r)
+				}
+			}()
+			if _, err := New(tc.cfg); err == nil {
+				t.Errorf("New(%+v) accepted", tc.cfg)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 
+	"baldur/internal/netsim"
 	"baldur/internal/sim"
+	"baldur/internal/tl"
 	"baldur/internal/topo"
 )
 
@@ -24,7 +26,7 @@ type AnalyticalInputs struct {
 	AckDur  sim.Duration
 	// Gap is the inter-packet dark gap a wire needs between packets.
 	Gap sim.Duration
-	// PerStage is the latency of one switch stage (switch + waveguide).
+	// PerStage is the latency of one switch stage.
 	PerStage sim.Duration
 	// RTO is the effective retransmission timeout.
 	RTO sim.Duration
@@ -38,14 +40,6 @@ func buildTopo(cfg Config) (*topo.MultiButterfly, error) {
 		return topo.NewMultiButterfly(cfg.Nodes, cfg.Multiplicity, cfg.Seed)
 	case "butterfly":
 		return topo.NewRegularButterfly(cfg.Nodes, cfg.Multiplicity)
-	case "omega":
-		return topo.NewOmega(cfg.Nodes, cfg.Multiplicity)
-	case "benes":
-		return topo.NewBenes(cfg.Nodes, cfg.Multiplicity, cfg.Seed, true)
-	case "benes-regular":
-		// Regular wiring, random routing: isolates the two randomness
-		// sources (wiring vs Valiant distribution).
-		return topo.NewBenes(cfg.Nodes, cfg.Multiplicity, cfg.Seed, false)
 	}
 	return nil, fmt.Errorf("core: unknown topology %q", cfg.Topology)
 }
@@ -53,8 +47,8 @@ func buildTopo(cfg Config) (*topo.MultiButterfly, error) {
 // deriveTiming computes the wire and protocol durations for a defaulted
 // configuration and its wiring.
 func deriveTiming(cfg Config, mb *topo.MultiButterfly) (dataDur, ackDur, gap, rto sim.Duration) {
-	dataDur = sim.SerializationTime(cfg.PacketSize, cfg.LinkRate) + headerDuration(mb.Stages)
-	ackDur = sim.SerializationTime(cfg.AckSize, cfg.LinkRate) + headerDuration(mb.Stages)
+	dataDur = sim.SerializationTime(netsim.PacketSize, cfg.LinkRate) + headerDuration(mb.Stages)
+	ackDur = sim.SerializationTime(ackSize, cfg.LinkRate) + headerDuration(mb.Stages)
 	// A wire must stay dark for 6T (the end-of-packet window of the line
 	// activity detector) plus latch-recycle margin between packets.
 	gap = sim.Nanoseconds(0.25)
@@ -62,7 +56,7 @@ func deriveTiming(cfg Config, mb *topo.MultiButterfly) (dataDur, ackDur, gap, rt
 		// Zero-load round trip: two host links each way, the stage
 		// pipeline each way, plus both serializations — then 3x margin
 		// for queueing at the receiver before the ACK goes out.
-		oneWay := 2*cfg.LinkDelay + sim.Duration(mb.Stages)*(cfg.SwitchLatency+cfg.InterStageDelay)
+		oneWay := 2*netsim.HostLinkDelay + sim.Duration(mb.Stages)*switchLatency(cfg.Multiplicity)
 		rtt := 2*oneWay + dataDur + ackDur
 		rto = 3 * rtt
 	} else {
@@ -83,6 +77,13 @@ func Analytical(cfg Config) (AnalyticalInputs, error) {
 	}
 	in := AnalyticalInputs{Cfg: cfg, MB: mb}
 	in.DataDur, in.AckDur, in.Gap, in.RTO = deriveTiming(cfg, mb)
-	in.PerStage = cfg.SwitchLatency + cfg.InterStageDelay
+	in.PerStage = switchLatency(cfg.Multiplicity)
 	return in, nil
+}
+
+// switchLatency is the per-stage latency for multiplicity m: Table V's
+// switch latency. The waveguides between stages add nothing; the paper
+// folds them into the 100 ns host links.
+func switchLatency(m int) sim.Duration {
+	return sim.Nanoseconds(tl.SwitchLatencyNS(m))
 }

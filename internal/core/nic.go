@@ -23,8 +23,8 @@ type nic struct {
 
 	// Shard residency: sh owns this NIC's events, eng is sh's queue, act
 	// is the NIC's deterministic tie-break key stream and rng its private
-	// randomness (route tags, backoff draws) — all independent of how NICs
-	// are packed onto shards.
+	// randomness (backoff draws) — all independent of how NICs are packed
+	// onto shards.
 	sh  *coreShard
 	eng *sim.Engine
 	act sim.Actor
@@ -184,15 +184,10 @@ func (c *nic) transmit(p *netsim.Packet) {
 	if p.Ack {
 		dur = n.ackDur
 	}
-	if n.mb.DistStages > 0 {
-		// Fresh Valiant bits per attempt: a retransmission takes a new
-		// random path through the distribution stages.
-		p.RouteTag = c.rng.Uint64()
-	}
 	c.wireFreeAt = now.Add(dur + n.gap)
 	// The head reaches the first-stage switch after the host fiber (one
 	// lookahead away: this is the cross-shard handoff).
-	c.postTraverse(now.Add(n.cfg.LinkDelay), p)
+	c.postTraverse(now.Add(netsim.HostLinkDelay), p)
 	// Local retransmission timer for data packets.
 	if !p.Ack && !n.cfg.DisableRetransmit {
 		c.sched(now.Add(n.rto), evTimeout, nil, p.Seq, p.Retries)
@@ -281,7 +276,7 @@ func (c *nic) receive(p *netsim.Packet, at sim.Time) {
 	ack.ID = 0 // ACKs are anonymous
 	ack.Src = c.id
 	ack.Dst = p.Src
-	ack.Size = n.cfg.AckSize
+	ack.Size = ackSize
 	ack.Created = at
 	ack.Ack = true
 	ack.AckFor = p.Seq
@@ -308,15 +303,14 @@ func (c *nic) deliverUnique(p *netsim.Packet, at sim.Time) {
 // rather than carried on the packet.
 func (c *nic) traceFlight(p *netsim.Packet, at sim.Time) {
 	n := c.net
-	perStage := n.cfg.SwitchLatency + n.cfg.InterStageDelay
 	t := at.Add(-n.flight)
-	c.sh.Span(telemetry.PhaseLink, t, t.Add(n.cfg.LinkDelay), p, -1, 0)
-	t = t.Add(n.cfg.LinkDelay)
+	c.sh.Span(telemetry.PhaseLink, t, t.Add(netsim.HostLinkDelay), p, -1, 0)
+	t = t.Add(netsim.HostLinkDelay)
 	for s := 0; s < n.mb.Stages; s++ {
-		c.sh.Span(telemetry.PhaseHop, t, t.Add(perStage), p, int32(s), 0)
-		t = t.Add(perStage)
+		c.sh.Span(telemetry.PhaseHop, t, t.Add(n.perStage), p, int32(s), 0)
+		t = t.Add(n.perStage)
 	}
-	c.sh.Span(telemetry.PhaseLink, t, t.Add(n.cfg.LinkDelay), p, -1, 1)
+	c.sh.Span(telemetry.PhaseLink, t, t.Add(netsim.HostLinkDelay), p, -1, 1)
 	c.sh.Span(telemetry.PhaseWire, at.Add(-n.duration), at, p, -1, 0)
 }
 

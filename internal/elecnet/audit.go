@@ -45,7 +45,7 @@ func (n *engine) AttachAudit(a *check.Auditor) {
 
 func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 	n.SyncStats()
-	per := int32(n.cfg.slotsPerVC())
+	per := int32(n.slotsPerVC())
 
 	var stateLive, credLive int64
 	for _, sh := range n.shards {

@@ -16,7 +16,6 @@ import (
 type Dragonfly struct {
 	*engine
 	p, a, h, g int
-	threshold  int
 	routing    string
 	// rngs holds one UGAL/Valiant randomness stream per router, stored
 	// inline in one slab: the draw happens on the source router's shard,
@@ -25,20 +24,27 @@ type Dragonfly struct {
 	rngs []sim.RNG
 }
 
+const (
+	// dragonflyVCs covers the longest route. A Valiant route
+	// (l-g-l-g-l) visits six routers: the NIC-to-router edge hop and the
+	// five router-to-router hops hold VCs 0..5, and the ejection queue at
+	// the sixth router uses VC 6. Every hop climbs a VC, so the route is
+	// deadlock-free.
+	dragonflyVCs = 7
+	// Link delays: host-to-router, local (intra-group) and global.
+	dragonflyHostLink   = 10 * sim.Nanosecond
+	dragonflyLocalLink  = 10 * sim.Nanosecond
+	dragonflyGlobalLink = 100 * sim.Nanosecond
+	// ugalBias biases UGAL's minimal-vs-Valiant comparison toward
+	// minimal routing, in queue-length units.
+	ugalBias = 1
+)
+
 // DragonflyConfig configures the dragonfly.
 type DragonflyConfig struct {
 	// P is the hosts-per-router parameter; a = 2p, h = p, g = a*h+1.
 	// Default 4 (the paper's 1K-scale configuration, 1,056 nodes).
 	P int
-	// IntraDelay is the local (intra-group) link delay (default 10 ns).
-	IntraDelay sim.Duration
-	// InterDelay is the global link delay (default 100 ns).
-	InterDelay sim.Duration
-	// HostDelay is the host-to-router delay (default 10 ns).
-	HostDelay sim.Duration
-	// UGALThreshold biases the minimal-vs-Valiant comparison; higher
-	// favours minimal routing (default 1, in queue-length units).
-	UGALThreshold int
 	// Routing selects the policy: "ugal" (default, the paper's adaptive
 	// routing), "minimal" (always shortest path) or "valiant" (always a
 	// random intermediate group). The non-default modes are ablations.
@@ -46,9 +52,9 @@ type DragonflyConfig struct {
 	// Shards selects the conservative-parallel shard count (0 or 1:
 	// serial). The network partitions by group — hosts and local links
 	// stay shard-internal — so only global links cross shards and the
-	// lookahead is InterDelay. Statistics are bit-identical for any value.
+	// lookahead is the global link delay. Statistics are bit-identical for
+	// any value.
 	Shards int
-	Engine EngineConfig
 	Seed   uint64
 }
 
@@ -71,13 +77,10 @@ func NewDragonfly(cfg DragonflyConfig) (*Dragonfly, error) {
 	g := a*h + 1
 	nodes := a * p * g
 
-	// Longest route (Valiant) is l-g-l-g-l = 5 router-to-router hops plus
-	// the edge hop: 7 VC levels guarantee an ascending-VC acyclic chain.
 	net := &Dragonfly{
-		engine: newEngine(cfg.Engine, "dragonfly", 7),
+		engine: newEngine("dragonfly", dragonflyVCs),
 		p:      p, a: a, h: h, g: g,
-		threshold: cfg.UGALThreshold,
-		routing:   cfg.Routing,
+		routing: cfg.Routing,
 	}
 	net.seed = cfg.Seed
 	base := sim.NewRNG(cfg.Seed ^ 0xd4a90)
@@ -106,8 +109,8 @@ func NewDragonfly(cfg DragonflyConfig) (*Dragonfly, error) {
 		for A := 0; A < a; A++ {
 			for hp := 0; hp < p; hp++ {
 				node := int32((G*a+A)*p + hp)
-				net.connectNIC(node, rid(G, A), hp, cfg.HostDelay)
-				net.connectEject(rid(G, A), hp, node, cfg.HostDelay)
+				net.connectNIC(node, rid(G, A), hp, dragonflyHostLink)
+				net.connectEject(rid(G, A), hp, node, dragonflyHostLink)
 			}
 		}
 	}
@@ -118,7 +121,7 @@ func NewDragonfly(cfg DragonflyConfig) (*Dragonfly, error) {
 				if B == A {
 					continue
 				}
-				net.connect(rid(G, A), localPort(A, B), rid(G, B), localPort(B, A), cfg.IntraDelay)
+				net.connect(rid(G, A), localPort(A, B), rid(G, B), localPort(B, A), dragonflyLocalLink)
 			}
 		}
 	}
@@ -131,7 +134,7 @@ func NewDragonfly(cfg DragonflyConfig) (*Dragonfly, error) {
 			net.connect(
 				rid(G, c/h), globalPort(c%h),
 				rid(D, cPrime/h), globalPort(cPrime%h),
-				cfg.InterDelay,
+				dragonflyGlobalLink,
 			)
 		}
 	}
@@ -198,7 +201,7 @@ func (d *Dragonfly) routeDragonfly(n *engine, r *router, st *pktState) int {
 				qMin := r.out[minPort].queueLen()
 				qVal := r.out[valPort].queueLen()
 				// Minimal ~2 hops to target group, Valiant ~4.
-				if qMin*2 > qVal*4+d.threshold {
+				if qMin*2 > qVal*4+ugalBias {
 					st.interGroup = int32(K)
 					return valPort
 				}

@@ -1,6 +1,7 @@
 package elecnet
 
 import (
+	"maps"
 	"testing"
 
 	"baldur/internal/netsim"
@@ -318,7 +319,7 @@ func TestCreditConservation(t *testing.T) {
 	}
 	ol.Start(n)
 	n.Engine().Run()
-	per := int32(n.cfg.slotsPerVC())
+	per := int32(n.slotsPerVC())
 	for ri := range n.routers {
 		r := &n.routers[ri]
 		for pi := range r.out {
@@ -375,4 +376,84 @@ func TestSendValidation(t *testing.T) {
 		}
 	}()
 	n.Send(0, 99, 0)
+}
+
+// linkDelays returns the distinct delays of a network's links, split into
+// host attachments (NIC injection and ejection) and router-to-router links.
+func linkDelays(n *engine) (host, fabric map[sim.Duration]bool) {
+	host, fabric = map[sim.Duration]bool{}, map[sim.Duration]bool{}
+	for ri := range n.routers {
+		for _, port := range n.routers[ri].out {
+			switch {
+			case port.peer >= 0:
+				fabric[port.linkDelay] = true
+			case port.node >= 0:
+				host[port.linkDelay] = true
+			}
+		}
+	}
+	for ni := range n.nics {
+		host[n.nics[ni].linkDelay] = true
+	}
+	return host, fabric
+}
+
+// TestTableVIConstants pins the electrical baselines to the paper's Table VI
+// configuration on built networks: a silent edit to any router, buffer, VC
+// or link constant must fail here.
+func TestTableVIConstants(t *testing.T) {
+	if RouterLatency != 90*sim.Nanosecond || bufferBytes != 24*1024 {
+		t.Errorf("router latency %v, buffer %d B; want 90ns, 24 KB", RouterLatency, bufferBytes)
+	}
+	if IdealLatency != 200*sim.Nanosecond || NewIdeal(4, 0).latency != 200*sim.Nanosecond {
+		t.Errorf("ideal latency %v, want 200ns", IdealLatency)
+	}
+	ns := func(v ...int) map[sim.Duration]bool {
+		m := map[sim.Duration]bool{}
+		for _, d := range v {
+			m[sim.Duration(d)*sim.Nanosecond] = true
+		}
+		return m
+	}
+	mb, err := NewMultiButterfly(MBConfig{Nodes: 16, Multiplicity: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	df, err := NewDragonfly(DragonflyConfig{P: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, err := NewFatTree(FatTreeConfig{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		net          *engine
+		vcs          int
+		host, fabric map[sim.Duration]bool
+	}{
+		{mb.engine, 3, ns(100), ns(10)},
+		{df.engine, 7, ns(10), ns(10, 100)},
+		{ft.engine, 5, ns(10), ns(50, 100)},
+	} {
+		if tc.net.vcs != tc.vcs {
+			t.Errorf("%s: %d VCs, want %d", tc.net.name, tc.net.vcs, tc.vcs)
+		}
+		if want := 24 * 1024 / tc.vcs / 512; tc.net.slotsPerVC() != want {
+			t.Errorf("%s: %d slots per VC, want %d", tc.net.name, tc.net.slotsPerVC(), want)
+		}
+		host, fabric := linkDelays(tc.net)
+		if !maps.Equal(host, tc.host) || !maps.Equal(fabric, tc.fabric) {
+			t.Errorf("%s: host links %v, fabric links %v; want %v, %v",
+				tc.net.name, host, fabric, tc.host, tc.fabric)
+		}
+	}
+	// The dragonfly's local and global links are both in its fabric set;
+	// tell them apart through the constants.
+	if dragonflyLocalLink != 10*sim.Nanosecond || dragonflyGlobalLink != 100*sim.Nanosecond {
+		t.Errorf("dragonfly local/global links %v/%v, want 10ns/100ns", dragonflyLocalLink, dragonflyGlobalLink)
+	}
+	if FatTreeAggDelay != 50*sim.Nanosecond || FatTreeCoreDelay != 100*sim.Nanosecond {
+		t.Errorf("fat-tree agg/core links %v/%v, want 50ns/100ns", FatTreeAggDelay, FatTreeCoreDelay)
+	}
 }

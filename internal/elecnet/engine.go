@@ -30,52 +30,18 @@ import (
 	"baldur/internal/telemetry"
 )
 
-// EngineConfig holds the parameters common to all buffered routers.
-type EngineConfig struct {
+// Table VI router parameters, shared by every buffered network. Each
+// network's VC count and link delays sit next to its constructor; the
+// packet size, line rate and host link delay are netsim's.
+const (
 	// RouterLatency is the per-hop header processing and switching time
-	// (default 90 ns, Table VI).
-	RouterLatency sim.Duration
-	// BufferBytes is the input buffer per port, shared by all virtual
-	// channels (default 24 KB).
-	BufferBytes int
-	// VirtualChannels is the number of VCs the buffer is split into.
-	// Packets climb one VC per hop, which makes any route with fewer
-	// hops than VCs provably deadlock-free. Defaults are set per
-	// network (3 for multi-butterfly and fat-tree per Table VI; 5 for
-	// dragonfly, whose longest non-minimal route has 5 router hops).
-	VirtualChannels int
-	// LinkRate is the port data rate in bit/s (default 25 Gbps).
-	LinkRate float64
-	// PacketSize is the default packet size in bytes (default 512).
-	PacketSize int
-}
-
-func (c *EngineConfig) applyDefaults(defaultVCs int) {
-	if c.RouterLatency == 0 {
-		c.RouterLatency = 90 * sim.Nanosecond
-	}
-	if c.BufferBytes == 0 {
-		c.BufferBytes = 24 << 10
-	}
-	if c.VirtualChannels == 0 {
-		c.VirtualChannels = defaultVCs
-	}
-	if c.LinkRate == 0 {
-		c.LinkRate = 25e9
-	}
-	if c.PacketSize == 0 {
-		c.PacketSize = 512
-	}
-}
-
-// slotsPerVC returns the per-VC credit capacity in packets.
-func (c *EngineConfig) slotsPerVC() int {
-	per := c.BufferBytes / c.VirtualChannels / c.PacketSize
-	if per < 1 {
-		per = 1
-	}
-	return per
-}
+	// (Mellanox SB7700-class).
+	RouterLatency = 90 * sim.Nanosecond
+	// bufferBytes is the input buffer per port, shared by all virtual
+	// channels. Packets climb one VC per hop, which makes any route with
+	// fewer buffered hops than VCs provably deadlock-free.
+	bufferBytes = 24 << 10
+)
 
 // NetStats are the counters every electrical network keeps: the packet
 // ledger's Injected, Delivered, Dropped (packets lost to injected faults —
@@ -314,7 +280,7 @@ type routeFunc func(net *engine, r *router, st *pktState) int
 type engine struct {
 	netsim.Shards
 
-	cfg    EngineConfig
+	vcs    int // virtual channels per port, fixed per network
 	shards []*eshard
 	// routers and nics are contiguous slabs indexed by id. They are sized
 	// once at construction (initRouters / initNICs) and never reallocated,
@@ -400,9 +366,13 @@ func (n *engine) scheduleCredit(from *router, t sim.Time, nic *enic, r *router, 
 	src.Sim.Post(dst.Sim, t, from.act.Next(), c)
 }
 
-func newEngine(cfg EngineConfig, name string, defaultVCs int) *engine {
-	cfg.applyDefaults(defaultVCs)
-	return &engine{cfg: cfg, name: name}
+func newEngine(name string, vcs int) *engine {
+	return &engine{vcs: vcs, name: name}
+}
+
+// slotsPerVC returns the per-VC credit capacity in packets.
+func (n *engine) slotsPerVC() int {
+	return bufferBytes / n.vcs / netsim.PacketSize
 }
 
 // partition finishes construction: it maps topology units (columns, groups,
@@ -497,7 +467,7 @@ func (n *engine) Send(src, dst, size int) *netsim.Packet {
 		panic(fmt.Sprintf("elecnet(%s): Send(%d,%d) outside [0,%d)", n.name, src, dst, len(n.nics)))
 	}
 	if size <= 0 {
-		size = n.cfg.PacketSize
+		size = netsim.PacketSize
 	}
 	nic := &n.nics[src]
 	nic.nextSeq++
@@ -516,12 +486,12 @@ func (n *engine) Send(src, dst, size int) *netsim.Packet {
 }
 
 func (n *engine) ser(size int) sim.Duration {
-	return sim.SerializationTime(size, n.cfg.LinkRate)
+	return sim.SerializationTime(size, netsim.LineRate)
 }
 
 // newCredits carves a fully stocked credit vector from the shared slab.
 func (n *engine) newCredits() []int32 {
-	nvc := n.cfg.VirtualChannels
+	nvc := n.vcs
 	if len(n.creditSlab) < nvc {
 		// Chunked growth: the dead tail of the previous chunk (< nvc
 		// entries) is abandoned, bounded by one vector per chunk.
@@ -533,7 +503,7 @@ func (n *engine) newCredits() []int32 {
 	}
 	c := n.creditSlab[:nvc:nvc]
 	n.creditSlab = n.creditSlab[nvc:]
-	per := int32(n.cfg.slotsPerVC())
+	per := int32(n.slotsPerVC())
 	for i := range c {
 		c[i] = per
 	}
@@ -567,7 +537,7 @@ func (n *engine) serviceNIC(nic *enic) {
 			return
 		}
 		st := nic.queue.peek()
-		vc := st.vc(n.cfg.VirtualChannels)
+		vc := st.vc(n.vcs)
 		if nic.credits[vc] <= 0 {
 			if tp := nic.sh.Probe; tp != nil {
 				tp.Blocks.Inc()
@@ -590,7 +560,7 @@ func (n *engine) serviceNIC(nic *enic) {
 		st.holdIn = nic.edgeIn
 		edge := &n.routers[nic.edge]
 		st.home = edge.sh
-		headAt := now.Add(nic.linkDelay + n.cfg.RouterLatency)
+		headAt := now.Add(nic.linkDelay + RouterLatency)
 		nic.sh.Sim.Post(edge.sh.Sim, headAt, nic.act.Next(), st)
 	}
 }
@@ -627,9 +597,9 @@ func (n *engine) arrive(rid int32, in int16, st *pktState) {
 	}
 	port := &r.out[out]
 	if port.queues == nil {
-		port.queues = make([]fifo, n.cfg.VirtualChannels)
+		port.queues = make([]fifo, n.vcs)
 	}
-	vc := st.vc(n.cfg.VirtualChannels)
+	vc := st.vc(n.vcs)
 	port.queues[vc].push(st)
 	port.queued++
 	n.kickPort(r, out)
@@ -695,7 +665,7 @@ func (n *engine) servicePort(r *router, out int) {
 		// Free the input slot we held on this router once the tail
 		// leaves; the credit travels back over the reverse link.
 		if st.holdRouter >= 0 {
-			n.scheduleCreditReturn(r, st.holdIn, st.vcHeld(n.cfg.VirtualChannels), port.busyUntil)
+			n.scheduleCreditReturn(r, st.holdIn, st.vcHeld(n.vcs), port.busyUntil)
 		}
 
 		if isEject {
@@ -718,7 +688,7 @@ func (n *engine) servicePort(r *router, out int) {
 		st.holdIn = port.peerIn
 		peer := &n.routers[port.peer]
 		st.home = peer.sh
-		headAt := now.Add(port.linkDelay + n.cfg.RouterLatency)
+		headAt := now.Add(port.linkDelay + RouterLatency)
 		r.sh.Sim.Post(peer.sh.Sim, headAt, r.act.Next(), st)
 	}
 }

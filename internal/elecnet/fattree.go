@@ -13,23 +13,29 @@ type FatTree struct {
 	k int
 }
 
+const (
+	// fatTreeVCs covers the longest route, edge-agg-core-agg-edge: five
+	// routers. The NIC-to-edge hop and the four router-to-router hops
+	// hold VCs 0..4, so every buffered hop climbs a VC and the route is
+	// deadlock-free; the ejection queue shares VC 4.
+	fatTreeVCs = 5
+	// Level link delays (Table VI).
+	FatTreeEdgeDelay = 10 * sim.Nanosecond  // host-edge
+	FatTreeAggDelay  = 50 * sim.Nanosecond  // edge-aggregation
+	FatTreeCoreDelay = 100 * sim.Nanosecond // aggregation-core
+)
+
 // FatTreeConfig configures the fat-tree.
 type FatTreeConfig struct {
 	// K is the switch radix (even, >= 4). Default 16, giving 1,024 hosts
 	// (the paper's 1K-scale configuration).
 	K int
-	// Level delays follow Table VI: host-edge 10 ns, edge-agg 50 ns,
-	// agg-core 100 ns.
-	L1Delay sim.Duration
-	L2Delay sim.Duration
-	L3Delay sim.Duration
 	// Shards selects the conservative-parallel shard count (0 or 1:
 	// serial). The network partitions by pod (hosts, edge and aggregation
 	// switches together) with core switches dealt round-robin, so only
-	// agg-core links cross shards and the lookahead is L3Delay.
+	// agg-core links cross shards and the lookahead is FatTreeCoreDelay.
 	// Statistics are bit-identical for any value.
 	Shards int
-	Engine EngineConfig
 }
 
 // FatTreeNodes returns the host count for radix k: k^3/4.
@@ -49,8 +55,7 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 	hosts := k * k * k / 4
 
 	net := &FatTree{
-		// Longest route: edge-agg-core-agg-edge = 5 router hops.
-		engine: newEngine(cfg.Engine, "fattree", 5),
+		engine: newEngine("fattree", fatTreeVCs),
 		k:      k,
 	}
 	net.initRouters(numEdge+numAgg+numCore, k, k)
@@ -65,8 +70,8 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 		for e := 0; e < half; e++ {
 			for hp := 0; hp < half; hp++ {
 				node := int32(pod*half*half + e*half + hp)
-				net.connectNIC(node, edgeID(pod, e), hp, cfg.L1Delay)
-				net.connectEject(edgeID(pod, e), hp, node, cfg.L1Delay)
+				net.connectNIC(node, edgeID(pod, e), hp, FatTreeEdgeDelay)
+				net.connectEject(edgeID(pod, e), hp, node, FatTreeEdgeDelay)
 			}
 		}
 	}
@@ -75,8 +80,8 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 	for pod := 0; pod < k; pod++ {
 		for e := 0; e < half; e++ {
 			for a := 0; a < half; a++ {
-				net.connect(edgeID(pod, e), half+a, aggID(pod, a), e, cfg.L2Delay)
-				net.connect(aggID(pod, a), e, edgeID(pod, e), half+a, cfg.L2Delay)
+				net.connect(edgeID(pod, e), half+a, aggID(pod, a), e, FatTreeAggDelay)
+				net.connect(aggID(pod, a), e, edgeID(pod, e), half+a, FatTreeAggDelay)
 			}
 		}
 	}
@@ -86,8 +91,8 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 		for a := 0; a < half; a++ {
 			for u := 0; u < half; u++ {
 				c := a*half + u
-				net.connect(aggID(pod, a), half+u, coreID(c), pod, cfg.L3Delay)
-				net.connect(coreID(c), pod, aggID(pod, a), half+u, cfg.L3Delay)
+				net.connect(aggID(pod, a), half+u, coreID(c), pod, FatTreeCoreDelay)
+				net.connect(coreID(c), pod, aggID(pod, a), half+u, FatTreeCoreDelay)
 			}
 		}
 	}
@@ -107,13 +112,13 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 				return dPort // eject
 			}
 			// Adaptive up: least queue, then most credits.
-			return bestUpPort(r, half, st.vc(n.cfg.VirtualChannels))
+			return bestUpPort(r, half, st.vc(n.vcs))
 		case id < numEdge+numAgg: // aggregation switch
 			pod := (id - numEdge) / half
 			if pod == dPod {
 				return dEdge // down to the destination edge
 			}
-			return bestUpPort(r, half, st.vc(n.cfg.VirtualChannels))
+			return bestUpPort(r, half, st.vc(n.vcs))
 		default: // core switch
 			return dPod // down to the destination pod
 		}

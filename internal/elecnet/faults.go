@@ -40,7 +40,7 @@ func (n *engine) dropState(sh *eshard, st *pktState, at sim.Time) {
 // holds there (all packets at or queued inside a router hold exactly one).
 func (n *engine) dropFaulty(r *router, st *pktState, at sim.Time) {
 	if st.holdRouter >= 0 {
-		n.scheduleCreditReturn(r, st.holdIn, st.vcHeld(n.cfg.VirtualChannels), at)
+		n.scheduleCreditReturn(r, st.holdIn, st.vcHeld(n.vcs), at)
 	}
 	n.dropState(r.sh, st, at)
 }
@@ -57,7 +57,7 @@ func (n *engine) faultAtArrival(r *router, st *pktState) bool {
 	}
 	at := r.eng.Now()
 	if st.holdRouter >= 0 {
-		n.scheduleCreditReturn(r, st.holdIn, st.vc(n.cfg.VirtualChannels), at)
+		n.scheduleCreditReturn(r, st.holdIn, st.vc(n.vcs), at)
 	}
 	n.dropState(r.sh, st, at)
 	return true

@@ -42,7 +42,7 @@ func (ev *idealEvent) Run(e *sim.Engine) {
 // selects the paper's 200 ns.
 func NewIdeal(nodes int, latency sim.Duration) *Ideal {
 	if latency == 0 {
-		latency = 200 * sim.Nanosecond
+		latency = IdealLatency
 	}
 	n := &Ideal{nodes: nodes, latency: latency}
 	n.Shards = netsim.NewShards(latency, &n.NetStats, nil, &n.sh)

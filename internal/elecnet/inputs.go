@@ -11,9 +11,9 @@ import (
 // the flow-level twin (internal/twin): the effective (defaulted)
 // configurations, the routing-relevant topology parameters and, for the
 // multi-butterfly, the exact seed-driven wiring. Each With-Defaults
-// normalizer is the same one the corresponding constructor uses, so the
-// analytical model and the event-level simulator always agree on delays,
-// rates and dimensions.
+// normalizer is the same one the corresponding constructor uses, and the
+// delays and rates are the package's (and netsim's) constants, so the
+// analytical model and the event-level simulator always agree on them.
 
 // IdealLatency is the flat latency of the ideal reference network.
 const IdealLatency = 200 * sim.Nanosecond
@@ -25,13 +25,6 @@ func (cfg MBConfig) withDefaults() MBConfig {
 	if cfg.Multiplicity == 0 {
 		cfg.Multiplicity = 4
 	}
-	if cfg.LinkDelay == 0 {
-		cfg.LinkDelay = 100 * sim.Nanosecond
-	}
-	if cfg.InterStageDelay == 0 {
-		cfg.InterStageDelay = 10 * sim.Nanosecond
-	}
-	cfg.Engine.applyDefaults(3)
 	return cfg
 }
 
@@ -42,18 +35,6 @@ func (cfg DragonflyConfig) withDefaults() (DragonflyConfig, error) {
 	if cfg.P < 1 {
 		return cfg, fmt.Errorf("elecnet: dragonfly p = %d", cfg.P)
 	}
-	if cfg.IntraDelay == 0 {
-		cfg.IntraDelay = 10 * sim.Nanosecond
-	}
-	if cfg.InterDelay == 0 {
-		cfg.InterDelay = 100 * sim.Nanosecond
-	}
-	if cfg.HostDelay == 0 {
-		cfg.HostDelay = 10 * sim.Nanosecond
-	}
-	if cfg.UGALThreshold == 0 {
-		cfg.UGALThreshold = 1
-	}
 	if cfg.Routing == "" {
 		cfg.Routing = "ugal"
 	}
@@ -62,7 +43,6 @@ func (cfg DragonflyConfig) withDefaults() (DragonflyConfig, error) {
 	default:
 		return cfg, fmt.Errorf("elecnet: unknown dragonfly routing %q", cfg.Routing)
 	}
-	cfg.Engine.applyDefaults(7)
 	return cfg, nil
 }
 
@@ -73,22 +53,12 @@ func (cfg FatTreeConfig) withDefaults() (FatTreeConfig, error) {
 	if cfg.K < 4 || cfg.K%2 != 0 {
 		return cfg, fmt.Errorf("elecnet: fat-tree k = %d, want even >= 4", cfg.K)
 	}
-	if cfg.L1Delay == 0 {
-		cfg.L1Delay = 10 * sim.Nanosecond
-	}
-	if cfg.L2Delay == 0 {
-		cfg.L2Delay = 50 * sim.Nanosecond
-	}
-	if cfg.L3Delay == 0 {
-		cfg.L3Delay = 100 * sim.Nanosecond
-	}
-	cfg.Engine.applyDefaults(5)
 	return cfg, nil
 }
 
 // MBInputs are the analytical inputs of the electrical multi-butterfly.
 type MBInputs struct {
-	Cfg    MBConfig // defaulted, including Cfg.Engine
+	Cfg    MBConfig // defaulted
 	Wiring *topo.MultiButterfly
 }
 
@@ -105,7 +75,7 @@ func AnalyticalMB(cfg MBConfig) (MBInputs, error) {
 
 // FatTreeInputs are the analytical inputs of the fat-tree.
 type FatTreeInputs struct {
-	Cfg   FatTreeConfig // defaulted, including Cfg.Engine
+	Cfg   FatTreeConfig // defaulted
 	K     int
 	Hosts int
 }

@@ -3,6 +3,7 @@ package elecnet
 import (
 	"fmt"
 
+	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/topo"
 )
@@ -17,22 +18,27 @@ type MultiButterfly struct {
 	mb *topo.MultiButterfly
 }
 
+const (
+	// mbVCs is Table VI's three VCs. Every link runs from stage s to
+	// stage s+1, so the channel-dependency graph is acyclic and the
+	// network is deadlock-free at any VC count; the third buffered hop
+	// and every later one share VC 2.
+	mbVCs = 3
+	// MBStageDelay is the switch-to-switch link delay (backplane scale).
+	// Hosts attach over netsim.HostLinkDelay.
+	MBStageDelay = 10 * sim.Nanosecond
+)
+
 // MBConfig configures the electrical multi-butterfly.
 type MBConfig struct {
 	Nodes        int // power of two >= 4 (default 1024)
 	Multiplicity int // default 4 (like Baldur's 1K configuration)
-	// LinkDelay is the host link delay (default 100 ns, Table VI).
-	LinkDelay sim.Duration
-	// InterStageDelay is the switch-to-switch link delay (default 10 ns:
-	// backplane scale).
-	InterStageDelay sim.Duration
 	// Shards selects the conservative-parallel shard count (0 or 1:
 	// serial). The network partitions by switch column — node i, its
 	// injection switch and its ejection switches all share column i>>1 —
 	// so only inter-stage links cross shards and the lookahead is
-	// InterStageDelay. Statistics are bit-identical for any value.
+	// MBStageDelay. Statistics are bit-identical for any value.
 	Shards int
-	Engine EngineConfig
 	Seed   uint64
 }
 
@@ -44,7 +50,7 @@ func NewMultiButterfly(cfg MBConfig) (*MultiButterfly, error) {
 		return nil, fmt.Errorf("elecnet: %w", err)
 	}
 	net := &MultiButterfly{
-		engine: newEngine(cfg.Engine, "multibutterfly", 3),
+		engine: newEngine("multibutterfly", mbVCs),
 		mb:     wiring,
 	}
 	net.seed = cfg.Seed
@@ -65,7 +71,7 @@ func NewMultiButterfly(cfg MBConfig) (*MultiButterfly, error) {
 					net.connect(
 						int32(s*sw)+k, d*m+p,
 						int32((s+1)*sw)+ref.Switch, int(ref.Port),
-						cfg.InterStageDelay,
+						MBStageDelay,
 					)
 				}
 			}
@@ -79,7 +85,7 @@ func NewMultiButterfly(cfg MBConfig) (*MultiButterfly, error) {
 		for d := 0; d < 2; d++ {
 			node := k<<1 | int32(d)
 			for p := 0; p < m; p++ {
-				net.connectEject(int32(last*sw)+k, d*m+p, node, cfg.LinkDelay)
+				net.connectEject(int32(last*sw)+k, d*m+p, node, netsim.HostLinkDelay)
 			}
 		}
 	}
@@ -87,7 +93,7 @@ func NewMultiButterfly(cfg MBConfig) (*MultiButterfly, error) {
 	// first-stage switch i>>1.
 	for i := 0; i < cfg.Nodes; i++ {
 		swi, port := wiring.InjectionSwitch(i)
-		net.connectNIC(int32(i), swi, int(port), cfg.LinkDelay)
+		net.connectNIC(int32(i), swi, int(port), netsim.HostLinkDelay)
 	}
 
 	net.route = func(n *engine, r *router, st *pktState) int {
@@ -109,7 +115,7 @@ func NewMultiButterfly(cfg MBConfig) (*MultiButterfly, error) {
 		// Adaptive path selection: among the m equivalent ports pick
 		// the one with the most credits at our VC, breaking ties by
 		// shorter queue.
-		vc := st.vc(n.cfg.VirtualChannels)
+		vc := st.vc(n.vcs)
 		best := d * m
 		for p := 1; p < m; p++ {
 			cand := d*m + p

@@ -135,7 +135,7 @@ func Ablations(sc Scale) ([]AblationRow, error) {
 			Comments: "switching stays 1.5 ns/stage; latency approaches the 200 ns fiber floor",
 		},
 		func(label string, fast bool) (float64, error) {
-			bps := 25e9
+			bps := netsim.LineRate
 			if fast {
 				bps = 400e9
 			}

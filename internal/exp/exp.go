@@ -36,9 +36,6 @@ type Scale struct {
 	// MaxSimTime bounds a single run's virtual time as a safety net
 	// against saturation-induced crawl (0 = 1 s of virtual time).
 	MaxSimTime sim.Duration
-	// Warmup excludes packets created before this virtual time from the
-	// latency statistics (steady-state measurement; 0 = measure all).
-	Warmup sim.Duration
 	// Shards selects the conservative-parallel shard count for each
 	// simulated network (0 or 1: serial). Results are bit-identical for
 	// any value; sharding only changes wall-clock time. Trace replays
@@ -299,11 +296,10 @@ func (c *cell) point(network string) Point {
 }
 
 // newCell returns a cell of net configured from the scale: its telemetry
-// and audit options, warmup and safety horizon. Any audit violation fails
+// and audit options and safety horizon. Any audit violation fails
 // the cell, and telemetry is exported under label when the scale runs many
 // cells.
 func (sc Scale) newCell(net netsim.Network, col *netsim.Collector, label string, start func(netsim.Network) error) *cell {
-	col.Warmup = sim.Time(sc.Warmup)
 	return &cell{
 		net: net, label: label, col: col, start: start,
 		tel: sc.Telemetry, audit: sc.Audit, strict: true,

@@ -318,25 +318,6 @@ func TestCSVAndTableHelpers(t *testing.T) {
 	}
 }
 
-func TestWarmupExcludesEarlyPackets(t *testing.T) {
-	sc := tiny()
-	all, err := RunOpenLoop("ideal", "random_permutation", 0.5, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Warmup = 1 << 62 // exclude everything
-	none, err := RunOpenLoop("ideal", "random_permutation", 0.5, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if all.AvgNS == 0 {
-		t.Error("baseline run measured nothing")
-	}
-	if none.AvgNS != 0 {
-		t.Errorf("warmup did not exclude packets: avg=%v", none.AvgNS)
-	}
-}
-
 func TestProfilePercentilesOrdered(t *testing.T) {
 	sc := tiny()
 	pr, err := Profile("baldur", "random_permutation", 0.7, sc)

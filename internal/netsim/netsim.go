@@ -12,6 +12,17 @@ import (
 	"baldur/internal/telemetry"
 )
 
+// Table VI values every network model shares. Per-model values (router
+// latency, buffer sizes, stage delays) sit next to each model's constructor.
+const (
+	// PacketSize is the data packet size in bytes.
+	PacketSize = 512
+	// LineRate is the host and port line data rate in bit/s.
+	LineRate = 25e9
+	// HostLinkDelay is the host-to-network fiber delay.
+	HostLinkDelay = 100 * sim.Nanosecond
+)
+
 // Packet is one network packet. Packets are created by Network.Send and
 // owned by the network until delivery.
 type Packet struct {
@@ -31,10 +42,6 @@ type Packet struct {
 	AckFor uint64
 	// Retries counts retransmissions so far.
 	Retries int
-	// RouteTag carries the per-attempt random routing bits used by the
-	// distribution stages of Benes-style topologies (Valiant routing);
-	// unused (0) on destination-tag-only networks.
-	RouteTag uint64
 	// NotBefore delays (re)transmission until the given time (binary
 	// exponential backoff).
 	NotBefore sim.Time
@@ -332,11 +339,6 @@ func Epochs(n Network) uint64 { return n.Epochs() }
 // regardless of shard count. Attach may be called again after a run to
 // reuse the collector's allocations for another network of the same shape.
 type Collector struct {
-	// Warmup, if set, excludes packets *created* before this virtual
-	// time from the statistics (standard steady-state measurement
-	// practice; deliveries still count toward Delivered).
-	Warmup sim.Time
-
 	shards    []colShard
 	perNode   []nodeAcc
 	nodeShard []int32
@@ -391,9 +393,6 @@ func (c *Collector) Attach(n Network) {
 		s.delivered++
 		if at > s.last {
 			s.last = at
-		}
-		if p.Created < c.Warmup {
-			return
 		}
 		lat := float64(at.Sub(p.Created).Nanoseconds())
 		s.hist.Add(lat)

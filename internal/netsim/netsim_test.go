@@ -55,25 +55,6 @@ func TestCollectorBasics(t *testing.T) {
 	}
 }
 
-func TestCollectorWarmup(t *testing.T) {
-	n := &fakeNet{eng: sim.NewEngine()}
-	c := Collector{Warmup: sim.Time(1 * sim.Microsecond)}
-	c.Attach(n)
-	// Created before warmup: excluded from latency but counted delivered.
-	n.deliver(&Packet{Created: 0}, sim.Time(100*sim.Microsecond))
-	// Created after warmup: included.
-	n.deliver(&Packet{Created: sim.Time(2 * sim.Microsecond)}, sim.Time(3*sim.Microsecond))
-	if c.Delivered() != 2 {
-		t.Errorf("Delivered = %d", c.Delivered())
-	}
-	if got := c.Samples(); got != 1 {
-		t.Errorf("latency samples = %d, want 1", got)
-	}
-	if avg := c.AvgNS(); avg != 1000 {
-		t.Errorf("AvgNS = %v, want 1000 (warmup packet excluded)", avg)
-	}
-}
-
 func TestCollectorEmpty(t *testing.T) {
 	var c Collector
 	if c.AvgNS() != 0 || c.TailNS() != 0 || c.Delivered() != 0 {

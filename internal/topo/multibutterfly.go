@@ -32,11 +32,7 @@ type PortRef struct {
 type MultiButterfly struct {
 	Nodes  int // N, a power of two >= 4
 	M      int // path multiplicity >= 1
-	Stages int // log2(N) (2*log2(N)-1 for Benes)
-	// DistStages is the number of leading distribution stages that route
-	// by per-packet random bits instead of destination bits (0 for
-	// butterfly-style networks, log2(N)-1 for Benes).
-	DistStages int
+	Stages int // log2(N)
 
 	// wiring[s][k*2m + d*m + p] is where output (direction d, path p) of
 	// switch k at stage s leads: a switch input at stage s+1, or, for
@@ -116,9 +112,7 @@ func (mb *MultiButterfly) InjectionSwitch(node int) (sw int32, port int16) {
 }
 
 // RoutingBit returns the output direction consumed at stage s for the given
-// destination: bit (Stages-1-s), MSB first. For Benes networks it is only
-// meaningful for s >= DistStages; the distribution stages use per-packet
-// random bits instead.
+// destination: bit (Stages-1-s), MSB first.
 func (mb *MultiButterfly) RoutingBit(dest, s int) int {
 	return (dest >> (mb.Stages - 1 - s)) & 1
 }

@@ -53,7 +53,7 @@ type Workload struct {
 
 func (w *Workload) packetSize() int {
 	if w.PacketSize == 0 {
-		return 512
+		return netsim.PacketSize
 	}
 	return w.PacketSize
 }

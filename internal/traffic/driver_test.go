@@ -93,16 +93,16 @@ func TestPingPongTotalCount(t *testing.T) {
 	}
 }
 
-func TestPingPongCustomSize(t *testing.T) {
+func TestPingPongPacketSize(t *testing.T) {
 	net := elecnet.NewIdeal(4, 0)
 	var size int
 	net.OnDeliver(func(p *netsim.Packet, _ sim.Time) { size = p.Size })
 	pat := &Pattern{Name: "pairs", Dest: []int{1, 0, -1, -1}}
-	pp := PingPong{Pattern: pat, Rounds: 1, PacketSize: 128}
+	pp := PingPong{Pattern: pat, Rounds: 1}
 	pp.Start(net)
 	net.Engine().Run()
-	if size != 128 {
-		t.Errorf("packet size = %d, want 128", size)
+	if size != 512 {
+		t.Errorf("packet size = %d, want 512", size)
 	}
 }
 
@@ -112,10 +112,9 @@ func TestPatternNodes(t *testing.T) {
 	}
 }
 
-// TestOpenLoopSpecReuse pins the fix for Start mutating its receiver: the
-// defaults (LinkRate, PacketSize) must resolve into locals, so an OpenLoop
-// value reused across cells drives run 2 exactly like run 1 and the spec
-// itself is left untouched between runs.
+// TestOpenLoopSpecReuse pins the fix for Start mutating its receiver: an
+// OpenLoop value reused across cells drives run 2 exactly like run 1 and the
+// spec itself is left untouched between runs.
 func TestOpenLoopSpecReuse(t *testing.T) {
 	run := func(o *OpenLoop) (delivered uint64, last sim.Time) {
 		net := elecnet.NewIdeal(16, 0)
@@ -136,10 +135,6 @@ func TestOpenLoopSpecReuse(t *testing.T) {
 	spec := OpenLoop{Load: 0.5, PacketsPerNode: 20, Seed: 3}
 	before := spec
 	d1, t1 := run(&spec)
-	if spec.LinkRate != 0 || spec.PacketSize != 0 {
-		t.Fatalf("Start mutated its receiver: LinkRate=%v PacketSize=%v (want zero defaults preserved)",
-			spec.LinkRate, spec.PacketSize)
-	}
 	d2, t2 := run(&spec)
 	if d1 != d2 || t1 != t2 {
 		t.Fatalf("reused spec diverged: run1 delivered=%d last=%v, run2 delivered=%d last=%v", d1, t1, d2, t2)

@@ -200,14 +200,13 @@ func MeanInterval(packetSize int, load, linkRate float64) sim.Duration {
 	return sim.Duration(seconds*1e12 + 0.5)
 }
 
-// OpenLoop injects PacketsPerNode packets from every transmitting node of
-// the pattern, with exponential inter-arrival times at the given input load.
+// OpenLoop injects PacketsPerNode packets of netsim.PacketSize bytes from
+// every transmitting node of the pattern, with exponential inter-arrival
+// times at the given input load of the netsim.LineRate line.
 type OpenLoop struct {
 	Pattern        *Pattern
 	Load           float64
-	PacketSize     int // 0 = network default (512 B)
 	PacketsPerNode int
-	LinkRate       float64 // 0 = 25 Gbps
 	Seed           uint64
 }
 
@@ -218,14 +217,13 @@ type OpenLoop struct {
 type olInjector struct {
 	net       netsim.Network
 	src, dst  int
-	size      int
 	remaining int
 	mean      sim.Duration
 	rng       *sim.RNG
 }
 
 func (in *olInjector) Run(e *sim.Engine) {
-	in.net.Send(in.src, in.dst, in.size)
+	in.net.Send(in.src, in.dst, netsim.PacketSize)
 	in.remaining--
 	if in.remaining > 0 {
 		in.net.ScheduleNode(in.src, e.Now().Add(in.rng.ExpDuration(in.mean)), in)
@@ -233,20 +231,11 @@ func (in *olInjector) Run(e *sim.Engine) {
 }
 
 // Start schedules the injection processes on the network's engine. Call
-// before running the engine. Defaults are resolved into locals, never
-// written back into o: a spec literal reused across cells (the figure
-// sweeps reuse one OpenLoop value per load) must behave identically on
-// every run.
+// before running the engine. It never writes to o: a spec literal reused
+// across cells (the figure sweeps reuse one OpenLoop value per load) must
+// behave identically on every run.
 func (o *OpenLoop) Start(net netsim.Network) {
-	rate := o.LinkRate
-	if rate == 0 {
-		rate = 25e9
-	}
-	size := o.PacketSize
-	if size == 0 {
-		size = 512
-	}
-	mean := MeanInterval(size, o.Load, rate)
+	mean := MeanInterval(netsim.PacketSize, o.Load, netsim.LineRate)
 	for src := 0; src < net.NumNodes(); src++ {
 		dst := o.Pattern.Dest[src]
 		if dst == -1 {
@@ -256,7 +245,6 @@ func (o *OpenLoop) Start(net netsim.Network) {
 			net:       net,
 			src:       src,
 			dst:       dst,
-			size:      size,
 			remaining: o.PacketsPerNode,
 			mean:      mean,
 			rng:       sim.NewRNG(o.Seed).Fork(uint64(src) + 1),
@@ -268,25 +256,24 @@ func (o *OpenLoop) Start(net netsim.Network) {
 // PingPong runs the closed-loop ping-pong workload: each node of a pair
 // sends one packet, waits for its partner's packet, and immediately replies,
 // for Rounds rounds. Both directions run concurrently (each node starts with
-// one send, as the paper's description implies full-duplex pairs).
+// one send, as the paper's description implies full-duplex pairs). Packets
+// are netsim.PacketSize bytes.
 type PingPong struct {
-	Pattern    *Pattern // pairing (must be symmetric)
-	Rounds     int
-	PacketSize int
+	Pattern *Pattern // pairing (must be symmetric)
+	Rounds  int
 }
 
 // ppStarter fires one node's opening send at t = 0, on that node's shard.
 type ppStarter struct {
 	net       netsim.Network
 	src, dst  int
-	size      int
 	remaining []int
 }
 
 func (s *ppStarter) Run(*sim.Engine) {
 	if s.remaining[s.src] > 0 {
 		s.remaining[s.src]--
-		s.net.Send(s.src, s.dst, s.size)
+		s.net.Send(s.src, s.dst, netsim.PacketSize)
 	}
 }
 
@@ -295,10 +282,6 @@ func (s *ppStarter) Run(*sim.Engine) {
 // shard: starters go through Network.ScheduleNode and the delivery callback
 // runs where the packet lands, touching only that node's round counter.
 func (p *PingPong) Start(net netsim.Network) {
-	size := p.PacketSize
-	if size == 0 {
-		size = 512
-	}
 	remaining := make([]int, net.NumNodes())
 	for src := 0; src < net.NumNodes(); src++ {
 		if p.Pattern.Dest[src] != -1 {
@@ -310,12 +293,12 @@ func (p *PingPong) Start(net netsim.Network) {
 		me := pkt.Dst
 		if partner := p.Pattern.Dest[me]; partner == pkt.Src && remaining[me] > 0 {
 			remaining[me]--
-			net.Send(me, partner, size)
+			net.Send(me, partner, netsim.PacketSize)
 		}
 	})
 	for src := 0; src < net.NumNodes(); src++ {
 		if dst := p.Pattern.Dest[src]; dst != -1 {
-			st := &ppStarter{net: net, src: src, dst: dst, size: size, remaining: remaining}
+			st := &ppStarter{net: net, src: src, dst: dst, remaining: remaining}
 			net.ScheduleNode(src, 0, st)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"baldur/internal/core"
+	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/traffic"
 )
@@ -43,7 +44,7 @@ func evalBaldur(pat *traffic.Pattern, load float64, cfg Config) (Point, error) {
 	T := interval * float64(cfg.PacketsPerNode)
 	mb := in.MB
 	stages := mb.Stages
-	c := in.Cfg.Multiplicity * in.Cfg.Wavelengths
+	c := in.Cfg.Multiplicity
 	dataOcc := (in.DataDur + in.Gap).Seconds()
 	ackOcc := (in.AckDur + in.Gap).Seconds()
 
@@ -259,7 +260,7 @@ func evalBaldur(pat *traffic.Pattern, load float64, cfg Config) (Point, error) {
 		qd.r += ackRate * ackOcc * ackOcc / 2
 	}
 
-	base := (2*in.Cfg.LinkDelay + sim.Duration(stages)*in.PerStage + in.DataDur).Seconds()
+	base := (2*netsim.HostLinkDelay + sim.Duration(stages)*in.PerStage + in.DataDur).Seconds()
 	bebMean := func(j int) float64 {
 		if in.Cfg.DisableBEB {
 			return 0

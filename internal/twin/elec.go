@@ -2,6 +2,7 @@ package twin
 
 import (
 	"baldur/internal/elecnet"
+	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/traffic"
 )
@@ -30,7 +31,7 @@ func evalMB(pat *traffic.Pattern, load float64, cfg Config) (Point, error) {
 	w := in.Wiring
 	stages := w.Stages
 	m := in.Cfg.Multiplicity
-	ser := sim.SerializationTime(in.Cfg.Engine.PacketSize, in.Cfg.Engine.LinkRate).Seconds()
+	ser := sim.SerializationTime(netsim.PacketSize, netsim.LineRate).Seconds()
 
 	// Pooled (stage, group, direction) queues. Group of flow at stage 0 is
 	// 0; direction d advances the group to 2G+d.
@@ -58,9 +59,9 @@ func evalMB(pat *traffic.Pattern, load float64, cfg Config) (Point, error) {
 		groups[i], dirs[i] = gs, ds
 	}
 
-	base := (2*in.Cfg.LinkDelay +
-		sim.Duration(stages)*in.Cfg.Engine.RouterLatency +
-		sim.Duration(stages-1)*in.Cfg.InterStageDelay).Seconds() + ser
+	base := (2*netsim.HostLinkDelay +
+		sim.Duration(stages)*elecnet.RouterLatency +
+		sim.Duration(stages-1)*elecnet.MBStageDelay).Seconds() + ser
 
 	T := interval * float64(cfg.PacketsPerNode)
 	lat := make([]flowLat, len(fl))

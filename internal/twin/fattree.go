@@ -2,6 +2,7 @@ package twin
 
 import (
 	"baldur/internal/elecnet"
+	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/traffic"
 )
@@ -26,11 +27,11 @@ func evalFatTree(pat *traffic.Pattern, load float64, cfg Config) (Point, error) 
 	k := in.K
 	half := k / 2
 	hosts := in.Hosts
-	ser := sim.SerializationTime(in.Cfg.Engine.PacketSize, in.Cfg.Engine.LinkRate).Seconds()
-	rl := in.Cfg.Engine.RouterLatency.Seconds()
-	l1 := in.Cfg.L1Delay.Seconds()
-	l2 := in.Cfg.L2Delay.Seconds()
-	l3 := in.Cfg.L3Delay.Seconds()
+	ser := sim.SerializationTime(netsim.PacketSize, netsim.LineRate).Seconds()
+	rl := elecnet.RouterLatency.Seconds()
+	l1 := elecnet.FatTreeEdgeDelay.Seconds()
+	l2 := elecnet.FatTreeAggDelay.Seconds()
+	l3 := elecnet.FatTreeCoreDelay.Seconds()
 
 	fl, interval := openFlows(pat, load, cfg)
 	if len(fl) == 0 {

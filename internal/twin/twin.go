@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"baldur/internal/elecnet"
+	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/traffic"
 )
@@ -135,7 +136,7 @@ type flow struct {
 // approximation. This is nTx*ppn scalar draws, still thousands of times
 // cheaper than simulating the packets.
 func openFlows(pat *traffic.Pattern, load float64, cfg Config) (fl []flow, interval float64) {
-	mean := traffic.MeanInterval(512, load, 25e9)
+	mean := traffic.MeanInterval(netsim.PacketSize, load, netsim.LineRate)
 	interval = mean.Seconds()
 	rate := 1 / interval
 	// Replaying each source's injection draws is the twin's only

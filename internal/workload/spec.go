@@ -3,6 +3,8 @@ package workload
 import (
 	"encoding/json"
 	"fmt"
+
+	"baldur/internal/netsim"
 )
 
 // Spec is the declarative form of a multi-tenant workload: a named mix of
@@ -192,7 +194,7 @@ func (s Spec) resolved() Spec {
 		s.Seed = 1
 	}
 	if s.PacketSize == 0 {
-		s.PacketSize = 512
+		s.PacketSize = netsim.PacketSize
 	}
 	if s.LinkRateGbps == 0 {
 		s.LinkRateGbps = 25
