@@ -230,6 +230,28 @@ func TestShardCountInvariant(t *testing.T) {
 			t.Errorf("%s shards=2 diverged:\n got %+v\nwant %+v", network, got, ref)
 		}
 	}
+	// A 1,024-host fat-tree's epochs straddle the sharded engine's inline
+	// threshold (about 4K events per epoch), so its K=2 run dispatches some
+	// epochs inline and the rest on worker goroutines. Under -race every
+	// multi-shard epoch is parallel and only single-shard ones are inline.
+	sc := Quick
+	sc.FatTreeK, sc.PacketsPerNode = 16, 10
+	ref, err := RunOpenLoop("fattree", "random_permutation", 0.7, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Shards = 2
+	var col netsim.Collector
+	got, net, err := runOpenLoopCell(&col, "fattree", "random_permutation", 0.7, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Point != ref {
+		t.Errorf("fattree k=16 shards=2 diverged:\n got %+v\nwant %+v", got.Point, ref)
+	}
+	if par := net.(interface{ ParallelEpochs() uint64 }).ParallelEpochs(); par == 0 || par >= got.Epochs {
+		t.Errorf("fattree k=16 shards=2: %d of %d epochs parallel, want both modes", par, got.Epochs)
+	}
 }
 
 // TestShardCountInvariantMidScale repeats the invariance check at the Mid

@@ -112,6 +112,10 @@ func (r *Shards) Events() uint64 { return r.se.Executed() }
 // serial).
 func (r *Shards) Epochs() uint64 { return r.se.Epochs }
 
+// ParallelEpochs returns how many of those rounds were dispatched on worker
+// goroutines rather than inline on the caller.
+func (r *Shards) ParallelEpochs() uint64 { return r.se.ParallelEpochs }
+
 // NumShards returns the shard count K.
 func (r *Shards) NumShards() int { return len(r.shards) }
 

@@ -11,15 +11,16 @@ import (
 // model is delayed by at least the lookahead (the minimum cross-shard link
 // latency), events inside an epoch cannot causally affect another shard
 // within the same epoch, so all shards may dispatch their slice of the epoch
-// concurrently.
+// concurrently. RunUntil does so only for epochs large enough to repay the
+// handoff; small ones run shard after shard on the calling goroutine.
 //
 // Cross-shard handoffs go through per-(src,dst) mailboxes. During an epoch a
 // source shard appends to the mailbox's current buffer (it is the only
 // writer); at the epoch barrier the coordinator swaps current/previous
 // buffers, and the destination shard drains the previous buffer into its own
 // queue at the start of its next active epoch. Ingest therefore happens on
-// the destination's worker, in parallel, and the single-threaded coordinator
-// only swaps slice headers and scans per-box minima.
+// the destination's shard, in parallel when the epoch is, and the
+// coordinator only swaps slice headers and scans per-box minima.
 //
 // Determinism: shards use ScheduleKey with per-actor key streams (Actor), so
 // the dispatch order at every timestamp — and thus every model statistic —
@@ -33,8 +34,16 @@ type ShardedEngine struct {
 	// (synchronized by the start-channel / WaitGroup barrier pair).
 	epochEnd Time
 
-	// Epochs counts barrier rounds across all RunUntil calls.
-	Epochs uint64
+	// lastEpochEvents is the number of events the latest epoch dispatched,
+	// kept across RunUntil calls (0 before the first). It decides whether
+	// the next epoch is worth dispatching in parallel.
+	lastEpochEvents uint64
+
+	// Epochs counts barrier rounds across all RunUntil calls, and
+	// ParallelEpochs those of them dispatched on worker goroutines. Both
+	// are exact: the epoch sequence and the per-epoch event counts depend
+	// only on the model and K.
+	Epochs, ParallelEpochs uint64
 }
 
 // Shard is one partition's event queue plus its outgoing mailbox handles.
@@ -157,33 +166,49 @@ func (sh *Shard) runEpoch(end Time) {
 	sh.Eng.RunBefore(end)
 }
 
+// parallelMinEvents is the smallest previous-epoch event count for which
+// RunUntil hands the next epoch to worker goroutines; smaller epochs run
+// inline, shard after shard, on the coordinator. Handing a shard to another
+// goroutine moves its queue and model state to another core, which costs
+// more than a small epoch saves: at 55 events per epoch (fault_campaign's
+// K=2 cells) parallel dispatch made K=2 1.6x slower than K=1. Chosen from a
+// sweep of 512, 1024 and 4096 on fault_campaign (55 events per epoch) and
+// datacenter_128k (about 68K), on a 2-core x86-64 host.
+const parallelMinEvents = 4096
+
+// parallelMin is the threshold RunUntil applies. It is parallelMinEvents,
+// except under the race detector (sharded_race.go), which pins it to 0 so
+// every -race run still dispatches each multi-shard epoch concurrently.
+// Tests set it to force either mode.
+var parallelMin uint64 = parallelMinEvents
+
 // RunUntil dispatches all events with timestamps <= deadline across every
 // shard, advances all shard clocks to the deadline, and reports whether
 // later events remain queued. With one shard it is exactly
-// Engine.RunUntil(deadline).
+// Engine.RunUntil(deadline). An event timestamped at the very end of time
+// (math.MaxInt64) is never dispatched by a sharded engine: it stays queued.
+//
+// Each epoch runs inline on the calling goroutine when only one shard has
+// work in it or the previous epoch dispatched fewer than parallelMin
+// events; otherwise the caller runs the first active shard and worker
+// goroutines, one per shard and started on first use within the call, run
+// the rest. Within an epoch shards interact only through mailboxes, read
+// after the barrier, so both modes dispatch exactly the same events.
 func (se *ShardedEngine) RunUntil(deadline Time) bool {
 	if len(se.shards) == 1 {
 		return se.shards[0].Eng.RunUntil(deadline)
 	}
-	k := len(se.shards)
 	var wg sync.WaitGroup
-	starts := make([]chan Time, k)
-	for i := range starts {
-		starts[i] = make(chan Time, 1)
-		go func(sh *Shard, ch <-chan Time) {
-			for end := range ch {
-				sh.runEpoch(end)
-				wg.Done()
-			}
-		}(se.shards[i], starts[i])
-	}
+	var starts []chan Time // per-shard worker channels, made on first use
 	defer func() {
 		for _, ch := range starts {
-			close(ch)
+			if ch != nil {
+				close(ch)
+			}
 		}
 	}()
 
-	active := make([]*Shard, 0, k)
+	active := make([]*Shard, 0, len(se.shards))
 	for {
 		// Barrier section: workers are parked, the coordinator owns all
 		// state. Publish every mailbox's current buffer: swap into prev
@@ -223,11 +248,17 @@ func (se *ShardedEngine) RunUntil(deadline Time) bool {
 				}
 			}
 		}
-		if t > deadline {
+		if t > deadline || t == maxTime {
 			break
 		}
-		end := t.Add(se.lookahead)
-		if end > deadline+1 {
+		// Both bounds saturate: t+lookahead at the end of time, and the
+		// deadline cap only applies when end > deadline, so deadline+1
+		// cannot overflow.
+		end := maxTime
+		if t < maxTime-Time(se.lookahead) {
+			end = t.Add(se.lookahead)
+		}
+		if end > deadline {
 			end = deadline + 1 // RunUntil is inclusive of the deadline
 		}
 		se.epochEnd = end
@@ -247,16 +278,28 @@ func (se *ShardedEngine) RunUntil(deadline Time) bool {
 				active = append(active, sh)
 			}
 		}
-		if len(active) == 1 {
-			// One runnable shard: dispatch inline and skip the barrier.
+		before := se.Executed()
+		if len(active) == 1 || se.lastEpochEvents < parallelMin {
+			for _, sh := range active {
+				sh.runEpoch(end)
+			}
+		} else {
+			if starts == nil {
+				starts = make([]chan Time, len(se.shards))
+			}
+			se.ParallelEpochs++
+			wg.Add(len(active) - 1)
+			for _, sh := range active[1:] {
+				if starts[sh.ID] == nil {
+					starts[sh.ID] = make(chan Time, 1)
+					go sh.work(starts[sh.ID], &wg)
+				}
+				starts[sh.ID] <- end
+			}
 			active[0].runEpoch(end)
-			continue
+			wg.Wait()
 		}
-		wg.Add(len(active))
-		for _, sh := range active {
-			starts[sh.ID] <- end
-		}
-		wg.Wait()
+		se.lastEpochEvents = se.Executed() - before
 	}
 
 	more := false
@@ -272,4 +315,13 @@ func (se *ShardedEngine) RunUntil(deadline Time) bool {
 		}
 	}
 	return more
+}
+
+// work is a shard's worker goroutine: it runs one epoch per end time
+// received, until the channel closes.
+func (sh *Shard) work(ends <-chan Time, wg *sync.WaitGroup) {
+	for end := range ends {
+		sh.runEpoch(end)
+		wg.Done()
+	}
 }

@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"math"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 )
 
 // tactor is a test actor: it hashes the times and order of every event it
@@ -13,6 +17,9 @@ type tactor struct {
 	act  Actor
 	hash uint64
 	runs int
+	// trace, when non-nil, is the actor's shard's dispatch log: one
+	// (time, actor) entry per event, in the shard's dispatch order.
+	trace *[]uint64
 }
 
 // token bounces between actors with delays >= the lookahead, carrying its
@@ -28,6 +35,9 @@ func (tk *token) Run(e *Engine) {
 	a := tk.actors[tk.at]
 	a.hash = a.hash*1099511628211 ^ uint64(e.Now()) ^ uint64(a.runs)
 	a.runs++
+	if a.trace != nil {
+		*a.trace = append(*a.trace, uint64(e.Now())<<8|uint64(a.id))
+	}
 	if tk.hops == 0 {
 		return
 	}
@@ -182,5 +192,110 @@ func TestScheduleKeyOrdersTies(t *testing.T) {
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Errorf("dispatch order %v, want [1 2 3]", order)
+	}
+}
+
+func TestShardedRunUntilMaxTime(t *testing.T) {
+	// t+lookahead and deadline+1 used to overflow at the end of time, so a
+	// sharded RunUntil(maxTime) spun forever where the serial engine returns.
+	for _, events := range []int{0, 3} {
+		se := NewShardedEngine(2, Duration(100*Nanosecond))
+		ran := 0
+		for i := 0; i < events; i++ {
+			se.Shard(i%2).Eng.Schedule(Time(i)*Time(Microsecond), EventFunc(func() { ran++ }))
+		}
+		done := make(chan bool)
+		go func() { done <- se.RunUntil(Time(math.MaxInt64)) }()
+		select {
+		case more := <-done:
+			if more || ran != events {
+				t.Errorf("%d events: RunUntil(maxTime) ran %d, more=%v", events, ran, more)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d events: RunUntil(maxTime) did not return", events)
+		}
+	}
+}
+
+// setParallelMin sets the inline threshold for the rest of the test.
+func setParallelMin(t *testing.T, threshold uint64) {
+	saved := parallelMin
+	parallelMin = threshold
+	t.Cleanup(func() { parallelMin = saved })
+}
+
+// shardTraces runs a randomized cross-shard token workload on two shards
+// with the inline threshold set to threshold and returns every shard's
+// dispatch log plus the engine.
+func shardTraces(t *testing.T, threshold uint64, nTokens int) ([][]uint64, *ShardedEngine) {
+	setParallelMin(t, threshold)
+	const k, nActors = 2, 64
+	se := NewShardedEngine(k, Duration(100*Nanosecond))
+	traces := make([][]uint64, k)
+	actors := make([]*tactor, nActors)
+	for i := range actors {
+		sh := se.Shard(i % k)
+		actors[i] = &tactor{id: i, sh: sh, act: MakeActor(uint32(i + 1)), trace: &traces[sh.ID]}
+	}
+	rng := NewRNG(7)
+	for j := 0; j < nTokens; j++ {
+		a := actors[rng.Intn(nActors)]
+		tk := &token{actors: actors, at: a.id, hops: 5 + rng.Intn(40), rng: NewRNG(uint64(j + 1))}
+		a.sh.Eng.ScheduleKey(Time(rng.Intn(400))*Time(Nanosecond), a.act.Next(), tk)
+	}
+	se.RunUntil(Time(1 * Millisecond))
+	return traces, se
+}
+
+func TestShardedInlineMatchesParallel(t *testing.T) {
+	// Inline and parallel epochs must dispatch the same events in the same
+	// per-shard order, over the same epochs.
+	inline, seInline := shardTraces(t, math.MaxUint64, 600)
+	parallel, seParallel := shardTraces(t, 0, 600)
+	if seInline.ParallelEpochs != 0 {
+		t.Errorf("threshold max: %d parallel epochs, want 0", seInline.ParallelEpochs)
+	}
+	if seParallel.ParallelEpochs == 0 {
+		t.Error("threshold 0: no epoch ran in parallel")
+	}
+	if seInline.Epochs != seParallel.Epochs {
+		t.Errorf("epochs: inline %d, parallel %d", seInline.Epochs, seParallel.Epochs)
+	}
+	for i := range inline {
+		if len(inline[i]) == 0 || !slices.Equal(inline[i], parallel[i]) {
+			t.Errorf("shard %d: inline and parallel dispatch traces differ (%d vs %d events)",
+				i, len(inline[i]), len(parallel[i]))
+		}
+	}
+}
+
+func TestShardedParallelEpochsPinned(t *testing.T) {
+	// At the production threshold a workload whose epochs cross it takes
+	// both modes; the split is exact, so it is pinned.
+	_, se := shardTraces(t, parallelMinEvents, 3*parallelMinEvents)
+	if se.Epochs != 77 || se.ParallelEpochs != 38 {
+		t.Errorf("epochs=%d parallel=%d, want 77 and 38", se.Epochs, se.ParallelEpochs)
+	}
+}
+
+// goroutineProbe records the most goroutines seen at any of its events.
+type goroutineProbe struct{ max *int }
+
+func (g goroutineProbe) Run(*Engine) { *g.max = max(*g.max, runtime.NumGoroutine()) }
+
+func TestShardedInlineStartsNoGoroutines(t *testing.T) {
+	setParallelMin(t, math.MaxUint64)
+	se := NewShardedEngine(2, Duration(100*Nanosecond))
+	seen := 0
+	for i := 0; i < 100; i++ {
+		se.Shard(i%2).Eng.Schedule(Time(i)*Time(10*Nanosecond), goroutineProbe{&seen})
+	}
+	before := runtime.NumGoroutine()
+	se.RunUntil(Time(1 * Microsecond))
+	if se.ParallelEpochs != 0 {
+		t.Fatalf("%d parallel epochs, want 0", se.ParallelEpochs)
+	}
+	if seen > before {
+		t.Errorf("an inline-only RunUntil ran with %d goroutines, %d before it", seen, before)
 	}
 }
