@@ -7,6 +7,7 @@ package baldur_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"baldur/internal/cost"
@@ -44,6 +45,28 @@ func BenchmarkTable5(b *testing.B) {
 	b.ReportMetric(rows[3].DropRatePct, "m4_drop_%")
 	b.ReportMetric(float64(rows[3].Gates), "m4_gates")
 	b.ReportMetric(rows[3].LatencyNS, "m4_latency_ns")
+}
+
+// BenchmarkAblations runs the design-decision ablation suite (wiring
+// randomization, BEB, dragonfly UGAL, path multiplicity, link-rate headroom)
+// and reports both sides of every pair, named after the row.
+func BenchmarkAblations(b *testing.B) {
+	b.ReportAllocs()
+	var rows []exp.AblationRow
+	for i := 0; i < b.N; i++ {
+		var err error
+		rows, err = exp.Ablations(benchScale())
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	unit := func(row, metric string) string {
+		return row + ":" + strings.ReplaceAll(metric, " ", "_")
+	}
+	for _, r := range rows {
+		b.ReportMetric(r.ValueA, unit(r.Name, r.MetricA))
+		b.ReportMetric(r.ValueB, unit(r.Name, r.MetricB))
+	}
 }
 
 // benchFig6Pattern regenerates one Fig 6 panel: average/tail latency versus

@@ -78,7 +78,7 @@ const tieDispatchRatioCeil = 4.0
 
 // datacenterBytesPerNodeCeil is the absolute ceiling on peak resident
 // bytes per simulated node for the scale_datacenter entry (128K-node runs).
-// Measured ~4.3 KB/node with the SoA state layout; the ceiling leaves
+// Measured ~5.7 KB/node with the SoA state layout; the ceiling leaves
 // headroom for allocator and runner variance while still catching a return
 // to pointer-heavy per-node state (which measured several times higher).
 // Like twinSpeedupFloor this gates the fresh run absolutely, because the
@@ -120,7 +120,7 @@ const workloadExtraAllocsCeil = 8.0
 
 func main() {
 	out := flag.String("out", "BENCH_sim.json", "output file ('-' for stdout)")
-	check := flag.String("check", "", "baseline JSON to diff against; exits 1 if an engine microbenchmark regresses by >15% ns/op")
+	check := flag.String("check", "", "baseline JSON to diff against; exits 1 if a gated engine microbenchmark regresses by >15% ns/op, or if a fresh-run gate fails (tie-dispatch ratio, overhead extra allocs, twin speedup floor, datacenter bytes/node)")
 	flag.Parse()
 
 	benchmarks := []struct {
@@ -194,8 +194,7 @@ func checkAgainst(path string, fresh report) bool {
 	}
 	ok := compare(base, fresh, os.Stderr)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "benchjson: engine microbenchmark regressed by more than %.0f%% vs %s\n",
-			checkTolerance*100, path)
+		fmt.Fprintf(os.Stderr, "benchjson: -check failed against %s (see the REGRESSION/FAIL lines above)\n", path)
 	}
 	return ok
 }
@@ -258,7 +257,12 @@ func compare(base, fresh report, w io.Writer) bool {
 			case "workload_overhead":
 				ceil = workloadExtraAllocsCeil
 			}
-			extra := r.Extra["extra_allocs_op"]
+			extra, found := r.Extra["extra_allocs_op"]
+			if !found {
+				fmt.Fprintf(w, "check %-36s FAIL: no extra_allocs_op metric in this run\n", r.Name)
+				ok = false
+				continue
+			}
 			verdict := "ok"
 			if extra > ceil {
 				verdict = "REGRESSION"

@@ -145,6 +145,21 @@ func TestCompareWorkloadOverheadGate(t *testing.T) {
 	}
 }
 
+func TestCompareOverheadMissingMetric(t *testing.T) {
+	// An overhead entry without its extra_allocs_op metric has measured
+	// nothing: it must FAIL, not read as 0 extra allocs and pass.
+	for _, name := range []string{"faults_overhead", "trace_overhead", "workload_overhead"} {
+		fresh := rep(result{Name: name, NsPerOp: 100, Extra: map[string]float64{"allocs_op": 3}})
+		var out strings.Builder
+		if compare(rep(), fresh, &out) {
+			t.Errorf("%s without extra_allocs_op passed the gate:\n%s", name, out.String())
+		}
+		if !strings.Contains(out.String(), name) || !strings.Contains(out.String(), "FAIL") {
+			t.Errorf("%s: no FAIL verdict printed:\n%s", name, out.String())
+		}
+	}
+}
+
 func TestCompareUnusableBaselineEntry(t *testing.T) {
 	base := rep(result{Name: "engine_schedule_dispatch_typed", NsPerOp: 0})
 	fresh := rep(result{Name: "engine_schedule_dispatch_typed", NsPerOp: 100})

@@ -29,23 +29,17 @@ import (
 const DefaultInterval = 10 * sim.Microsecond
 
 // Options configures an Auditor. The zero value is valid: checkpoints every
-// DefaultInterval, collecting up to DefaultMaxViolations violations.
+// DefaultInterval.
 type Options struct {
 	// Interval is the simulated time between audit checkpoints when the
 	// auditor drives the slicing itself (no telemetry attached). 0 means
 	// DefaultInterval.
 	Interval sim.Duration
-	// FailFast panics on the first violation instead of collecting it —
-	// useful under a debugger, where the model state at the violating
-	// barrier is the interesting artifact.
-	FailFast bool
-	// MaxViolations bounds the collected slice (0 = DefaultMaxViolations);
-	// further violations are counted but dropped.
-	MaxViolations int
 }
 
-// DefaultMaxViolations bounds violation collection when Options leaves it 0.
-const DefaultMaxViolations = 64
+// maxViolations bounds the collected violations; further ones are counted
+// but dropped.
+const maxViolations = 64
 
 // Violation is one failed invariant: which rule, where, when, and the full
 // ledger diff in Detail.
@@ -85,9 +79,6 @@ type Auditor struct {
 
 // New returns an Auditor with the given options.
 func New(opts Options) *Auditor {
-	if opts.MaxViolations <= 0 {
-		opts.MaxViolations = DefaultMaxViolations
-	}
 	return &Auditor{Opts: opts}
 }
 
@@ -124,10 +115,7 @@ func (a *Auditor) Checkpoints() int { return a.checkpoints }
 // (-1 for network-global ledgers).
 func (a *Auditor) Violatef(at sim.Time, shard int, rule, format string, args ...any) {
 	v := Violation{At: at, Shard: shard, Rule: rule, Detail: fmt.Sprintf(format, args...)}
-	if a.Opts.FailFast {
-		panic(v.String())
-	}
-	if len(a.violations) >= a.Opts.MaxViolations {
+	if len(a.violations) >= maxViolations {
 		a.dropped++
 		return
 	}

@@ -318,7 +318,7 @@ func writeCellTrace(dir string, res *CellResult, tel *telemetry.Telemetry, regio
 	if err != nil {
 		return err
 	}
-	if err := telemetry.WriteChromeTraceRegions(f, tel.Rec.Records(), regions, 1, res.id()); err != nil {
+	if err := telemetry.WriteChromeTraceRegions(f, tel.Rec.Records(), regions, res.id()); err != nil {
 		f.Close()
 		return fmt.Errorf("exp: cell trace export: %w", err)
 	}

@@ -425,7 +425,7 @@ func pingPong(pat *traffic.Pattern, sc Scale) func(netsim.Network) error {
 // Point. Table V and the ablations use it for the network variants that
 // harness.Build's name switch does not cover and for their own pattern
 // seeds; the cell honours sc's shards (through the variant's config),
-// audit, telemetry, warmup and horizon like every other cell.
+// audit, telemetry and horizon like every other cell.
 func (sc Scale) runOpenLoopOn(net netsim.Network, label string, ol traffic.OpenLoop) (Point, error) {
 	var col netsim.Collector
 	c := sc.newCell(net, &col, label, func(n netsim.Network) error {

@@ -113,7 +113,7 @@ func TestTraceStreamShardCountInvariant(t *testing.T) {
 					t.Fatalf("%s/%s K=%d: no span records captured", network, traffic, k)
 				}
 				var sb strings.Builder
-				if err := telemetry.WriteFlightCSV(&sb, recs, 1); err != nil {
+				if err := telemetry.WriteFlightCSV(&sb, recs); err != nil {
 					t.Fatal(err)
 				}
 				if k == 1 {

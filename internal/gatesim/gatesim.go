@@ -13,7 +13,6 @@ package gatesim
 import (
 	"baldur/internal/optsig"
 	"baldur/internal/sim"
-	"baldur/internal/telemetry"
 )
 
 // Fs is a femtosecond timestamp (alias of optsig.Fs).
@@ -47,10 +46,6 @@ type Circuit struct {
 	rng     *sim.RNG
 	nodes   []*node
 	lvlFree *levelEvent
-	// tp is the telemetry probe; nil (the default) disables recording.
-	tp *gateProbe
-	// aud is the audit pool census; same nil-to-disable contract.
-	aud *gateAudit
 
 	gateCount    int // active TL gates
 	passiveCount int // splitters, combiners, waveguide delays
@@ -70,9 +65,6 @@ func (ev *levelEvent) Run(*sim.Engine) {
 	c, out, level := ev.c, ev.out, ev.level
 	ev.next = c.lvlFree
 	c.lvlFree = ev
-	if c.aud != nil {
-		c.aud.lvl.Put()
-	}
 	c.setLevel(out, level)
 }
 
@@ -83,9 +75,6 @@ func (c *Circuit) scheduleLevel(t sim.Time, out Node, level bool) {
 		c.lvlFree = ev.next
 	} else {
 		ev = &levelEvent{c: c}
-	}
-	if c.aud != nil {
-		c.aud.lvl.Get()
 	}
 	ev.out, ev.level = out, level
 	c.eng.Schedule(t, ev)
@@ -170,19 +159,6 @@ func (c *Circuit) setLevel(n Node, level bool) {
 		return
 	}
 	nd.level = level
-	if tp := c.tp; tp != nil {
-		tp.transitions.Inc()
-		if tp.ring != nil {
-			var lvl int32
-			if level {
-				lvl = 1
-			}
-			tp.ring.Add(telemetry.Record{
-				At: c.eng.Now(), Pkt: uint64(n), Kind: telemetry.KindLevel,
-				Src: int32(n), Dst: -1, Loc: -1, Aux: lvl,
-			})
-		}
-	}
 	if nd.probe != nil {
 		nd.probe.Append(Fs(c.eng.Now()), level)
 	}

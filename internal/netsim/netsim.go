@@ -424,7 +424,7 @@ func (c *Collector) LastDelivery() sim.Time {
 	return last
 }
 
-// Samples returns the number of latency observations (post-warmup).
+// Samples returns the number of latency observations.
 func (c *Collector) Samples() int64 {
 	var n int64
 	for i := range c.perNode {

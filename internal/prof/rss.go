@@ -3,7 +3,6 @@ package prof
 import (
 	"bytes"
 	"os"
-	"runtime"
 	"strconv"
 )
 
@@ -14,17 +13,7 @@ import (
 // memory limit actually bites on. Returns 0 on platforms without procfs —
 // callers should treat 0 as "unavailable", not "tiny".
 func PeakRSSBytes() uint64 {
-	return procStatusBytes("VmHWM:")
-}
-
-// CurrentRSSBytes returns the current resident set size in bytes (VmRSS),
-// or 0 when unavailable.
-func CurrentRSSBytes() uint64 {
-	return procStatusBytes("VmRSS:")
-}
-
-// procStatusBytes extracts one kB-denominated field from /proc/self/status.
-func procStatusBytes(field string) uint64 {
+	const field = "VmHWM:"
 	data, err := os.ReadFile("/proc/self/status")
 	if err != nil {
 		return 0
@@ -45,16 +34,4 @@ func procStatusBytes(field string) uint64 {
 		return kb << 10
 	}
 	return 0
-}
-
-// LiveHeapBytes forces a collection and returns the live Go heap in bytes
-// (HeapAlloc after GC). Where PeakRSSBytes answers "what did the OS see",
-// this answers "what does the simulation state actually retain" — the
-// number the bytes-per-node budget is written against, stable across GC
-// pacing and allocator slack.
-func LiveHeapBytes() uint64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
 }

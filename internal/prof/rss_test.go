@@ -7,30 +7,15 @@ import (
 
 func TestPeakRSSBytes(t *testing.T) {
 	peak := PeakRSSBytes()
-	cur := CurrentRSSBytes()
 	if runtime.GOOS != "linux" {
-		t.Skipf("no procfs on %s: peak=%d cur=%d", runtime.GOOS, peak, cur)
+		t.Skipf("no procfs on %s: peak=%d", runtime.GOOS, peak)
 	}
-	if peak == 0 || cur == 0 {
-		t.Fatalf("expected nonzero RSS on linux: peak=%d cur=%d", peak, cur)
+	if peak == 0 {
+		t.Fatalf("expected nonzero RSS on linux: peak=%d", peak)
 	}
-	// The high-water mark can never be below what is resident right now
-	// at the moment both were read... but the two reads race against the
-	// allocator, so only assert the peak covers a re-read of itself.
+	// The reads race against the allocator, so only assert the peak covers
+	// a re-read of itself.
 	if peak < PeakRSSBytes()/2 {
 		t.Fatalf("peak RSS unstable: %d then %d", peak, PeakRSSBytes())
 	}
-}
-
-func TestLiveHeapBytesGrowsWithRetainedState(t *testing.T) {
-	before := LiveHeapBytes()
-	retained := make([]byte, 32<<20)
-	for i := range retained {
-		retained[i] = byte(i)
-	}
-	after := LiveHeapBytes()
-	if after < before+(24<<20) {
-		t.Fatalf("live heap did not grow with 32 MiB retained: before=%d after=%d", before, after)
-	}
-	runtime.KeepAlive(retained)
 }

@@ -100,9 +100,6 @@ func (se *ShardedEngine) NumShards() int { return len(se.shards) }
 // Shard returns the i-th shard.
 func (se *ShardedEngine) Shard(i int) *Shard { return se.shards[i] }
 
-// Lookahead returns the epoch width bound.
-func (se *ShardedEngine) Lookahead() Duration { return se.lookahead }
-
 // Executed sums dispatched events across shards.
 func (se *ShardedEngine) Executed() uint64 {
 	var n uint64

@@ -99,9 +99,8 @@ func (r *Running) Merge(other *Running) {
 //
 // Quantile error bound: with bucketsPerOctave=30 a bucket spans a 2^(1/30)
 // ratio and the estimate is the geometric midpoint, so the relative error is
-// at most 2^(1/60)-1 ≈ 1.16%. For exact quantiles at small (Table-VI) scale,
-// SetExact(true) retains raw samples and Quantile switches to exact
-// rank-order selection.
+// at most 2^(1/60)-1 ≈ 1.16%. For exact quantiles, SetExactCap retains raw
+// samples (up to a cap) and Quantile switches to exact rank-order selection.
 type Histogram struct {
 	// counts[i] is the number of samples in bucket base+i; zero counts
 	// samples with x <= 0 (which have no logarithm).
@@ -144,21 +143,16 @@ func bucketLow(b int) float64 {
 	return math.Exp2(float64(b) / bucketsPerOctave)
 }
 
-// SetExact toggles exact mode: when on, Add retains every observation and
-// Quantile answers by exact rank-order selection instead of bucket midpoints.
-// Exact mode costs 8 bytes per sample — intended for Table-VI-scale runs,
-// not datacenter-scale ones. Must be set before the first Add.
-func (h *Histogram) SetExact(on bool) { h.exact = on }
-
-// SetExactCap turns on exact mode with bounded retention: up to cap raw
-// observations are kept for exact rank-order quantiles; the moment the
-// (cap+1)-th would be retained, the sample set is dropped and Quantile falls
-// back to the bucketed estimate (relative error at most MaxQuantileRelError)
-// for the rest of the histogram's life. cap <= 0 means unbounded (plain
-// SetExact). The same cap must be set on every histogram a fold merges into,
-// so the exact-vs-bucketed decision is a pure function of the total sample
-// count and the folded result is bit-identical for any shard count. Must be
-// called before the first Add.
+// SetExactCap turns on exact mode: Add retains raw observations (8 bytes
+// each) and Quantile answers by exact rank-order selection instead of bucket
+// midpoints. Up to cap observations are kept; the moment the (cap+1)-th
+// would be retained, the sample set is dropped and Quantile falls back to
+// the bucketed estimate (relative error at most MaxQuantileRelError) for the
+// rest of the histogram's life. cap <= 0 means unbounded. The same cap must
+// be set on every histogram a fold merges into, so the exact-vs-bucketed
+// decision is a pure function of the total sample count and the folded
+// result is bit-identical for any shard count. Must be called before the
+// first Add.
 func (h *Histogram) SetExactCap(cap int) {
 	h.exact = true
 	if cap < 0 {
@@ -166,9 +160,6 @@ func (h *Histogram) SetExactCap(cap int) {
 	}
 	h.exactCap = cap
 }
-
-// Exact reports whether exact mode is on.
-func (h *Histogram) Exact() bool { return h.exact }
 
 // QuantilesExact reports whether Quantile currently answers from the full
 // retained sample set (exact rank-order statistics). It is false when exact

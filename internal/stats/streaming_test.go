@@ -161,7 +161,7 @@ func TestHistogramStreamingErrorBound(t *testing.T) {
 // exact mode armed.
 func TestHistogramExactMode(t *testing.T) {
 	var h Histogram
-	h.SetExact(true)
+	h.SetExactCap(0)
 	for i := 1; i <= 1000; i++ {
 		h.Add(float64(i))
 	}
@@ -178,8 +178,8 @@ func TestHistogramExactMode(t *testing.T) {
 	}
 
 	var a, b Histogram
-	a.SetExact(true)
-	b.SetExact(true)
+	a.SetExactCap(0)
+	b.SetExactCap(0)
 	for i := 1; i <= 10; i++ {
 		a.Add(float64(i))
 	}
@@ -205,12 +205,12 @@ func TestHistogramExactMode(t *testing.T) {
 
 	// Reset keeps exact mode on and reuses the sample buffer.
 	h.Reset()
-	if !h.Exact() {
-		t.Error("Reset dropped exact mode")
-	}
 	h.Add(3)
 	h.Add(1)
 	h.Add(2)
+	if !h.QuantilesExact() {
+		t.Error("Reset dropped exact mode")
+	}
 	if got := h.Quantile(0.5); got != 2 {
 		t.Errorf("exact median after Reset = %g, want 2", got)
 	}

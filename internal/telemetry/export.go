@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 
 	"baldur/internal/sim"
 )
@@ -45,18 +44,14 @@ const regionTid int32 = -1
 // render as complete ("X") slices; everything else renders as thread-scoped
 // instants. Traced packets additionally get flow arrows (ph "s"/"f" keyed by
 // packet id) from their inject to their deliver instant, so Perfetto links
-// each sampled packet's chain across time. tickPS converts engine ticks to
-// picoseconds (1 for the network simulators, 0.001 for gatesim).
-func WriteChromeTrace(w io.Writer, recs []Record, tickPS float64, label string) error {
-	return WriteChromeTraceRegions(w, recs, nil, tickPS, label)
+// each sampled packet's chain across time.
+func WriteChromeTrace(w io.Writer, recs []Record, label string) error {
+	return WriteChromeTraceRegions(w, recs, nil, label)
 }
 
 // WriteChromeTraceRegions is WriteChromeTrace plus shaded regions on a
 // dedicated track (tid -1).
-func WriteChromeTraceRegions(w io.Writer, recs []Record, regions []Region, tickPS float64, label string) error {
-	if tickPS == 0 {
-		tickPS = 1
-	}
+func WriteChromeTraceRegions(w io.Writer, recs []Record, regions []Region, label string) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
 		return err
@@ -111,7 +106,7 @@ func WriteChromeTraceRegions(w io.Writer, recs []Record, regions []Region, tickP
 			return err
 		}
 	}
-	toUS := tickPS / 1e6
+	const toUS = 1e-6 // engine ticks are picoseconds
 	for _, reg := range regions {
 		dur := float64(reg.To.Sub(reg.From)) * toUS
 		if err := enc(&chromeEvent{
@@ -185,18 +180,15 @@ func WriteChromeTraceRegions(w io.Writer, recs []Record, regions []Region, tickP
 // at_ps,dur_ps,kind,pkt,src,dst,loc,aux,phase. The phase column is empty for
 // non-span records, so pre-span consumers that split on commas still see
 // their columns in place.
-func WriteFlightCSV(w io.Writer, recs []Record, tickPS float64) error {
-	if tickPS == 0 {
-		tickPS = 1
-	}
+func WriteFlightCSV(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("at_ps,dur_ps,kind,pkt,src,dst,loc,aux,phase\n"); err != nil {
 		return err
 	}
 	for i := range recs {
 		r := &recs[i]
-		_, err := fmt.Fprintf(bw, "%s,%s,%s,%d,%d,%d,%d,%d,%s\n",
-			fmtTicks(int64(r.At), tickPS), fmtTicks(int64(r.Dur), tickPS),
+		_, err := fmt.Fprintf(bw, "%d,%d,%s,%d,%d,%d,%d,%d,%s\n",
+			int64(r.At), int64(r.Dur),
 			r.Kind.String(), r.Pkt, r.Src, r.Dst, r.Loc, r.Aux, r.Phase.String())
 		if err != nil {
 			return err
@@ -207,10 +199,7 @@ func WriteFlightCSV(w io.Writer, recs []Record, tickPS float64) error {
 
 // WriteMetricsCSV exports the sampled time series: one row per interval with
 // the counter deltas and gauge levels, plus the engine event/epoch deltas.
-func WriteMetricsCSV(w io.Writer, reg *Registry, samples []Sample, tickPS float64) error {
-	if tickPS == 0 {
-		tickPS = 1
-	}
+func WriteMetricsCSV(w io.Writer, reg *Registry, samples []Sample) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("at_ps,events,epochs"); err != nil {
 		return err
@@ -225,7 +214,7 @@ func WriteMetricsCSV(w io.Writer, reg *Registry, samples []Sample, tickPS float6
 	}
 	for i := range samples {
 		s := &samples[i]
-		if _, err := fmt.Fprintf(bw, "%s,%d,%d", fmtTicks(int64(s.At), tickPS), s.Events, s.Epochs); err != nil {
+		if _, err := fmt.Fprintf(bw, "%d,%d,%d", int64(s.At), s.Events, s.Epochs); err != nil {
 			return err
 		}
 		for _, v := range s.Values {
@@ -238,14 +227,4 @@ func WriteMetricsCSV(w io.Writer, reg *Registry, samples []Sample, tickPS float6
 		}
 	}
 	return bw.Flush()
-}
-
-// fmtTicks renders an engine-tick timestamp in picoseconds. Integral scales
-// stay integers; sub-picosecond ticks (gatesim femtoseconds) print as
-// minimal-width floats.
-func fmtTicks(t int64, tickPS float64) string {
-	if tickPS == 1 {
-		return strconv.FormatInt(t, 10)
-	}
-	return strconv.FormatFloat(float64(t)*tickPS, 'g', -1, 64)
 }

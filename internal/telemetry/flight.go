@@ -6,8 +6,7 @@ import (
 	"baldur/internal/sim"
 )
 
-// RecordKind enumerates packet-lifecycle (and circuit) events the flight
-// recorder captures.
+// RecordKind enumerates packet-lifecycle events the flight recorder captures.
 type RecordKind uint8
 
 // Flight-recorder event kinds.
@@ -19,7 +18,6 @@ const (
 	KindAck                          // acknowledgement closed the loop at the sender
 	KindDeliver                      // last bit reached the destination
 	KindRetransmit                   // retransmission timer fired
-	KindLevel                        // gatesim: wire level transition (Aux = 0/1)
 	KindFault                        // fault-script event applied (Aux = faults.Action)
 	KindSpan                         // lifecycle span of a traced packet (Phase set, Dur = length)
 )
@@ -42,8 +40,6 @@ func (k RecordKind) String() string {
 		return "deliver"
 	case KindRetransmit:
 		return "retransmit"
-	case KindLevel:
-		return "level"
 	case KindFault:
 		return "fault"
 	case KindSpan:
@@ -57,13 +53,13 @@ func (k RecordKind) String() string {
 type Record struct {
 	At  sim.Time
 	Dur sim.Duration // Hop: wire/port occupancy; otherwise 0
-	Pkt uint64       // packet id (gatesim: node id)
+	Pkt uint64       // packet id
 	Src int32
 	Dst int32
 	// Loc locates the event inside the network: Baldur stage, electrical
 	// router id, or -1 for host-side events (inject/deliver/ack/block).
 	Loc  int32
-	Aux  int32 // Baldur: switch id; elecnet: VC; gatesim: level
+	Aux  int32 // Baldur: switch id; elecnet: VC
 	Kind RecordKind
 	// Phase classifies KindSpan records; PhaseNone otherwise. The field
 	// lives in the struct's existing padding, so Record stays 48 bytes.

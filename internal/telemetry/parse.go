@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -23,8 +22,7 @@ func KindFromString(s string) (RecordKind, bool) {
 
 // ParseFlightCSV reads a flight-recorder CSV export (WriteFlightCSV's
 // format, with or without the trailing phase column of pre-span exports)
-// back into records. Timestamps are picoseconds; fractional values (gatesim
-// exports) are rounded to the nearest picosecond.
+// back into records. Timestamps are integer picoseconds.
 func ParseFlightCSV(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -55,13 +53,6 @@ func ParseFlightCSV(r io.Reader) ([]Record, error) {
 			return nil, fmt.Errorf("telemetry: flight CSV line %d has %d fields, header has %d",
 				line, len(fields), len(header))
 		}
-		ticks := func(name string) (int64, error) {
-			v, err := strconv.ParseFloat(fields[col[name]], 64)
-			if err != nil {
-				return 0, fmt.Errorf("telemetry: flight CSV line %d: %s: %w", line, name, err)
-			}
-			return int64(math.Round(v)), nil
-		}
 		ints := func(name string) (int64, error) {
 			v, err := strconv.ParseInt(fields[col[name]], 10, 64)
 			if err != nil {
@@ -70,11 +61,11 @@ func ParseFlightCSV(r io.Reader) ([]Record, error) {
 			return v, nil
 		}
 		var rec Record
-		at, err := ticks("at_ps")
+		at, err := ints("at_ps")
 		if err != nil {
 			return nil, err
 		}
-		dur, err := ticks("dur_ps")
+		dur, err := ints("dur_ps")
 		if err != nil {
 			return nil, err
 		}

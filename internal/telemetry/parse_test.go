@@ -17,7 +17,7 @@ func TestFlightCSVRoundTrip(t *testing.T) {
 		{At: 20, Dur: 0, Kind: KindFault, Pkt: 0, Src: -1, Dst: -1, Loc: 4, Aux: 1},
 	}
 	var sb strings.Builder
-	if err := WriteFlightCSV(&sb, recs, 1); err != nil {
+	if err := WriteFlightCSV(&sb, recs); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ParseFlightCSV(strings.NewReader(sb.String()))

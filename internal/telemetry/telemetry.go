@@ -35,10 +35,6 @@ type Options struct {
 	Watch io.Writer
 	// Label names the run in watch lines and trace metadata.
 	Label string
-	// TickPS converts engine ticks to picoseconds for export. 0 means 1
-	// (the network simulators' native unit); gatesim runs in femtoseconds
-	// and sets 0.001.
-	TickPS float64
 }
 
 // Default knobs for zero-valued Options fields.
@@ -63,9 +59,6 @@ type Telemetry struct {
 func New(opts Options, shards int) *Telemetry {
 	if opts.SampleInterval <= 0 {
 		opts.SampleInterval = DefaultSampleInterval
-	}
-	if opts.TickPS == 0 {
-		opts.TickPS = 1
 	}
 	t := &Telemetry{
 		Opts: opts,
@@ -136,9 +129,9 @@ func (t *Telemetry) WriteOutputs(tag string) error {
 		}
 		if err := writeFile(path, func(w io.Writer) error {
 			if strings.HasSuffix(path, ".csv") {
-				return WriteFlightCSV(w, recs, t.Opts.TickPS)
+				return WriteFlightCSV(w, recs)
 			}
-			return WriteChromeTrace(w, recs, t.Opts.TickPS, t.Opts.Label)
+			return WriteChromeTrace(w, recs, t.Opts.Label)
 		}); err != nil {
 			return fmt.Errorf("telemetry: trace export: %w", err)
 		}
@@ -146,7 +139,7 @@ func (t *Telemetry) WriteOutputs(tag string) error {
 	if t.Opts.MetricsOut != "" {
 		path := tagPath(t.Opts.MetricsOut, tag)
 		if err := writeFile(path, func(w io.Writer) error {
-			return WriteMetricsCSV(w, t.Reg, t.Sampler.Samples, t.Opts.TickPS)
+			return WriteMetricsCSV(w, t.Reg, t.Sampler.Samples)
 		}); err != nil {
 			return fmt.Errorf("telemetry: metrics export: %w", err)
 		}

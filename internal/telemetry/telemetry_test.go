@@ -285,7 +285,7 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 		{At: 300, Pkt: 1, Src: 0, Dst: 3, Loc: -1, Kind: KindDeliver},
 	}
 	var b strings.Builder
-	if err := WriteChromeTrace(&b, recs, 1, "test"); err != nil {
+	if err := WriteChromeTrace(&b, recs, "test"); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -321,7 +321,7 @@ func TestChromeTraceIsValidJSON(t *testing.T) {
 func TestFlightAndMetricsCSV(t *testing.T) {
 	recs := []Record{{At: 10, Dur: 2, Pkt: 7, Src: 1, Dst: 2, Loc: 0, Aux: 3, Kind: KindHop}}
 	var b strings.Builder
-	if err := WriteFlightCSV(&b, recs, 1); err != nil {
+	if err := WriteFlightCSV(&b, recs); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -338,7 +338,7 @@ func TestFlightAndMetricsCSV(t *testing.T) {
 	s := &Sampler{}
 	s.Take(sim.Time(1000), reg, 5, 2)
 	b.Reset()
-	if err := WriteMetricsCSV(&b, reg, s.Samples, 1); err != nil {
+	if err := WriteMetricsCSV(&b, reg, s.Samples); err != nil {
 		t.Fatal(err)
 	}
 	lines = strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -347,15 +347,5 @@ func TestFlightAndMetricsCSV(t *testing.T) {
 	}
 	if lines[1] != "1000,5,2,9" {
 		t.Errorf("metrics CSV row = %q", lines[1])
-	}
-}
-
-func TestFmtTicksScales(t *testing.T) {
-	if got := fmtTicks(12345, 1); got != "12345" {
-		t.Errorf("fmtTicks(12345,1) = %q", got)
-	}
-	// Gatesim femtoseconds: 1500 ticks at 0.001 ps/tick = 1.5 ps.
-	if got := fmtTicks(1500, 0.001); got != "1.5" {
-		t.Errorf("fmtTicks(1500,0.001) = %q", got)
 	}
 }
