@@ -69,12 +69,32 @@ const checkTolerance = 0.15
 const twinSpeedupFloor = 100.0
 
 // tieDispatchRatioCeil is the absolute ceiling on engine_tie_dispatch's
-// ns/op divided by engine_schedule_dispatch_typed's from the same run. A
-// dispatch inside an 8,192-wide same-time tie group costs about one plain
-// dispatch when the group is sorted in O(n log n); a quadratic sort puts it
-// near 100x. Dividing by a kernel loop timed in the same process cancels
-// runner speed, so like twinSpeedupFloor this gates the fresh run alone.
+// ns/op divided by engine_schedule_dispatch_typed's from the same run.
+// engine_tie_dispatch is the FIFO shape: one event rescheduling itself, so
+// its 8,192-wide tie groups come off the heap reversed. Its dispatch costs
+// about 60 ns on a 2-vCPU Xeon VM, about 0.5-0.7x a plain dispatch; a
+// sort quadratic in reversed order puts it near 100x. Dividing by a kernel
+// loop timed in the same process cancels runner speed, so like
+// twinSpeedupFloor this gates the fresh run alone. The host-time
+// benchmark's sim.tie_dispatch_ns (bench/calibrate.go) times this FIFO
+// shape too, not the actor shape below.
 const tieDispatchRatioCeil = 4.0
+
+// tieActorsRatioCeil is the same-process ratio ceiling for
+// engine_tie_dispatch_actors, the shape closed-loop ping-pong produces:
+// 8,192-wide tie groups of Actor keys that reach the heap in permuted
+// order. The radix sort dispatches them in about 75-90 ns on the same VM;
+// in six runs alternated with the comparison sort it replaced, the ratio
+// was 0.58-0.72x (median 0.67x) against 2.03-2.38x for pdqsort, which pays
+// its O(n log n) case on this shape. The ceiling sits about 1.8x above the
+// radix sort's median and below every pdqsort run.
+const tieActorsRatioCeil = 1.2
+
+// tieRatioCeils maps each tie-group entry to its ceiling.
+var tieRatioCeils = map[string]float64{
+	"engine_tie_dispatch":        tieDispatchRatioCeil,
+	"engine_tie_dispatch_actors": tieActorsRatioCeil,
+}
 
 // datacenterBytesPerNodeCeil is the absolute ceiling on peak resident
 // bytes per simulated node for the scale_datacenter entry (128K-node runs).
@@ -120,7 +140,7 @@ const workloadExtraAllocsCeil = 8.0
 
 func main() {
 	out := flag.String("out", "BENCH_sim.json", "output file ('-' for stdout)")
-	check := flag.String("check", "", "baseline JSON to diff against; exits 1 if a gated engine microbenchmark regresses by >15% ns/op, or if a fresh-run gate fails (tie-dispatch ratio, overhead extra allocs, twin speedup floor, datacenter bytes/node)")
+	check := flag.String("check", "", "baseline JSON to diff against; exits 1 if a gated engine microbenchmark regresses by >15% ns/op, or if a fresh-run gate fails (tie-dispatch ratios, overhead extra allocs, twin speedup floor, datacenter bytes/node)")
 	flag.Parse()
 
 	benchmarks := []struct {
@@ -129,6 +149,7 @@ func main() {
 	}{
 		{"engine_schedule_dispatch_typed", benchEngineTyped},
 		{"engine_tie_dispatch", benchEngineTieDispatch},
+		{"engine_tie_dispatch_actors", benchEngineTieDispatchActors},
 		{"fig6_transpose", benchFig6Transpose},
 		{"baldur_simulator", benchBaldurSimulator},
 		{"baldur_simulator_sharded", benchBaldurSimulatorSharded},
@@ -217,7 +238,7 @@ func compare(base, fresh report, w io.Writer) bool {
 		produced[r.Name] = r
 	}
 	for _, r := range fresh.Benchmarks {
-		if r.Name == "engine_tie_dispatch" {
+		if ceil, gated := tieRatioCeils[r.Name]; gated {
 			typed := produced["engine_schedule_dispatch_typed"]
 			if typed.NsPerOp <= 0 {
 				fmt.Fprintf(w, "check %-36s FAIL: no engine_schedule_dispatch_typed ns/op in this run to divide by\n", r.Name)
@@ -226,12 +247,12 @@ func compare(base, fresh report, w io.Writer) bool {
 			}
 			x := r.NsPerOp / typed.NsPerOp
 			verdict := "ok"
-			if x > tieDispatchRatioCeil {
+			if x > ceil {
 				verdict = "REGRESSION"
 				ok = false
 			}
-			fmt.Fprintf(w, "check %-36s %8.2fx engine_schedule_dispatch_typed (ceiling %.0fx) %s\n",
-				r.Name, x, tieDispatchRatioCeil, verdict)
+			fmt.Fprintf(w, "check %-36s %8.2fx engine_schedule_dispatch_typed (ceiling %gx) %s\n",
+				r.Name, x, ceil, verdict)
 			continue
 		}
 		if r.Name == "scale_datacenter" {
@@ -363,6 +384,46 @@ func benchEngineTieDispatch(b *testing.B) {
 	ev := &jsonTieEvent{left: b.N, width: min(tieGroupWidth, b.N)}
 	for i := 0; i < ev.width; i++ {
 		e.Schedule(0, ev)
+	}
+	b.ResetTimer()
+	e.Run()
+}
+
+// jsonTieActorsEvent mirrors the actors case of BenchmarkEngineTieGroup:
+// the event dispatched k-th in a group schedules the next group's event of
+// actor perm[k], so Actor keys reach the heap in permuted order, and each
+// actor's counter starts at its own offset below 2^16.
+type jsonTieActorsEvent struct {
+	left, k int
+	perm    []int
+	actors  []sim.Actor
+}
+
+func (ev *jsonTieActorsEvent) Run(e *sim.Engine) {
+	ev.left--
+	if ev.left >= len(ev.perm) {
+		e.ScheduleKey(e.Now().Add(sim.Nanosecond), ev.actors[ev.perm[ev.k]].Next(), ev)
+	}
+	if ev.k++; ev.k == len(ev.perm) {
+		ev.k = 0
+	}
+}
+
+// benchEngineTieDispatchActors times one dispatch inside tieGroupWidth-wide
+// groups of permuted Actor keys, the shape of closed-loop ping-pong's
+// synchronised sends. -check gates it as a ratio to
+// engine_schedule_dispatch_typed.
+func benchEngineTieDispatchActors(b *testing.B) {
+	e := sim.NewEngine()
+	width := min(tieGroupWidth, b.N)
+	rng := sim.NewRNG(uint64(width))
+	ev := &jsonTieActorsEvent{left: b.N, perm: make([]int, width), actors: make([]sim.Actor, width)}
+	rng.Perm(ev.perm)
+	for i := range ev.actors {
+		ev.actors[i] = sim.MakeActor(uint32(i+1)) + sim.Actor(rng.Intn(1<<16))
+	}
+	for _, p := range ev.perm {
+		e.ScheduleKey(0, ev.actors[p].Next(), ev)
 	}
 	b.ResetTimer()
 	e.Run()

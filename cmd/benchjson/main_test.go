@@ -241,3 +241,25 @@ func TestCompareTieDispatchRatio(t *testing.T) {
 		t.Errorf("no FAIL verdict printed:\n%s", out.String())
 	}
 }
+
+func TestCompareTieActorsRatio(t *testing.T) {
+	// engine_tie_dispatch_actors has its own, tighter ceiling: the radix
+	// sort (about 0.7x) passes, pdqsort on permuted actor keys (about 2x)
+	// fails, and it too needs the typed loop of the same run.
+	typed := result{Name: "engine_schedule_dispatch_typed", NsPerOp: 100}
+	var out strings.Builder
+	if !compare(rep(), rep(typed, result{Name: "engine_tie_dispatch_actors", NsPerOp: 70}), &out) {
+		t.Errorf("a 0.7x actor tie dispatch failed the %gx ceiling:\n%s", tieActorsRatioCeil, out.String())
+	}
+	out.Reset()
+	if compare(rep(), rep(typed, result{Name: "engine_tie_dispatch_actors", NsPerOp: 200}), &out) {
+		t.Error("a 2x actor tie dispatch passed the gate")
+	}
+	if !strings.Contains(out.String(), "REGRESSION") {
+		t.Errorf("no REGRESSION verdict printed:\n%s", out.String())
+	}
+	out.Reset()
+	if compare(rep(), rep(result{Name: "engine_tie_dispatch_actors", NsPerOp: 70}), &out) {
+		t.Error("an actor tie dispatch with no typed loop to divide by passed the gate")
+	}
+}

@@ -415,6 +415,122 @@ func TestEngineDuplicateTieKeyPanics(t *testing.T) {
 	t.Fatal("Run dispatched a duplicate tie-break key without panicking")
 }
 
+// TestEngineWideDuplicateTieKeyPanics is the duplicate-key check on a tie
+// group wide enough for the radix sort.
+func TestEngineWideDuplicateTieKeyPanics(t *testing.T) {
+	e := NewEngine()
+	var keys []uint64
+	for i := 0; i < radixMin+10; i++ {
+		a := MakeActor(uint32(i + 1))
+		keys = append(keys, a.Next())
+	}
+	keys = append(keys, keys[radixMin/2])
+	for _, k := range keys {
+		e.ScheduleKey(5, k, EventFunc(func() {}))
+	}
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "sim: duplicate tie-break key") {
+			t.Fatalf("recovered %v, want a duplicate tie-break key panic", r)
+		}
+	}()
+	e.Run()
+	t.Fatal("Run dispatched a duplicate tie-break key without panicking")
+}
+
+// idEvent is an Event that compares by value, so a test can check which
+// event an entry carries.
+type idEvent int
+
+func (idEvent) Run(*Engine) {}
+
+// TestRadixSortMatchesComparisonSort checks radixSort against
+// slices.SortFunc on random groups either side of radixMin and at 8,192
+// entries, reusing the returned spare buffer from one group to the next as
+// the engine does. Key sets: FIFO keys below 2^32 mixed with Actor keys whose ids reach 2^31,
+// and keys that differ only in the top byte or only in the low byte (at
+// most 256 entries: keys are unique).
+func TestRadixSortMatchesComparisonSort(t *testing.T) {
+	rng := NewRNG(7)
+	keySets := map[string]func(n int) []uint64{
+		"mixed": func(n int) []uint64 {
+			seen := map[uint64]bool{}
+			var keys []uint64
+			for len(keys) < n {
+				k := uint64(rng.Intn(1 << 32))
+				if rng.Intn(2) == 0 {
+					k = uint64(MakeActor(uint32(1+rng.Intn(1<<31)))) + uint64(rng.Intn(1<<20))
+				}
+				if !seen[k] {
+					seen[k] = true
+					keys = append(keys, k)
+				}
+			}
+			return keys
+		},
+		"top-byte": func(n int) []uint64 {
+			base := uint64(rng.Intn(1 << 32))
+			keys := make([]uint64, min(n, 256))
+			for i := range keys {
+				keys[i] = base | uint64(i)<<56
+			}
+			return keys
+		},
+		"low-byte": func(n int) []uint64 {
+			base := uint64(MakeActor(uint32(1 + rng.Intn(1<<31))))
+			keys := make([]uint64, min(n, 256))
+			for i := range keys {
+				keys[i] = base | uint64(i)
+			}
+			return keys
+		},
+	}
+	var spare []entry
+	for _, n := range []int{radixMin - 1, radixMin, radixMin + 1, 8192} {
+		for _, name := range []string{"mixed", "top-byte", "low-byte"} {
+			keys := keySets[name](n)
+			idx := make([]int, len(keys))
+			rng.Perm(idx)
+			b := make([]entry, len(keys))
+			for i, j := range idx {
+				b[i] = entry{seq: keys[j], ev: idEvent(j)}
+			}
+			want := slices.Clone(b)
+			slices.SortFunc(want, func(x, y entry) int { return cmp.Compare(x.seq, y.seq) })
+			var got []entry
+			got, spare = radixSort(b, spare)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d/%s: radixSort disagrees with slices.SortFunc", n, name)
+			}
+			if len(spare) != 0 || slices.ContainsFunc(spare[:cap(spare)], func(en entry) bool { return en.ev != nil }) {
+				t.Fatalf("%d/%s: the leftover buffer has length %d or still holds events", n, name, len(spare))
+			}
+		}
+	}
+}
+
+// TestEngineWideTieGroupsDoNotAllocate: once the batch and its spare
+// buffer have grown to the group's width, dispatching wide tie groups
+// allocates nothing.
+func TestEngineWideTieGroupsDoNotAllocate(t *testing.T) {
+	e := NewEngine()
+	const width = 4096
+	newTieActorsEvent(e, width, 1<<30)
+	next := Time(0)
+	step := func() {
+		e.RunUntil(next)
+		next += Time(Nanosecond)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("a %d-wide tie group allocated %.1f times, want 0", width, allocs)
+	}
+	if got := e.Executed; got != 52*width {
+		t.Errorf("dispatched %d events, want %d", got, 52*width)
+	}
+}
+
 // tieBenchEvent keeps width events at one timestamp: each dispatch
 // reschedules 1 ns ahead while enough dispatches remain, so every time
 // step is one tie group, the shape synchronised closed-loop sends produce.
@@ -427,17 +543,68 @@ func (ev *tieBenchEvent) Run(e *Engine) {
 	}
 }
 
-// BenchmarkEngineTieGroup times one dispatch inside tie groups of 16, 256
-// and 8,192 events.
+// tieActorsEvent keeps width actor-keyed events at one timestamp, the way
+// ping-pong's synchronised sends arrive: the event dispatched k-th in a
+// group schedules the next group's event of actor perm[k], so keys reach the
+// heap in scrambled actor order. Each actor starts its counter at its own
+// offset below 2^16, as actors with different histories do, so the low key
+// bits vary across a group as well as the actor ids.
+type tieActorsEvent struct {
+	left, k int
+	perm    []int
+	actors  []Actor
+}
+
+func (ev *tieActorsEvent) Run(e *Engine) {
+	ev.left--
+	if ev.left >= len(ev.perm) {
+		e.ScheduleKey(e.Now().Add(Nanosecond), ev.actors[ev.perm[ev.k]].Next(), ev)
+	}
+	if ev.k++; ev.k == len(ev.perm) {
+		ev.k = 0
+	}
+}
+
+// newTieActorsEvent schedules the first group of a tieActorsEvent loop of
+// width actors that dispatches n events in all.
+func newTieActorsEvent(e *Engine, width, n int) *tieActorsEvent {
+	rng := NewRNG(uint64(width))
+	ev := &tieActorsEvent{left: n, perm: make([]int, width), actors: make([]Actor, width)}
+	rng.Perm(ev.perm)
+	for i := range ev.actors {
+		ev.actors[i] = MakeActor(uint32(i+1)) + Actor(rng.Intn(1<<16))
+	}
+	for _, p := range ev.perm {
+		e.ScheduleKey(0, ev.actors[p].Next(), ev)
+	}
+	return ev
+}
+
+// BenchmarkEngineTieGroup times one dispatch inside tie groups. The fifo
+// cases reschedule one event with Schedule's FIFO keys, which the heap
+// hands back reversed; the actors cases carry permuted Actor keys, the shape
+// closed-loop ping-pong produces.
 func BenchmarkEngineTieGroup(b *testing.B) {
 	for _, width := range []int{16, 256, 8192} {
-		b.Run(fmt.Sprint(width), func(b *testing.B) {
+		b.Run(fmt.Sprint("fifo/", width), func(b *testing.B) {
 			b.ReportAllocs()
 			e := NewEngine()
 			ev := &tieBenchEvent{left: b.N, width: min(width, b.N)}
 			for i := 0; i < ev.width; i++ {
 				e.Schedule(0, ev)
 			}
+			b.ResetTimer()
+			e.Run()
+			if e.Executed != uint64(b.N) {
+				b.Fatalf("dispatched %d events, want %d", e.Executed, b.N)
+			}
+		})
+	}
+	for _, width := range []int{256, 8192} {
+		b.Run(fmt.Sprint("actors/", width), func(b *testing.B) {
+			b.ReportAllocs()
+			e := NewEngine()
+			newTieActorsEvent(e, min(width, b.N), b.N)
 			b.ResetTimer()
 			e.Run()
 			if e.Executed != uint64(b.N) {

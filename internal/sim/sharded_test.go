@@ -299,3 +299,41 @@ func TestShardedInlineStartsNoGoroutines(t *testing.T) {
 		t.Errorf("an inline-only RunUntil ran with %d goroutines, %d before it", seen, before)
 	}
 }
+
+// TestShardedRunUntilShrinksDrainedShards: a burst that drains during a K=2
+// RunUntil returns every shard's queue and tie-group buffers to their
+// initial sizes, as Engine.RunUntil does for one engine. While any shard
+// still has work, no shard shrinks: an idle shard would regrow its arrays
+// on the next call.
+func TestShardedRunUntilShrinksDrainedShards(t *testing.T) {
+	se := NewShardedEngine(2, 10*Nanosecond)
+	for i := 0; i < se.NumShards(); i++ {
+		sh := se.Shard(i)
+		for id := 1; id <= 5000; id++ {
+			a := MakeActor(uint32(id))
+			sh.Eng.ScheduleKey(Time(1+id%2), a.Next(), EventFunc(func() {}))
+		}
+	}
+	late := MakeActor(9999)
+	se.Shard(1).Eng.ScheduleKey(Time(2*Microsecond), late.Next(), EventFunc(func() {}))
+	caps := func(e *Engine) [4]int { return [4]int{cap(e.ats), cap(e.ents), cap(e.batch), cap(e.spare)} }
+
+	if more := se.RunUntil(Time(Microsecond)); !more {
+		t.Fatal("RunUntil drained the late event early")
+	}
+	if c := caps(se.Shard(0).Eng); c[0] <= 4096 || c[2] <= 256 || c[3] <= 256 {
+		t.Errorf("idle shard 0 shrank to ats, ents, batch, spare = %v while shard 1 still had work", c)
+	}
+	if more := se.RunUntil(Time(3 * Microsecond)); more {
+		t.Fatal("RunUntil left events queued")
+	}
+	for i := 0; i < se.NumShards(); i++ {
+		e := se.Shard(i).Eng
+		if want := uint64(5000 + i); e.Executed != want {
+			t.Fatalf("shard %d dispatched %d events, want %d", i, e.Executed, want)
+		}
+		if c := caps(e); c != [4]int{1024, 1024, 0, 0} {
+			t.Errorf("shard %d keeps ats, ents, batch, spare = %v after draining; want [1024 1024 0 0]", i, c)
+		}
+	}
+}
