@@ -9,6 +9,16 @@ func rep(rs ...result) report {
 	return report{GoOS: "linux", GoArch: "amd64", Benchmarks: rs}
 }
 
+// limit returns the ceiling or floor the entries table gates name against.
+func limit(name string) float64 {
+	for _, en := range entries {
+		if en.name == name {
+			return en.limit
+		}
+	}
+	panic("no entry " + name)
+}
+
 func TestCompareWithinTolerance(t *testing.T) {
 	base := rep(result{Name: "engine_schedule_dispatch_typed", NsPerOp: 100})
 	fresh := rep(result{Name: "engine_schedule_dispatch_typed", NsPerOp: 110})
@@ -75,7 +85,7 @@ func TestCompareFaultsOverheadGate(t *testing.T) {
 		Extra: map[string]float64{"extra_allocs_op": 1}})
 	var out strings.Builder
 	if !compare(rep(), fresh, &out) {
-		t.Errorf("1 extra alloc/op failed the %.0f-alloc gate:\n%s", faultsExtraAllocsCeil, out.String())
+		t.Errorf("1 extra alloc/op failed the %.0f-alloc gate:\n%s", limit("faults_overhead"), out.String())
 	}
 	if !strings.Contains(out.String(), "faults_overhead") || !strings.Contains(out.String(), "ok") {
 		t.Errorf("no ok verdict printed:\n%s", out.String())
@@ -102,7 +112,7 @@ func TestCompareTraceOverheadGate(t *testing.T) {
 		Extra: map[string]float64{"extra_allocs_op": 1}})
 	var out strings.Builder
 	if !compare(rep(), fresh, &out) {
-		t.Errorf("1 extra alloc/op failed the %.0f-alloc gate:\n%s", traceExtraAllocsCeil, out.String())
+		t.Errorf("1 extra alloc/op failed the %.0f-alloc gate:\n%s", limit("trace_overhead"), out.String())
 	}
 	if !strings.Contains(out.String(), "trace_overhead") || !strings.Contains(out.String(), "ok") {
 		t.Errorf("no ok verdict printed:\n%s", out.String())
@@ -128,7 +138,7 @@ func TestCompareWorkloadOverheadGate(t *testing.T) {
 		Extra: map[string]float64{"extra_allocs_op": 1}})
 	var out strings.Builder
 	if !compare(rep(), fresh, &out) {
-		t.Errorf("1 extra alloc/op failed the %.0f-alloc gate:\n%s", workloadExtraAllocsCeil, out.String())
+		t.Errorf("1 extra alloc/op failed the %.0f-alloc gate:\n%s", limit("workload_overhead"), out.String())
 	}
 	if !strings.Contains(out.String(), "workload_overhead") || !strings.Contains(out.String(), "ok") {
 		t.Errorf("no ok verdict printed:\n%s", out.String())
@@ -176,16 +186,16 @@ func TestCompareTwinSpeedupFloor(t *testing.T) {
 	// twin_speedup is gated against an absolute floor on the fresh run, not
 	// a baseline-relative tolerance — it must fail below the floor even when
 	// the baseline agrees, and pass above it with no baseline entry at all.
-	low := rep(result{Name: "twin_speedup", NsPerOp: 1, Extra: map[string]float64{"speedup_x": twinSpeedupFloor / 2}})
+	low := rep(result{Name: "twin_speedup", NsPerOp: 1, Extra: map[string]float64{"speedup_x": limit("twin_speedup") / 2}})
 	var out strings.Builder
 	if compare(low, low, &out) {
-		t.Errorf("speedup below the %.0fx floor passed the gate:\n%s", twinSpeedupFloor, out.String())
+		t.Errorf("speedup below the %.0fx floor passed the gate:\n%s", limit("twin_speedup"), out.String())
 	}
 	if !strings.Contains(out.String(), "REGRESSION") {
 		t.Errorf("no REGRESSION verdict printed:\n%s", out.String())
 	}
 
-	high := rep(result{Name: "twin_speedup", NsPerOp: 1, Extra: map[string]float64{"speedup_x": twinSpeedupFloor * 2}})
+	high := rep(result{Name: "twin_speedup", NsPerOp: 1, Extra: map[string]float64{"speedup_x": limit("twin_speedup") * 2}})
 	out.Reset()
 	if !compare(rep(), high, &out) {
 		t.Errorf("speedup above the floor failed the gate:\n%s", out.String())
@@ -217,7 +227,7 @@ func TestCompareTieDispatchRatio(t *testing.T) {
 	fast := rep(typed, result{Name: "engine_tie_dispatch", NsPerOp: 45})
 	var out strings.Builder
 	if !compare(rep(), fast, &out) {
-		t.Errorf("a 0.9x tie dispatch failed the %.0fx ceiling:\n%s", tieDispatchRatioCeil, out.String())
+		t.Errorf("a 0.9x tie dispatch failed the %.0fx ceiling:\n%s", limit("engine_tie_dispatch"), out.String())
 	}
 	if !strings.Contains(out.String(), "engine_tie_dispatch") || !strings.Contains(out.String(), "ok") {
 		t.Errorf("no ok verdict printed:\n%s", out.String())
@@ -249,7 +259,7 @@ func TestCompareTieActorsRatio(t *testing.T) {
 	typed := result{Name: "engine_schedule_dispatch_typed", NsPerOp: 100}
 	var out strings.Builder
 	if !compare(rep(), rep(typed, result{Name: "engine_tie_dispatch_actors", NsPerOp: 70}), &out) {
-		t.Errorf("a 0.7x actor tie dispatch failed the %gx ceiling:\n%s", tieActorsRatioCeil, out.String())
+		t.Errorf("a 0.7x actor tie dispatch failed the %gx ceiling:\n%s", limit("engine_tie_dispatch_actors"), out.String())
 	}
 	out.Reset()
 	if compare(rep(), rep(typed, result{Name: "engine_tie_dispatch_actors", NsPerOp: 200}), &out) {
@@ -261,5 +271,44 @@ func TestCompareTieActorsRatio(t *testing.T) {
 	out.Reset()
 	if compare(rep(), rep(result{Name: "engine_tie_dispatch_actors", NsPerOp: 70}), &out) {
 		t.Error("an actor tie dispatch with no typed loop to divide by passed the gate")
+	}
+}
+
+func TestCompareGateKinds(t *testing.T) {
+	// Every row of the entries table, on both sides of its gate: a
+	// measurement at or just inside the limit prints ok, one just outside
+	// prints REGRESSION and fails the check.
+	const typedNs = 100
+	typed := result{Name: "engine_schedule_dispatch_typed", NsPerOp: typedNs}
+	for _, en := range entries {
+		var base, pass, fail report
+		switch en.gate {
+		case baselineNs:
+			base = rep(result{Name: en.name, NsPerOp: 1000})
+			pass = rep(result{Name: en.name, NsPerOp: 1000 * (1 + checkTolerance*0.9)})
+			fail = rep(result{Name: en.name, NsPerOp: 1000 * (1 + checkTolerance*1.1)})
+		case typedRatio:
+			pass = rep(typed, result{Name: en.name, NsPerOp: typedNs * en.limit * 0.9})
+			fail = rep(typed, result{Name: en.name, NsPerOp: typedNs * en.limit * 1.1})
+		case allocsCeil:
+			pass = rep(result{Name: en.name, Extra: map[string]float64{"extra_allocs_op": en.limit}})
+			fail = rep(result{Name: en.name, Extra: map[string]float64{"extra_allocs_op": en.limit + 1}})
+		case bytesPerNodeCeil:
+			pass = rep(result{Name: en.name, Extra: map[string]float64{"bytes_per_node": en.limit}})
+			fail = rep(result{Name: en.name, Extra: map[string]float64{"bytes_per_node": en.limit + 1}})
+		case speedupFloor:
+			pass = rep(result{Name: en.name, Extra: map[string]float64{"speedup_x": en.limit}})
+			fail = rep(result{Name: en.name, Extra: map[string]float64{"speedup_x": en.limit - 1}})
+		default:
+			t.Fatalf("%s: gate kind %d has no case here", en.name, en.gate)
+		}
+		var out strings.Builder
+		if !compare(base, pass, &out) || !strings.Contains(out.String(), en.name) || !strings.Contains(out.String(), " ok\n") {
+			t.Errorf("%s: a measurement inside the gate did not pass:\n%s", en.name, out.String())
+		}
+		out.Reset()
+		if compare(base, fail, &out) || !strings.Contains(out.String(), en.name+" ") || !strings.Contains(out.String(), "REGRESSION") {
+			t.Errorf("%s: a measurement outside the gate did not fail:\n%s", en.name, out.String())
+		}
 	}
 }

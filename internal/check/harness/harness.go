@@ -101,6 +101,20 @@ func Build(cfg check.FuzzConfig, shards int) (netsim.Network, func() Fingerprint
 	return net, func() Fingerprint { return Fingerprint{Ledger: net.Ledger()} }, nil
 }
 
+// StartOpenLoop starts cfg's open-loop traffic on net: PacketsPerNode
+// packets from every node of a random permutation seeded Seed+10, at
+// LoadPct percent input load, with injection times seeded Seed+100. The
+// differential runs and the fault-campaign cells all drive this traffic.
+func StartOpenLoop(net netsim.Network, cfg check.FuzzConfig) {
+	ol := traffic.OpenLoop{
+		Pattern:        traffic.RandomPermutation(net.NumNodes(), cfg.Seed+10),
+		Load:           float64(cfg.LoadPct) / 100,
+		PacketsPerNode: cfg.PacketsPerNode,
+		Seed:           cfg.Seed + 100,
+	}
+	ol.Start(net)
+}
+
 // Run executes cfg once with the given shard count. With audit set it
 // attaches a check.Auditor (whose SkewInjected is set to skew — non-zero
 // seeds a deliberate conservation bug, the auditor's self-test) and drives
@@ -114,13 +128,7 @@ func Run(cfg check.FuzzConfig, shards int, audit bool, skew uint64) (Result, err
 	}
 	var col netsim.Collector
 	col.Attach(net)
-	ol := traffic.OpenLoop{
-		Pattern:        traffic.RandomPermutation(net.NumNodes(), cfg.Seed+10),
-		Load:           float64(cfg.LoadPct) / 100,
-		PacketsPerNode: cfg.PacketsPerNode,
-		Seed:           cfg.Seed + 100,
-	}
-	ol.Start(net)
+	StartOpenLoop(net, cfg)
 	var aud *check.Auditor
 	if audit {
 		aud = check.New(check.Options{})

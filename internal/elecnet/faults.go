@@ -181,7 +181,7 @@ func (n *engine) SetDegrade(p float64) error {
 }
 
 // ApplyFault implements faults.Target for the shared router engine. It must
-// only be called at barrier boundaries (faults.Run's slice boundaries are);
+// only be called at barrier boundaries (netsim.Drive's slice boundaries are);
 // teardown uses the event's own timestamp, which the boundary is aligned to,
 // so credit returns respect the sharded engine's lookahead.
 func (n *engine) ApplyFault(ev faults.Event) error {

@@ -13,7 +13,6 @@ import (
 	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
-	"baldur/internal/traffic"
 	"baldur/internal/workload"
 )
 
@@ -215,13 +214,7 @@ func runCampaignCell(spec CampaignSpec, netName string, nodesExp, loadPct, shard
 	c := &cell{
 		net: net, label: res.id(), col: &col,
 		start: func(net netsim.Network) error {
-			ol := traffic.OpenLoop{
-				Pattern:        traffic.RandomPermutation(net.NumNodes(), cfg.Seed+10),
-				Load:           float64(cfg.LoadPct) / 100,
-				PacketsPerNode: cfg.PacketsPerNode,
-				Seed:           cfg.Seed + 100,
-			}
-			ol.Start(net)
+			harness.StartOpenLoop(net, cfg)
 			return nil
 		},
 		timeline: ctrl,

@@ -16,7 +16,6 @@ import (
 	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
-	"baldur/internal/traffic"
 )
 
 // runTelemetryCell runs one telemetry-enabled Baldur cell and returns the
@@ -67,13 +66,7 @@ func runFaultedTelemetryCell(t *testing.T, network string, shards int) (netsim.N
 	c := &cell{
 		net: net, label: network, col: &col,
 		start: func(net netsim.Network) error {
-			ol := traffic.OpenLoop{
-				Pattern:        traffic.RandomPermutation(net.NumNodes(), cfg.Seed+10),
-				Load:           float64(cfg.LoadPct) / 100,
-				PacketsPerNode: cfg.PacketsPerNode,
-				Seed:           cfg.Seed + 100,
-			}
-			ol.Start(net)
+			harness.StartOpenLoop(net, cfg)
 			return nil
 		},
 		timeline: faults.NewController(script),

@@ -15,7 +15,6 @@ import (
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
 	"baldur/internal/trace"
-	"baldur/internal/traffic"
 	"baldur/internal/workload"
 )
 
@@ -195,15 +194,8 @@ func TestTraceAuditUnderFaultsWithRetransmissions(t *testing.T) {
 	aud := check.New(check.Options{})
 	net.(netsim.Audited).AttachAudit(aud)
 	spans := netsim.AttachSpanAudit(net)
-	ol := traffic.OpenLoop{
-		Pattern:        traffic.RandomPermutation(net.NumNodes(), cfg.Seed+10),
-		Load:           float64(cfg.LoadPct) / 100,
-		PacketsPerNode: cfg.PacketsPerNode,
-		Seed:           cfg.Seed + 100,
-	}
-	ol.Start(net)
-	ctrl := faults.NewController(script)
-	if _, err := faults.Run(net, ctrl, faults.RunOptions{
+	harness.StartOpenLoop(net, cfg)
+	if _, err := netsim.Drive(net, faults.NewController(script), netsim.DriveOptions{
 		Deadline: sim.Time(0).Add(sim.Microseconds(500)),
 		Tel:      tel,
 		Aud:      aud,

@@ -13,8 +13,6 @@ import (
 type Controller struct {
 	script Script
 	next   int
-	// PacketSize is the incast burst packet size (0: the network default).
-	PacketSize int
 	// applied counts events handed to the network so far.
 	applied int
 }
@@ -72,17 +70,17 @@ func (c *Controller) ApplyDue(net netsim.Network, now sim.Time, tel *telemetry.T
 	return n, nil
 }
 
-// incastSender burst-enqueues count packets from src to dst. It runs as a
-// node event on src's shard, where Send is legal mid-run.
+// incastSender burst-enqueues count packets of the network's default size
+// from src to dst. It runs as a node event on src's shard, where Send is
+// legal mid-run.
 type incastSender struct {
-	net         netsim.Network
-	src, dst    int
-	count, size int
+	net             netsim.Network
+	src, dst, count int
 }
 
 func (s *incastSender) Run(*sim.Engine) {
 	for i := 0; i < s.count; i++ {
-		s.net.Send(s.src, s.dst, s.size)
+		s.net.Send(s.src, s.dst, 0)
 	}
 }
 
@@ -110,20 +108,22 @@ func (c *Controller) applyIncast(net netsim.Network, ev Event, now sim.Time) err
 	for i := 0; i < srcs; i++ {
 		src := (ev.A + 1 + i) % nodes
 		net.ScheduleNode(src, at, &incastSender{
-			net: net, src: src, dst: ev.A, count: pkts, size: c.PacketSize,
+			net: net, src: src, dst: ev.A, count: pkts,
 		})
 	}
 	return nil
 }
 
-// RunOptions configures a scripted run.
+// RunOptions is netsim.DriveOptions. RunOptions and Run stay only because
+// the benchmark harness under bench/ calls them; other code calls
+// netsim.Drive(net, ctrl, opts) directly.
 type RunOptions = netsim.DriveOptions
 
-// Run drives net to the deadline with netsim.Drive, applying ctrl's due
-// events at each slice boundary; every event time is a boundary. Boundaries
-// are full barriers of the sharded engine, so scripted runs are
-// bit-identical for any K. Returns true if events remain queued at the
-// deadline (the run did not drain).
+// Run is netsim.Drive(net, ctrl, opts): it drives net to the deadline,
+// applying ctrl's due events at each slice boundary; every event time is a
+// boundary. Boundaries are full barriers of the sharded engine, so scripted
+// runs are bit-identical for any K. Returns true if events remain queued at
+// the deadline (the run did not drain).
 func Run(net netsim.Network, ctrl *Controller, opts RunOptions) (bool, error) {
 	return netsim.Drive(net, ctrl, opts)
 }

@@ -238,35 +238,6 @@ func (r recEvent) Run(e *Engine) {
 	*r.got = append(*r.got, rec{e.Now(), r.seq})
 }
 
-// tbEvent is a single event rescheduling itself, the steady-state pattern
-// of the network models.
-type tbEvent struct {
-	rng *RNG
-	n   int
-	max int
-}
-
-func (ev *tbEvent) Run(e *Engine) {
-	if ev.n < ev.max {
-		ev.n++
-		e.ScheduleAfter(Duration(ev.rng.Intn(1000)+1), ev)
-	}
-}
-
-func BenchmarkEngineScheduleDispatchTyped(b *testing.B) {
-	e := NewEngine()
-	rng := NewRNG(1)
-	b.ReportAllocs()
-	ev := &tbEvent{rng: rng, max: b.N}
-	// Keep 1000 events in flight, a realistic queue depth.
-	for i := 0; i < 1000 && ev.n < b.N; i++ {
-		ev.n++
-		e.Schedule(Time(rng.Intn(1000)), ev)
-	}
-	b.ResetTimer()
-	e.Run()
-}
-
 // wideTie drives TestEngineWideTieGroupOrder. It mirrors the engine's FIFO
 // counter, so the test knows every event's tie-break key without asking
 // the engine.
@@ -507,109 +478,5 @@ func TestRadixSortMatchesComparisonSort(t *testing.T) {
 				t.Fatalf("%d/%s: the leftover buffer has length %d or still holds events", n, name, len(spare))
 			}
 		}
-	}
-}
-
-// TestEngineWideTieGroupsDoNotAllocate: once the batch and its spare
-// buffer have grown to the group's width, dispatching wide tie groups
-// allocates nothing.
-func TestEngineWideTieGroupsDoNotAllocate(t *testing.T) {
-	e := NewEngine()
-	const width = 4096
-	newTieActorsEvent(e, width, 1<<30)
-	next := Time(0)
-	step := func() {
-		e.RunUntil(next)
-		next += Time(Nanosecond)
-	}
-	step()
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Errorf("a %d-wide tie group allocated %.1f times, want 0", width, allocs)
-	}
-	if got := e.Executed; got != 52*width {
-		t.Errorf("dispatched %d events, want %d", got, 52*width)
-	}
-}
-
-// tieBenchEvent keeps width events at one timestamp: each dispatch
-// reschedules 1 ns ahead while enough dispatches remain, so every time
-// step is one tie group, the shape synchronised closed-loop sends produce.
-type tieBenchEvent struct{ left, width int }
-
-func (ev *tieBenchEvent) Run(e *Engine) {
-	ev.left--
-	if ev.left >= ev.width {
-		e.ScheduleAfter(Nanosecond, ev)
-	}
-}
-
-// tieActorsEvent keeps width actor-keyed events at one timestamp, the way
-// ping-pong's synchronised sends arrive: the event dispatched k-th in a
-// group schedules the next group's event of actor perm[k], so keys reach the
-// heap in scrambled actor order. Each actor starts its counter at its own
-// offset below 2^16, as actors with different histories do, so the low key
-// bits vary across a group as well as the actor ids.
-type tieActorsEvent struct {
-	left, k int
-	perm    []int
-	actors  []Actor
-}
-
-func (ev *tieActorsEvent) Run(e *Engine) {
-	ev.left--
-	if ev.left >= len(ev.perm) {
-		e.ScheduleKey(e.Now().Add(Nanosecond), ev.actors[ev.perm[ev.k]].Next(), ev)
-	}
-	if ev.k++; ev.k == len(ev.perm) {
-		ev.k = 0
-	}
-}
-
-// newTieActorsEvent schedules the first group of a tieActorsEvent loop of
-// width actors that dispatches n events in all.
-func newTieActorsEvent(e *Engine, width, n int) *tieActorsEvent {
-	rng := NewRNG(uint64(width))
-	ev := &tieActorsEvent{left: n, perm: make([]int, width), actors: make([]Actor, width)}
-	rng.Perm(ev.perm)
-	for i := range ev.actors {
-		ev.actors[i] = MakeActor(uint32(i+1)) + Actor(rng.Intn(1<<16))
-	}
-	for _, p := range ev.perm {
-		e.ScheduleKey(0, ev.actors[p].Next(), ev)
-	}
-	return ev
-}
-
-// BenchmarkEngineTieGroup times one dispatch inside tie groups. The fifo
-// cases reschedule one event with Schedule's FIFO keys, which the heap
-// hands back reversed; the actors cases carry permuted Actor keys, the shape
-// closed-loop ping-pong produces.
-func BenchmarkEngineTieGroup(b *testing.B) {
-	for _, width := range []int{16, 256, 8192} {
-		b.Run(fmt.Sprint("fifo/", width), func(b *testing.B) {
-			b.ReportAllocs()
-			e := NewEngine()
-			ev := &tieBenchEvent{left: b.N, width: min(width, b.N)}
-			for i := 0; i < ev.width; i++ {
-				e.Schedule(0, ev)
-			}
-			b.ResetTimer()
-			e.Run()
-			if e.Executed != uint64(b.N) {
-				b.Fatalf("dispatched %d events, want %d", e.Executed, b.N)
-			}
-		})
-	}
-	for _, width := range []int{256, 8192} {
-		b.Run(fmt.Sprint("actors/", width), func(b *testing.B) {
-			b.ReportAllocs()
-			e := NewEngine()
-			newTieActorsEvent(e, min(width, b.N), b.N)
-			b.ResetTimer()
-			e.Run()
-			if e.Executed != uint64(b.N) {
-				b.Fatalf("dispatched %d events, want %d", e.Executed, b.N)
-			}
-		})
 	}
 }

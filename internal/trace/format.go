@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -21,7 +22,20 @@ import (
 //	  compute <nanoseconds>
 //
 // Ranks may appear in any order; a rank with no section has an empty
-// program.
+// program. Read refuses a trace outside the bounds below: past them a trace
+// would corrupt a replay (a wrapped packet count, a duration that does not
+// fit sim.Duration) or exhaust memory before the first rank is read.
+const (
+	// maxRanks is the largest rank count, 2^20: the paper's largest
+	// network.
+	maxRanks = 1 << 20
+	// maxMessageBytes is the largest send or recv, 1 TiB: at any MTU its
+	// packet count fits an int with room to sum many messages.
+	maxMessageBytes = 1 << 40
+	// maxComputeNS is the longest compute op, 1000 s: it fits sim.Duration,
+	// and every duration up to it survives Save and Read to the picosecond.
+	maxComputeNS = 1e12
+)
 
 // Save serializes the workload in the text trace format.
 func (w *Workload) Save(out io.Writer) error {
@@ -43,7 +57,7 @@ func (w *Workload) Save(out io.Writer) error {
 			case OpRecv:
 				fmt.Fprintf(bw, "  recv %d %d\n", op.Peer, op.Bytes)
 			case OpCompute:
-				fmt.Fprintf(bw, "  compute %d\n", int64(op.Dur.Nanoseconds()))
+				fmt.Fprintf(bw, "  compute %s\n", strconv.FormatFloat(op.Dur.Nanoseconds(), 'f', -1, 64))
 			default:
 				return fmt.Errorf("trace: unknown op kind %d", op.Kind)
 			}
@@ -59,7 +73,9 @@ func sanitizeName(name string) string {
 	return strings.ReplaceAll(name, " ", "_")
 }
 
-// Read parses a workload from the text trace format and validates it.
+// Read parses a workload from the text trace format and validates it. It
+// refuses rank counts, message sizes and compute durations beyond the
+// format's bounds.
 func Read(in io.Reader) (*Workload, error) {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
@@ -78,15 +94,15 @@ func Read(in io.Reader) (*Workload, error) {
 			if w != nil {
 				return nil, fmt.Errorf("trace: line %d: duplicate workload header", lineNo)
 			}
-			if len(fields) < 4 || fields[2] != "ranks" {
-				return nil, fmt.Errorf("trace: line %d: want 'workload <name> ranks <N>'", lineNo)
+			if (len(fields) != 4 && len(fields) != 6) || fields[2] != "ranks" || (len(fields) == 6 && fields[4] != "mtu") {
+				return nil, fmt.Errorf("trace: line %d: want 'workload <name> ranks <N> [mtu <bytes>]'", lineNo)
 			}
 			ranks, err := strconv.Atoi(fields[3])
-			if err != nil || ranks <= 0 {
+			if err != nil || ranks <= 0 || ranks > maxRanks {
 				return nil, fmt.Errorf("trace: line %d: bad rank count %q", lineNo, fields[3])
 			}
 			w = &Workload{Name: fields[1], Programs: make([]Program, ranks)}
-			if len(fields) >= 6 && fields[4] == "mtu" {
+			if len(fields) == 6 {
 				mtu, err := strconv.Atoi(fields[5])
 				if err != nil || mtu <= 0 {
 					return nil, fmt.Errorf("trace: line %d: bad mtu %q", lineNo, fields[5])
@@ -114,7 +130,7 @@ func Read(in io.Reader) (*Workload, error) {
 			}
 			peer, err1 := strconv.Atoi(fields[1])
 			bytes, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil || bytes <= 0 {
+			if err1 != nil || err2 != nil || bytes <= 0 || bytes > maxMessageBytes {
 				return nil, fmt.Errorf("trace: line %d: bad operands", lineNo)
 			}
 			kind := OpSend
@@ -130,7 +146,7 @@ func Read(in io.Reader) (*Workload, error) {
 				return nil, fmt.Errorf("trace: line %d: want 'compute <ns>'", lineNo)
 			}
 			ns, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil || ns < 0 {
+			if err != nil || math.IsNaN(ns) || ns < 0 || ns > maxComputeNS {
 				return nil, fmt.Errorf("trace: line %d: bad duration %q", lineNo, fields[1])
 			}
 			w.Programs[cur] = append(w.Programs[cur], Op{Kind: OpCompute, Dur: sim.Nanoseconds(ns)})

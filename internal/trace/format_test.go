@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -83,6 +84,16 @@ func TestReadRejectsMalformed(t *testing.T) {
 		"duplicate header": "workload x ranks 2\nworkload y ranks 2\n",
 		"negative compute": "workload x ranks 2\nrank 0\ncompute -5\n",
 		"bad mtu":          "workload x ranks 2 mtu zero\n",
+		"NaN compute":      "workload x ranks 2\nrank 0\ncompute NaN\n",
+		"infinite compute": "workload x ranks 2\nrank 0\ncompute +Inf\n",
+		"huge compute":     "workload x ranks 2\nrank 0\ncompute 1e300\n",
+		"compute > 1000 s": "workload x ranks 2\nrank 0\ncompute 1000000000000.001\n",
+		"huge send":        "workload x ranks 2\nrank 0\nsend 1 9223372036854775807\n",
+		"send > 1 TiB":     "workload x ranks 2\nrank 0\nsend 1 1099511627777\n",
+		"ranks > 2^20":     "workload x ranks 1048577\n",
+		"unknown mtu key":  "workload x ranks 2 MTU 256\n",
+		"mtu without size": "workload x ranks 2 mtu\n",
+		"header junk":      "workload x ranks 2 mtu 256 junk\n",
 	}
 	for name, src := range cases {
 		if _, err := Read(strings.NewReader(src)); err == nil {
@@ -130,4 +141,35 @@ func TestReadThenReplay(t *testing.T) {
 	if !st.Completed {
 		t.Error("loaded trace replay incomplete")
 	}
+}
+
+// FuzzReadTrace: any input comes back as a workload or an error, never a
+// panic, and an accepted workload survives Save and Read unchanged.
+func FuzzReadTrace(f *testing.F) {
+	for _, name := range Names() {
+		var buf bytes.Buffer
+		if err := ByName(name, 8, Options{Seed: 1}).Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.String())
+	}
+	// Sub-nanosecond compute and a short last packet.
+	f.Add("workload w ranks 2 mtu 100\nrank 0\n  send 1 250\n  compute 0.5\nrank 1\n  recv 0 250\n  compute 1000000000000\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		w, err := Read(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := w.Save(&buf); err != nil {
+			t.Fatalf("saving an accepted workload: %v", err)
+		}
+		got, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("reading back a saved workload: %v\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Fatalf("workload changed across Save and Read:\nread:  %+v\nagain: %+v", w, got)
+		}
+	})
 }
