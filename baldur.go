@@ -32,7 +32,9 @@
 //		PacketsPerNode: 1000,
 //	}
 //	ol.Start(net)
-//	net.Engine().Run()
+//	if net.Run(baldur.Time(0).Add(10 * baldur.Millisecond)) {
+//		// events still queued at the 10 ms horizon
+//	}
 //	fmt.Printf("avg %.0f ns, p99 %.0f ns, drop %.2f%%\n",
 //		col.AvgNS(), col.TailNS(), net.Stats.DataDropRate()*100)
 package baldur
@@ -73,7 +75,7 @@ type (
 	Time = sim.Time
 	// Duration is a virtual-time span in picoseconds.
 	Duration = sim.Duration
-	// EventFunc adapts a function to an event for Engine().Schedule.
+	// EventFunc adapts a function to an event for ScheduleNode.
 	EventFunc = sim.EventFunc
 )
 

@@ -8,6 +8,15 @@ import (
 	"baldur"
 )
 
+// drain runs net until no event remains, failing t if a second of virtual
+// time does not suffice.
+func drain(t *testing.T, net baldur.Interconnect) {
+	t.Helper()
+	if net.Run(baldur.Time(0).Add(1000 * baldur.Millisecond)) {
+		t.Fatal("events still queued after 1 s of virtual time")
+	}
+}
+
 func TestFacadeQuickstartFlow(t *testing.T) {
 	net, err := baldur.New(baldur.Config{Nodes: 64, Seed: 42})
 	if err != nil {
@@ -22,7 +31,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 		Seed:           1,
 	}
 	ol.Start(net)
-	net.Engine().Run()
+	drain(t, net)
 	if col.Delivered() != 64*50 {
 		t.Errorf("delivered = %d, want %d", col.Delivered(), 64*50)
 	}
@@ -59,8 +68,8 @@ func TestFacadeBaselines(t *testing.T) {
 		}
 		delivered := 0
 		net.OnDeliver(func(p *baldur.Packet, _ baldur.Time) { delivered++ })
-		net.Engine().Schedule(0, baldur.EventFunc(func() { net.Send(0, net.NumNodes()-1, 0) }))
-		net.Engine().Run()
+		net.Send(0, net.NumNodes()-1, 0)
+		drain(t, net)
 		if delivered != 1 {
 			t.Errorf("%s: delivered = %d", tc.name, delivered)
 		}

@@ -34,8 +34,10 @@ func main() {
 	ol.Start(net)
 
 	// Run the discrete-event simulation to completion (every packet
-	// delivered and acknowledged).
-	net.Engine().Run()
+	// delivered and acknowledged) within a 10 ms horizon of virtual time.
+	if net.Run(baldur.Time(0).Add(10 * baldur.Millisecond)) {
+		log.Fatal("events still queued at the 10 ms horizon")
+	}
 
 	fmt.Printf("Baldur %d nodes, multiplicity %d, %d stages\n",
 		nodes, net.Multiplicity(), net.Stages())

@@ -16,7 +16,7 @@ func rawDropRate(t *testing.T, cfg Config, pat *traffic.Pattern, packets int) fl
 	n := mustNew(t, cfg)
 	ol := traffic.OpenLoop{Pattern: pat, Load: 0.7, PacketsPerNode: packets, Seed: 9}
 	ol.Start(n)
-	n.Engine().Run()
+	drain(t, n)
 	return n.Stats.DataDropRate()
 }
 
@@ -80,8 +80,7 @@ func TestAckPriorityMatters(t *testing.T) {
 		Seed:           6,
 	}
 	ol.Start(n)
-	n.Engine().Run()
-	n.SyncStats()
+	drain(t, n)
 	if n.Stats.AckLatency.N() == 0 {
 		t.Fatal("no ACK latencies recorded")
 	}
@@ -105,8 +104,8 @@ func TestMultiplicityLatencyTradeoff(t *testing.T) {
 		n := mustNew(t, Config{Nodes: 64, Multiplicity: m, Seed: 2})
 		var got float64
 		n.OnDeliver(func(p *netsim.Packet, at sim.Time) { got = float64(at.Sub(p.Created).Nanoseconds()) })
-		n.Engine().Schedule(0, sim.EventFunc(func() { n.Send(1, 62, 0) }))
-		n.Engine().Run()
+		n.Send(1, 62, 0)
+		drain(t, n)
 		return got
 	}
 	l1, l5 := lat(1), lat(5)

@@ -63,8 +63,7 @@ func (n *Network) AttachAudit(a *check.Auditor) {
 }
 
 func (n *Network) audit(a *check.Auditor, at sim.Time, drained bool) {
-	n.SyncStats()
-	st := &n.Stats
+	st := &n.Stats // folded: checkpoints follow a Run
 	inj := st.Injected + a.SkewInjected
 	retxOn := !n.cfg.DisableRetransmit
 

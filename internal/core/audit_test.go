@@ -20,8 +20,7 @@ func TestRetxBytesZeroAfterLateAck(t *testing.T) {
 	// the ACK then arrives "late" against the requeued copy.
 	n := mustNew(t, Config{Nodes: 16, Multiplicity: 1, Seed: 1, RTO: 300 * sim.Nanosecond})
 	n.Send(0, 9, 0)
-	n.Engine().Run()
-	n.SyncStats()
+	drain(t, n)
 
 	if n.Stats.Retransmissions == 0 {
 		t.Fatal("construction broke: RTO below the round trip caused no retransmission")
@@ -73,7 +72,7 @@ func TestAuditCatchesRetxLeak(t *testing.T) {
 	aud := check.New(check.Options{})
 	n.AttachAudit(aud)
 	n.Send(0, 9, 0)
-	n.Engine().Schedule(sim.Time(50*sim.Nanosecond), sim.EventFunc(func() { n.nics[3].retxBytes += 7 }))
+	n.ScheduleNode(3, sim.Time(50*sim.Nanosecond), sim.EventFunc(func() { n.nics[3].retxBytes += 7 }))
 	netsim.Drive(n, nil, netsim.DriveOptions{Deadline: sim.Time(100 * sim.Microsecond), Aud: aud})
 	vs := aud.Violations()
 	if len(vs) == 0 {

@@ -128,7 +128,7 @@ func (c *Config) applyDefaults() error {
 
 // Stats aggregates the network-wide counters of one run: the packet ledger
 // plus Baldur's own diagnostics. Each shard counts into its own ledger and
-// diagnostics; SyncStats folds them.
+// diagnostics; Run folds them.
 type Stats struct {
 	netsim.Ledger
 	// DropsByStage histograms where contention bites.
@@ -137,7 +137,7 @@ type Stats struct {
 	// buffer (the paper provisions 1 MB; measures 536 KB at load 0.7).
 	MaxRetxBufBytes int
 	// AckLatency collects ACK round-trip times (ns) for diagnostics, merged
-	// from the per-NIC moments in node order by SyncStats (which Run calls).
+	// from the per-NIC moments in node order by Run's fold.
 	AckLatency stats.Running
 }
 
@@ -221,10 +221,10 @@ func New(cfg Config) (*Network, error) {
 	n.testPath = -1
 	n.degradeRNG = sim.NewRNG(cfg.Seed ^ 0xdec4ade)
 
-	// Shard layout: serial runs use one shard aliasing n.Stats; parallel
-	// runs dedicate shard 0 to the fabric and spread NICs in contiguous
-	// blocks over shards 1..K-1. The lookahead is the host link delay —
-	// the minimum latency of every NIC<->fabric interaction.
+	// Shard layout: serial runs use one shard; parallel runs dedicate
+	// shard 0 to the fabric and spread NICs in contiguous blocks over
+	// shards 1..K-1. The lookahead is the host link delay — the minimum
+	// latency of every NIC<->fabric interaction.
 	k := cfg.Shards
 	if k < 2 {
 		k = 1
@@ -234,10 +234,7 @@ func New(cfg Config) (*Network, error) {
 	n.shards = make([]*coreShard, k)
 	views := make([]*netsim.Shard, k)
 	for i := range n.shards {
-		sh := &coreShard{dropsByStage: n.Stats.DropsByStage, maxRetx: &n.Stats.MaxRetxBufBytes}
-		if k > 1 {
-			sh.dropsByStage, sh.maxRetx = make([]uint64, mb.Stages), new(int)
-		}
+		sh := &coreShard{dropsByStage: make([]uint64, mb.Stages)}
 		n.shards[i], views[i] = sh, &sh.Shard
 	}
 	n.Shards = netsim.NewShards(netsim.HostLinkDelay, &n.Stats.Ledger, n.foldDiag, views...)

@@ -18,6 +18,15 @@ func mustNew(t testing.TB, cfg Config) *Network {
 	return n
 }
 
+// drain runs n until no event remains, failing t if a second of virtual
+// time does not suffice.
+func drain(t *testing.T, n netsim.Network) {
+	t.Helper()
+	if n.Run(sim.Time(sim.Second)) {
+		t.Fatal("events still queued after 1 s of virtual time")
+	}
+}
+
 // TestConfigDefaults pins the Table VI and Table V constants the model runs
 // at: a silent edit to any of them changes every result, so it must fail
 // here first.
@@ -114,8 +123,8 @@ func TestSinglePacketZeroLoadLatency(t *testing.T) {
 	n := mustNew(t, Config{})
 	var got sim.Duration
 	n.OnDeliver(func(p *netsim.Packet, at sim.Time) { got = at.Sub(p.Created) })
-	n.Engine().Schedule(0, sim.EventFunc(func() { n.Send(3, 900, 0) }))
-	n.Engine().Run()
+	n.Send(3, 900, 0)
+	drain(t, n)
 	wantLo, wantHi := sim.Nanoseconds(378), sim.Nanoseconds(381)
 	if got < wantLo || got > wantHi {
 		t.Errorf("zero-load latency = %v, want ~379.5ns", got)
@@ -131,12 +140,10 @@ func TestUncontendedStreamNoDrops(t *testing.T) {
 	n := mustNew(t, Config{Nodes: 64, Multiplicity: 1, Seed: 5})
 	var delivered int
 	n.OnDeliver(func(*netsim.Packet, sim.Time) { delivered++ })
-	n.Engine().Schedule(0, sim.EventFunc(func() {
-		for i := 0; i < 50; i++ {
-			n.Send(1, 37, 0)
-		}
-	}))
-	n.Engine().Run()
+	for i := 0; i < 50; i++ {
+		n.Send(1, 37, 0)
+	}
+	drain(t, n)
 	if delivered != 50 {
 		t.Errorf("delivered = %d, want 50", delivered)
 	}
@@ -152,13 +159,11 @@ func TestContentionDropsAndRetransmits(t *testing.T) {
 	n := mustNew(t, Config{Nodes: 16, Multiplicity: 1, Seed: 2})
 	var delivered int
 	n.OnDeliver(func(*netsim.Packet, sim.Time) { delivered++ })
-	n.Engine().Schedule(0, sim.EventFunc(func() {
-		for i := 0; i < 20; i++ {
-			n.Send(0, 9, 0)
-			n.Send(5, 9, 0)
-		}
-	}))
-	n.Engine().Run()
+	for i := 0; i < 20; i++ {
+		n.Send(0, 9, 0)
+		n.Send(5, 9, 0)
+	}
+	drain(t, n)
 	if delivered != 40 {
 		t.Errorf("delivered = %d, want 40", delivered)
 	}
@@ -180,14 +185,12 @@ func TestExactlyOnceDeliveryUnderHeavyLoss(t *testing.T) {
 	seen := map[uint64]int{}
 	n.OnDeliver(func(p *netsim.Packet, _ sim.Time) { seen[p.ID]++ })
 	const perNode = 5
-	n.Engine().Schedule(0, sim.EventFunc(func() {
-		for src := 1; src < 32; src++ {
-			for k := 0; k < perNode; k++ {
-				n.Send(src, 0, 0)
-			}
+	for src := 1; src < 32; src++ {
+		for k := 0; k < perNode; k++ {
+			n.Send(src, 0, 0)
 		}
-	}))
-	n.Engine().Run()
+	}
+	drain(t, n)
 	want := 31 * perNode
 	if len(seen) != want {
 		t.Fatalf("unique packets delivered = %d, want %d", len(seen), want)
@@ -197,7 +200,7 @@ func TestExactlyOnceDeliveryUnderHeavyLoss(t *testing.T) {
 			t.Errorf("packet %d delivered %d times via OnDeliver", id, count)
 		}
 	}
-	if q := n.Engine().Pending(); q != 0 {
+	if q := n.Queued(); q != 0 {
 		t.Errorf("%d events still queued after drain", q)
 	}
 	if l := n.Ledger(); l.Delivered != l.Injected {
@@ -218,7 +221,7 @@ func TestDropRateFallsWithMultiplicity(t *testing.T) {
 			Seed:           11,
 		}
 		ol.Start(n)
-		n.Engine().Run()
+		drain(t, n)
 		rates[m] = n.Stats.DataDropRate()
 	}
 	if !(rates[1] > rates[2] && rates[2] > rates[4]) {
@@ -241,7 +244,7 @@ func TestRetransmissionBufferBounded(t *testing.T) {
 		Seed:           13,
 	}
 	ol.Start(n)
-	n.Engine().Run()
+	drain(t, n)
 	// The paper provisions 1 MB per node and measures <=536 KB at 0.7
 	// load; at this small scale the bound is far lower, but it must be
 	// finite and modest.
@@ -257,13 +260,11 @@ func TestDisableRetransmitCountsLosses(t *testing.T) {
 	n := mustNew(t, Config{Nodes: 16, Multiplicity: 1, Seed: 4, DisableRetransmit: true})
 	var delivered int
 	n.OnDeliver(func(*netsim.Packet, sim.Time) { delivered++ })
-	n.Engine().Schedule(0, sim.EventFunc(func() {
-		for i := 0; i < 10; i++ {
-			n.Send(0, 9, 0)
-			n.Send(5, 9, 0)
-		}
-	}))
-	n.Engine().Run()
+	for i := 0; i < 10; i++ {
+		n.Send(0, 9, 0)
+		n.Send(5, 9, 0)
+	}
+	drain(t, n)
 	if n.Stats.Retransmissions != 0 {
 		t.Error("retransmissions occurred with protocol disabled")
 	}
@@ -291,7 +292,7 @@ func TestBEBReducesDropsUnderHotspot(t *testing.T) {
 			Seed:           17,
 		}
 		ol.Start(n)
-		n.Engine().RunUntil(sim.Time(400 * sim.Microsecond))
+		n.Run(sim.Time(400 * sim.Microsecond))
 		return n.Stats.Delivered, n.Stats.DataDropRate()
 	}
 	withDel, withRate := run(false)
@@ -320,7 +321,7 @@ func TestDeterminism(t *testing.T) {
 			Seed:           5,
 		}
 		ol.Start(n)
-		n.Engine().Run()
+		drain(t, n)
 		return n.Stats.DataDrops, n.Stats.Retransmissions, c.AvgNS()
 	}
 	d1, r1, a1 := run()
@@ -339,7 +340,7 @@ func TestDropsByStageAccounting(t *testing.T) {
 		Seed:           2,
 	}
 	ol.Start(n)
-	n.Engine().Run()
+	drain(t, n)
 	var sum uint64
 	for _, v := range n.Stats.DropsByStage {
 		sum += v
@@ -363,7 +364,7 @@ func TestCollectorLatencyUnderLoad(t *testing.T) {
 		Seed:           3,
 	}
 	ol.Start(n)
-	n.Engine().Run()
+	drain(t, n)
 	if c.Delivered() == 0 {
 		t.Fatal("nothing delivered")
 	}

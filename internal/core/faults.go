@@ -132,18 +132,16 @@ func (n *Network) SetTestMode(path int) error {
 func (n *Network) Wiring() *topo.MultiButterfly { return n.mb }
 
 // ProbePath sends one test packet from src to dst in the current test mode
-// and reports whether it was delivered. It runs the engine to completion,
-// so use it on an otherwise idle network built with DisableRetransmit (a
-// probe lost to a fault would otherwise be retransmitted until the attempt
-// cap — forever, with MaxAttempts unset). Without retransmission every
-// transmission is either delivered or dropped exactly once, so the probe
-// was delivered iff no drop matched it.
+// and reports whether it was delivered. It runs the network until no event
+// remains, so use it on an otherwise idle network built with
+// DisableRetransmit (a probe lost to a fault would otherwise be
+// retransmitted until the attempt cap — forever, with MaxAttempts unset).
+// Without retransmission every transmission is either delivered or dropped
+// exactly once, so the probe was delivered iff no drop matched it. Call it
+// between runs, on any shard count.
 func (n *Network) ProbePath(src, dst int) bool {
 	if !n.cfg.DisableRetransmit {
 		panic("core: ProbePath requires DisableRetransmit (diagnosis runs without the reliability protocol)")
-	}
-	if n.NumShards() > 1 {
-		panic("core: ProbePath requires a serial network (Shards <= 1)")
 	}
 	// The drop observer matches the probe packet by identity, not by any
 	// (src, dst, size) signature: workload packets with the same endpoints
@@ -154,8 +152,10 @@ func (n *Network) ProbePath(src, dst int) bool {
 	dropped := false
 	n.onDrop = func(p *netsim.Packet) { dropped = dropped || p == probe }
 	defer func() { n.onDrop = nil }()
-	eng := n.Engine()
-	eng.Schedule(eng.Now(), sim.EventFunc(func() { probe = n.Send(src, dst, probeSize) }))
-	eng.Run()
+	n.ScheduleNode(src, n.Engine().Now(), sim.EventFunc(func() { probe = n.Send(src, dst, probeSize) }))
+	// Run to each next event time in turn, so the clock stops at the last
+	// event, as a drained serial engine's does.
+	for n.Run(n.NextTime()) {
+	}
 	return !dropped
 }

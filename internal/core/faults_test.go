@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"baldur/internal/check"
@@ -121,7 +122,6 @@ func TestAttemptCapDrainsFaultedRun(t *testing.T) {
 		if err := aud.Err(); err != nil {
 			t.Errorf("K=%d: %v", k, err)
 		}
-		n.SyncStats()
 		if n.Stats.GaveUp != 2 {
 			// Nodes 0 and 1 feed the dead stage-0 switch; 2 and 3 do not.
 			t.Errorf("K=%d: GaveUp = %d, want 2", k, n.Stats.GaveUp)
@@ -151,7 +151,6 @@ func TestRestorationRestoresDelivery(t *testing.T) {
 	n.AttachAudit(aud)
 	n.Send(0, 9, 0)
 	netsim.Drive(n, nil, netsim.DriveOptions{Deadline: sim.Time(20 * sim.Microsecond), Aud: aud})
-	n.SyncStats()
 	if n.Stats.Delivered != 0 || n.Stats.FaultDrops == 0 {
 		t.Fatalf("construction broke: delivered=%d faultDrops=%d while the switch is dead",
 			n.Stats.Delivered, n.Stats.FaultDrops)
@@ -166,7 +165,6 @@ func TestRestorationRestoresDelivery(t *testing.T) {
 	if err := aud.Err(); err != nil {
 		t.Error(err)
 	}
-	n.SyncStats()
 	if n.Stats.Delivered != 1 || n.Stats.GaveUp != 0 {
 		t.Errorf("delivered=%d gaveUp=%d after restore, want 1 and 0", n.Stats.Delivered, n.Stats.GaveUp)
 	}
@@ -238,6 +236,51 @@ func TestEndToEndDiagnosis(t *testing.T) {
 	}
 }
 
+// TestProbePathShardCountInvariant runs the Sec IV-F diagnosis against a
+// network sharded K ∈ {1, 2, 4} ways: every probe's outcome, the diagnosed
+// switch, the clock after the last probe and the ledger must agree.
+func TestProbePathShardCountInvariant(t *testing.T) {
+	type outcome struct {
+		Lost   []bool
+		Found  reliability.FaultySwitch
+		Now    sim.Time
+		Ledger netsim.Ledger
+	}
+	var ref outcome
+	for _, k := range []int{1, 2, 4} {
+		n := mustNew(t, Config{Nodes: 64, Multiplicity: 3, Seed: 5, DisableRetransmit: true, Shards: k})
+		if err := n.InjectFault(FaultSpec{Stage: 4, Switch: 20}); err != nil {
+			t.Fatal(err)
+		}
+		const path = 1
+		if err := n.SetTestMode(path); err != nil {
+			t.Fatal(err)
+		}
+		var got outcome
+		oracle := func(src, dst int) bool {
+			lost := !n.ProbePath(src, dst)
+			got.Lost = append(got.Lost, lost)
+			return lost
+		}
+		found, err := reliability.Diagnose(n.Wiring(), path, oracle)
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		got.Found = found
+		got.Now, got.Ledger = n.Engine().Now(), n.Ledger()
+		if k == 1 {
+			if got.Found != (reliability.FaultySwitch{Stage: 4, Switch: 20}) || got.Ledger.Injected == 0 {
+				t.Fatalf("serial diagnosis broke: %+v", got)
+			}
+			ref = got
+			continue
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("K=%d diagnosis diverged:\n got %+v\nwant %+v", k, got, ref)
+		}
+	}
+}
+
 func TestTestModeRestrictsPaths(t *testing.T) {
 	// In test mode two simultaneous packets to the same switch direction
 	// collide even though multiplicity would normally separate them.
@@ -248,11 +291,9 @@ func TestTestModeRestrictsPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		n.Engine().Schedule(0, sim.EventFunc(func() {
-			n.Send(0, 9, 0)
-			n.Send(1, 9, 0) // same first-stage switch, same direction
-		}))
-		n.Engine().Run()
+		n.Send(0, 9, 0)
+		n.Send(1, 9, 0) // same first-stage switch, same direction
+		drain(t, n)
 		return n.Stats.DataDrops
 	}
 	if drops := run(false); drops != 0 {
@@ -278,7 +319,7 @@ func TestProbePathIgnoresCoexistingWorkload(t *testing.T) {
 	// and is delivered. The probe must still report failure.
 	n := mustNew(t, Config{Nodes: 64, Multiplicity: 1, Seed: 1, DisableRetransmit: true})
 	n.Send(0, 33, 0) // blocker: occupies stage-0 switch 0 when the probe's head arrives
-	n.Engine().Schedule(sim.Time(5*sim.Nanosecond), sim.EventFunc(func() {
+	n.ScheduleNode(1, sim.Time(5*sim.Nanosecond), sim.EventFunc(func() {
 		n.Send(1, 33, 64) // workload packet matching the probe's old signature
 	}))
 	if n.ProbePath(1, 33) {
@@ -300,9 +341,8 @@ func TestProbePathRemovesOnlyItsObserver(t *testing.T) {
 	n := mustNew(t, Config{Nodes: 16, Multiplicity: 1, Seed: 1, DisableRetransmit: true})
 	var aCount, bCount int
 	n.OnDeliver(func(*netsim.Packet, sim.Time) { aCount++ })
-	eng := n.Engine()
 	// Registered from an event at t=0, while the probe is in flight.
-	eng.Schedule(0, sim.EventFunc(func() {
+	n.ScheduleNode(0, 0, sim.EventFunc(func() {
 		n.OnDeliver(func(*netsim.Packet, sim.Time) { bCount++ })
 	}))
 	if !n.ProbePath(0, 9) {
@@ -310,7 +350,7 @@ func TestProbePathRemovesOnlyItsObserver(t *testing.T) {
 	}
 	a0, b0 := aCount, bCount
 	n.Send(0, 9, 0)
-	eng.Run()
+	drain(t, n)
 	if aCount != a0+1 || bCount != b0+1 {
 		t.Errorf("observer counts after follow-up delivery: a +%d, b +%d, want +1 each",
 			aCount-a0, bCount-b0)

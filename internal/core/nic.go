@@ -31,7 +31,7 @@ type nic struct {
 	rng sim.RNG
 
 	// ackLat accumulates this NIC's ACK round-trip observations; merged in
-	// node order by SyncStats.
+	// node order by Run's fold.
 	ackLat stats.Running
 
 	// Transmit side. ACKs are prepended (control priority); data appends.
@@ -92,9 +92,7 @@ func (c *nic) enqueueData(p *netsim.Packet) {
 	if !c.net.cfg.DisableRetransmit {
 		c.outstanding.put(p.Seq, p)
 		c.retxBytes += p.Size
-		if c.retxBytes > *c.sh.maxRetx {
-			*c.sh.maxRetx = c.retxBytes
-		}
+		c.sh.maxRetx = max(c.sh.maxRetx, c.retxBytes)
 	}
 	c.pump()
 }

@@ -6,22 +6,17 @@ import (
 	"baldur/internal/stats"
 )
 
-// coreShard is one partition of the Baldur model: either the optical fabric
-// (shard 0 when sharded) or a contiguous block of NICs. It embeds the
-// runtime's netsim.Shard (engine shard, ledger, telemetry probe) and adds
-// Baldur's own per-shard diagnostics and the free lists its goroutine
-// touches — nothing here is shared between shards during an epoch.
-//
-// With Shards <= 1 there is a single shard holding the whole network: its
-// ledger is Network.Stats' and its drop histogram and retransmission-buffer
-// high-water mark alias Network.Stats too, so serial callers driving
-// Engine().Run() directly observe them live. The ACK round-trip moments are
-// kept per NIC and reach Network.Stats only through SyncStats, which Run
-// calls.
+// coreShard is one partition of the Baldur model: the optical fabric (shard
+// 0 when sharded), a contiguous block of NICs, or with Shards <= 1 the whole
+// network. It embeds the runtime's netsim.Shard (engine shard, ledger,
+// telemetry probe) and adds Baldur's own per-shard diagnostics and the free
+// lists its goroutine touches — nothing here is shared between shards during
+// an epoch. The diagnostics, like the ACK round-trip moments kept per NIC,
+// reach Network.Stats only through Run's fold.
 type coreShard struct {
 	netsim.Shard
 	dropsByStage []uint64
-	maxRetx      *int
+	maxRetx      int
 	evFree       *coreEvent
 	ackFree      []*netsim.Packet
 	// aud is the shard's audit counters; nil disables auditing, like the
@@ -52,15 +47,13 @@ func (n *Network) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 // merges run in fixed shard/node order, so the result is invariant to the
 // shard count.
 func (n *Network) foldDiag() {
-	if len(n.shards) > 1 {
-		clear(n.Stats.DropsByStage)
-		n.Stats.MaxRetxBufBytes = 0
-		for _, sh := range n.shards {
-			for j, v := range sh.dropsByStage {
-				n.Stats.DropsByStage[j] += v
-			}
-			n.Stats.MaxRetxBufBytes = max(n.Stats.MaxRetxBufBytes, *sh.maxRetx)
+	clear(n.Stats.DropsByStage)
+	n.Stats.MaxRetxBufBytes = 0
+	for _, sh := range n.shards {
+		for j, v := range sh.dropsByStage {
+			n.Stats.DropsByStage[j] += v
 		}
+		n.Stats.MaxRetxBufBytes = max(n.Stats.MaxRetxBufBytes, sh.maxRetx)
 	}
 	// The ACK round-trip moments are accumulated per NIC and merged in node
 	// order: each NIC's sequence of observations is invariant to sharding,

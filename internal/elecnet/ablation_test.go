@@ -25,7 +25,7 @@ func dragonflyLatency(t *testing.T, routing string, pat func(nodes int) *traffic
 		Seed:           3,
 	}
 	ol.Start(n)
-	n.Engine().Run()
+	drain(t, n)
 	if n.Injected != n.Delivered {
 		t.Fatalf("routing %q lost packets: %d vs %d", routing, n.Injected, n.Delivered)
 	}
@@ -85,16 +85,14 @@ func TestValiantDelivers(t *testing.T) {
 	}
 	got := 0
 	n.OnDeliver(func(*netsim.Packet, sim.Time) { got++ })
-	n.Engine().Schedule(0, sim.EventFunc(func() {
-		for s := 0; s < 6; s++ {
-			for d := 0; d < 6; d++ {
-				if s != d {
-					n.Send(s, d, 0)
-				}
+	for s := 0; s < 6; s++ {
+		for d := 0; d < 6; d++ {
+			if s != d {
+				n.Send(s, d, 0)
 			}
 		}
-	}))
-	n.Engine().Run()
+	}
+	drain(t, n)
 	if got != 30 {
 		t.Errorf("delivered %d of 30 under pure Valiant", got)
 	}

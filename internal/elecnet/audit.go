@@ -43,8 +43,8 @@ func (n *engine) AttachAudit(a *check.Auditor) {
 	a.OnCheckpoint(func(at sim.Time, drained bool) { n.audit(a, at, drained) })
 }
 
+// audit runs at checkpoints, which follow a Run, so NetStats is folded.
 func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
-	n.SyncStats()
 	per := int32(n.slotsPerVC())
 
 	var stateLive, credLive int64

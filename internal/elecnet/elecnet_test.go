@@ -13,9 +13,18 @@ import (
 // delivery of every injected packet.
 func drainCheck(t *testing.T, net netsim.Network, injected func() uint64, delivered func() uint64) {
 	t.Helper()
-	net.Engine().Run()
+	drain(t, net)
 	if injected() != delivered() {
 		t.Fatalf("injected %d != delivered %d (lossless network lost packets)", injected(), delivered())
+	}
+}
+
+// drain runs n until no event remains, failing t if a second of virtual
+// time does not suffice.
+func drain(t *testing.T, n netsim.Network) {
+	t.Helper()
+	if n.Run(sim.Time(sim.Second)) {
+		t.Fatal("events still queued after 1 s of virtual time")
 	}
 }
 
@@ -47,12 +56,10 @@ func TestIdealFlatLatency(t *testing.T) {
 	n := NewIdeal(64, 0)
 	var lat []sim.Duration
 	n.OnDeliver(func(p *netsim.Packet, at sim.Time) { lat = append(lat, at.Sub(p.Created)) })
-	n.Engine().Schedule(0, sim.EventFunc(func() {
-		n.Send(0, 1, 512)
-		n.Send(5, 9, 512)
-	}))
-	n.Engine().Schedule(1000, sim.EventFunc(func() { n.Send(3, 4, 512) }))
-	n.Engine().Run()
+	n.Send(0, 1, 512)
+	n.Send(5, 9, 512)
+	n.ScheduleNode(3, 1000, sim.EventFunc(func() { n.Send(3, 4, 512) }))
+	drain(t, n)
 	if len(lat) != 3 {
 		t.Fatalf("delivered %d", len(lat))
 	}
@@ -70,8 +77,8 @@ func TestMBZeroLoadLatency(t *testing.T) {
 	}
 	var got sim.Duration
 	n.OnDeliver(func(p *netsim.Packet, at sim.Time) { got = at.Sub(p.Created) })
-	n.Engine().Schedule(0, sim.EventFunc(func() { n.Send(17, 901, 0) }))
-	n.Engine().Run()
+	n.Send(17, 901, 0)
+	drain(t, n)
 	// 100 ns host link + 10 x (90 ns router + serialization overlap...) —
 	// VCT: head moves at 90ns+10ns per stage; last bit = head + 163.84.
 	// Expect: 100 + 10*90 + 9*10 + 100 + 163.84 ~= 1354 ns.
@@ -155,17 +162,15 @@ func TestDragonflyAllPairsSmall(t *testing.T) {
 	got := map[key]int{}
 	n.OnDeliver(func(p *netsim.Packet, _ sim.Time) { got[key{p.Src, p.Dst}]++ })
 	want := 0
-	n.Engine().Schedule(0, sim.EventFunc(func() {
-		for s := 0; s < 6; s++ {
-			for d := 0; d < 6; d++ {
-				if s != d {
-					n.Send(s, d, 0)
-					want++
-				}
+	for s := 0; s < 6; s++ {
+		for d := 0; d < 6; d++ {
+			if s != d {
+				n.Send(s, d, 0)
+				want++
 			}
 		}
-	}))
-	n.Engine().Run()
+	}
+	drain(t, n)
 	if len(got) != want {
 		t.Fatalf("delivered %d pairs, want %d", len(got), want)
 	}
@@ -241,17 +246,15 @@ func TestFatTreeAllPairsSmall(t *testing.T) {
 	got := map[key]int{}
 	n.OnDeliver(func(p *netsim.Packet, _ sim.Time) { got[key{p.Src, p.Dst}]++ })
 	want := 0
-	n.Engine().Schedule(0, sim.EventFunc(func() {
-		for s := 0; s < 16; s++ {
-			for d := 0; d < 16; d++ {
-				if s != d {
-					n.Send(s, d, 0)
-					want++
-				}
+	for s := 0; s < 16; s++ {
+		for d := 0; d < 16; d++ {
+			if s != d {
+				n.Send(s, d, 0)
+				want++
 			}
 		}
-	}))
-	n.Engine().Run()
+	}
+	drain(t, n)
 	if len(got) != want {
 		t.Fatalf("delivered %d pairs, want %d", len(got), want)
 	}
@@ -270,11 +273,9 @@ func TestFatTreeZeroLoadLatency(t *testing.T) {
 			crossPod = at.Sub(p.Created)
 		}
 	})
-	n.Engine().Schedule(0, sim.EventFunc(func() {
-		n.Send(0, 1, 0)    // same edge switch
-		n.Send(2, 1000, 0) // cross pod, distinct source NIC
-	}))
-	n.Engine().Run()
+	n.Send(0, 1, 0)    // same edge switch
+	n.Send(2, 1000, 0) // cross pod, distinct source NIC
+	drain(t, n)
 	// Same edge: 10 + 90 + 10 + 163.84 = ~274 ns.
 	if sameEdge < sim.Nanoseconds(270) || sameEdge > sim.Nanoseconds(280) {
 		t.Errorf("same-edge latency = %v, want ~274ns", sameEdge)
@@ -318,7 +319,7 @@ func TestCreditConservation(t *testing.T) {
 		Seed:           13,
 	}
 	ol.Start(n)
-	n.Engine().Run()
+	drain(t, n)
 	per := int32(n.slotsPerVC())
 	for ri := range n.routers {
 		r := &n.routers[ri]
@@ -360,7 +361,7 @@ func TestDeterministicElecNets(t *testing.T) {
 			Seed:           2,
 		}
 		ol.Start(n)
-		n.Engine().Run()
+		drain(t, n)
 		return c.AvgNS()
 	}
 	if a, b := run(), run(); a != b {

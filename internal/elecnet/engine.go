@@ -48,7 +48,7 @@ const (
 // dead routers or ports, degraded links, severed node attachments; zero in
 // a fault-free run, since the engine is lossless otherwise) and MaxHops.
 // They are accumulated per shard during a run and folded into the embedded
-// aggregate by SyncStats. With a single shard the aggregate is updated live.
+// aggregate by Run.
 type NetStats = netsim.Ledger
 
 // eshard is one partition of an electrical network: a block of routers and
@@ -311,9 +311,8 @@ type engine struct {
 	outStride  int
 	seed       uint64
 
-	// NetStats is the aggregate ledger (live with one shard; refreshed by
-	// SyncStats — called by Run — otherwise). The embedding promotes
-	// Injected/Delivered/MaxHops onto the concrete network types.
+	// NetStats is the aggregate ledger, refreshed by Run. The embedding
+	// promotes Injected/Delivered/MaxHops onto the concrete network types.
 	NetStats
 }
 
@@ -421,9 +420,6 @@ func (n *engine) partition(shards, units int, routerUnit func(int) int, nodeUnit
 		if rsh[nic.edge] != nsh[ni] && nic.linkDelay < la {
 			la = nic.linkDelay
 		}
-	}
-	if la == sim.Duration(math.MaxInt64) {
-		la = sim.Nanosecond // single shard: the lookahead is unused
 	}
 	n.shards = make([]*eshard, k)
 	views := make([]*netsim.Shard, k)

@@ -17,7 +17,7 @@ import (
 // across kill→restore cycles.
 
 // refreshFaulty recomputes the single hot-path guard after any fault-state
-// mutation.
+// mutation; ApplyFault calls it after every action.
 func (n *engine) refreshFaulty() {
 	n.faulty = n.deadRouter.Any() || n.deadPort.Any() || n.deadNode.Any() || n.degrade > 0
 }
@@ -76,38 +76,31 @@ func (n *engine) flushPort(r *router, port *outPort, at sim.Time) {
 	}
 }
 
-// KillRouter marks a router dead: its buffered packets are flushed into the
-// drop counter (credits returned upstream) and every future head arrival is
-// discarded at the input, with the credit bounced back — so feeders drain
-// through the failure instead of wedging.
-func (n *engine) KillRouter(rid int, at sim.Time) error {
+// setRouter kills (dead) or restores a router. A kill flushes its buffered
+// packets into the drop counter (credits returned upstream), and every
+// later head arrival is discarded at the input with the credit bounced
+// back, so feeders drain through the failure instead of wedging. A
+// restored router restarts empty and consistent: its buffers were flushed
+// and its input credits returned at kill time.
+func (n *engine) setRouter(rid int, dead bool, at sim.Time) error {
 	if rid < 0 || rid >= len(n.routers) {
 		return fmt.Errorf("elecnet(%s): router %d outside [0,%d)", n.name, rid, len(n.routers))
 	}
-	if n.deadRouter.Set(rid) {
+	if !dead {
+		n.deadRouter.Clear(rid)
+	} else if n.deadRouter.Set(rid) {
 		r := &n.routers[rid]
 		for pi := range r.out {
 			n.flushPort(r, &r.out[pi], at)
 		}
 	}
-	n.refreshFaulty()
 	return nil
 }
 
-// RestoreRouter brings a dead router back. Its buffers were flushed at kill
-// time and its input credits returned, so it restarts empty and consistent.
-func (n *engine) RestoreRouter(rid int) error {
-	if rid < 0 || rid >= len(n.routers) {
-		return fmt.Errorf("elecnet(%s): router %d outside [0,%d)", n.name, rid, len(n.routers))
-	}
-	n.deadRouter.Clear(rid)
-	n.refreshFaulty()
-	return nil
-}
-
-// KillPort severs one output link: packets queued for it are flushed and
-// future arrivals routed to it are discarded at the router.
-func (n *engine) KillPort(rid, port int, at sim.Time) error {
+// setPort severs (dead) or repairs one output link. A kill flushes the
+// packets queued for it, and later arrivals routed to it are discarded at
+// the router.
+func (n *engine) setPort(rid, port int, dead bool, at sim.Time) error {
 	if rid < 0 || rid >= len(n.routers) {
 		return fmt.Errorf("elecnet(%s): router %d outside [0,%d)", n.name, rid, len(n.routers))
 	}
@@ -115,56 +108,38 @@ func (n *engine) KillPort(rid, port int, at sim.Time) error {
 	if port < 0 || port >= len(r.out) {
 		return fmt.Errorf("elecnet(%s): router %d port %d outside [0,%d)", n.name, rid, port, len(r.out))
 	}
-	if n.deadPort.Set(rid*n.outStride + port) {
+	if !dead {
+		n.deadPort.Clear(rid*n.outStride + port)
+	} else if n.deadPort.Set(rid*n.outStride + port) {
 		n.flushPort(r, &r.out[port], at)
 	}
-	n.refreshFaulty()
 	return nil
 }
 
-// RestorePort repairs a severed output link.
-func (n *engine) RestorePort(rid, port int) error {
-	if rid < 0 || rid >= len(n.routers) || port < 0 || port >= len(n.routers[rid].out) {
-		return fmt.Errorf("elecnet(%s): port (%d,%d) out of range", n.name, rid, port)
-	}
-	n.deadPort.Clear(rid*n.outStride + port)
-	n.refreshFaulty()
-	return nil
-}
-
-// KillNode severs a node's attachment: its source queue is flushed (and
-// future injections drop at service time without consuming credits), and
-// packets ejecting toward it die on the cut link after the ejection port's
-// normal credit return.
-func (n *engine) KillNode(node int, at sim.Time) error {
+// setNode severs (dead) or reattaches a node. A kill flushes its source
+// queue (later injections drop at service time without consuming credits),
+// and packets ejecting toward it die on the cut link after the ejection
+// port's normal credit return.
+func (n *engine) setNode(node int, dead bool, at sim.Time) error {
 	if node < 0 || node >= len(n.nics) {
 		return fmt.Errorf("elecnet(%s): node %d outside [0,%d)", n.name, node, len(n.nics))
 	}
-	if n.deadNode.Set(node) {
+	if !dead {
+		n.deadNode.Clear(node)
+	} else if n.deadNode.Set(node) {
 		nic := &n.nics[node]
 		for nic.queue.len() > 0 {
 			n.dropState(nic.sh, nic.queue.pop(), at)
 		}
 	}
-	n.refreshFaulty()
 	return nil
 }
 
-// RestoreNode reattaches a node.
-func (n *engine) RestoreNode(node int) error {
-	if node < 0 || node >= len(n.nics) {
-		return fmt.Errorf("elecnet(%s): node %d outside [0,%d)", n.name, node, len(n.nics))
-	}
-	n.deadNode.Clear(node)
-	n.refreshFaulty()
-	return nil
-}
-
-// SetDegrade enables degraded operation: every head arrival additionally
+// setDegrade enables degraded operation: every head arrival additionally
 // drops with probability p (0 restores healthy links). Draws come from
 // per-router streams consumed in each router's deterministic arrival order,
 // so degraded runs stay bit-identical for any shard count.
-func (n *engine) SetDegrade(p float64) error {
+func (n *engine) setDegrade(p float64) error {
 	if p < 0 || p >= 1 {
 		return fmt.Errorf("elecnet(%s): degrade probability %v outside [0,1)", n.name, p)
 	}
@@ -176,32 +151,30 @@ func (n *engine) SetDegrade(p float64) error {
 		}
 	}
 	n.degrade = p
-	n.refreshFaulty()
 	return nil
 }
 
-// ApplyFault implements faults.Target for the shared router engine. It must
-// only be called at barrier boundaries (netsim.Drive's slice boundaries are);
-// teardown uses the event's own timestamp, which the boundary is aligned to,
-// so credit returns respect the sharded engine's lookahead.
+// ApplyFault implements faults.Target for the shared router engine; it is
+// the engine's only fault surface. It must only be called at barrier
+// boundaries (netsim.Drive's slice boundaries are); teardown uses the
+// event's own timestamp, which the boundary is aligned to, so credit
+// returns respect the sharded engine's lookahead.
 func (n *engine) ApplyFault(ev faults.Event) error {
+	var err error
 	switch ev.Action {
-	case faults.KillSwitch:
-		return n.KillRouter(ev.A, ev.At)
-	case faults.RestoreSwitch:
-		return n.RestoreRouter(ev.A)
-	case faults.KillLink:
-		return n.KillPort(ev.A, ev.B, ev.At)
-	case faults.RestoreLink:
-		return n.RestorePort(ev.A, ev.B)
-	case faults.KillNode:
-		return n.KillNode(ev.A, ev.At)
-	case faults.RestoreNode:
-		return n.RestoreNode(ev.A)
+	case faults.KillSwitch, faults.RestoreSwitch:
+		err = n.setRouter(ev.A, ev.Action == faults.KillSwitch, ev.At)
+	case faults.KillLink, faults.RestoreLink:
+		err = n.setPort(ev.A, ev.B, ev.Action == faults.KillLink, ev.At)
+	case faults.KillNode, faults.RestoreNode:
+		err = n.setNode(ev.A, ev.Action == faults.KillNode, ev.At)
 	case faults.SetDegrade:
-		return n.SetDegrade(ev.Prob)
+		err = n.setDegrade(ev.Prob)
 	case faults.ClearDegrade:
-		return n.SetDegrade(0)
+		err = n.setDegrade(0)
+	default:
+		return fmt.Errorf("elecnet(%s): unsupported fault action %v", n.name, ev.Action)
 	}
-	return fmt.Errorf("elecnet(%s): unsupported fault action %v", n.name, ev.Action)
+	n.refreshFaulty()
+	return err
 }

@@ -57,12 +57,12 @@ func (n *Ideal) NodeShard(int) int { return 0 }
 
 // ScheduleNode schedules ev at t on the engine's FIFO path: with one shard
 // and no per-node actors, scheduling order is the tie-break.
-func (n *Ideal) ScheduleNode(_ int, t sim.Time, ev sim.Event) { n.Engine().Schedule(t, ev) }
+func (n *Ideal) ScheduleNode(_ int, t sim.Time, ev sim.Event) { n.sh.Sim.Eng.Schedule(t, ev) }
 
 // Send delivers the packet exactly 200 ns later, no queueing, no drops.
 func (n *Ideal) Send(src, dst, size int) *netsim.Packet {
 	n.nextID++
-	eng := n.Engine()
+	eng := n.sh.Sim.Eng
 	p := &netsim.Packet{ID: n.nextID, Src: src, Dst: dst, Size: size, Created: eng.Now()}
 	n.sh.Inject(p)
 	ev := n.evFree

@@ -38,8 +38,8 @@ func (n *engine) AttachTelemetry(tel *telemetry.Telemetry) {
 		}
 		gSrc.Set(src)
 		gNet.Set(queued)
-		// In flight = injected but neither delivered nor faulted away.
-		n.SyncStats()
+		// In flight = injected but neither delivered nor faulted away;
+		// samples follow a Run, so NetStats is folded.
 		gFlight.Set(n.Injected - n.Delivered - n.Dropped)
 		gBusy.Set(busy)
 		gTotal.Set(total)

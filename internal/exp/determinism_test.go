@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"baldur/internal/netsim"
+	"baldur/internal/sim"
+	"baldur/internal/trace"
 )
 
 // goldPoint pins the exact statistics a seeded Quick-scale run must
@@ -251,6 +253,61 @@ func TestShardCountInvariant(t *testing.T) {
 	}
 	if par := net.(interface{ ParallelEpochs() uint64 }).ParallelEpochs(); par == 0 || par >= got.Epochs {
 		t.Errorf("fattree k=16 shards=2: %d of %d epochs parallel, want both modes", par, got.Epochs)
+	}
+}
+
+// TestTraceReplayShardCountInvariant replays the four HPC generators on
+// every sharded network model at K ∈ {1, 2, 4} under the progress watchdog
+// and requires bit-identical replay statistics, collector statistics,
+// ledgers and event counts: each rank's state lives on its node's shard, so
+// a replay shards like any other traffic source.
+func TestTraceReplayShardCountInvariant(t *testing.T) {
+	type outcome struct {
+		Stats     trace.Stats
+		Delivered uint64
+		Last      sim.Time
+		Avg, Tail float64
+		Ledger    netsim.Ledger
+		Events    uint64
+	}
+	for _, network := range []string{"baldur", "multibutterfly", "dragonfly", "fattree"} {
+		for _, workload := range trace.Names() {
+			var ref outcome
+			for _, k := range []int{1, 2, 4} {
+				sc := withShards(Quick, k)
+				net, err := build(network, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var col netsim.Collector
+				col.Attach(net)
+				w := trace.ByName(workload, net.NumNodes(), trace.Options{Iterations: sc.TraceIters, Seed: sc.Seed + 7})
+				rep, err := trace.NewReplayer(net, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep.Watchdog = 50 * sim.Microsecond
+				got := outcome{
+					Stats:     rep.Run(),
+					Delivered: col.Delivered(),
+					Last:      col.LastDelivery(),
+					Avg:       col.AvgNS(),
+					Tail:      col.TailNS(),
+					Ledger:    net.Ledger(),
+					Events:    net.Events(),
+				}
+				if k == 1 {
+					if !got.Stats.Completed || got.Stats.Packets == 0 || got.Delivered == 0 {
+						t.Fatalf("%s/%s: serial replay empty or unfinished: %+v", network, workload, got)
+					}
+					ref = got
+					continue
+				}
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("%s/%s K=%d diverged:\n got %+v\nwant %+v", network, workload, k, got, ref)
+				}
+			}
+		}
 	}
 }
 

@@ -38,8 +38,7 @@ type Scale struct {
 	MaxSimTime sim.Duration
 	// Shards selects the conservative-parallel shard count for each
 	// simulated network (0 or 1: serial). Results are bit-identical for
-	// any value; sharding only changes wall-clock time. Trace replays
-	// always run serially regardless of this setting.
+	// any value; sharding only changes wall-clock time.
 	Shards int
 	// Audit, when non-nil, attaches the invariant-audit layer to every
 	// auditable network a runner builds and fails the run on the first

@@ -244,10 +244,9 @@ func RunTrace(network, workload string, sc Scale) (Point, error) {
 	return p, err
 }
 
-// runTrace runs one trace-replay cell and also returns the cell. The
-// replayer holds global rank state, so the network is always built serial.
+// runTrace runs one trace-replay cell and also returns the cell. Each rank's
+// replay state lives on its node's shard, so the cell shards like any other.
 func runTrace(network, workload string, sc Scale) (Point, *cell, error) {
-	sc.Shards = 0
 	net, err := build(network, sc)
 	if err != nil {
 		return Point{}, nil, err

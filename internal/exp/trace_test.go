@@ -20,11 +20,10 @@ import (
 
 // runTraceCell runs one lifecycle-traced cell of any network. traffic is an
 // open-loop pattern, a ping-pong pattern, "workload" for the two-tenant
-// service mix, or an HPC trace name (replayed serially whatever shards is).
-// The rings are sized to never wrap (a wrapped ring keeps per-shard suffixes,
-// which legitimately differ across shard layouts) and the auditor is
-// attached, so the cell's built-in span audit enforces the attribution
-// invariant on every traced delivery.
+// service mix, or an HPC trace name. The rings are sized to never wrap (a
+// wrapped ring keeps per-shard suffixes, which legitimately differ across
+// shard layouts) and the auditor is attached, so the cell's built-in span
+// audit enforces the attribution invariant on every traced delivery.
 func runTraceCell(t *testing.T, network, traffic string, load float64, shards, every int) *telemetry.Telemetry {
 	t.Helper()
 	sc := Quick
@@ -80,12 +79,14 @@ func traceCell(network, traffic string, load float64, sc Scale) (*cell, error) {
 	return c, c.run(func() error { return nil })
 }
 
-// TestTraceReplayCellSpanAudit runs the span audit on an HPC trace replay:
-// the replay is one more cell traffic source, so its traced deliveries are
-// witnessed and tiled like any other cell's.
+// TestTraceReplayCellSpanAudit runs the span audit on an HPC trace replay,
+// serial and sharded: the replay is one more cell traffic source, so its
+// traced deliveries are witnessed and tiled like any other cell's.
 func TestTraceReplayCellSpanAudit(t *testing.T) {
 	for _, network := range []string{"baldur", "dragonfly"} {
-		runTraceCell(t, network, "AMG", 0, 1, 8)
+		for _, k := range []int{1, 2} {
+			runTraceCell(t, network, "AMG", 0, k, 8)
+		}
 	}
 }
 

@@ -82,10 +82,9 @@ func (p *Packet) Reset() { *p = Packet{} }
 // Implementations are externally single-threaded: all calls must happen
 // from the owning goroutine or from within engine events.
 type Network interface {
-	// Engine returns shard 0's event engine, which holds the whole
-	// network when serial. Workload generators schedule through
-	// ScheduleNode and runs go through Run; Engine serves the clock and
-	// the serial Engine().Run() idiom.
+	// Engine returns shard 0's event engine, and serves only its clock
+	// (Engine().Now()), the network's virtual time between runs. Traffic
+	// sources schedule through ScheduleNode and runs go through Run.
 	Engine() *sim.Engine
 	// NumNodes returns the number of server nodes.
 	NumNodes() int
@@ -97,8 +96,8 @@ type Network interface {
 	// On sharded networks the callback runs on the destination node's
 	// shard; callbacks must only touch per-node or per-shard state.
 	OnDeliver(fn func(p *Packet, at sim.Time))
-	// Ledger returns the network's packet accounting as of the last
-	// barrier (the aggregate Run folds on sharded networks).
+	// Ledger returns the network's packet accounting as of the last Run
+	// (the aggregate Run folds from the per-shard ledgers).
 	Ledger() Ledger
 	// Run dispatches all events up to and including deadline across every
 	// shard, folds per-shard statistics, and reports whether events remain.
@@ -111,6 +110,12 @@ type Network interface {
 	Epochs() uint64
 	// NumShards returns the shard count K (1 when serial).
 	NumShards() int
+	// Queued returns the events queued across every shard, undelivered
+	// cross-shard relays included.
+	Queued() int
+	// NextTime returns the earliest queued event time across every shard;
+	// meaningful only while Queued is nonzero.
+	NextTime() sim.Time
 	// NodeShard returns the shard owning a node's NIC.
 	NodeShard(node int) int
 	// ScheduleNode schedules ev at time t on node's shard with a

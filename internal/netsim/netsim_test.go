@@ -27,6 +27,8 @@ func (f *fakeNet) Events() uint64                       { return f.eng.Executed 
 func (f *fakeNet) Epochs() uint64                       { return 0 }
 func (f *fakeNet) NumShards() int                       { return 1 }
 func (f *fakeNet) NodeShard(int) int                    { return 0 }
+func (f *fakeNet) Queued() int                          { return f.eng.Pending() }
+func (f *fakeNet) NextTime() sim.Time                   { return f.eng.NextTime() }
 func (f *fakeNet) ScheduleNode(_ int, t sim.Time, ev sim.Event) {
 	f.eng.Schedule(t, ev)
 }

@@ -17,7 +17,6 @@ import (
 // the uninstrumented ideal network stays uninstrumented.
 type Shards struct {
 	se        *sim.ShardedEngine
-	eng       *sim.Engine // shard 0's queue, returned by Engine
 	shards    []*Shard
 	agg       *Ledger
 	onDeliver []func(*Packet, sim.Time)
@@ -30,9 +29,8 @@ type Shards struct {
 // hot paths reach the ledger and probe with no extra indirection.
 type Shard struct {
 	Sim *sim.Shard
-	// Ledger is the shard's packet accounting. With a single shard it is
-	// the model's aggregate itself, so serial callers driving
-	// Engine().Run() directly observe the counters live.
+	// Ledger is the shard's packet accounting; Run folds every shard's
+	// into the model's aggregate.
 	Ledger *Ledger
 	// Probe is the shard's resolved telemetry handles; nil (the default)
 	// disables recording, and every hook is guarded by that single nil
@@ -52,25 +50,20 @@ type Probe struct {
 }
 
 // NewShards builds the sharded engine with one partition per element of
-// shards and binds each to its engine shard and ledger: with one shard the
-// ledger is agg itself, otherwise each shard counts into its own and Run
-// folds them into agg. fold, when non-nil, runs after every fold.
+// shards and binds each to its engine shard and its own ledger, which Run
+// folds into agg. fold, when non-nil, runs after every fold.
 func NewShards(lookahead sim.Duration, agg *Ledger, fold func(), shards ...*Shard) Shards {
 	se := sim.NewShardedEngine(len(shards), lookahead)
 	for i, sh := range shards {
-		sh.Sim = se.Shard(i)
-		sh.Ledger = agg
-		if len(shards) > 1 {
-			sh.Ledger = new(Ledger)
-		}
+		sh.Sim, sh.Ledger = se.Shard(i), new(Ledger)
 	}
-	return Shards{se: se, eng: se.Shard(0).Eng, shards: shards, agg: agg, fold: fold}
+	return Shards{se: se, shards: shards, agg: agg, fold: fold}
 }
 
-// Engine returns shard 0's event queue: with a single shard that is the
-// whole simulation, preserving the serial Engine().Run() idiom. Sharded runs
-// go through Run instead.
-func (r *Shards) Engine() *sim.Engine { return r.eng }
+// Engine returns shard 0's engine, whose clock is the network's virtual
+// time between runs. Events are scheduled with ScheduleNode and dispatched
+// by Run.
+func (r *Shards) Engine() *sim.Engine { return r.se.Shard(0).Eng }
 
 // OnDeliver registers a unique-delivery callback. Callbacks run in
 // registration order on the destination node's shard and must touch only
@@ -80,29 +73,21 @@ func (r *Shards) OnDeliver(fn func(p *Packet, at sim.Time)) {
 }
 
 // Run dispatches all events up to and including deadline across every
-// shard, folds the statistics (SyncStats), and reports whether events remain
-// queued.
+// shard, folds the per-shard ledgers into the aggregate and then runs the
+// model's fold hook, and reports whether events remain queued. The fold
+// sums and takes a max in shard order, so the aggregate is invariant to the
+// shard count; it is the only fold, so statistics are read after a Run.
 func (r *Shards) Run(deadline sim.Time) bool {
 	more := r.se.RunUntil(deadline)
-	r.SyncStats()
-	return more
-}
-
-// SyncStats folds the per-shard ledgers into the aggregate, then runs the
-// model's fold hook. Sums and a max in shard order, so the result is
-// invariant to the shard count. Idempotent; with a single shard the ledger
-// is already the aggregate and only the hook runs.
-func (r *Shards) SyncStats() {
-	if len(r.shards) > 1 {
-		var agg Ledger
-		for _, sh := range r.shards {
-			agg.Add(sh.Ledger)
-		}
-		*r.agg = agg
+	var agg Ledger
+	for _, sh := range r.shards {
+		agg.Add(sh.Ledger)
 	}
+	*r.agg = agg
 	if r.fold != nil {
 		r.fold()
 	}
+	return more
 }
 
 // Events returns the total number of dispatched events.
@@ -125,6 +110,10 @@ func (r *Shards) Ledger() Ledger { return *r.agg }
 // Queued returns the events queued across every shard, undelivered mailbox
 // relays included — the bound audits hold live pooled events to.
 func (r *Shards) Queued() int { return r.se.Pending() }
+
+// NextTime returns the earliest queued event time across every shard and
+// mailbox; meaningful only while Queued is nonzero.
+func (r *Shards) NextTime() sim.Time { return r.se.NextTime() }
 
 // BindTelemetry registers the named ledger counters, in the order given,
 // followed by the "hops" and "blocks" counters in tel's registry, and gives

@@ -41,26 +41,6 @@ func newRuntimeModel(k int) *runtimeModel {
 	return m
 }
 
-func TestShardsLiveAggregateAtOneShard(t *testing.T) {
-	m := newRuntimeModel(1)
-	if m.shards[0].Ledger != &m.agg {
-		t.Fatal("single shard does not count into the aggregate")
-	}
-	m.Engine().Run() // the serial idiom: no Run, no fold
-	if m.agg.Injected != 1 || m.agg.Delivered != 1 || m.agg.MaxHops != 1 {
-		t.Errorf("live aggregate = %+v, want 1 injected, 1 delivered, 1 hop", m.agg)
-	}
-	if m.folds != 0 {
-		t.Errorf("fold hook ran %d times without Run", m.folds)
-	}
-	if got := m.Ledger(); got != m.agg {
-		t.Errorf("Ledger() = %+v, want the aggregate %+v", got, m.agg)
-	}
-	if m.Events() != 1 || m.Epochs() != 0 || m.NumShards() != 1 {
-		t.Errorf("events %d epochs %d shards %d, want 1, 0, 1", m.Events(), m.Epochs(), m.NumShards())
-	}
-}
-
 func TestShardsFoldAtThreeShards(t *testing.T) {
 	m := newRuntimeModel(3)
 	for i, sh := range m.shards {
@@ -78,9 +58,9 @@ func TestShardsFoldAtThreeShards(t *testing.T) {
 	if m.folds != 1 {
 		t.Errorf("fold hook ran %d times, want once per Run", m.folds)
 	}
-	m.SyncStats()
-	if m.agg != want {
-		t.Errorf("second fold changed the aggregate to %+v", m.agg)
+	m.Run(sim.Time(2 * sim.Microsecond))
+	if m.agg != want || m.folds != 2 {
+		t.Errorf("second Run folded %d times to %+v, want twice to the same aggregate", m.folds, m.agg)
 	}
 	if !reflect.DeepEqual(m.calls, [][]int{{1, 2}, {1, 2}, {1, 2}}) {
 		t.Errorf("callback order per shard = %v, want registration order", m.calls)

@@ -124,6 +124,21 @@ func (se *ShardedEngine) Pending() int {
 	return n
 }
 
+// NextTime returns the globally earliest pending timestamp across every
+// shard's queue and mailbox, or the end of time when nothing is queued.
+func (se *ShardedEngine) NextTime() Time {
+	t := maxTime
+	for _, sh := range se.shards {
+		if sh.Eng.Pending() > 0 {
+			t = min(t, sh.Eng.NextTime())
+		}
+		for _, box := range sh.in {
+			t = min(t, box.curMin, box.prevMin)
+		}
+	}
+	return t
+}
+
 // Post schedules ev at (t, key) on shard to, from shard s. Local posts go
 // straight to the queue; cross-shard posts are appended to the destination's
 // mailbox and become visible after the next barrier. A cross-shard post
@@ -231,20 +246,7 @@ func (se *ShardedEngine) RunUntil(deadline Time) bool {
 				box.curMin = maxTime
 			}
 		}
-		// Globally earliest pending timestamp, mailboxes included.
-		t := maxTime
-		for _, sh := range se.shards {
-			if sh.Eng.Pending() > 0 {
-				if at := sh.Eng.NextTime(); at < t {
-					t = at
-				}
-			}
-			for _, box := range sh.in {
-				if box.prevMin < t {
-					t = box.prevMin
-				}
-			}
-		}
+		t := se.NextTime()
 		if t > deadline || t == maxTime {
 			break
 		}
@@ -299,18 +301,10 @@ func (se *ShardedEngine) RunUntil(deadline Time) bool {
 		se.lastEpochEvents = se.Executed() - before
 	}
 
-	more := false
 	for _, sh := range se.shards {
 		sh.Eng.AdvanceTo(deadline)
-		if sh.Eng.Pending() > 0 {
-			more = true
-		}
-		for _, box := range sh.in {
-			if len(box.cur)+len(box.prev) > 0 {
-				more = true
-			}
-		}
 	}
+	more := se.Pending() > 0
 	if !more {
 		// The run has drained: release every shard's burst-sized arrays,
 		// as Engine.RunUntil does. A shard that is idle while others still

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
@@ -22,9 +21,10 @@ import (
 //	  compute <nanoseconds>
 //
 // Ranks may appear in any order; a rank with no section has an empty
-// program. Read refuses a trace outside the bounds below: past them a trace
-// would corrupt a replay (a wrapped packet count, a duration that does not
-// fit sim.Duration) or exhaust memory before the first rank is read.
+// program. Read refuses, and Save will not write, a trace outside the bounds
+// below: past them a trace would corrupt a replay (a wrapped packet count, a
+// duration that does not fit sim.Duration) or exhaust memory before the
+// first rank is read.
 const (
 	// maxRanks is the largest rank count, 2^20: the paper's largest
 	// network.
@@ -37,8 +37,30 @@ const (
 	maxComputeNS = 1e12
 )
 
-// Save serializes the workload in the text trace format.
+// inBounds reports whether v is a valid operand of the directive: a rank
+// count of 1 to maxRanks, a send or recv of 1 B to maxMessageBytes, or a
+// compute of 0 to maxComputeNS (NaN fails every comparison).
+func inBounds(directive string, v float64) bool {
+	switch directive {
+	case "ranks":
+		return v >= 1 && v <= maxRanks
+	case "send", "recv":
+		return v >= 1 && v <= maxMessageBytes
+	case "compute":
+		return v >= 0 && v <= maxComputeNS
+	}
+	return false
+}
+
+// directives names each op kind's directive.
+var directives = [...]string{OpSend: "send", OpRecv: "recv", OpCompute: "compute"}
+
+// Save serializes the workload in the text trace format. It refuses,
+// writing nothing, a workload Read would refuse.
 func (w *Workload) Save(out io.Writer) error {
+	if err := w.saveable(); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(out)
 	fmt.Fprintf(bw, "workload %s ranks %d", sanitizeName(w.Name), len(w.Programs))
 	if w.PacketSize != 0 {
@@ -51,26 +73,47 @@ func (w *Workload) Save(out io.Writer) error {
 		}
 		fmt.Fprintf(bw, "rank %d\n", rank)
 		for _, op := range prog {
-			switch op.Kind {
-			case OpSend:
-				fmt.Fprintf(bw, "  send %d %d\n", op.Peer, op.Bytes)
-			case OpRecv:
-				fmt.Fprintf(bw, "  recv %d %d\n", op.Peer, op.Bytes)
-			case OpCompute:
+			if op.Kind == OpCompute {
 				fmt.Fprintf(bw, "  compute %s\n", strconv.FormatFloat(op.Dur.Nanoseconds(), 'f', -1, 64))
-			default:
-				return fmt.Errorf("trace: unknown op kind %d", op.Kind)
+			} else {
+				fmt.Fprintf(bw, "  %s %d %d\n", directives[op.Kind], op.Peer, op.Bytes)
 			}
 		}
 	}
 	return bw.Flush()
 }
 
+// saveable applies Read's checks to what Save would write: the format's
+// bounds on every operand, a positive mtu, and Validate.
+func (w *Workload) saveable() error {
+	if !inBounds("ranks", float64(len(w.Programs))) || w.PacketSize < 0 {
+		return fmt.Errorf("trace %s: %d ranks or mtu %d outside the format's bounds", w.Name, len(w.Programs), w.PacketSize)
+	}
+	for rank, prog := range w.Programs {
+		for i, op := range prog {
+			if int(op.Kind) >= len(directives) {
+				return fmt.Errorf("trace: unknown op kind %d", op.Kind)
+			}
+			v := float64(op.Bytes)
+			if op.Kind == OpCompute {
+				v = op.Dur.Nanoseconds()
+			}
+			if !inBounds(directives[op.Kind], v) {
+				return fmt.Errorf("trace %s: rank %d op %d: %s operand %v outside the format's bounds",
+					w.Name, rank, i, directives[op.Kind], v)
+			}
+		}
+	}
+	return w.Validate()
+}
+
+// sanitizeName turns runs of whitespace into underscores, so the name stays
+// one header field.
 func sanitizeName(name string) string {
-	if name == "" {
+	if name = strings.Join(strings.Fields(name), "_"); name == "" {
 		return "unnamed"
 	}
-	return strings.ReplaceAll(name, " ", "_")
+	return name
 }
 
 // Read parses a workload from the text trace format and validates it. It
@@ -98,7 +141,7 @@ func Read(in io.Reader) (*Workload, error) {
 				return nil, fmt.Errorf("trace: line %d: want 'workload <name> ranks <N> [mtu <bytes>]'", lineNo)
 			}
 			ranks, err := strconv.Atoi(fields[3])
-			if err != nil || ranks <= 0 || ranks > maxRanks {
+			if err != nil || !inBounds("ranks", float64(ranks)) {
 				return nil, fmt.Errorf("trace: line %d: bad rank count %q", lineNo, fields[3])
 			}
 			w = &Workload{Name: fields[1], Programs: make([]Program, ranks)}
@@ -130,7 +173,7 @@ func Read(in io.Reader) (*Workload, error) {
 			}
 			peer, err1 := strconv.Atoi(fields[1])
 			bytes, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil || bytes <= 0 || bytes > maxMessageBytes {
+			if err1 != nil || err2 != nil || !inBounds(fields[0], float64(bytes)) {
 				return nil, fmt.Errorf("trace: line %d: bad operands", lineNo)
 			}
 			kind := OpSend
@@ -146,7 +189,7 @@ func Read(in io.Reader) (*Workload, error) {
 				return nil, fmt.Errorf("trace: line %d: want 'compute <ns>'", lineNo)
 			}
 			ns, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil || math.IsNaN(ns) || ns < 0 || ns > maxComputeNS {
+			if err != nil || !inBounds("compute", ns) {
 				return nil, fmt.Errorf("trace: line %d: bad duration %q", lineNo, fields[1])
 			}
 			w.Programs[cur] = append(w.Programs[cur], Op{Kind: OpCompute, Dur: sim.Nanoseconds(ns)})

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"baldur/internal/sim"
 )
 
 func TestRoundTripAllGenerators(t *testing.T) {
@@ -118,6 +120,35 @@ func TestWriteSanitizesName(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "workload unnamed") {
 		t.Errorf("output: %q", buf.String())
+	}
+}
+
+// TestSaveRefusesWhatReadRefuses: Save must not write a trace Read would
+// refuse — a rank count, message size, compute duration or mtu outside the
+// format's bounds, or a workload that fails Validate — and writes nothing
+// when it refuses.
+func TestSaveRefusesWhatReadRefuses(t *testing.T) {
+	one := func(op Op) *Workload {
+		return &Workload{Name: "w", Programs: []Program{{op}, {}}}
+	}
+	cases := map[string]*Workload{
+		"message above 1 TiB": AMG(8, Options{Iterations: 1, MessageBytes: 2_000_000_000_000}),
+		"zero-byte send":      one(Op{Kind: OpSend, Peer: 1}),
+		"compute above 1000s": one(Op{Kind: OpCompute, Dur: 1001 * sim.Second}),
+		"negative compute":    one(Op{Kind: OpCompute, Dur: -1}),
+		"too many ranks":      {Name: "w", Programs: make([]Program, maxRanks+1)},
+		"no ranks":            {Name: "w"},
+		"negative mtu":        {Name: "w", Programs: make([]Program, 1), PacketSize: -1},
+		"unmatched recv":      one(Op{Kind: OpRecv, Peer: 1, Bytes: 512}),
+	}
+	for name, w := range cases {
+		var buf bytes.Buffer
+		if err := w.Save(&buf); err == nil {
+			t.Errorf("%s: saved", name)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: refused but wrote %d bytes", name, buf.Len())
+		}
 	}
 }
 

@@ -174,8 +174,11 @@ func (s *StuckReport) String() string {
 // Error returns the diagnostic, so a watchdog trip stops netsim.Drive.
 func (s *StuckReport) Error() string { return s.String() }
 
-// rankState is the replay state of one node. It is also the rank's compute
-// wake event: a rank has at most one pending wake.
+// rankState is the replay state of one rank. It lives on the rank's node's
+// shard: only events on that shard (its start and compute wakes, both
+// scheduled with ScheduleNode, and deliveries to the node) touch it, and
+// Stats and the watchdog fold it at barriers. It is also the rank's start
+// and compute wake event: a rank has at most one pending.
 type rankState struct {
 	r       *Replayer
 	rank    int
@@ -185,19 +188,13 @@ type rankState struct {
 	need    int // packets still needed by the current Recv
 	pending map[int]int
 	done    bool
+	packets uint64   // data packets injected
+	steps   uint64   // program-counter advances
+	last    sim.Time // when the rank last ran
 }
 
-// Run resumes the rank when its compute op ends.
-func (st *rankState) Run(*sim.Engine) { st.r.step(st.rank) }
-
-// kickoff starts every rank at the replay's start time.
-type kickoff struct{ r *Replayer }
-
-func (k kickoff) Run(*sim.Engine) {
-	for rank := range k.r.ranks {
-		k.r.step(rank)
-	}
-}
+// Run starts the rank, or resumes it when its compute op ends.
+func (st *rankState) Run(e *sim.Engine) { st.step(e.Now()) }
 
 // Replayer executes a workload on a network.
 type Replayer struct {
@@ -210,13 +207,10 @@ type Replayer struct {
 	// while Run drives the replay.
 	Tel *telemetry.Telemetry
 
-	net      netsim.Network
-	w        *Workload
-	ranks    []*rankState
-	stats    Stats
-	alive    int
-	progress uint64   // counts rank program-counter advances
-	lastStep sim.Time // when a rank last ran
+	net   netsim.Network
+	w     *Workload
+	ranks []*rankState
+	stuck *StuckReport // set when the watchdog trips
 }
 
 // NewReplayer wires a replayer to the network. The workload's node count
@@ -234,7 +228,6 @@ func NewReplayer(net netsim.Network, w *Workload) (*Replayer, error) {
 	for i := range r.ranks {
 		r.ranks[i] = &rankState{r: r, rank: i, pending: map[int]int{}}
 	}
-	r.alive = len(w.Programs)
 	net.OnDeliver(r.onDeliver)
 	return r, nil
 }
@@ -245,7 +238,7 @@ const noDeadline = sim.Time(math.MaxInt64 - 1)
 
 // Run replays the workload to completion and returns the statistics: Start,
 // then netsim.Drive on the watchdog timeline with no deadline, sampling Tel
-// at every boundary. It drives the network's engine, so attach collectors
+// at every boundary. It drives the network, so attach collectors
 // beforehand.
 func (r *Replayer) Run() Stats {
 	// Drive fails only when the watchdog trips, which Stats reports.
@@ -253,27 +246,40 @@ func (r *Replayer) Run() Stats {
 	return r.Stats()
 }
 
-// Start schedules every rank's first step at the current virtual time and
-// returns the progress watchdog as a timeline for netsim.Drive, or nil when
-// Watchdog is 0. Call it once, then drive the network.
+// Start schedules every rank's first step on its node's shard at the current
+// virtual time and returns the progress watchdog as a timeline for
+// netsim.Drive, or nil when Watchdog is 0. Call it once, then drive the
+// network.
 func (r *Replayer) Start() netsim.Timeline {
-	eng := r.net.Engine()
-	eng.Schedule(eng.Now(), kickoff{r})
+	now := r.net.Engine().Now()
+	for rank, st := range r.ranks {
+		r.net.ScheduleNode(rank, now, st)
+	}
 	if r.Watchdog <= 0 {
 		return nil
 	}
-	return &watchdog{r: r, from: eng.Now(), executed: r.net.Events()}
+	return &watchdog{r: r, from: now, executed: r.net.Events()}
 }
 
-// Stats reports the replay's outcome. A replay that neither completed nor
-// tripped the watchdog is a deadlock once the engine has drained (e.g. a
-// lossy run that exhausted retransmissions, or a circular Recv); one cut
-// short by a deadline has no stuck report.
+// Stats reports the replay's outcome, folded from the ranks' own counters;
+// call it between runs. A replay that neither completed nor tripped the
+// watchdog is a deadlock once the network has drained (e.g. a lossy run
+// that exhausted retransmissions, or a circular Recv); one cut short by a
+// deadline has no stuck report.
 func (r *Replayer) Stats() Stats {
-	st := r.stats
-	st.Completed = r.alive == 0
-	if !st.Completed && st.Stuck == nil && r.net.Engine().Pending() == 0 {
-		st.Stuck = r.stuckReport(r.lastStep, 0, true)
+	st := Stats{Completed: true, Stuck: r.stuck}
+	var last sim.Time // the last time any rank ran
+	for _, rs := range r.ranks {
+		st.Packets += rs.packets
+		last = max(last, rs.last)
+		if rs.done {
+			st.Makespan = max(st.Makespan, rs.last.Sub(0))
+		} else {
+			st.Completed = false
+		}
+	}
+	if !st.Completed && st.Stuck == nil && r.net.Queued() == 0 {
+		st.Stuck = r.stuckReport(last, 0, true)
 	}
 	return st
 }
@@ -285,7 +291,7 @@ func (r *Replayer) Stats() Stats {
 // long compute op with its wakeup far in the future), or trips.
 type watchdog struct {
 	r        *Replayer
-	prog     uint64   // r.progress when the window started
+	prog     uint64   // the ranks' summed steps when the window started
 	from     sim.Time // start of the current no-progress window
 	executed uint64   // events dispatched when the window started
 }
@@ -298,21 +304,25 @@ func (w *watchdog) Pending() bool { return false }
 // and returns it as the error that stops Drive; a run that drained inside
 // the window is a deadlock, which Stats reports instead.
 func (w *watchdog) ApplyDue(n netsim.Network, now sim.Time, _ *telemetry.Telemetry) (int, error) {
-	eng := n.Engine()
+	// The summed steps change exactly when some rank advanced.
+	var prog uint64
+	for _, rs := range w.r.ranks {
+		prog += rs.steps
+	}
 	switch {
-	case w.r.progress != w.prog:
+	case prog != w.prog:
 		// The advance happened at or before now: restart the window here.
-		w.prog, w.from, w.executed = w.r.progress, now, n.Events()
+		w.prog, w.from, w.executed = prog, now, n.Events()
 	case n.Events() == w.executed:
-		if eng.Pending() > 0 && eng.NextTime() > w.from {
-			w.from = eng.NextTime()
+		if n.Queued() > 0 && n.NextTime() > w.from {
+			w.from = n.NextTime()
 		}
-	case now >= w.from.Add(w.r.Watchdog) && eng.Pending() > 0:
+	case now >= w.from.Add(w.r.Watchdog) && n.Queued() > 0:
 		// Events kept executing for a full window with no rank advancing:
 		// the replay is spinning (e.g. endless retransmissions into a
 		// faulty fabric).
-		w.r.stats.Stuck = w.r.stuckReport(now, w.r.Watchdog, false)
-		return 0, w.r.stats.Stuck
+		w.r.stuck = w.r.stuckReport(now, w.r.Watchdog, false)
+		return 0, w.r.stuck
 	}
 	return 0, nil
 }
@@ -335,17 +345,15 @@ func (r *Replayer) stuckReport(at sim.Time, window sim.Duration, deadlock bool) 
 	return rep
 }
 
-// step advances a rank until it blocks or finishes.
-func (r *Replayer) step(rank int) {
-	st := r.ranks[rank]
-	prog := r.w.Programs[rank]
-	r.lastStep = r.net.Engine().Now()
+// step advances the rank at time now until it blocks or finishes.
+func (st *rankState) step(now sim.Time) {
+	r := st.r
+	prog := r.w.Programs[st.rank]
+	st.last = now
 	for !st.done {
 		if st.pc >= len(prog) {
 			st.done = true
-			r.alive--
-			r.progress++
-			r.stats.Makespan = r.lastStep.Sub(0)
+			st.steps++
 			return
 		}
 		op := prog[st.pc]
@@ -358,16 +366,16 @@ func (r *Replayer) step(rank int) {
 				if i == n-1 && last > 0 {
 					size = last
 				}
-				r.net.Send(rank, op.Peer, size)
-				r.stats.Packets++
+				r.net.Send(st.rank, op.Peer, size)
 			}
+			st.packets += uint64(n)
 			st.pc++
-			r.progress++
+			st.steps++
 		case OpCompute:
 			st.pc++
-			r.progress++
+			st.steps++
 			if op.Dur > 0 {
-				r.net.Engine().ScheduleAfter(op.Dur, st)
+				r.net.ScheduleNode(st.rank, now.Add(op.Dur), st)
 				return
 			}
 		case OpRecv:
@@ -376,7 +384,7 @@ func (r *Replayer) step(rank int) {
 			if avail >= need {
 				st.pending[op.Peer] = avail - need
 				st.pc++
-				r.progress++
+				st.steps++
 				continue
 			}
 			st.pending[op.Peer] = 0
@@ -390,7 +398,9 @@ func (r *Replayer) step(rank int) {
 	}
 }
 
-func (r *Replayer) onDeliver(p *netsim.Packet, _ sim.Time) {
+// onDeliver runs on the destination node's shard and touches only the
+// destination rank's state.
+func (r *Replayer) onDeliver(p *netsim.Packet, at sim.Time) {
 	if p.Dst >= len(r.ranks) {
 		return
 	}
@@ -400,8 +410,8 @@ func (r *Replayer) onDeliver(p *netsim.Packet, _ sim.Time) {
 		if st.need == 0 {
 			st.waiting = false
 			st.pc++
-			r.progress++
-			r.step(p.Dst)
+			st.steps++
+			st.step(at)
 		}
 		return
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,61 +14,68 @@ import (
 // packet of the only path (multiplicity 1), so the reliability protocol
 // retransmits forever. Without a watchdog the replay would spin; with one
 // it must stop after the window and name the blocked rank and its pending
-// Recv peer.
+// Recv peer — the same report at K=1 and K=2.
 func TestWatchdogDiagnosesSpinningReplay(t *testing.T) {
-	n, err := core.New(core.Config{Nodes: 4, Multiplicity: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.InjectFault(core.FaultSpec{Stage: 0, Switch: 0}); err != nil {
-		t.Fatal(err)
-	}
-	w := &Workload{
-		Name: "spin",
-		Programs: []Program{
-			{{Kind: OpSend, Peer: 1, Bytes: 512}},
-			{{Kind: OpRecv, Peer: 0, Bytes: 512}},
-		},
-	}
-	r, err := NewReplayer(n, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Watchdog = 50 * sim.Microsecond
-	st := r.Run()
-	if st.Completed {
-		t.Fatal("faulted replay reported completion")
-	}
-	if st.Stuck == nil {
-		t.Fatal("watchdog did not produce a stuck report")
-	}
-	if st.Stuck.Deadlock {
-		t.Error("spinning replay misdiagnosed as deadlock (events were still executing)")
-	}
-	if st.Stuck.Window != r.Watchdog {
-		t.Errorf("report window = %v, want %v", st.Stuck.Window, r.Watchdog)
-	}
-	if len(st.Stuck.Ranks) != 1 {
-		t.Fatalf("stuck ranks = %+v, want exactly rank 1", st.Stuck.Ranks)
-	}
-	sr := st.Stuck.Ranks[0]
-	if sr.Rank != 1 || !sr.Waiting || sr.Peer != 0 || sr.Need != 1 {
-		t.Errorf("stuck rank = %+v, want rank 1 waiting on 1 packet from rank 0", sr)
-	}
-	msg := st.Stuck.String()
-	if !strings.Contains(msg, "no rank progressed") || !strings.Contains(msg, "rank 1") {
-		t.Errorf("diagnostic %q should name the window and the blocked rank", msg)
+	var ref *StuckReport
+	for _, k := range []int{1, 2} {
+		n, err := core.New(core.Config{Nodes: 4, Multiplicity: 1, Seed: 1, Shards: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.InjectFault(core.FaultSpec{Stage: 0, Switch: 0}); err != nil {
+			t.Fatal(err)
+		}
+		w := &Workload{
+			Name: "spin",
+			Programs: []Program{
+				{{Kind: OpSend, Peer: 1, Bytes: 512}},
+				{{Kind: OpRecv, Peer: 0, Bytes: 512}},
+			},
+		}
+		r, err := NewReplayer(n, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Watchdog = 50 * sim.Microsecond
+		st := r.Run()
+		if st.Completed {
+			t.Fatalf("K=%d: faulted replay reported completion", k)
+		}
+		if st.Stuck == nil {
+			t.Fatalf("K=%d: watchdog did not produce a stuck report", k)
+		}
+		if k > 1 {
+			if !reflect.DeepEqual(st.Stuck, ref) {
+				t.Errorf("K=%d report %+v differs from K=1's %+v", k, st.Stuck, ref)
+			}
+			continue
+		}
+		ref = st.Stuck
+		if st.Stuck.Deadlock {
+			t.Error("spinning replay misdiagnosed as deadlock (events were still executing)")
+		}
+		if st.Stuck.Window != r.Watchdog {
+			t.Errorf("report window = %v, want %v", st.Stuck.Window, r.Watchdog)
+		}
+		if len(st.Stuck.Ranks) != 1 {
+			t.Fatalf("stuck ranks = %+v, want exactly rank 1", st.Stuck.Ranks)
+		}
+		sr := st.Stuck.Ranks[0]
+		if sr.Rank != 1 || !sr.Waiting || sr.Peer != 0 || sr.Need != 1 {
+			t.Errorf("stuck rank = %+v, want rank 1 waiting on 1 packet from rank 0", sr)
+		}
+		msg := st.Stuck.String()
+		if !strings.Contains(msg, "no rank progressed") || !strings.Contains(msg, "rank 1") {
+			t.Errorf("diagnostic %q should name the window and the blocked rank", msg)
+		}
 	}
 }
 
 // TestWatchdogReportsDrainedDeadlock builds a circular wait: both ranks
-// Recv before either Sends, so no packet is ever injected and the engine
-// drains immediately with both ranks blocked.
+// Recv before either Sends, so no packet is ever injected and the network
+// drains immediately with both ranks blocked — the same report at K=1 and
+// K=2.
 func TestWatchdogReportsDrainedDeadlock(t *testing.T) {
-	n, err := core.New(core.Config{Nodes: 4, Multiplicity: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	w := &Workload{
 		Name: "cycle",
 		Programs: []Program{
@@ -76,34 +84,44 @@ func TestWatchdogReportsDrainedDeadlock(t *testing.T) {
 		},
 	}
 	for _, watchdog := range []sim.Duration{0, 10 * sim.Microsecond} {
-		r, err := NewReplayer(n, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Watchdog = watchdog
-		st := r.Run()
-		if st.Completed || st.Stuck == nil {
-			t.Fatalf("watchdog=%v: deadlock not reported: %+v", watchdog, st)
-		}
-		if !st.Stuck.Deadlock {
-			t.Errorf("watchdog=%v: drained engine should report Deadlock", watchdog)
-		}
-		if len(st.Stuck.Ranks) != 2 {
-			t.Fatalf("watchdog=%v: stuck ranks = %+v, want both", watchdog, st.Stuck.Ranks)
-		}
-		for i, sr := range st.Stuck.Ranks {
-			if sr.Rank != i || !sr.Waiting || sr.Peer != 1-i {
-				t.Errorf("stuck rank %d = %+v, want waiting on rank %d", i, sr, 1-i)
+		var ref *StuckReport
+		for _, k := range []int{1, 2} {
+			// A deadlocked replayer leaves its delivery callback behind, so
+			// every run gets a fresh network.
+			n, err := core.New(core.Config{Nodes: 4, Multiplicity: 2, Seed: 1, Shards: k})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if msg := st.Stuck.String(); !strings.Contains(msg, "deadlock") {
-			t.Errorf("diagnostic %q should say deadlock", msg)
-		}
-		// A fresh deadlocked replayer leaves delivery callbacks behind;
-		// rebuild the network for the next watchdog setting.
-		n, err = core.New(core.Config{Nodes: 4, Multiplicity: 2, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
+			r, err := NewReplayer(n, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Watchdog = watchdog
+			st := r.Run()
+			if st.Completed || st.Stuck == nil {
+				t.Fatalf("watchdog=%v K=%d: deadlock not reported: %+v", watchdog, k, st)
+			}
+			if k > 1 {
+				if !reflect.DeepEqual(st.Stuck, ref) {
+					t.Errorf("watchdog=%v K=%d report %+v differs from K=1's %+v", watchdog, k, st.Stuck, ref)
+				}
+				continue
+			}
+			ref = st.Stuck
+			if !st.Stuck.Deadlock {
+				t.Errorf("watchdog=%v: drained engine should report Deadlock", watchdog)
+			}
+			if len(st.Stuck.Ranks) != 2 {
+				t.Fatalf("watchdog=%v: stuck ranks = %+v, want both", watchdog, st.Stuck.Ranks)
+			}
+			for i, sr := range st.Stuck.Ranks {
+				if sr.Rank != i || !sr.Waiting || sr.Peer != 1-i {
+					t.Errorf("stuck rank %d = %+v, want waiting on rank %d", i, sr, 1-i)
+				}
+			}
+			if msg := st.Stuck.String(); !strings.Contains(msg, "deadlock") {
+				t.Errorf("diagnostic %q should say deadlock", msg)
+			}
 		}
 	}
 }
@@ -111,10 +129,10 @@ func TestWatchdogReportsDrainedDeadlock(t *testing.T) {
 // TestWatchdogDoesNotTripOnComputeGaps runs a workload whose only long
 // stretch is an idle compute delay far longer than the watchdog window; the
 // idle-gap fast-forward must keep the replay alive to completion with the
-// same makespan as an unwatched run.
+// same makespan as an unwatched run, at K=1 and K=2.
 func TestWatchdogDoesNotTripOnComputeGaps(t *testing.T) {
-	mk := func() (*Replayer, error) {
-		n, err := core.New(core.Config{Nodes: 4, Multiplicity: 2, Seed: 1})
+	mk := func(k int) (*Replayer, error) {
+		n, err := core.New(core.Config{Nodes: 4, Multiplicity: 2, Seed: 1, Shards: k})
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +151,7 @@ func TestWatchdogDoesNotTripOnComputeGaps(t *testing.T) {
 			},
 		})
 	}
-	plain, err := mk()
+	plain, err := mk(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,17 +159,19 @@ func TestWatchdogDoesNotTripOnComputeGaps(t *testing.T) {
 	if !base.Completed {
 		t.Fatal("baseline replay did not complete")
 	}
-	watched, err := mk()
-	if err != nil {
-		t.Fatal(err)
-	}
-	watched.Watchdog = 20 * sim.Microsecond
-	st := watched.Run()
-	if !st.Completed {
-		t.Fatalf("watchdog tripped on an idle compute gap: %+v", st.Stuck)
-	}
-	if st.Makespan != base.Makespan {
-		t.Errorf("watched makespan %v != plain %v", st.Makespan, base.Makespan)
+	for _, k := range []int{1, 2} {
+		watched, err := mk(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		watched.Watchdog = 20 * sim.Microsecond
+		st := watched.Run()
+		if !st.Completed {
+			t.Fatalf("K=%d: watchdog tripped on an idle compute gap: %+v", k, st.Stuck)
+		}
+		if st.Makespan != base.Makespan {
+			t.Errorf("K=%d: watched makespan %v != plain %v", k, st.Makespan, base.Makespan)
+		}
 	}
 }
 

@@ -8,11 +8,22 @@ import (
 	"baldur/internal/sim"
 )
 
+// drain runs n until no event remains, failing t if a second of virtual
+// time does not suffice.
+func drain(t *testing.T, n netsim.Network) {
+	t.Helper()
+	if n.Run(sim.Time(sim.Second)) {
+		t.Fatal("events still queued after 1 s of virtual time")
+	}
+}
+
 func TestOpenLoopInjectionCountAndSpacing(t *testing.T) {
 	net := elecnet.NewIdeal(16, 0)
 	var created []sim.Time
-	net.OnDeliver(func(p *netsim.Packet, _ sim.Time) {
+	var horizon sim.Time // the last delivery
+	net.OnDeliver(func(p *netsim.Packet, at sim.Time) {
 		created = append(created, p.Created)
+		horizon = at
 	})
 	ol := OpenLoop{
 		Pattern:        Hotspot(16, 0),
@@ -21,7 +32,7 @@ func TestOpenLoopInjectionCountAndSpacing(t *testing.T) {
 		Seed:           4,
 	}
 	ol.Start(net)
-	net.Engine().Run()
+	drain(t, net)
 	// 15 transmitting nodes x 20 packets.
 	if len(created) != 300 {
 		t.Fatalf("injected %d, want 300", len(created))
@@ -30,7 +41,6 @@ func TestOpenLoopInjectionCountAndSpacing(t *testing.T) {
 	// packets per node over an exponential process the aggregate horizon
 	// is roughly 20 x mean.
 	mean := MeanInterval(512, 0.5, 25e9)
-	horizon := net.Engine().Now()
 	expect := sim.Time(20 * mean)
 	if horizon < expect/2 || horizon > expect*3 {
 		t.Errorf("injection horizon %v, expected around %v", horizon, expect)
@@ -44,7 +54,7 @@ func TestOpenLoopSkipsIdleNodes(t *testing.T) {
 	pat := &Pattern{Name: "partial", Dest: []int{1, -1, -1, -1, -1, -1, -1, 0}}
 	ol := OpenLoop{Pattern: pat, Load: 0.9, PacketsPerNode: 5, Seed: 1}
 	ol.Start(net)
-	net.Engine().Run()
+	drain(t, net)
 	if count != 10 {
 		t.Errorf("delivered %d, want 10 (only two active nodes)", count)
 	}
@@ -56,7 +66,7 @@ func TestOpenLoopDefaultsApplied(t *testing.T) {
 	net.OnDeliver(func(p *netsim.Packet, _ sim.Time) { size = p.Size })
 	ol := OpenLoop{Pattern: Hotspot(4, 0), Load: 0.5, PacketsPerNode: 1, Seed: 1}
 	ol.Start(net)
-	net.Engine().Run()
+	drain(t, net)
 	if size != 512 {
 		t.Errorf("default packet size = %d, want 512", size)
 	}
@@ -75,7 +85,7 @@ func TestPingPongAlternation(t *testing.T) {
 	pat := &Pattern{Name: "pairs", Dest: []int{1, 0, 3, 2}}
 	pp := PingPong{Pattern: pat, Rounds: 10}
 	pp.Start(net)
-	net.Engine().Run()
+	drain(t, net)
 	if len(seq) != 20 {
 		t.Fatalf("pair 0-1 exchanged %d packets, want 20", len(seq))
 	}
@@ -87,7 +97,7 @@ func TestPingPongTotalCount(t *testing.T) {
 	net.OnDeliver(func(*netsim.Packet, sim.Time) { count++ })
 	pp := PingPong{Pattern: PingPongPairs1(64, 2), Rounds: 7}
 	pp.Start(net)
-	net.Engine().Run()
+	drain(t, net)
 	if count != 64*7 {
 		t.Errorf("delivered %d, want %d", count, 64*7)
 	}
@@ -100,7 +110,7 @@ func TestPingPongPacketSize(t *testing.T) {
 	pat := &Pattern{Name: "pairs", Dest: []int{1, 0, -1, -1}}
 	pp := PingPong{Pattern: pat, Rounds: 1}
 	pp.Start(net)
-	net.Engine().Run()
+	drain(t, net)
 	if size != 512 {
 		t.Errorf("packet size = %d, want 512", size)
 	}
@@ -128,7 +138,7 @@ func TestOpenLoopSpecReuse(t *testing.T) {
 		})
 		o.Pattern = RandomPermutation(net.NumNodes(), 7)
 		o.Start(net)
-		net.Engine().Run()
+		drain(t, net)
 		return count, lastAt
 	}
 
