@@ -483,22 +483,23 @@ func benchWorkloadOverhead(b *testing.B) {
 }
 
 // benchTwinSpeedup measures the analytical twin's wall-clock advantage over
-// the packet engine on the heavy half of a Fig-6 sweep column (every network
-// the twin models, transpose, loads 0.7 and 0.9 — the cells that dominate a
-// real sweep's wall time). Packets per node is pinned at the paper's 10,000: the
-// packet engine's cost scales linearly with per-node volume while the
-// twin's is nearly independent of it (its only O(packets) term is the
-// injection-draw replay at ~10 ns/draw), so CI-sized node counts at full
-// per-node volume reproduce the wall-time ratio that matters for real
-// sweeps. The speedup_x extra is gated by -check against an absolute
-// >=100x floor.
+// the packet engine on the heavy edge of its validity envelope: every
+// network the twin models, every Fig 6 pattern, load twin.MaxLoad — the
+// cells that dominate an envelope sweep's wall time. Packets per node is
+// pinned at the paper's 10,000: the packet engine's cost scales linearly
+// with per-node volume while the twin's is nearly independent of it (its
+// only O(packets) term is the injection-draw replay at ~10 ns/draw), so
+// CI-sized node counts at full per-node volume reproduce the wall-time
+// ratio that matters for real sweeps. calib.Run refuses a cell outside the
+// envelope, so both passes time what they name. The speedup_x extra is
+// gated by -check against an absolute >=100x floor.
 func benchTwinSpeedup(b *testing.B) {
 	sc := exp.Quick
 	sc.PacketsPerNode = 10000
 	g := calib.Grid{
 		Networks: twin.Networks,
-		Patterns: []string{"transpose"},
-		Loads:    []float64{0.7, 0.9},
+		Patterns: twin.Patterns,
+		Loads:    []float64{twin.MaxLoad},
 	}
 	var last calib.Report
 	for i := 0; i < b.N; i++ {

@@ -9,6 +9,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"baldur/internal/check"
@@ -19,47 +20,70 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and generates a trace to stdout, or replays one and
+// reports on stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ExitOnError)
 	var (
-		workload = flag.String("workload", "AMG", "workload to generate: AMG|BigFFT|CR|FB")
-		nodes    = flag.Int("nodes", 64, "rank count")
-		iters    = flag.Int("iterations", 2, "communication rounds")
-		msg      = flag.Int("message-bytes", 0, "override per-message size")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		replay   = flag.String("replay", "", "replay this trace file instead of generating")
-		network  = flag.String("net", "baldur", "replay target: baldur|multibutterfly|dragonfly|fattree|ideal")
-		dfP      = flag.Int("dragonfly-p", 2, "dragonfly parameter p for -replay")
-		ftK      = flag.Int("fattree-k", 8, "fat-tree radix for -replay")
+		workload = fs.String("workload", "AMG", "workload to generate: AMG|BigFFT|CR|FB")
+		nodes    = fs.Int("nodes", 64, "rank count")
+		iters    = fs.Int("iterations", 2, "communication rounds")
+		msg      = fs.Int("message-bytes", 0, "override per-message size")
+		seed     = fs.Uint64("seed", 1, "random seed")
+		replay   = fs.String("replay", "", "replay this trace file instead of generating")
+		network  = fs.String("net", "baldur", "replay target: baldur|multibutterfly|dragonfly|fattree|ideal")
+		dfP      = fs.Int("dragonfly-p", 2, "dragonfly parameter p for -replay")
+		ftK      = fs.Int("fattree-k", 8, "fat-tree radix for -replay")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *replay != "" {
 		f, err := os.Open(*replay)
-		fatalIf(err)
+		if err != nil {
+			return err
+		}
 		defer f.Close()
 		w, err := trace.Read(f)
-		fatalIf(err)
+		if err != nil {
+			return err
+		}
 		net, err := buildNet(*network, len(w.Programs), *dfP, *ftK, *seed)
-		fatalIf(err)
+		if err != nil {
+			return err
+		}
 		var col netsim.Collector
 		col.Attach(net)
 		rep, err := trace.NewReplayer(net, w)
-		fatalIf(err)
+		if err != nil {
+			return err
+		}
 		st := rep.Run()
-		fmt.Printf("workload=%s ranks=%d network=%s\n", w.Name, len(w.Programs), *network)
-		fmt.Printf("completed=%v makespan=%v packets=%d\n", st.Completed, st.Makespan, st.Packets)
-		fmt.Printf("avg latency %.1f ns, p99 %.1f ns\n", col.AvgNS(), col.TailNS())
-		return
+		fmt.Fprintf(stdout, "workload=%s ranks=%d network=%s\n", w.Name, len(w.Programs), *network)
+		fmt.Fprintf(stdout, "completed=%v makespan=%v packets=%d\n", st.Completed, st.Makespan, st.Packets)
+		fmt.Fprintf(stdout, "avg latency %.1f ns, p99 %.1f ns\n", col.AvgNS(), col.TailNS())
+		return nil
 	}
 
+	// Refuse a rank count the format cannot hold before building the
+	// workload, which at 2^20 ranks and beyond takes hundreds of MB.
+	if err := trace.CheckRanks(*nodes); err != nil {
+		return err
+	}
 	w := trace.ByName(*workload, *nodes, trace.Options{
 		Iterations:   *iters,
 		MessageBytes: *msg,
 		Seed:         *seed,
 	})
 	if w == nil {
-		fatalIf(fmt.Errorf("unknown workload %q (want one of %v)", *workload, trace.Names()))
+		return fmt.Errorf("unknown workload %q (want one of %v)", *workload, trace.Names())
 	}
-	fatalIf(w.Save(os.Stdout))
+	return w.Save(stdout)
 }
 
 // buildNet sizes the named network for ranks (growing the node count,
@@ -78,11 +102,4 @@ func buildNet(name string, ranks, dfP, ftK int, seed uint64) (netsim.Network, er
 	}
 	net, _, err := harness.Build(cfg, 0)
 	return net, err
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
-	}
 }

@@ -1,12 +1,13 @@
-// Command twincal calibrates the analytical twin against the packet engine.
+// Command twincal checks the analytical twin against the packet engine.
 //
-// It runs the pinned (network, pattern, load) grid of every network the twin
-// models under both fidelity tiers, records the twin's per-cell relative
-// error on mean latency, p99 latency, and throughput, and either writes a
-// fresh baseline or gates against a committed one:
+// It runs every cell of the twin's validity envelope (internal/twin's
+// InEnvelope: the modelled networks, the Fig 6 patterns, load up to
+// MaxLoad) under both fidelity tiers at quick and medium scale, prints each
+// cell's relative error on mean latency, p99 latency and throughput, and
+// exits 1 if any cell's error passes its floor or the tiers disagree on
+// whether the run finished:
 //
-//	twincal -out BENCH_twin.json   # regenerate the baseline
-//	twincal -check BENCH_twin.json # drift gate (exit 1 on drift)
+//	twincal
 package main
 
 import (
@@ -19,54 +20,26 @@ import (
 )
 
 func main() {
-	var (
-		out     = flag.String("out", "BENCH_twin.json", "write the calibration report (with stamped bounds) to this file")
-		checkAt = flag.String("check", "", "compare against this committed baseline instead of writing; exit 1 when any cell drifts beyond its bound")
-		scale   = flag.String("scale", "quick", "scale: quick|medium|full")
-		seed    = flag.Uint64("seed", 1, "random seed (both tiers)")
-	)
+	seed := flag.Uint64("seed", 1, "random seed (both tiers)")
 	flag.Parse()
 
-	var sc exp.Scale
-	switch *scale {
-	case "quick":
-		sc = exp.Quick
-	case "medium":
-		sc = exp.Medium
-	case "full":
-		sc = exp.Full
-	default:
-		fatal(fmt.Errorf("unknown scale %q", *scale))
-	}
-	sc.Seed = *seed
-
-	rep, err := calib.Run(sc, calib.FullGrid())
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("twincal: %d cells, packet %.0f ms, twin %.1f ms, speedup %.0fx\n",
-		len(rep.Cells), rep.PacketWallMS, rep.TwinWallMS, rep.SpeedupX)
-
-	if *checkAt != "" {
-		baseline, err := calib.Load(*checkAt)
+	failed := false
+	for _, sc := range []exp.Scale{exp.Quick, exp.Medium} {
+		sc.Seed = *seed
+		rep, err := calib.Run(sc, calib.FullGrid())
 		if err != nil {
-			fatal(err)
+			fmt.Fprintln(os.Stderr, "twincal:", err)
+			os.Exit(1)
 		}
-		if err := calib.Check(rep, baseline, os.Stdout); err != nil {
-			fatal(err)
+		fmt.Printf("twincal %s: %d cells, packet %.0f ms, twin %.1f ms, speedup %.0fx\n",
+			sc.Name, len(rep.Cells), rep.PacketWallMS, rep.TwinWallMS, rep.SpeedupX)
+		if err := calib.Check(rep, os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "twincal %s: %v\n", sc.Name, err)
+			failed = true
 		}
-		fmt.Println("twincal: all cells within committed error bounds")
-		return
 	}
-
-	rep.StampBounds()
-	if err := rep.Write(*out); err != nil {
-		fatal(err)
+	if failed {
+		os.Exit(1)
 	}
-	fmt.Printf("twincal: wrote %s\n", *out)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "twincal:", err)
-	os.Exit(1)
+	fmt.Println("twincal: every envelope cell is within the floors at quick and medium scale")
 }

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"baldur/internal/core"
+	"baldur/internal/faults"
 	"baldur/internal/reliability"
 )
 
@@ -24,10 +25,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fault := core.FaultSpec{Stage: 3, Switch: 77}
+	fault := reliability.FaultySwitch{Stage: 3, Switch: 77}
 	fmt.Printf("Injecting fault at stage %d, switch %d (of %d switches/stage, %d stages)\n",
 		fault.Stage, fault.Switch, net.Wiring().SwitchesPerStage(), net.Stages())
-	if err := net.InjectFault(fault); err != nil {
+	if err := net.ApplyFault(faults.Event{Action: faults.KillSwitch, A: fault.Stage, B: int(fault.Switch)}); err != nil {
 		log.Fatal(err)
 	}
 
@@ -50,7 +51,7 @@ func main() {
 	}
 	fmt.Printf("Diagnosis after %d probe packets: stage %d, switch %d\n",
 		probes, got.Stage, got.Switch)
-	if got.Stage == fault.Stage && got.Switch == fault.Switch {
+	if got == fault {
 		fmt.Println("=> exact isolation: the faulty switch can now be repaired or bypassed")
 	} else {
 		fmt.Println("=> MISDIAGNOSIS (this should never happen)")

@@ -1,16 +1,11 @@
-// Package calib is the twin-calibration harness: it evaluates a pinned
-// (network, pattern, load) grid under both fidelity tiers — the packet-level
-// discrete-event engine and the analytical twin (internal/twin) — and
-// records the twin's per-cell relative error on mean latency, p99 latency,
-// and delivered throughput, plus the wall-clock speedup of the twin pass
-// over the packet pass.
-//
-// The measured errors become a committed baseline (BENCH_twin.json, written
-// by cmd/twincal) with per-cell bounds stamped as max(floor, slack x
-// |measured|): cells inside the model's validity envelope carry the tight
-// default floor, saturated cells carry their measured envelope, and any code
-// change that drifts a cell beyond its committed bound fails Check — the
-// same regression-gate pattern cmd/benchjson -check uses for speed.
+// Package calib is the twin-calibration harness: it evaluates every cell of
+// the twin's validity envelope (twin.InEnvelope) under both fidelity tiers —
+// the packet-level discrete-event engine and the analytical twin
+// (internal/twin) — and records the twin's per-cell relative error on mean
+// latency, p99 latency and delivered throughput, plus the wall-clock speedup
+// of the twin pass over the packet pass. Check fails a cell whose error
+// passes the envelope's floor, so the gate measures the twin against the
+// packet tier, never against an earlier run of itself.
 //
 // It lives beside internal/check (like internal/check/harness) rather than
 // inside it because it drives whole experiment cells through internal/exp,
@@ -18,11 +13,11 @@
 package calib
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
+	"runtime"
+	"strings"
 	"time"
 
 	"baldur/internal/exp"
@@ -31,27 +26,21 @@ import (
 )
 
 // Cell is one calibration point: the twin's relative error per metric
-// against the packet engine, and the committed bound for each.
+// against the packet engine.
 type Cell struct {
-	Network string  `json:"network"`
-	Pattern string  `json:"pattern"`
-	Load    float64 `json:"load"`
+	Network string
+	Pattern string
+	Load    float64
 
 	// Signed relative errors, (twin - packet) / packet.
-	AvgErr float64 `json:"avg_err"`
-	P99Err float64 `json:"p99_err"`
-	ThrErr float64 `json:"thr_err"`
-
-	// Committed absolute-value bounds for the errors above.
-	AvgBound float64 `json:"avg_bound"`
-	P99Bound float64 `json:"p99_bound"`
-	ThrBound float64 `json:"thr_bound"`
+	AvgErr float64
+	P99Err float64
+	ThrErr float64
 
 	// Regime classification under each tier: false when the run exceeds
-	// the virtual-time safety horizon. The classifications must agree
-	// with the committed baseline's.
-	TwinFinished   bool `json:"twin_finished"`
-	PacketFinished bool `json:"packet_finished"`
+	// the virtual-time safety horizon. The tiers must agree.
+	TwinFinished   bool
+	PacketFinished bool
 }
 
 // Key identifies a cell within a report.
@@ -62,95 +51,88 @@ func (c Cell) Key() string {
 // Report is a full calibration run: the grid's cells plus the wall-clock
 // cost of each pass.
 type Report struct {
-	Scale        string  `json:"scale"`
-	Seed         uint64  `json:"seed"`
-	PacketWallMS float64 `json:"packet_wall_ms"`
-	TwinWallMS   float64 `json:"twin_wall_ms"`
-	SpeedupX     float64 `json:"speedup_x"`
-	Cells        []Cell  `json:"cells"`
+	Scale        string
+	Seed         uint64
+	PacketWallMS float64
+	TwinWallMS   float64
+	SpeedupX     float64
+	Cells        []Cell
 }
 
-// Grid pins the calibration family.
+// Grid pins a calibration family. Every cell must lie inside the twin's
+// validity envelope.
 type Grid struct {
 	Networks []string
 	Patterns []string
 	Loads    []float64
 }
 
-// FullGrid is the Table-VI/Fig-6 sweep over every network the twin models:
-// every open-loop pattern, every load.
+// FullGrid is the envelope's cells: every modelled network and pattern at
+// every Fig 6 load up to twin.MaxLoad.
 func FullGrid() Grid {
-	return Grid{
-		Networks: twin.Networks,
-		Patterns: exp.Fig6Patterns,
-		Loads:    exp.Fig6Loads,
+	g := Grid{Networks: twin.Networks, Patterns: twin.Patterns}
+	for _, load := range exp.Fig6Loads {
+		if load <= twin.MaxLoad {
+			g.Loads = append(g.Loads, load)
+		}
 	}
+	return g
 }
 
-// Bound-stamping policy: every cell gets at least the floor; cells whose
-// measured error already exceeds it (deep saturation, where no flow-level
-// steady state exists) commit their measured envelope with slack for seed-
-// and scheduler-level wobble.
-const (
-	AvgFloor = 0.10
-	ThrFloor = 0.10
-	P99Floor = 0.25
-	Slack    = 1.4
-)
-
 // Run evaluates the grid under both tiers and returns the per-cell errors.
-// Bounds are left zero; StampBounds fills them for a fresh baseline.
+// It refuses a grid with a cell outside the envelope: the twin tier would
+// answer that cell on the packet engine, timing and comparing the packet
+// tier against itself.
 func Run(sc exp.Scale, g Grid) (Report, error) {
 	rep := Report{Scale: sc.Name, Seed: sc.Seed}
-
-	type pt = exp.Point
-	packet := make(map[string]pt)
-	scP := sc
-	scP.Fidelity = netsim.FidelityPacket
-	start := time.Now()
 	for _, net := range g.Networks {
 		for _, pat := range g.Patterns {
 			for _, load := range g.Loads {
-				p, err := exp.RunOpenLoop(net, pat, load, scP)
-				if err != nil {
-					return Report{}, fmt.Errorf("packet %s/%s@%.2f: %w", net, pat, load, err)
+				c := Cell{Network: net, Pattern: pat, Load: load}
+				if !twin.InEnvelope(net, pat, load) {
+					return Report{}, fmt.Errorf("calib: cell %s is outside the twin's validity envelope", c.Key())
 				}
-				packet[fmt.Sprintf("%s/%s@%.2f", net, pat, load)] = p
+				rep.Cells = append(rep.Cells, c)
 			}
 		}
 	}
-	rep.PacketWallMS = float64(time.Since(start).Microseconds()) / 1e3
-
-	scT := sc
-	scT.Fidelity = netsim.FidelityTwin
-	start = time.Now()
-	for _, net := range g.Networks {
-		for _, pat := range g.Patterns {
-			for _, load := range g.Loads {
-				tp, err := exp.RunOpenLoop(net, pat, load, scT)
-				if err != nil {
-					return Report{}, fmt.Errorf("twin %s/%s@%.2f: %w", net, pat, load, err)
-				}
-				key := fmt.Sprintf("%s/%s@%.2f", net, pat, load)
-				pp := packet[key]
-				rep.Cells = append(rep.Cells, Cell{
-					Network:        net,
-					Pattern:        pat,
-					Load:           load,
-					AvgErr:         relErr(tp.AvgNS, pp.AvgNS),
-					P99Err:         relErr(tp.TailNS, pp.TailNS),
-					ThrErr:         relErr(tp.ThroughputPPS, pp.ThroughputPPS),
-					TwinFinished:   tp.Finished,
-					PacketFinished: pp.Finished,
-				})
-			}
-		}
+	packet := make([]exp.Point, len(rep.Cells))
+	analytic := make([]exp.Point, len(rep.Cells))
+	var err error
+	if rep.PacketWallMS, err = pass(sc, netsim.FidelityPacket, rep.Cells, packet); err != nil {
+		return Report{}, err
 	}
-	rep.TwinWallMS = float64(time.Since(start).Microseconds()) / 1e3
+	if rep.TwinWallMS, err = pass(sc, netsim.FidelityTwin, rep.Cells, analytic); err != nil {
+		return Report{}, err
+	}
+	for i := range rep.Cells {
+		c, tp, pp := &rep.Cells[i], analytic[i], packet[i]
+		c.AvgErr = relErr(tp.AvgNS, pp.AvgNS)
+		c.P99Err = relErr(tp.TailNS, pp.TailNS)
+		c.ThrErr = relErr(tp.ThroughputPPS, pp.ThroughputPPS)
+		c.TwinFinished, c.PacketFinished = tp.Finished, pp.Finished
+	}
 	if rep.TwinWallMS > 0 {
 		rep.SpeedupX = rep.PacketWallMS / rep.TwinWallMS
 	}
 	return rep, nil
+}
+
+// pass runs every cell at one fidelity into out and returns its wall time
+// in milliseconds. It starts from a collected heap, so the twin pass is not
+// charged for collecting the packet pass's garbage.
+func pass(sc exp.Scale, fid netsim.Fidelity, cells []Cell, out []exp.Point) (float64, error) {
+	sc.Fidelity = fid
+	runtime.GC()
+	start := time.Now()
+	for i, c := range cells {
+		p, err := exp.RunOpenLoop(c.Network, c.Pattern, c.Load, sc)
+		if err != nil {
+			return 0, fmt.Errorf("%s %s: %w", fid, c.Key(), err)
+		}
+		out[i] = p
+	}
+	return float64(time.Since(start).Microseconds()) / 1e3, nil
 }
 
 func relErr(got, want float64) float64 {
@@ -163,86 +145,41 @@ func relErr(got, want float64) float64 {
 	return (got - want) / want
 }
 
-// StampBounds derives committed bounds from this run's measured errors.
-func (r *Report) StampBounds() {
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		c.AvgBound = bound(c.AvgErr, AvgFloor)
-		c.P99Bound = bound(c.P99Err, P99Floor)
-		c.ThrBound = bound(c.ThrErr, ThrFloor)
-	}
-}
-
-func bound(err, floor float64) float64 {
-	b := math.Max(floor, Slack*math.Abs(err))
-	return math.Ceil(b*1000) / 1000
-}
-
-// Check compares a fresh run against the committed baseline: every fresh
-// cell present in the baseline must have each |error| within the baseline's
-// committed bound and must classify the saturation regime identically. An
-// error that is not a number within its bound (NaN, ±Inf) drifts.
-// Fresh cells missing from the baseline are reported and skipped (the run
-// that introduces them regenerates the baseline). Returns an error naming
-// the number of violations, or nil.
-func Check(fresh, baseline Report, w io.Writer) error {
-	base := make(map[string]Cell, len(baseline.Cells))
-	for _, c := range baseline.Cells {
-		base[c.Key()] = c
-	}
-	violations := 0
-	for _, c := range fresh.Cells {
-		b, ok := base[c.Key()]
-		if !ok {
-			fmt.Fprintf(w, "calib %-40s SKIP: not in baseline (new cell? regenerate the baseline)\n", c.Key())
-			continue
-		}
-		cellOK := true
-		metric := func(name string, err, bnd float64) {
-			verdict := "ok"
-			if !(math.Abs(err) <= bnd) {
-				verdict = "DRIFT"
-				cellOK = false
+// Check prints every cell of a run and fails the cells the twin does not
+// answer within the envelope's floors: an |error| past twin.AvgFloor,
+// twin.P99Floor or twin.ThrFloor — or not a number — or tiers that disagree
+// on whether the run finished. Returns an error naming the number of failed
+// cells, or nil.
+func Check(r Report, w io.Writer) error {
+	failed := 0
+	for _, c := range r.Cells {
+		var bad []string
+		for _, m := range []struct {
+			name       string
+			err, floor float64
+		}{
+			{"avg", c.AvgErr, twin.AvgFloor},
+			{"p99", c.P99Err, twin.P99Floor},
+			{"thr", c.ThrErr, twin.ThrFloor},
+		} {
+			if !(math.Abs(m.err) <= m.floor) {
+				bad = append(bad, m.name)
 			}
-			fmt.Fprintf(w, "calib %-40s %s %+7.1f%% (bound %.1f%%) %s\n",
-				c.Key(), name, err*100, bnd*100, verdict)
 		}
-		metric("avg", c.AvgErr, b.AvgBound)
-		metric("p99", c.P99Err, b.P99Bound)
-		metric("thr", c.ThrErr, b.ThrBound)
-		if c.TwinFinished != b.TwinFinished || c.PacketFinished != b.PacketFinished {
-			fmt.Fprintf(w, "calib %-40s finished twin=%v packet=%v, baseline twin=%v packet=%v DRIFT\n",
-				c.Key(), c.TwinFinished, c.PacketFinished, b.TwinFinished, b.PacketFinished)
-			cellOK = false
+		if c.TwinFinished != c.PacketFinished {
+			bad = append(bad, "finished")
 		}
-		if !cellOK {
-			violations++
+		verdict := "ok"
+		if len(bad) > 0 {
+			failed++
+			verdict = "FAIL " + strings.Join(bad, " ")
 		}
+		fmt.Fprintf(w, "calib %-38s avg %+7.1f%%  p99 %+7.1f%%  thr %+7.1f%%  finished twin=%v packet=%v  %s\n",
+			c.Key(), c.AvgErr*100, c.P99Err*100, c.ThrErr*100, c.TwinFinished, c.PacketFinished, verdict)
 	}
-	if violations > 0 {
-		return fmt.Errorf("calib: %d cell(s) drifted beyond the committed error bounds", violations)
+	if failed > 0 {
+		return fmt.Errorf("calib: %d cell(s) outside the twin's error floors (avg %.0f%%, p99 %.0f%%, thr %.0f%%) or finished differently",
+			failed, twin.AvgFloor*100, twin.P99Floor*100, twin.ThrFloor*100)
 	}
 	return nil
-}
-
-// Load reads a committed calibration baseline.
-func Load(path string) (Report, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return Report{}, err
-	}
-	var r Report
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return Report{}, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return r, nil
-}
-
-// Write stores the report as indented JSON.
-func (r Report) Write(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -5,35 +5,53 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"baldur/internal/exp"
+	"baldur/internal/twin"
 )
 
-// baselineCell is a committed cell with floor bounds, both tiers finished.
-func baselineCell() Cell {
+// okCell is a cell with zero error, both tiers finished.
+func okCell() Cell {
 	return Cell{
 		Network: "baldur", Pattern: "transpose", Load: 0.5,
-		AvgBound: AvgFloor, P99Bound: P99Floor, ThrBound: ThrFloor,
 		TwinFinished: true, PacketFinished: true,
 	}
 }
 
-// check gates one fresh cell against baselineCell and returns the log.
-func check(fresh Cell) (string, error) {
+// check gates one cell and returns the log.
+func check(c Cell) (string, error) {
 	var out strings.Builder
-	err := Check(Report{Cells: []Cell{fresh}}, Report{Cells: []Cell{baselineCell()}}, &out)
+	err := Check(Report{Cells: []Cell{c}}, &out)
 	return out.String(), err
 }
 
 func TestCheckWithinBound(t *testing.T) {
-	c := baselineCell()
-	c.AvgErr, c.P99Err, c.ThrErr = -0.09, 0.25, 0.1
-	if out, err := check(c); err != nil {
-		t.Fatalf("errors within their bounds drifted: %v\n%s", err, out)
+	c := okCell()
+	c.AvgErr, c.P99Err, c.ThrErr = -twin.AvgFloor, twin.P99Floor, twin.ThrFloor
+	if out, err := check(c); err != nil || !strings.Contains(out, " ok") {
+		t.Fatalf("errors at their floors failed: %v\n%s", err, out)
+	}
+}
+
+// TestCheckFailsPastFloor pins that one metric past its floor fails the
+// cell, for each metric and either sign.
+func TestCheckFailsPastFloor(t *testing.T) {
+	const eps = 1e-9
+	for _, c := range []Cell{
+		func() Cell { c := okCell(); c.AvgErr = twin.AvgFloor + eps; return c }(),
+		func() Cell { c := okCell(); c.P99Err = -twin.P99Floor - eps; return c }(),
+		func() Cell { c := okCell(); c.ThrErr = twin.ThrFloor + eps; return c }(),
+	} {
+		out, err := check(c)
+		if err == nil || !strings.Contains(out, "FAIL") {
+			t.Errorf("cell past a floor passed: %+v\n%s", c, out)
+		}
 	}
 }
 
 // TestCheckNonFiniteDrifts pins that an error that is not a number within
-// its bound fails the gate: NaN compares false against any bound, so a
-// plain "|err| > bound" test would let it through.
+// its floor fails the gate: NaN compares false against any floor, so a
+// plain "|err| > floor" test would let it through.
 func TestCheckNonFiniteDrifts(t *testing.T) {
 	set := map[string]func(*Cell, float64){
 		"avg": func(c *Cell, v float64) { c.AvgErr = v },
@@ -42,74 +60,77 @@ func TestCheckNonFiniteDrifts(t *testing.T) {
 	}
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for metric, setErr := range set {
-			c := baselineCell()
+			c := okCell()
 			setErr(&c, v)
 			out, err := check(c)
 			if err == nil {
 				t.Errorf("%s error %v passed the gate:\n%s", metric, v, out)
 			}
-			if !strings.Contains(out, "DRIFT") {
-				t.Errorf("%s error %v not reported as DRIFT:\n%s", metric, v, out)
+			if !strings.Contains(out, "FAIL "+metric) {
+				t.Errorf("%s error %v not reported as FAIL %s:\n%s", metric, v, metric, out)
 			}
 		}
 	}
 }
 
 func TestCheckFinishedMismatchDrifts(t *testing.T) {
-	c := baselineCell()
+	c := okCell()
 	c.TwinFinished = false
-	if out, err := check(c); err == nil {
-		t.Fatalf("twin finished-flag mismatch passed the gate:\n%s", out)
+	if out, err := check(c); err == nil || !strings.Contains(out, "FAIL finished") {
+		t.Fatalf("twin finished / packet not passed the gate:\n%s", out)
 	}
-	c = baselineCell()
+	c = okCell()
 	c.PacketFinished = false
 	if out, err := check(c); err == nil {
 		t.Fatalf("packet finished-flag mismatch passed the gate:\n%s", out)
 	}
-}
-
-func TestCheckSkipsCellMissingFromBaseline(t *testing.T) {
-	c := baselineCell()
-	c.Network = "dragonfly"
-	c.AvgErr = math.NaN()
-	out, err := check(c)
-	if err != nil {
-		t.Fatalf("a cell missing from the baseline failed the gate: %v", err)
-	}
-	if !strings.Contains(out, "SKIP") {
-		t.Errorf("missing cell not reported as SKIP:\n%s", out)
+	c.TwinFinished = false
+	if out, err := check(c); err != nil {
+		t.Fatalf("tiers agreeing on an unfinished run failed: %v\n%s", err, out)
 	}
 }
 
 func TestCheckCountsDriftedCells(t *testing.T) {
-	a, b := baselineCell(), baselineCell()
-	b.Load = 0.7
-	fa, fb := a, b
-	fa.AvgErr, fb.ThrErr = 0.5, -0.5
-	err := Check(Report{Cells: []Cell{fa, fb}}, Report{Cells: []Cell{a, b}}, io.Discard)
+	a, b, ok := okCell(), okCell(), okCell()
+	b.Load = 0.3
+	a.AvgErr, b.ThrErr = 0.5, -0.5
+	err := Check(Report{Cells: []Cell{a, ok, b}}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "2 cell(s)") {
-		t.Fatalf("got %v, want two drifted cells", err)
+		t.Fatalf("got %v, want two failed cells", err)
 	}
 }
 
-// TestStampBounds pins the bound policy: max(floor, Slack·|err|), rounded up
-// to the next 0.001.
-func TestStampBounds(t *testing.T) {
-	r := Report{Cells: []Cell{
-		{AvgErr: 0.01, P99Err: -0.02, ThrErr: 0},
-		{AvgErr: -0.5, P99Err: 0.3, ThrErr: 0.10001},
-	}}
-	r.StampBounds()
-	want := [][3]float64{
-		{AvgFloor, P99Floor, ThrFloor},
-		{0.7, 0.42, 0.141}, // 1.4·0.10001 = 0.140014 rounds up
+// TestFullGridIsTheEnvelope pins that the calibration grid covers the
+// envelope's networks and patterns at every Fig 6 load up to MaxLoad, and
+// no cell outside it.
+func TestFullGridIsTheEnvelope(t *testing.T) {
+	g := FullGrid()
+	if len(g.Networks) != len(twin.Networks) || len(g.Patterns) != len(twin.Patterns) {
+		t.Fatalf("grid %v x %v, want the envelope's %v x %v", g.Networks, g.Patterns, twin.Networks, twin.Patterns)
 	}
-	for i, c := range r.Cells {
-		got := [3]float64{c.AvgBound, c.P99Bound, c.ThrBound}
-		for m := range got {
-			if math.Abs(got[m]-want[i][m]) > 1e-12 {
-				t.Errorf("cell %d metric %d: bound %v, want %v", i, m, got[m], want[i][m])
-			}
+	var want []float64
+	for _, load := range exp.Fig6Loads {
+		if twin.InEnvelope("baldur", "transpose", load) {
+			want = append(want, load)
+		}
+	}
+	if len(g.Loads) != len(want) || len(want) == 0 {
+		t.Fatalf("grid loads %v, want %v", g.Loads, want)
+	}
+}
+
+// TestRunRefusesCellOutsideEnvelope pins that a grid cell the twin does not
+// answer is an error, not a packet-vs-packet comparison.
+func TestRunRefusesCellOutsideEnvelope(t *testing.T) {
+	sc := exp.Quick
+	sc.PacketsPerNode = 1
+	for _, g := range []Grid{
+		{Networks: []string{"fattree"}, Patterns: []string{"transpose"}, Loads: []float64{0.5}},
+		{Networks: []string{"baldur"}, Patterns: []string{"hotspot"}, Loads: []float64{0.5}},
+		{Networks: []string{"baldur"}, Patterns: []string{"transpose"}, Loads: []float64{0.7}},
+	} {
+		if _, err := Run(sc, g); err == nil || !strings.Contains(err.Error(), "envelope") {
+			t.Errorf("Run(%v) = %v, want an envelope error", g, err)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"baldur/internal/check"
 	"baldur/internal/core"
 	"baldur/internal/elecnet"
+	"baldur/internal/faults"
 	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/traffic"
@@ -76,7 +77,7 @@ func Build(cfg check.FuzzConfig, shards int) (netsim.Network, func() Fingerprint
 			Shards:            shards,
 		})
 		if err == nil && cfg.FaultStage >= 0 {
-			err = n.InjectFault(core.FaultSpec{Stage: cfg.FaultStage, Switch: int32(cfg.FaultSwitch)})
+			err = n.ApplyFault(faults.Event{Action: faults.KillSwitch, A: cfg.FaultStage, B: cfg.FaultSwitch})
 		}
 		net = n
 	case "multibutterfly":

@@ -11,109 +11,77 @@ import (
 
 // Fault support (Sec IV-F and internal/faults): Baldur provides diagnosis
 // hooks so an error can be isolated to a single 2x2 switch, plus a scripted
-// fault surface — a *set* of dead switches, severed host links and a
-// degraded-laser drop probability, all mutable at barrier boundaries — so
-// runs can operate through failure and restoration, not just diagnose it.
+// fault surface, ApplyFault — a *set* of dead switches, severed host links
+// and a degraded-laser drop probability, all mutable at barrier boundaries —
+// so runs can operate through failure and restoration, not just diagnose it.
 
-// FaultSpec identifies a faulty switch: every packet crossing it is lost.
-type FaultSpec struct {
-	Stage  int
-	Switch int32
-}
-
-func (n *Network) switchIndex(f FaultSpec) (int, error) {
-	if f.Stage < 0 || f.Stage >= n.mb.Stages || f.Switch < 0 || int(f.Switch) >= n.mb.SwitchesPerStage() {
-		return 0, fmt.Errorf("core: fault %+v out of range", f)
+// setSwitch marks the 2x2 switch at (stage, sw) dead or restores it. Dead
+// switches form a set, so several can be dead at once. Packets that reach a
+// dead switch are dropped silently (counted in Stats as drops at that
+// stage, and in FaultDrops).
+func (n *Network) setSwitch(stage, sw int, dead bool) error {
+	if stage < 0 || stage >= n.mb.Stages || sw < 0 || sw >= n.mb.SwitchesPerStage() {
+		return fmt.Errorf("core: switch %d at stage %d out of range", sw, stage)
 	}
-	return f.Stage*n.mb.SwitchesPerStage() + int(f.Switch), nil
-}
-
-// refreshFaulty recomputes the single hot-path guard after any fault-state
-// mutation.
-func (n *Network) refreshFaulty() {
-	n.faulty = n.deadSwitch.Any() || n.deadLink.Any() || n.degrade > 0
-}
-
-// InjectFault marks a switch as faulty; faults accumulate into a set, so
-// several switches can be dead at once. Packets that reach a dead switch are
-// dropped silently (counted in Stats as drops at that stage, and in
-// FaultDrops); ClearFault restores one.
-func (n *Network) InjectFault(f FaultSpec) error {
-	idx, err := n.switchIndex(f)
-	if err != nil {
-		return err
+	idx := stage*n.mb.SwitchesPerStage() + sw
+	if dead {
+		n.deadSwitch.Set(idx)
+	} else {
+		n.deadSwitch.Clear(idx)
 	}
-	n.deadSwitch.Set(idx)
-	n.refreshFaulty()
 	return nil
 }
 
-// ClearFault restores one switch previously marked faulty by InjectFault.
-func (n *Network) ClearFault(f FaultSpec) error {
-	idx, err := n.switchIndex(f)
-	if err != nil {
-		return err
-	}
-	n.deadSwitch.Clear(idx)
-	n.refreshFaulty()
-	return nil
-}
-
-// KillHostLink severs node's host fiber: every transmission entering the
-// network from it and every last-bit arrival to it is lost (FaultDrops).
-// The node's NIC keeps running — with the reliability protocol on it
-// retransmits into the cut until Config.MaxAttempts gives up.
-func (n *Network) KillHostLink(node int) error {
+// setHostLink severs or repairs node's host fiber. While it is severed every
+// transmission entering the network from the node and every last-bit
+// arrival to it is lost (FaultDrops). The node's NIC keeps running — with
+// the reliability protocol on it retransmits into the cut until
+// Config.MaxAttempts gives up.
+func (n *Network) setHostLink(node int, dead bool) error {
 	if node < 0 || node >= n.cfg.Nodes {
 		return fmt.Errorf("core: host link %d outside [0,%d)", node, n.cfg.Nodes)
 	}
-	n.deadLink.Set(node)
-	n.refreshFaulty()
-	return nil
-}
-
-// RestoreHostLink repairs a severed host fiber.
-func (n *Network) RestoreHostLink(node int) error {
-	if node < 0 || node >= n.cfg.Nodes {
-		return fmt.Errorf("core: host link %d outside [0,%d)", node, n.cfg.Nodes)
+	if dead {
+		n.deadLink.Set(node)
+	} else {
+		n.deadLink.Clear(node)
 	}
-	n.deadLink.Clear(node)
-	n.refreshFaulty()
 	return nil
 }
 
-// SetDegrade enables degraded-laser operation: every hop additionally drops
+// setDegrade enables degraded-laser operation: every hop additionally drops
 // with probability p (0 restores healthy operation). Draws come from a
 // dedicated fabric-shard stream, so degraded runs stay bit-identical for any
 // shard count.
-func (n *Network) SetDegrade(p float64) error {
+func (n *Network) setDegrade(p float64) error {
 	if p < 0 || p >= 1 {
 		return fmt.Errorf("core: degrade probability %v outside [0,1)", p)
 	}
 	n.degrade = p
-	n.refreshFaulty()
 	return nil
 }
 
-// ApplyFault implements faults.Target. It must only be called at barrier
-// boundaries (netsim.Drive's slice boundaries are).
+// ApplyFault implements faults.Target; it is the network's only fault
+// surface. It must only be called at barrier boundaries (netsim.Drive's
+// slice boundaries are) or between runs. A refused event leaves the fault
+// state as it was.
 func (n *Network) ApplyFault(ev faults.Event) error {
+	var err error
 	switch ev.Action {
-	case faults.KillSwitch:
-		return n.InjectFault(FaultSpec{Stage: ev.A, Switch: int32(ev.B)})
-	case faults.RestoreSwitch:
-		return n.ClearFault(FaultSpec{Stage: ev.A, Switch: int32(ev.B)})
-	case faults.KillLink, faults.KillNode:
+	case faults.KillSwitch, faults.RestoreSwitch:
+		err = n.setSwitch(ev.A, ev.B, ev.Action == faults.KillSwitch)
+	case faults.KillLink, faults.KillNode, faults.RestoreLink, faults.RestoreNode:
 		// Baldur's only links outside the fabric are the host fibers.
-		return n.KillHostLink(ev.A)
-	case faults.RestoreLink, faults.RestoreNode:
-		return n.RestoreHostLink(ev.A)
+		err = n.setHostLink(ev.A, ev.Action == faults.KillLink || ev.Action == faults.KillNode)
 	case faults.SetDegrade:
-		return n.SetDegrade(ev.Prob)
+		err = n.setDegrade(ev.Prob)
 	case faults.ClearDegrade:
-		return n.SetDegrade(0)
+		err = n.setDegrade(0)
+	default:
+		return fmt.Errorf("core: unsupported fault action %v", ev.Action)
 	}
-	return fmt.Errorf("core: unsupported fault action %v", ev.Action)
+	n.faulty = n.deadSwitch.Any() || n.deadLink.Any() || n.degrade > 0
+	return err
 }
 
 // SetTestMode forces deterministic single-path routing: every switch uses

@@ -13,13 +13,13 @@ import (
 
 func TestInjectFaultValidation(t *testing.T) {
 	n := mustNew(t, Config{Nodes: 64, Multiplicity: 2, Seed: 1})
-	if err := n.InjectFault(FaultSpec{Stage: 99, Switch: 0}); err == nil {
+	if err := n.ApplyFault(faults.Event{Action: faults.KillSwitch, A: 99, B: 0}); err == nil {
 		t.Error("out-of-range fault accepted")
 	}
-	if err := n.InjectFault(FaultSpec{Stage: 0, Switch: 5}); err != nil {
+	if err := n.ApplyFault(faults.Event{Action: faults.KillSwitch, A: 0, B: 5}); err != nil {
 		t.Errorf("valid fault rejected: %v", err)
 	}
-	if err := n.InjectFault(FaultSpec{Stage: -1}); err == nil {
+	if err := n.ApplyFault(faults.Event{Action: faults.KillSwitch, A: -1}); err == nil {
 		t.Error("negative-stage fault accepted")
 	}
 	// A fault script reaches the same switch targets through ApplyFault: a
@@ -37,13 +37,13 @@ func TestInjectFaultValidation(t *testing.T) {
 }
 
 func TestFaultSetAccumulatesAndClears(t *testing.T) {
-	// Faults form a set: injecting a second switch must not forget the
-	// first, and ClearFault removes exactly one.
+	// Faults form a set: killing a second switch must not forget the
+	// first, and a restore removes exactly one.
 	n := mustNew(t, Config{Nodes: 64, Multiplicity: 2, Seed: 1, DisableRetransmit: true})
-	if err := n.InjectFault(FaultSpec{Stage: 0, Switch: 0}); err != nil {
+	if err := n.ApplyFault(faults.Event{Action: faults.KillSwitch, A: 0, B: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.InjectFault(FaultSpec{Stage: 0, Switch: 1}); err != nil {
+	if err := n.ApplyFault(faults.Event{Action: faults.KillSwitch, A: 0, B: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Nodes 0/1 feed stage-0 switch 0; nodes 2/3 feed switch 1.
@@ -53,7 +53,7 @@ func TestFaultSetAccumulatesAndClears(t *testing.T) {
 	if n.ProbePath(2, 33) {
 		t.Error("probe through second dead switch delivered")
 	}
-	if err := n.ClearFault(FaultSpec{Stage: 0, Switch: 0}); err != nil {
+	if err := n.ApplyFault(faults.Event{Action: faults.RestoreSwitch, A: 0, B: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if !n.ProbePath(0, 33) {
@@ -62,20 +62,20 @@ func TestFaultSetAccumulatesAndClears(t *testing.T) {
 	if n.ProbePath(2, 33) {
 		t.Error("clearing one fault also cleared the other")
 	}
-	if err := n.ClearFault(FaultSpec{Stage: 0, Switch: 1}); err != nil {
+	if err := n.ApplyFault(faults.Event{Action: faults.RestoreSwitch, A: 0, B: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if !n.ProbePath(2, 33) {
 		t.Error("clearing the second fault left it armed")
 	}
-	if err := n.ClearFault(FaultSpec{Stage: 99, Switch: 0}); err == nil {
-		t.Error("out-of-range ClearFault accepted")
+	if err := n.ApplyFault(faults.Event{Action: faults.RestoreSwitch, A: 99, B: 0}); err == nil {
+		t.Error("out-of-range switch restore accepted")
 	}
 }
 
 func TestHostLinkKillAndRestore(t *testing.T) {
 	n := mustNew(t, Config{Nodes: 64, Multiplicity: 2, Seed: 1, DisableRetransmit: true})
-	if err := n.KillHostLink(0); err != nil {
+	if err := n.ApplyFault(faults.Event{Action: faults.KillLink, A: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if n.ProbePath(0, 33) {
@@ -87,14 +87,14 @@ func TestHostLinkKillAndRestore(t *testing.T) {
 	if n.ProbePath(5, 0) {
 		t.Error("probe into a severed node delivered")
 	}
-	if err := n.RestoreHostLink(0); err != nil {
+	if err := n.ApplyFault(faults.Event{Action: faults.RestoreLink, A: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if !n.ProbePath(0, 33) || !n.ProbePath(5, 0) {
 		t.Error("probes still lost after the host link was restored")
 	}
-	if err := n.KillHostLink(-1); err == nil {
-		t.Error("out-of-range KillHostLink accepted")
+	if err := n.ApplyFault(faults.Event{Action: faults.KillLink, A: -1}); err == nil {
+		t.Error("out-of-range host-link kill accepted")
 	}
 }
 
@@ -106,7 +106,7 @@ func TestAttemptCapDrainsFaultedRun(t *testing.T) {
 	// injected == completed + outstanding + gaveUp).
 	for _, k := range []int{1, 4} {
 		n := mustNew(t, Config{Nodes: 16, Multiplicity: 1, Seed: 1, MaxAttempts: 4, Shards: k})
-		if err := n.InjectFault(FaultSpec{Stage: 0, Switch: 0}); err != nil {
+		if err := n.ApplyFault(faults.Event{Action: faults.KillSwitch, A: 0, B: 0}); err != nil {
 			t.Fatal(err)
 		}
 		aud := check.New(check.Options{})
@@ -144,7 +144,7 @@ func TestRestorationRestoresDelivery(t *testing.T) {
 	// Kill the switch under node 0, let the protocol retry against it, then
 	// restore: the pending packet must deliver with no attempt cap needed.
 	n := mustNew(t, Config{Nodes: 16, Multiplicity: 1, Seed: 1})
-	if err := n.InjectFault(FaultSpec{Stage: 0, Switch: 0}); err != nil {
+	if err := n.ApplyFault(faults.Event{Action: faults.KillSwitch, A: 0, B: 0}); err != nil {
 		t.Fatal(err)
 	}
 	aud := check.New(check.Options{})
@@ -155,7 +155,7 @@ func TestRestorationRestoresDelivery(t *testing.T) {
 		t.Fatalf("construction broke: delivered=%d faultDrops=%d while the switch is dead",
 			n.Stats.Delivered, n.Stats.FaultDrops)
 	}
-	if err := n.ClearFault(FaultSpec{Stage: 0, Switch: 0}); err != nil {
+	if err := n.ApplyFault(faults.Event{Action: faults.RestoreSwitch, A: 0, B: 0}); err != nil {
 		t.Fatal(err)
 	}
 	more, _ := netsim.Drive(n, nil, netsim.DriveOptions{Deadline: sim.Time(2 * sim.Millisecond), Aud: aud})
@@ -187,7 +187,7 @@ func TestFaultDropsTraffic(t *testing.T) {
 	// Inject a stage-0 fault at the switch serving nodes 0 and 1: all
 	// their transmissions must be lost; other sources are unaffected.
 	n := mustNew(t, Config{Nodes: 64, Multiplicity: 2, Seed: 1, DisableRetransmit: true})
-	if err := n.InjectFault(FaultSpec{Stage: 0, Switch: 0}); err != nil {
+	if err := n.ApplyFault(faults.Event{Action: faults.KillSwitch, A: 0, B: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if n.ProbePath(0, 33) {
@@ -213,12 +213,12 @@ func TestEndToEndDiagnosis(t *testing.T) {
 	// deterministic single-path routing, probe pairs, and let the
 	// diagnosis engine isolate the injected fault using the observed
 	// failures.
-	for _, fault := range []FaultSpec{
+	for _, fault := range []reliability.FaultySwitch{
 		{Stage: 1, Switch: 7},
 		{Stage: 4, Switch: 20},
 	} {
 		n := mustNew(t, Config{Nodes: 64, Multiplicity: 3, Seed: 5, DisableRetransmit: true})
-		if err := n.InjectFault(fault); err != nil {
+		if err := n.ApplyFault(faults.Event{Action: faults.KillSwitch, A: fault.Stage, B: int(fault.Switch)}); err != nil {
 			t.Fatal(err)
 		}
 		const path = 1
@@ -230,7 +230,7 @@ func TestEndToEndDiagnosis(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fault %+v: %v", fault, err)
 		}
-		if got.Stage != fault.Stage || got.Switch != fault.Switch {
+		if got != fault {
 			t.Errorf("diagnosed %+v, want %+v", got, fault)
 		}
 	}
@@ -249,7 +249,7 @@ func TestProbePathShardCountInvariant(t *testing.T) {
 	var ref outcome
 	for _, k := range []int{1, 2, 4} {
 		n := mustNew(t, Config{Nodes: 64, Multiplicity: 3, Seed: 5, DisableRetransmit: true, Shards: k})
-		if err := n.InjectFault(FaultSpec{Stage: 4, Switch: 20}); err != nil {
+		if err := n.ApplyFault(faults.Event{Action: faults.KillSwitch, A: 4, B: 20}); err != nil {
 			t.Fatal(err)
 		}
 		const path = 1

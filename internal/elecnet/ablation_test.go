@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"baldur/internal/netsim"
-	"baldur/internal/sim"
 	"baldur/internal/traffic"
 )
 
@@ -47,21 +46,9 @@ func TestUGALBeatsMinimalOnAdversarial(t *testing.T) {
 	}
 }
 
-func TestMinimalBeatsValiantOnUniform(t *testing.T) {
-	// On benign traffic, always-Valiant wastes hops; minimal should win.
-	uniform := func(nodes int) *traffic.Pattern {
-		return traffic.RandomPermutation(nodes, 6)
-	}
-	minimal := dragonflyLatency(t, "minimal", uniform, 0.3)
-	valiant := dragonflyLatency(t, "valiant", uniform, 0.3)
-	if minimal >= valiant {
-		t.Errorf("minimal (%.0f ns) not better than valiant (%.0f ns) on uniform traffic", minimal, valiant)
-	}
-}
-
 func TestUGALTracksTheBetterPolicy(t *testing.T) {
-	// UGAL should be within a modest factor of the best pure policy in
-	// both regimes.
+	// On benign traffic UGAL should stay within a modest factor of
+	// minimal routing.
 	uniform := func(nodes int) *traffic.Pattern {
 		return traffic.RandomPermutation(nodes, 6)
 	}
@@ -73,27 +60,9 @@ func TestUGALTracksTheBetterPolicy(t *testing.T) {
 }
 
 func TestUnknownRoutingRejected(t *testing.T) {
-	if _, err := NewDragonfly(DragonflyConfig{P: 1, Routing: "zigzag"}); err == nil {
-		t.Error("unknown routing mode accepted")
-	}
-}
-
-func TestValiantDelivers(t *testing.T) {
-	n, err := NewDragonfly(DragonflyConfig{P: 1, Seed: 2, Routing: "valiant"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := 0
-	n.OnDeliver(func(*netsim.Packet, sim.Time) { got++ })
-	for s := 0; s < 6; s++ {
-		for d := 0; d < 6; d++ {
-			if s != d {
-				n.Send(s, d, 0)
-			}
+	for _, routing := range []string{"zigzag", "valiant"} {
+		if _, err := NewDragonfly(DragonflyConfig{P: 1, Routing: routing}); err == nil {
+			t.Errorf("unknown routing mode %q accepted", routing)
 		}
-	}
-	drain(t, n)
-	if got != 30 {
-		t.Errorf("delivered %d of 30 under pure Valiant", got)
 	}
 }

@@ -1,6 +1,8 @@
 package elecnet
 
 import (
+	"fmt"
+
 	"baldur/internal/sim"
 )
 
@@ -46,8 +48,7 @@ type DragonflyConfig struct {
 	// Default 4 (the paper's 1K-scale configuration, 1,056 nodes).
 	P int
 	// Routing selects the policy: "ugal" (default, the paper's adaptive
-	// routing), "minimal" (always shortest path) or "valiant" (always a
-	// random intermediate group). The non-default modes are ablations.
+	// routing) or "minimal" (always shortest path, the ablation).
 	Routing string
 	// Shards selects the conservative-parallel shard count (0 or 1:
 	// serial). The network partitions by group — hosts and local links
@@ -64,6 +65,24 @@ func DragonflyNodes(p int) int {
 	a, h := 2*p, p
 	g := a*h + 1
 	return a * p * g
+}
+
+func (cfg DragonflyConfig) withDefaults() (DragonflyConfig, error) {
+	if cfg.P == 0 {
+		cfg.P = 4
+	}
+	if cfg.P < 1 {
+		return cfg, fmt.Errorf("elecnet: dragonfly p = %d", cfg.P)
+	}
+	if cfg.Routing == "" {
+		cfg.Routing = "ugal"
+	}
+	switch cfg.Routing {
+	case "ugal", "minimal":
+	default:
+		return cfg, fmt.Errorf("elecnet: unknown dragonfly routing %q", cfg.Routing)
+	}
+	return cfg, nil
 }
 
 // NewDragonfly builds the dragonfly network.
@@ -161,8 +180,8 @@ func (d *Dragonfly) exitChannel(G, D int) int {
 	return (D - G - 1 + d.g) % d.g
 }
 
-// routeDragonfly implements minimal/Valiant routing with a UGAL-style
-// adaptive choice at the source router.
+// routeDragonfly implements minimal routing with a UGAL-style adaptive
+// choice of a Valiant (random intermediate group) path at the source router.
 func (d *Dragonfly) routeDragonfly(n *engine, r *router, st *pktState) int {
 	p, a, h := d.p, d.a, d.h
 	dstRouter, dstPort := d.hostRouter(st.pkt.Dst)
@@ -192,19 +211,14 @@ func (d *Dragonfly) routeDragonfly(n *engine, r *router, st *pktState) int {
 		minPort := d.firstHopPort(r, dstGroup)
 		K := d.rngs[r.id].Intn(d.g)
 		if K != G && K != dstGroup {
+			// UGAL: compare estimated queueing costs.
 			valPort := d.firstHopPort(r, K)
-			switch d.routing {
-			case "valiant":
+			qMin := r.out[minPort].queueLen()
+			qVal := r.out[valPort].queueLen()
+			// Minimal ~2 hops to target group, Valiant ~4.
+			if qMin*2 > qVal*4+ugalBias {
 				st.interGroup = int32(K)
 				return valPort
-			default: // ugal: compare estimated queueing costs
-				qMin := r.out[minPort].queueLen()
-				qVal := r.out[valPort].queueLen()
-				// Minimal ~2 hops to target group, Valiant ~4.
-				if qMin*2 > qVal*4+ugalBias {
-					st.interGroup = int32(K)
-					return valPort
-				}
 			}
 		}
 		return minPort

@@ -1,6 +1,8 @@
 package elecnet
 
 import (
+	"fmt"
+
 	"baldur/internal/sim"
 )
 
@@ -40,6 +42,16 @@ type FatTreeConfig struct {
 
 // FatTreeNodes returns the host count for radix k: k^3/4.
 func FatTreeNodes(k int) int { return k * k * k / 4 }
+
+func (cfg FatTreeConfig) withDefaults() (FatTreeConfig, error) {
+	if cfg.K == 0 {
+		cfg.K = 16
+	}
+	if cfg.K < 4 || cfg.K%2 != 0 {
+		return cfg, fmt.Errorf("elecnet: fat-tree k = %d, want even >= 4", cfg.K)
+	}
+	return cfg, nil
+}
 
 // NewFatTree builds the fat-tree network.
 func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {

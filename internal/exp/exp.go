@@ -12,7 +12,6 @@ package exp
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"strings"
 
 	"baldur/internal/check"
@@ -60,13 +59,12 @@ type Scale struct {
 	// advances for this much simulated time while events keep executing,
 	// the replay stops with a stuck-rank report (0 disables).
 	Watchdog sim.Duration
-	// Fidelity selects the model tier for open-loop cells: packet (the
-	// event-level engine, the default) or twin (the analytical flow-level
-	// model in internal/twin — microseconds per cell, calibrated against
-	// the packet engine by internal/check/calib). The twin answers only
-	// the networks in twin.Networks; the others' open-loop cells run on
-	// the packet engine. Workload replays and ping-pong cells are
-	// packet-only.
+	// Fidelity selects the model tier: packet (the event-level engine,
+	// the default) or twin (the analytical flow-level model in
+	// internal/twin — microseconds per cell, calibrated against the packet
+	// engine by internal/check/calib). The twin answers only the open-loop
+	// cells inside its validity envelope (twin.InEnvelope); every other
+	// cell, of any kind, runs on the packet engine.
 	Fidelity netsim.Fidelity
 	// MaxParallel caps the number of simulation cells resident at once in
 	// the fan-out runners (0: GOMAXPROCS, the historical behaviour). Every
@@ -442,11 +440,11 @@ func (sc Scale) runOpenLoopOn(net netsim.Network, label string, ol traffic.OpenL
 // runOpenLoopCell measures one (network, pattern, load) cell into col,
 // whose sample and histogram allocations are reused across calls (series
 // runners sweep five loads through one collector). Under the twin tier a
-// network the twin models is answered analytically; any other network runs
-// on the packet engine, so its Point carries Events > 0. It also returns
-// the network (nil for a twin-modelled cell).
+// cell inside the twin's validity envelope is answered analytically; any
+// other cell runs on the packet engine, so its Point carries Events > 0. It
+// also returns the network (nil for a twin-answered cell).
 func runOpenLoopCell(col *netsim.Collector, network, pattern string, load float64, sc Scale) (OpenLoopDetail, netsim.Network, error) {
-	if sc.Fidelity == netsim.FidelityTwin && slices.Contains(twin.Networks, network) {
+	if sc.Fidelity == netsim.FidelityTwin && twin.InEnvelope(network, pattern, load) {
 		p, err := twinOpenLoopCell(network, pattern, load, sc)
 		return OpenLoopDetail{Point: p}, nil, err
 	}
@@ -478,14 +476,9 @@ func twinOpenLoopCell(network, pattern string, load float64, sc Scale) (Point, e
 	tc := twin.Config{
 		Nodes:          sc.Nodes,
 		PacketsPerNode: sc.PacketsPerNode,
-		FatTreeK:       sc.FatTreeK,
 		Seed:           sc.Seed,
 	}
-	nodes, err := twin.NumNodes(network, tc)
-	if err != nil {
-		return Point{}, err
-	}
-	pat, err := patternFor(pattern, nodes, sc)
+	pat, err := patternFor(pattern, sc.Nodes, sc)
 	if err != nil {
 		return Point{}, err
 	}
@@ -518,13 +511,10 @@ func RunOpenLoopDetail(network, pattern string, load float64, sc Scale) (OpenLoo
 	return d, err
 }
 
-// RunPingPong measures a closed-loop ping-pong workload on one network.
-// Ping-pong is packet-only: its closed-loop dependence chain has no
-// flow-level analogue in the twin.
+// RunPingPong measures a closed-loop ping-pong workload on one network. It
+// runs on the packet engine at either fidelity: the closed-loop dependence
+// chain is outside the twin's envelope.
 func RunPingPong(network, pattern string, sc Scale) (Point, error) {
-	if sc.Fidelity == netsim.FidelityTwin {
-		return Point{}, fmt.Errorf("exp: ping-pong cells are packet-only (fidelity %q)", sc.Fidelity)
-	}
 	net, pat, err := buildWithPattern(network, pattern, sc)
 	if err != nil {
 		return Point{}, err

@@ -37,16 +37,13 @@ type SLOReport struct {
 }
 
 // RunWorkload runs one workload spec on one network at the given scale and
-// returns the per-tenant SLO report. Workload cells are packet-only (flows
-// have no twin-tier analogue yet). When the run drains before the safety
-// horizon, the report is reconciled against the network's conservation
-// ledger: admitted packets must equal injected packets, and every arrival
-// must be admitted or rejected — a mismatch is a driver bug and fails the
-// cell.
+// returns the per-tenant SLO report. It runs on the packet engine at either
+// fidelity: flows are outside the twin's envelope. When the run drains
+// before the safety horizon, the report is reconciled against the network's
+// conservation ledger: admitted packets must equal injected packets, and
+// every arrival must be admitted or rejected — a mismatch is a driver bug
+// and fails the cell.
 func RunWorkload(network string, spec workload.Spec, sc Scale) (*SLOReport, error) {
-	if sc.Fidelity == netsim.FidelityTwin {
-		return nil, fmt.Errorf("exp: workload cells are packet-only (fidelity %q)", sc.Fidelity)
-	}
 	drv, err := workload.New(spec)
 	if err != nil {
 		return nil, err

@@ -52,6 +52,16 @@ func inBounds(directive string, v float64) bool {
 	return false
 }
 
+// CheckRanks refuses a rank count outside the format's bounds, 1 to 2^20,
+// so a generator can refuse a size before building a workload Save would
+// refuse.
+func CheckRanks(ranks int) error {
+	if !inBounds("ranks", float64(ranks)) {
+		return fmt.Errorf("trace: %d ranks outside the format's bounds [1, %d]", ranks, maxRanks)
+	}
+	return nil
+}
+
 // directives names each op kind's directive.
 var directives = [...]string{OpSend: "send", OpRecv: "recv", OpCompute: "compute"}
 
@@ -86,8 +96,11 @@ func (w *Workload) Save(out io.Writer) error {
 // saveable applies Read's checks to what Save would write: the format's
 // bounds on every operand, a positive mtu, and Validate.
 func (w *Workload) saveable() error {
-	if !inBounds("ranks", float64(len(w.Programs))) || w.PacketSize < 0 {
-		return fmt.Errorf("trace %s: %d ranks or mtu %d outside the format's bounds", w.Name, len(w.Programs), w.PacketSize)
+	if err := CheckRanks(len(w.Programs)); err != nil {
+		return err
+	}
+	if w.PacketSize < 0 {
+		return fmt.Errorf("trace %s: mtu %d outside the format's bounds", w.Name, w.PacketSize)
 	}
 	for rank, prog := range w.Programs {
 		for i, op := range prog {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"baldur/internal/core"
+	"baldur/internal/faults"
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
 )
@@ -22,7 +23,7 @@ func TestWatchdogDiagnosesSpinningReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := n.InjectFault(core.FaultSpec{Stage: 0, Switch: 0}); err != nil {
+		if err := n.ApplyFault(faults.Event{Action: faults.KillSwitch}); err != nil {
 			t.Fatal(err)
 		}
 		w := &Workload{

@@ -70,19 +70,19 @@ func evalMB(pat *traffic.Pattern, load float64, cfg Config) (Point, error) {
 		pa := pathAcc{base: base, T: T}
 		// NIC injection: M/D/1 at the flow's own offered load.
 		nrho := ff.rate * ser
-		pa.add(md1Wait(nrho, ser), nrho, tailDecay(1, nrho, ser), 1)
+		pa.add(md1Wait(nrho, ser), nrho, tailDecay(1, nrho, ser))
 		for s := 0; s < stages; s++ {
 			key := int(groups[i][s])*2 + dirs[i][s]
 			a, F := poolA[s][key], poolF[s][key]
 			c := m * (w.SwitchesPerStage() >> uint(s)) // wires in the pool
 			rho := a / float64(c)
-			pa.add(mdcWait(c, a, ser)*fsFactor(F, c), rho, tailDecay(c, rho, ser), 1)
+			pa.add(mdcWait(c, a, ser)*fsFactor(F, c), rho, tailDecay(c, rho, ser))
 		}
 		if pa.rhoWorst > rhoMax {
 			rhoMax = pa.rhoWorst
 		}
 		var sat bool
-		lat[i], sat = pa.finalize(interval, cfg.PacketsPerNode)
+		lat[i], sat = pa.finalize()
 		lat[i].injSpan = ff.injSpan
 		saturated = saturated || sat
 	}

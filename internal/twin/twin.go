@@ -1,46 +1,72 @@
 // Package twin is the analytical (flow-level) model tier of the simulator:
-// for the networks in Networks it answers the same open-loop (pattern, load)
-// questions the packet-level engine answers — average and p99 latency, drop
-// rate, throughput — in microseconds instead of seconds, by computing
-// per-link offered loads from the traffic matrix and applying queueing
-// approximations. For Baldur the model couples per-wire-group loss
+// inside its validity envelope (InEnvelope) it answers the same open-loop
+// (pattern, load) questions the packet-level engine answers — average and
+// p99 latency, drop rate, throughput — in microseconds instead of seconds,
+// by computing per-link offered loads from the traffic matrix and applying
+// queueing approximations. For Baldur the model couples per-wire-group loss
 // probabilities (finite-source Engset) with a retransmission-expectation
-// fixed point; for the electrical baselines it applies link-level waiting
-// formulas along each flow's route. The packet engine is the calibrator:
-// internal/check/calib runs twin-vs-packet on a pinned grid and gates the
-// recorded per-metric error (BENCH_twin.json).
+// fixed point; for the electrical multi-butterfly it applies pooled
+// waiting formulas along each flow's route. The packet engine is the
+// calibrator: internal/check/calib runs both tiers on every envelope cell
+// and fails any cell whose error passes a floor.
 package twin
 
 import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
-	"baldur/internal/elecnet"
 	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/traffic"
 )
 
-// Networks lists the networks the twin models, in the paper's order. It is
-// the one place that knows which networks have a model: the experiment
-// harness answers every other network's twin-tier cell on the packet
-// engine, and the calibration grid covers exactly these. The dragonfly has
-// no model — its UGAL routing couples path choice to queue occupancy, and
-// no flow-level fixed point stayed inside the calibration bounds.
-var Networks = []string{"baldur", "multibutterfly", "fattree", "ideal"}
+// The validity envelope: the cells the packet tier confirms the twin on,
+// within AvgFloor, P99Floor and ThrFloor at 64 and 256 nodes (and Baldur at
+// 1,024). Outside it the models drift far past the floors — Baldur's
+// group_permutation at load 0.7 and 256 nodes reads half the packet tier's
+// mean, a hotspot's collapse is not modelled at all — so the twin refuses
+// those cells rather than answer them wrongly, and the experiment harness
+// runs them on the packet engine. The dragonfly (UGAL couples path choice to
+// queue occupancy) and the fat-tree (adaptive up-routing races) have no
+// model that reached the floors.
+var (
+	// Networks lists the modelled networks, in the paper's order.
+	Networks = []string{"baldur", "multibutterfly", "ideal"}
+	// Patterns lists the modelled traffic patterns: the open-loop
+	// patterns of Fig 6.
+	Patterns = []string{"random_permutation", "transpose", "bisection", "group_permutation"}
+)
+
+// MaxLoad is the highest offered load inside the envelope.
+const MaxLoad = 0.5
+
+// Error floors of the envelope: the largest relative error against the
+// packet tier that an envelope cell may show on mean latency, p99 latency
+// and throughput.
+const (
+	AvgFloor = 0.10
+	P99Floor = 0.25
+	ThrFloor = 0.10
+)
+
+// InEnvelope reports whether the twin answers the (network, pattern, load)
+// cell.
+func InEnvelope(network, pattern string, load float64) bool {
+	return slices.Contains(Networks, network) && slices.Contains(Patterns, pattern) &&
+		load > 0 && load <= MaxLoad
+}
 
 // Config sizes the modelled networks. The fields mirror exp.Scale so the
 // twin answers exactly the cells the packet engine runs.
 type Config struct {
-	// Nodes is the Baldur / electrical multi-butterfly node count.
+	// Nodes is the network's node count.
 	Nodes int
 	// PacketsPerNode is the open-loop injection count per transmitting
 	// node (finite-run effects: transient backlog, injection makespan).
 	PacketsPerNode int
-	// FatTreeK is the fat-tree radix.
-	FatTreeK int
 	// Seed drives the topology randomization (Baldur/MB wiring) and the
 	// injection replay, mirroring the packet engine's seed so twin runs
 	// are reproducible the same way.
@@ -64,55 +90,27 @@ type Point struct {
 	MakespanS float64
 }
 
-// NumNodes returns the node count of a network at this configuration — the
-// same counts the packet engine's builders produce, so patterns generated
-// for one tier fit the other exactly.
-func NumNodes(network string, cfg Config) (int, error) {
-	switch network {
-	case "baldur", "multibutterfly", "ideal":
-		return cfg.Nodes, nil
-	case "fattree":
-		k := cfg.FatTreeK
-		if k == 0 {
-			k = 16
-		}
-		return elecnet.FatTreeNodes(k), nil
-	}
-	return 0, errNoModel(network)
-}
-
-func errNoModel(network string) error {
-	return fmt.Errorf("twin: no model for network %q (modelled: %v); run it on the packet tier", network, Networks)
-}
-
-// EvalOpenLoop evaluates one open-loop cell analytically. The pattern must
-// be sized for the network (use NumNodes + the same generators the packet
-// path uses).
+// EvalOpenLoop evaluates one open-loop cell analytically. It refuses a cell
+// outside the envelope; the pattern, named by its generator, must be sized
+// for cfg.Nodes.
 func EvalOpenLoop(network string, pat *traffic.Pattern, load float64, cfg Config) (Point, error) {
-	if load <= 0 {
-		return Point{}, fmt.Errorf("twin: load %g <= 0", load)
+	if !InEnvelope(network, pat.Name, load) {
+		return Point{}, fmt.Errorf("twin: %s/%s@%g is outside the validity envelope (networks %v, patterns %v, load in (0, %g]); run it on the packet tier",
+			network, pat.Name, load, Networks, Patterns, MaxLoad)
 	}
 	if cfg.PacketsPerNode <= 0 {
 		return Point{}, fmt.Errorf("twin: packets per node %d <= 0", cfg.PacketsPerNode)
 	}
-	nodes, err := NumNodes(network, cfg)
-	if err != nil {
-		return Point{}, err
-	}
-	if pat.Nodes() != nodes {
-		return Point{}, fmt.Errorf("twin: pattern sized for %d nodes, network has %d", pat.Nodes(), nodes)
+	if pat.Nodes() != cfg.Nodes {
+		return Point{}, fmt.Errorf("twin: pattern sized for %d nodes, network has %d", pat.Nodes(), cfg.Nodes)
 	}
 	switch network {
 	case "baldur":
 		return evalBaldur(pat, load, cfg)
 	case "multibutterfly":
 		return evalMB(pat, load, cfg)
-	case "fattree":
-		return evalFatTree(pat, load, cfg)
-	case "ideal":
-		return evalIdeal(pat, load, cfg)
 	}
-	return Point{}, errNoModel(network)
+	return evalIdeal(pat, load, cfg)
 }
 
 // workloadSeedOffset is the offset the experiment harness adds to the base
@@ -365,61 +363,48 @@ type pathAcc struct {
 	base     float64
 	T        float64 // injection window (seconds); tempers steady waits
 	w        float64
-	tr       float64 // mass-weighted transient-overload wait (inside w too)
 	thetaMax float64
 	rhoWorst float64
 }
 
 // add records one station visit: mean wait w at utilization rho with tail
-// decay theta, weighted by the fraction of the flow's packets passing it.
-// Steady-state waits are tempered by the finite injection window; the tail
-// decay tempers by the same ratio — a run too short to reach the
-// steady-state mean is equally short of the asymptotic exponential tail.
-func (pa *pathAcc) add(w, rho, theta, mass float64) {
+// decay theta. Steady-state waits are tempered by the finite injection
+// window; the tail decay tempers by the same ratio — a run too short to
+// reach the steady-state mean is equally short of the asymptotic
+// exponential tail.
+func (pa *pathAcc) add(w, rho, theta float64) {
 	if pa.T > 0 && w > 0 {
 		wt := finiteWait(w, rho, pa.T)
 		theta *= wt / w
 		w = wt
 	}
-	pa.w += mass * w
-	if mass > 1e-9 {
-		if theta > pa.thetaMax {
-			pa.thetaMax = theta
-		}
-		if rho > pa.rhoWorst {
-			pa.rhoWorst = rho
-		}
+	pa.w += w
+	if theta > pa.thetaMax {
+		pa.thetaMax = theta
 	}
-}
-
-// overload records the transient backlog of one routed path whose bottleneck
-// station runs at utilization rho. The transient accrues once per path at
-// its worst hop, not per hop: an upstream bottleneck meters the flow, so
-// downstream over-capacity stations never see more than the metered rate.
-func (pa *pathAcc) overload(rho, mass float64) {
-	if rho > 1 && pa.T > 0 {
-		tr := (rho - 1) * pa.T / 2
-		pa.w += mass * tr
-		pa.tr += mass * tr
+	if rho > pa.rhoWorst {
+		pa.rhoWorst = rho
 	}
 }
 
 // finalize converts the accumulated route into a flowLat. Returns the
 // distribution and whether the flow saturates (some visited station is
 // beyond capacity, so its wait grows with the run instead of converging).
-// Single-path models need not call overload: the bottleneck transient is
-// derived from the worst visited station when none was recorded.
-func (pa *pathAcc) finalize(interval float64, ppn int) (flowLat, bool) {
+// A saturated flow adds the transient backlog of its worst station, once
+// per path rather than per hop: an upstream bottleneck meters the flow, so
+// downstream over-capacity stations never see more than the metered rate.
+func (pa *pathAcc) finalize() (flowLat, bool) {
 	if pa.rhoWorst > 1 {
-		if pa.tr == 0 {
-			pa.overload(pa.rhoWorst, 1)
+		var tr float64
+		if pa.T > 0 {
+			tr = (pa.rhoWorst - 1) * pa.T / 2
 		}
 		// The transient backlog grows roughly linearly, so waits spread
 		// near-uniformly over [0, 2*tr]: the tail is far lighter than an
 		// exponential with the same mean (theta ~ tr/2 puts the p99 at
 		// about twice the mean transient, matching the uniform ramp).
-		theta := math.Max(pa.thetaMax, pa.tr/2)
-		return flowLat{base: pa.base, w: pa.w, theta: theta, pb: 1, endW: pa.tr}, true
+		theta := math.Max(pa.thetaMax, tr/2)
+		return flowLat{base: pa.base, w: pa.w + tr, theta: theta, pb: 1, endW: tr}, true
 	}
 	f := flowLat{base: pa.base, w: pa.w, theta: pa.thetaMax}
 	if f.theta > 0 {

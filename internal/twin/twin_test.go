@@ -123,13 +123,9 @@ func TestFiniteWait(t *testing.T) {
 }
 
 func TestNetworksAreModelled(t *testing.T) {
-	cfg := Config{Nodes: 64, PacketsPerNode: 10, FatTreeK: 4, Seed: 1}
+	cfg := Config{Nodes: 64, PacketsPerNode: 10, Seed: 1}
 	for _, net := range Networks {
-		nodes, err := NumNodes(net, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", net, err)
-		}
-		p, err := EvalOpenLoop(net, traffic.Transpose(nodes), 0.5, cfg)
+		p, err := EvalOpenLoop(net, traffic.Transpose(64), 0.5, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", net, err)
 		}
@@ -144,5 +140,32 @@ func TestDragonflyHasNoModel(t *testing.T) {
 	_, err := EvalOpenLoop("dragonfly", traffic.Transpose(64), 0.5, cfg)
 	if err == nil || !strings.Contains(err.Error(), "packet tier") {
 		t.Fatalf("EvalOpenLoop(dragonfly) = %v, want an error pointing at the packet tier", err)
+	}
+}
+
+// TestRefusesOutsideEnvelope pins that the twin answers no cell it is not
+// calibrated for: a pattern, a load or a network outside the envelope is an
+// error pointing at the packet tier, not a number.
+func TestRefusesOutsideEnvelope(t *testing.T) {
+	cfg := Config{Nodes: 64, PacketsPerNode: 10, Seed: 1}
+	for _, c := range []struct {
+		network string
+		pat     *traffic.Pattern
+		load    float64
+	}{
+		{"baldur", traffic.Hotspot(64, 0), 0.5},
+		{"baldur", traffic.Transpose(64), 0.7},
+		{"multibutterfly", traffic.Transpose(64), MaxLoad + 1e-9},
+		{"ideal", traffic.Transpose(64), 0},
+		{"fattree", traffic.Transpose(64), 0.5},
+	} {
+		_, err := EvalOpenLoop(c.network, c.pat, c.load, cfg)
+		if err == nil || !strings.Contains(err.Error(), "packet tier") {
+			t.Errorf("EvalOpenLoop(%s, %s, %g) = %v, want an error pointing at the packet tier",
+				c.network, c.pat.Name, c.load, err)
+		}
+		if InEnvelope(c.network, c.pat.Name, c.load) {
+			t.Errorf("InEnvelope(%s, %s, %g) = true", c.network, c.pat.Name, c.load)
+		}
 	}
 }
