@@ -46,8 +46,9 @@ func main() {
 		maxBPN   = flag.Float64("max-bytes-per-node", 0, "fail the run if peak RSS divided by the simulated node count exceeds this many bytes (0: no gate; the CI memory smoke sets it)")
 	)
 	telFlags := telemetry.Flags()
+	profStart := prof.Flags()
 	flag.Parse()
-	defer prof.Start()()
+	defer profStart()()
 
 	fid, err := netsim.ParseFidelity(*fidelity)
 	if err != nil {

@@ -312,3 +312,22 @@ func TestCompareGateKinds(t *testing.T) {
 		}
 	}
 }
+
+// TestMedianIgnoresOneOutlier: twin_speedup's gated number is the median
+// of its passes, so one pass slowed (or sped up) by the host cannot move
+// it past the others.
+func TestMedianIgnoresOneOutlier(t *testing.T) {
+	for _, c := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{[]float64{117, 110, 114, 143, 138}, 117},
+		{[]float64{118, 137, 135, 141, 20}, 135},
+		{[]float64{4, 1, 3, 2}, 2.5},
+		{[]float64{7}, 7},
+	} {
+		if got := median(c.xs); got != c.want {
+			t.Errorf("median(%v) = %g, want %g", c.xs, got, c.want)
+		}
+	}
+}

@@ -37,8 +37,9 @@ func main() {
 		watchdog = flag.Float64("watchdog", 0, "trace-replay progress watchdog window in simulated microseconds (0: off)")
 	)
 	telFlags := telemetry.Flags()
+	profStart := prof.Flags()
 	flag.Parse()
-	defer prof.Start()()
+	defer profStart()()
 
 	sc, ok := exp.ScaleByName(*scale)
 	if !ok {

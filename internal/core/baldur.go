@@ -19,6 +19,7 @@ import (
 
 	"baldur/internal/faults"
 	"baldur/internal/netsim"
+	"baldur/internal/prof"
 	"baldur/internal/sim"
 	"baldur/internal/stats"
 	"baldur/internal/telemetry"
@@ -217,6 +218,7 @@ func New(cfg Config) (*Network, error) {
 	// One slot per (stage, output wire).
 	n.busyStride = mb.SwitchesPerStage() * 2 * cfg.Multiplicity
 	n.busy = make([]sim.Time, mb.Stages*n.busyStride)
+	prof.AdviseHugePages(n.busy)
 	n.Stats.DropsByStage = make([]uint64, mb.Stages)
 	n.testPath = -1
 	n.degradeRNG = sim.NewRNG(cfg.Seed ^ 0xdec4ade)

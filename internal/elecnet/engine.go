@@ -26,6 +26,7 @@ import (
 
 	"baldur/internal/faults"
 	"baldur/internal/netsim"
+	"baldur/internal/prof"
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
 )
@@ -754,12 +755,16 @@ func (n *engine) connectNIC(node int32, b int32, bp int, delay sim.Duration) {
 // initRouters sizes the router slab and carves every router's port slices
 // out of two shared backing arrays (all three topologies use one radix per
 // network, so the slabs are rectangular). One allocation per array replaces
-// two slice allocations per router.
+// two slice allocations per router. Every hop reads all three at random, so
+// each is advised for huge pages.
 func (n *engine) initRouters(count, outPorts, inPorts int) {
 	n.outStride = outPorts
 	n.routers = make([]router, count)
 	outSlab := make([]outPort, count*outPorts)
 	inSlab := make([]inPort, count*inPorts)
+	prof.AdviseHugePages(n.routers)
+	prof.AdviseHugePages(outSlab)
+	prof.AdviseHugePages(inSlab)
 	for i := range n.routers {
 		r := &n.routers[i]
 		r.id = int32(i)
@@ -768,7 +773,9 @@ func (n *engine) initRouters(count, outPorts, inPorts int) {
 	}
 }
 
-// initNICs sizes the NIC slab; connectNIC fills the slots in.
+// initNICs sizes the NIC slab, advised for huge pages; connectNIC fills
+// the slots in.
 func (n *engine) initNICs(count int) {
 	n.nics = make([]enic, count)
+	prof.AdviseHugePages(n.nics)
 }

@@ -2,7 +2,9 @@
 // plus -blockprofile, -mutexprofile and -goroutineprofile for inspecting
 // sharded-engine barrier contention — into the command-line tools so
 // simulator hot paths can be inspected with `go tool pprof` without a test
-// harness.
+// harness. It also holds the process-level memory helpers the simulator
+// itself uses: the peak-RSS probe and the huge-page hint for its large
+// tables. Importing it registers no flags; a tool opts in with Flags.
 package prof
 
 import (
@@ -13,20 +15,27 @@ import (
 	"runtime/pprof"
 )
 
-var (
-	cpu       = flag.String("cpuprofile", "", "write a CPU profile to this file")
-	mem       = flag.String("memprofile", "", "write a heap profile to this file at exit")
-	block     = flag.String("blockprofile", "", "write a goroutine blocking profile to this file at exit (enables block sampling)")
-	mutex     = flag.String("mutexprofile", "", "write a mutex contention profile to this file at exit (enables mutex sampling)")
-	goroutine = flag.String("goroutineprofile", "", "write a goroutine dump to this file at exit")
-)
+// The profile destinations; empty (no profile) unless Flags registered them
+// and the command line set them.
+var cpu, mem, block, mutex, goroutine = new(string), new(string), new(string), new(string), new(string)
 
-// Start begins CPU profiling if -cpuprofile was given and enables block /
-// mutex sampling only when the corresponding flags request a profile (the
-// runtime samplers are not free, so they stay off otherwise). Call it after
-// flag.Parse and defer the returned stop function; stop writes every
-// requested exit-time profile.
-func Start() (stop func()) {
+// Flags registers the profiling flags on the command line and returns the
+// function that starts profiling. Call Flags before flag.Parse and the
+// returned start after it, deferring the stop function start returns.
+func Flags() (start func() (stop func())) {
+	flag.StringVar(cpu, "cpuprofile", "", "write a CPU profile to this file")
+	flag.StringVar(mem, "memprofile", "", "write a heap profile to this file at exit")
+	flag.StringVar(block, "blockprofile", "", "write a goroutine blocking profile to this file at exit (enables block sampling)")
+	flag.StringVar(mutex, "mutexprofile", "", "write a mutex contention profile to this file at exit (enables mutex sampling)")
+	flag.StringVar(goroutine, "goroutineprofile", "", "write a goroutine dump to this file at exit")
+	return startProfiles
+}
+
+// startProfiles begins CPU profiling if -cpuprofile was given and enables
+// block / mutex sampling only when the corresponding flags request a
+// profile (the runtime samplers are not free, so they stay off otherwise).
+// The returned stop writes every requested exit-time profile.
+func startProfiles() (stop func()) {
 	if *block != "" {
 		// Rate 1 records every blocking event; barrier waits in the
 		// sharded engine are long enough that sampling them all is cheap.

@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // Actor is a per-model-object tie-break key stream for ScheduleKey. The key
 // is the actor id in the high 32 bits and a monotonically increasing draw
 // counter in the low 32, so:
@@ -25,9 +27,15 @@ func MakeActor(id uint32) Actor {
 	return Actor(id) << 32
 }
 
-// Next returns the current key and advances the stream.
+// Next returns the current key and advances the stream. It panics rather
+// than draw the last key of its 32-bit counter: advancing past it would
+// carry into the id and hand out the next actor's keys, breaking both
+// guarantees above in silence.
 func (a *Actor) Next() uint64 {
 	k := uint64(*a)
+	if uint32(k) == math.MaxUint32 {
+		panic("sim: actor key stream exhausted (2^32-1 keys drawn)")
+	}
 	*a++
 	return k
 }

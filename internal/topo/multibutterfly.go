@@ -10,6 +10,7 @@ package topo
 import (
 	"fmt"
 
+	"baldur/internal/prof"
 	"baldur/internal/sim"
 )
 
@@ -19,6 +20,23 @@ type PortRef struct {
 	Switch int32 // switch index within the next stage, or node id
 	Port   int16 // input port within that switch
 }
+
+// wire is a PortRef packed into one wiring-table entry: the switch (or
+// node) index above the low wirePortBits bits, the port in them. At four
+// bytes it is half a padded PortRef, so the table every hop reads from is
+// half the size.
+type wire uint32
+
+const wirePortBits = 8
+
+func packWire(sw int32, port int) wire { return wire(sw)<<wirePortBits | wire(port) }
+
+// Limits of the packed entry: node and switch indices below 2^24, ports
+// (2m of them per switch) below 2^8.
+const (
+	maxWireNodes        = 1 << (32 - wirePortBits)
+	maxWireMultiplicity = 1 << (wirePortBits - 1)
+)
 
 // MultiButterfly is the wiring of an N-node, multiplicity-m multi-butterfly.
 //
@@ -34,30 +52,57 @@ type MultiButterfly struct {
 	M      int // path multiplicity >= 1
 	Stages int // log2(N)
 
-	// wiring[s][k*2m + d*m + p] is where output (direction d, path p) of
-	// switch k at stage s leads: a switch input at stage s+1, or, for
-	// s == Stages-1, the destination node (Port is then the node's
-	// receive-wire index in 0..m-1).
-	wiring [][]PortRef
+	// wiring[wireIndex(s, k, d, p)] is where output (direction d, path p)
+	// of switch k at stage s leads: a switch input at stage s+1, or, for
+	// s == Stages-1, the destination node (the port is then the node's
+	// receive-wire index in 0..m-1). One flat table for the whole
+	// network, like Baldur's occupancy table, so one huge-page hint
+	// covers all of it.
+	wiring []wire
+}
+
+// wireIndex is the wiring-table slot of output (direction d, path p) of
+// switch k at stage s: stage-major, then switch, direction and path.
+func (mb *MultiButterfly) wireIndex(s, k, d, p int) int {
+	return (s*mb.Nodes+2*k+d)*mb.M + p
+}
+
+// newWiring checks the geometry and returns a butterfly with its wiring
+// table allocated and advised for huge pages, and its last stage wired:
+// group g (of size 1) direction d feeds node (g<<1)|d on its m receive
+// wires. The constructors then wire the stage boundaries.
+func newWiring(nodes, m int) (*MultiButterfly, error) {
+	n := log2(nodes)
+	if n < 2 || 1<<n != nodes || nodes > maxWireNodes {
+		return nil, fmt.Errorf("topo: nodes = %d, want a power of two in [4, %d]", nodes, maxWireNodes)
+	}
+	if m < 1 || m > maxWireMultiplicity {
+		return nil, fmt.Errorf("topo: multiplicity = %d, want 1..%d", m, maxWireMultiplicity)
+	}
+	mb := &MultiButterfly{Nodes: nodes, M: m, Stages: n}
+	mb.wiring = make([]wire, n*nodes*m)
+	prof.AdviseHugePages(mb.wiring)
+	for k := 0; k < nodes/2; k++ {
+		for d := 0; d < 2; d++ {
+			node := int32(k<<1 | d)
+			for p := 0; p < m; p++ {
+				mb.wiring[mb.wireIndex(n-1, k, d, p)] = packWire(node, p)
+			}
+		}
+	}
+	return mb, nil
 }
 
 // NewMultiButterfly builds the randomized wiring with the given seed. Equal
 // seeds give identical networks.
 func NewMultiButterfly(nodes, m int, seed uint64) (*MultiButterfly, error) {
-	n := log2(nodes)
-	if n < 2 || 1<<n != nodes {
-		return nil, fmt.Errorf("topo: nodes = %d, want a power of two >= 4", nodes)
+	mb, err := newWiring(nodes, m)
+	if err != nil {
+		return nil, err
 	}
-	if m < 1 {
-		return nil, fmt.Errorf("topo: multiplicity = %d, want >= 1", m)
-	}
-	mb := &MultiButterfly{Nodes: nodes, M: m, Stages: n}
+	n := mb.Stages
 	rng := sim.NewRNG(seed)
-	mb.wiring = make([][]PortRef, n)
 	switchesPerStage := nodes / 2
-	for s := 0; s < n; s++ {
-		mb.wiring[s] = make([]PortRef, switchesPerStage*2*m)
-	}
 
 	// Wire each stage boundary group by group.
 	perm := make([]int, 0)
@@ -81,26 +126,12 @@ func NewMultiButterfly(nodes, m int, seed uint64) (*MultiButterfly, error) {
 					k := g*groupSize + w/m // source switch
 					p := w % m             // source path
 					target := perm[w]
-					mb.wiring[s][k*2*m+d*m+p] = PortRef{
-						Switch: nextBase + int32(target/(2*m)),
-						Port:   int16(target % (2 * m)),
-					}
+					mb.wiring[mb.wireIndex(s, k, d, p)] = packWire(nextBase+int32(target/(2*m)), target%(2*m))
 				}
 			}
 		}
 	}
 
-	// Last stage: group g (of size 1) direction d feeds node (g<<1)|d on
-	// its m receive wires.
-	s := n - 1
-	for k := 0; k < switchesPerStage; k++ {
-		for d := 0; d < 2; d++ {
-			node := int32(k<<1 | d)
-			for p := 0; p < m; p++ {
-				mb.wiring[s][k*2*m+d*m+p] = PortRef{Switch: node, Port: int16(p)}
-			}
-		}
-	}
 	return mb, nil
 }
 
@@ -130,7 +161,8 @@ func (mb *MultiButterfly) RoutingBits(dest int) []bool {
 // OutWire returns where output (direction d, path p) of switch k at stage s
 // leads.
 func (mb *MultiButterfly) OutWire(s int, k int32, d, p int) PortRef {
-	return mb.wiring[s][int(k)*2*mb.M+d*mb.M+p]
+	w := mb.wiring[mb.wireIndex(s, int(k), d, p)]
+	return PortRef{Switch: int32(w >> wirePortBits), Port: int16(w & (1<<wirePortBits - 1))}
 }
 
 // SwitchesPerStage returns the number of switches in each stage (N/2).

@@ -15,6 +15,19 @@ func TestRejectsBadParameters(t *testing.T) {
 	if _, err := NewMultiButterfly(16, 0, 0); err == nil {
 		t.Error("multiplicity 0 accepted")
 	}
+	if _, err := NewMultiButterfly(16, maxWireMultiplicity+1, 0); err == nil {
+		t.Error("multiplicity past the packed entry's port field accepted")
+	}
+}
+
+// TestPackedWireLimits round-trips the largest switch index and port the
+// packed wiring entry admits through OutWire.
+func TestPackedWireLimits(t *testing.T) {
+	want := PortRef{Switch: maxWireNodes - 1, Port: 2*maxWireMultiplicity - 1}
+	mb := &MultiButterfly{M: 1, wiring: []wire{packWire(want.Switch, int(want.Port))}}
+	if got := mb.OutWire(0, 0, 0, 0); got != want {
+		t.Errorf("OutWire = %+v, want %+v", got, want)
+	}
 }
 
 func TestGeometry(t *testing.T) {
@@ -36,34 +49,36 @@ func TestGeometry(t *testing.T) {
 func TestWiringIsPerfectMatching(t *testing.T) {
 	// Every (switch, input port) pair at stage s+1 must be the target of
 	// exactly one output wire from stage s... except unused slack: the
-	// wire counts are equal, so the matching must be a bijection.
-	mb, err := NewMultiButterfly(64, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := mb.M
-	for s := 0; s < mb.Stages-1; s++ {
-		seen := make(map[PortRef]bool)
-		for k := int32(0); k < int32(mb.SwitchesPerStage()); k++ {
-			for d := 0; d < 2; d++ {
-				for p := 0; p < m; p++ {
-					ref := mb.OutWire(s, k, d, p)
-					if seen[ref] {
-						t.Fatalf("stage %d: input %v targeted twice", s, ref)
-					}
-					seen[ref] = true
-					if ref.Switch < 0 || int(ref.Switch) >= mb.SwitchesPerStage() {
-						t.Fatalf("stage %d: switch %d out of range", s, ref.Switch)
-					}
-					if ref.Port < 0 || int(ref.Port) >= 2*m {
-						t.Fatalf("stage %d: port %d out of range", s, ref.Port)
+	// wire counts are equal, so the matching must be a bijection. The
+	// largest multiplicity fills the packed entry's port field.
+	for _, m := range []int{3, maxWireMultiplicity} {
+		mb, err := NewMultiButterfly(64, m, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < mb.Stages-1; s++ {
+			seen := make(map[PortRef]bool)
+			for k := int32(0); k < int32(mb.SwitchesPerStage()); k++ {
+				for d := 0; d < 2; d++ {
+					for p := 0; p < m; p++ {
+						ref := mb.OutWire(s, k, d, p)
+						if seen[ref] {
+							t.Fatalf("m=%d stage %d: input %v targeted twice", m, s, ref)
+						}
+						seen[ref] = true
+						if ref.Switch < 0 || int(ref.Switch) >= mb.SwitchesPerStage() {
+							t.Fatalf("m=%d stage %d: switch %d out of range", m, s, ref.Switch)
+						}
+						if ref.Port < 0 || int(ref.Port) >= 2*m {
+							t.Fatalf("m=%d stage %d: port %d out of range", m, s, ref.Port)
+						}
 					}
 				}
 			}
-		}
-		// Bijection: every input port of stage s+1 covered.
-		if got, want := len(seen), mb.SwitchesPerStage()*2*m; got != want {
-			t.Fatalf("stage %d: %d inputs covered, want %d", s, got, want)
+			// Bijection: every input port of stage s+1 covered.
+			if got, want := len(seen), mb.SwitchesPerStage()*2*m; got != want {
+				t.Fatalf("m=%d stage %d: %d inputs covered, want %d", m, s, got, want)
+			}
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package topo
 
-import "fmt"
-
 // NewRegularButterfly builds a classic (non-randomized) butterfly wiring
 // with multiplicity m: structurally identical to NewMultiButterfly, but the
 // inter-stage connections follow the deterministic butterfly permutation
@@ -11,20 +9,12 @@ import "fmt"
 // permutations (e.g. transpose) concentrate traffic and the drop rate does
 // not improve with scale-appropriate multiplicity (Sec IV-E, [14], [19]).
 func NewRegularButterfly(nodes, m int) (*MultiButterfly, error) {
-	n := log2(nodes)
-	if n < 2 || 1<<n != nodes {
-		return nil, fmt.Errorf("topo: nodes = %d, want a power of two >= 4", nodes)
+	mb, err := newWiring(nodes, m)
+	if err != nil {
+		return nil, err
 	}
-	if m < 1 {
-		return nil, fmt.Errorf("topo: multiplicity = %d, want >= 1", m)
-	}
-	mb := &MultiButterfly{Nodes: nodes, M: m, Stages: n}
-	mb.wiring = make([][]PortRef, n)
+	n := mb.Stages
 	switchesPerStage := nodes / 2
-
-	for s := 0; s < n; s++ {
-		mb.wiring[s] = make([]PortRef, switchesPerStage*2*m)
-	}
 	// Regular butterfly: a switch k at stage s serving group g (of size
 	// groupSize switches) sends its direction-d wires to the switch at
 	// the same relative position within the halved next-stage group.
@@ -48,18 +38,9 @@ func NewRegularButterfly(nodes, m int) (*MultiButterfly, error) {
 					// rel+nextGroupSize both map to the same
 					// next switch, on disjoint port ranges.
 					half := (rel / nextGroupSize) & 1
-					port := int16(half*m + p)
-					mb.wiring[s][k*2*m+d*m+p] = PortRef{Switch: next, Port: port}
+					port := half*m + p
+					mb.wiring[mb.wireIndex(s, k, d, p)] = packWire(next, port)
 				}
-			}
-		}
-	}
-	s := n - 1
-	for k := 0; k < switchesPerStage; k++ {
-		for d := 0; d < 2; d++ {
-			node := int32(k<<1 | d)
-			for p := 0; p < m; p++ {
-				mb.wiring[s][k*2*m+d*m+p] = PortRef{Switch: node, Port: int16(p)}
 			}
 		}
 	}
