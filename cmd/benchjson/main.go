@@ -1,9 +1,12 @@
 // Command benchjson runs the simulator's gated benchmarks and writes the
-// results as machine-readable JSON (BENCH_sim.json by default), the
-// performance-regression baseline CI checks against.
+// results as machine-readable JSON (BENCH_sim.json by default, the
+// committed record of the last run).
 //
-// Every entry is one row of the entries table: its name, the body it times
-// and the gate -check holds it to. The engine entries time the loops in
+// Every entry is one row of the entries table: its name, the body it times,
+// and the range -check holds one metric of the fresh run to. No gate reads
+// a number taken on another host: a time is gated as a ratio to another
+// body timed alternately in the same process, and counts and bytes are
+// gated against absolute bounds. The engine entries time the loops in
 // internal/sim/simbench, the same bodies internal/sim's benchmarks time.
 // Host-time end-to-end numbers are not re-timed here: the root Benchmark*
 // functions (BenchmarkBaldurSimulator, BenchmarkBaldurSimulatorSharded,
@@ -11,8 +14,7 @@
 //
 //	benchjson                  # writes BENCH_sim.json
 //	benchjson -out -           # JSON to stdout
-//	benchjson -check BENCH_sim.json   # also diff against a committed
-//	                                  # baseline; exit 1 on regression
+//	benchjson -out - -check    # also exit 1 if any entry leaves its range
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -55,112 +58,105 @@ type report struct {
 	Benchmarks []result `json:"benchmarks"`
 }
 
-// gateKind is how -check judges an entry. Only baselineNs reads the
-// committed baseline; the other kinds gate the fresh run alone, against an
-// absolute limit, because each pins a claim that holds on any runner.
-type gateKind int
-
-const (
-	// baselineNs: ns/op at most checkTolerance over the committed
-	// baseline. An entry missing from the baseline (the change that
-	// introduces it) is a SKIP, an unusable baseline entry (ns/op <= 0) a
-	// WARN, and a baseline entry the run no longer produces a WARN: the
-	// baseline is stale and should be regenerated.
-	baselineNs gateKind = iota
-	// typedRatio: ns/op divided by engine_schedule_dispatch_typed's from the
-	// same run at most limit. Dividing by a kernel loop timed in the same
-	// process cancels runner speed. A run without the typed loop FAILs.
-	typedRatio
-	// allocsCeil: the extra_allocs_op metric at most limit. An entry
-	// without the metric has measured nothing and FAILs.
-	allocsCeil
-	// bytesPerNodeCeil: the bytes_per_node metric at most limit. A value
-	// <= 0 means peak RSS is unavailable on the platform: a WARN.
-	bytesPerNodeCeil
-	// speedupFloor: the speedup_x metric at least limit.
-	speedupFloor
-)
-
-// checkTolerance is the allowed ns/op growth over the committed baseline
-// before a baselineNs entry fails.
-const checkTolerance = 0.15
-
 // tieGroupWidth is the tie-group entries' group size: one event per node of
 // an 8K-node network sending in lockstep.
 const tieGroupWidth = 8192
 
+var inf = math.Inf(1)
+
 // entry is one benchmark: its name in the JSON, the body timed, and its
-// gate with the gate's ceiling or floor.
+// gate. -check passes the entry when the fresh run reports metric and the
+// value lies in [lo, hi]: a ceiling has lo = -inf, a floor hi = inf, an
+// exact count lo == hi.
 type entry struct {
-	name  string
-	body  func(b *testing.B)
-	gate  gateKind
-	limit float64
+	name   string
+	body   func(b *testing.B)
+	metric string
+	lo, hi float64
 }
 
 // entries is every benchmark benchjson runs, in run order.
 var entries = []entry{
 	// The plain dispatch loop, one event rescheduling itself with 1000
-	// events in flight: an event-kernel hot loop whose timing is stable
-	// enough for a hard baseline threshold.
-	{"engine_schedule_dispatch_typed", engineLoop(simbench.Typed), baselineNs, 0},
+	// events in flight, timed against the fixed reference kernel in the same
+	// process. Five runs on a 2-vCPU Xeon VM read 1.02-1.27x (median 1.18x);
+	// the ceiling is 1.15x that median, rounded down.
+	{"engine_schedule_dispatch_typed", benchTypedVsRef, "x_ref", -inf, 1.35},
 	// engine_tie_dispatch is the FIFO shape: one event rescheduling itself,
-	// so its 8,192-wide tie groups come off the heap reversed. Its dispatch
-	// costs about 60 ns on a 2-vCPU Xeon VM, about 0.5-0.7x a plain
-	// dispatch; a sort quadratic in reversed order puts it near 100x. The
+	// so its 8,192-wide tie groups come off the heap reversed. A sort
+	// quadratic in reversed order puts it near 100x a plain dispatch. The
 	// host-time benchmark's sim.tie_dispatch_ns (bench/calibrate.go) times
-	// this FIFO shape too, not the actor shape below.
-	{"engine_tie_dispatch", engineLoop(simbench.TieFIFO(tieGroupWidth)), typedRatio, 4.0},
+	// this FIFO shape too, not the actor shape below. Five runs on a 2-vCPU
+	// Xeon VM read 0.61-0.67x (median 0.63x); the ceiling is 1.5x that
+	// median, rounded down to a tenth.
+	{"engine_tie_dispatch", tieVsTyped(simbench.TieFIFO(tieGroupWidth)), "x_typed", -inf, 0.9},
 	// engine_tie_dispatch_actors is the shape closed-loop ping-pong
 	// produces: 8,192-wide tie groups of Actor keys that reach the heap in
 	// permuted order. The radix sort dispatches them in about 75-90 ns on
-	// the same VM; in six runs alternated with the comparison sort it
+	// a 2-vCPU Xeon VM; in six runs alternated with the comparison sort it
 	// replaced, the ratio was 0.58-0.72x (median 0.67x) against 2.03-2.38x
 	// for pdqsort, which pays its O(n log n) case on this shape. The ceiling
 	// sits about 1.8x above the radix sort's median and below every pdqsort
 	// run.
-	{"engine_tie_dispatch_actors", engineLoop(simbench.TieActors(tieGroupWidth)), typedRatio, 1.2},
-	{"telemetry_overhead", benchTelemetryOverhead, baselineNs, 0},
+	{"engine_tie_dispatch_actors", tieVsTyped(simbench.TieActors(tieGroupWidth)), "x_typed", -inf, 1.2},
+	// The full telemetry layer's time cost, on over off. Five runs on a
+	// 2-vCPU Xeon VM read 1.28-1.46x (median 1.33x); the ceiling is 1.15x
+	// that median, rounded down.
+	{"telemetry_overhead", benchTelemetryOverhead, "x_off", -inf, 1.53},
 	// Spans land in the preallocated flight-recorder rings, so even the
 	// enabled tracer must allocate nothing per span, which bounds the
 	// disabled path (one predictable branch per lifecycle site) a fortiori.
 	// The slack covers runtime-internal allocations landing inside the
 	// measurement window; a real leak in the per-packet trace sites would
-	// show up as hundreds per op.
-	{"trace_overhead", benchTraceOverhead, allocsCeil, 8},
+	// show up as hundreds per op. Each of the three overhead ceilings is the
+	// highest of ten runs plus one, rounded up; here the highest was 0.28.
+	{"trace_overhead", benchTraceOverhead, "extra_allocs_op", -inf, 2},
 	// The disabled fault path's whole budget is the one Controller
 	// allocation per run plus slack for runtime-internal allocations landing
 	// inside the measurement window; an allocation creeping into the
 	// per-arrival fault guards would show up as hundreds per op (the cell
-	// injects 192 packets) and trip the gate.
-	{"faults_overhead", benchFaultsOverhead, allocsCeil, 8},
+	// injects 192 packets) and trip the gate. The highest of ten runs was
+	// 1.002.
+	{"faults_overhead", benchFaultsOverhead, "extra_allocs_op", -inf, 3},
 	// Non-flow packets return from the workload's delivery hook after a
 	// single Flow == 0 branch, the same nil-probe discipline as the
 	// telemetry and fault layers, so the differential must be zero up to
 	// runtime-internal allocations landing inside the measurement window. A
 	// real allocation creeping into the delivery probe would scale with the
-	// cell's packet count (hundreds per op) and trip the gate.
-	{"workload_overhead", benchWorkloadOverhead, allocsCeil, 8},
+	// cell's packet count (hundreds per op) and trip the gate. The highest
+	// of ten runs was 0.004.
+	{"workload_overhead", benchWorkloadOverhead, "extra_allocs_op", -inf, 2},
 	// The twin's whole reason to exist is the orders-of-magnitude
 	// wall-clock ratio over the packet engine, so the gate pins the claim
 	// itself.
-	{"twin_speedup", benchTwinSpeedup, speedupFloor, 100},
-	// Measured ~5.7 KB/node with the SoA state layout; the ceiling leaves
-	// headroom for allocator and runner variance while still catching a
-	// return to pointer-heavy per-node state (which measured several times
-	// higher). The claim itself, bounded memory per node, is what the entry
-	// exists to pin.
+	{"twin_speedup", benchTwinSpeedup, "speedup_x", 100, inf},
+	// Each network model's events per injected packet in one fixed cell,
+	// gated exactly: the count is deterministic, so any change to it is a
+	// change to the model's event structure and lands as a reviewed edit
+	// of its row.
+	eventsRow("baldur", 51237, 6400),
+	eventsRow("multibutterfly", 173226, 6400),
+	eventsRow("dragonfly", 129821, 7200),
+	eventsRow("fattree", 118189, 5400),
+	eventsRow("ideal", 12800, 6400),
+	// Ten runs with the SoA state layout and huge-page-advised tables read
+	// 4,794-5,177 B/node; the ceiling is 1.15x the highest, rounded down to
+	// 100 B. A return to pointer-heavy per-node state measured several
+	// times higher.
 	//
 	// Last on purpose: peak RSS is a process-lifetime high-water mark, so
 	// the 128K-node runs must come after every smaller benchmark for
 	// bytes_per_node to measure them and not be measured by them.
-	{"scale_datacenter", benchScaleDatacenter, bytesPerNodeCeil, 8192},
+	{"scale_datacenter", benchScaleDatacenter, "bytes_per_node", -inf, 5900},
 }
 
 func main() {
 	out := flag.String("out", "BENCH_sim.json", "output file ('-' for stdout)")
-	check := flag.String("check", "", "baseline JSON to diff against; exits 1 if a gated engine microbenchmark regresses by >15% ns/op, or if a fresh-run gate fails (tie-dispatch ratios, overhead extra allocs, twin speedup floor, datacenter bytes/node)")
+	check := flag.Bool("check", false, "exit 1 unless every entry's metric lies within its range on this run")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected arguments %q (-check takes no value)", flag.Args()))
+	}
 
 	rep := report{GoOS: runtime.GOOS, GoArch: runtime.GOARCH, Benchmarks: make([]result, 0, len(entries))}
 	for _, en := range entries {
@@ -195,116 +191,42 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 	}
-	if *check != "" && !checkAgainst(*check, rep) {
+	if *check && !compare(rep, os.Stderr) {
+		fmt.Fprintln(os.Stderr, "benchjson: -check failed (see the REGRESSION/FAIL lines above)")
 		os.Exit(1)
 	}
 }
 
-// checkAgainst compares the fresh measurements against a committed baseline
-// and reports whether every gated benchmark stayed within tolerance.
-func checkAgainst(path string, fresh report) bool {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
+// compare prints a verdict line for every entry the run produced and
+// reports whether each passed its gate. Names outside the table are
+// ignored. An entry without its metric has measured nothing and FAILs; the
+// one exception is a bytes_per_node <= 0, which means peak RSS is
+// unavailable on the platform: a WARN.
+func compare(fresh report, w io.Writer) bool {
+	run := make(map[string]result, len(fresh.Benchmarks))
+	for _, r := range fresh.Benchmarks {
+		run[r.Name] = r
 	}
-	var base report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		fatal(fmt.Errorf("parsing baseline %s: %w", path, err))
-	}
-	ok := compare(base, fresh, os.Stderr)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "benchjson: -check failed against %s (see the REGRESSION/FAIL lines above)\n", path)
-	}
-	return ok
-}
-
-// compare walks the entries table and reports whether every entry the
-// fresh run produced passed its gate. Names outside the table are ignored.
-// Mismatched sets never crash and never fail the gate silently: see
-// gateKind for each kind's SKIP, WARN and FAIL paths.
-func compare(base, fresh report, w io.Writer) bool {
-	baseline, run := byName(base), byName(fresh)
 	ok := true
 	for _, en := range entries {
 		r, produced := run[en.name]
 		if !produced {
-			if _, stale := baseline[en.name]; stale && en.gate == baselineNs {
-				fmt.Fprintf(w, "check %-36s WARN: in baseline but not produced by this run; baseline is stale\n", en.name)
-			}
 			continue
 		}
-		if !en.check(r, baseline, run, w) {
+		v, found := r.Extra[en.metric]
+		switch {
+		case !found:
+			fmt.Fprintf(w, "check %-36s FAIL: no %s metric in this run\n", en.name, en.metric)
 			ok = false
+		case en.metric == "bytes_per_node" && v <= 0:
+			fmt.Fprintf(w, "check %-36s WARN: peak RSS unavailable on this platform; not gated\n", en.name)
+		default:
+			fail := v < en.lo || v > en.hi
+			fmt.Fprintf(w, "check %-36s %s = %g in [%g, %g] %s\n", en.name, en.metric, v, en.lo, en.hi, verdict(fail))
+			ok = ok && !fail
 		}
 	}
 	return ok
-}
-
-func byName(rep report) map[string]result {
-	m := make(map[string]result, len(rep.Benchmarks))
-	for _, r := range rep.Benchmarks {
-		m[r.Name] = r
-	}
-	return m
-}
-
-// check prints the verdict line of r, the fresh run's measurement of en,
-// and reports whether it passed en's gate.
-func (en entry) check(r result, baseline, run map[string]result, w io.Writer) bool {
-	switch en.gate {
-	case baselineNs:
-		b, found := baseline[en.name]
-		switch {
-		case !found:
-			fmt.Fprintf(w, "check %-36s SKIP: not in baseline (new benchmark? regenerate the baseline to gate it)\n", en.name)
-			return true
-		case b.NsPerOp <= 0:
-			fmt.Fprintf(w, "check %-36s WARN: baseline ns/op = %g is unusable; not gated\n", en.name, b.NsPerOp)
-			return true
-		}
-		ratio := r.NsPerOp / b.NsPerOp
-		fail := ratio > 1+checkTolerance
-		fmt.Fprintf(w, "check %-36s %8.1f -> %8.1f ns/op (%+.1f%%) %s\n",
-			en.name, b.NsPerOp, r.NsPerOp, (ratio-1)*100, verdict(fail))
-		return !fail
-	case typedRatio:
-		typed := run["engine_schedule_dispatch_typed"]
-		if typed.NsPerOp <= 0 {
-			fmt.Fprintf(w, "check %-36s FAIL: no engine_schedule_dispatch_typed ns/op in this run to divide by\n", en.name)
-			return false
-		}
-		x := r.NsPerOp / typed.NsPerOp
-		fail := x > en.limit
-		fmt.Fprintf(w, "check %-36s %8.2fx engine_schedule_dispatch_typed (ceiling %gx) %s\n",
-			en.name, x, en.limit, verdict(fail))
-		return !fail
-	case allocsCeil:
-		extra, found := r.Extra["extra_allocs_op"]
-		if !found {
-			fmt.Fprintf(w, "check %-36s FAIL: no extra_allocs_op metric in this run\n", en.name)
-			return false
-		}
-		fail := extra > en.limit
-		fmt.Fprintf(w, "check %-36s %8.1f extra allocs/op (ceiling %.0f) %s\n",
-			en.name, extra, en.limit, verdict(fail))
-		return !fail
-	case bytesPerNodeCeil:
-		bpn := r.Extra["bytes_per_node"]
-		if bpn <= 0 {
-			fmt.Fprintf(w, "check %-36s WARN: peak RSS unavailable on this platform; not gated\n", en.name)
-			return true
-		}
-		fail := bpn > en.limit
-		fmt.Fprintf(w, "check %-36s %8.0f B/node (ceiling %.0f) %s\n",
-			en.name, bpn, en.limit, verdict(fail))
-		return !fail
-	default: // speedupFloor
-		sx := r.Extra["speedup_x"]
-		fail := sx < en.limit
-		fmt.Fprintf(w, "check %-36s %8.0fx speedup (floor %.0fx) %s\n",
-			en.name, sx, en.limit, verdict(fail))
-		return !fail
-	}
 }
 
 func verdict(fail bool) string {
@@ -314,9 +236,52 @@ func verdict(fail bool) string {
 	return "ok"
 }
 
-// engineLoop times one dispatch of a simbench loop.
-func engineLoop(loop simbench.Loop) func(b *testing.B) {
-	return func(b *testing.B) { simbench.Run(b, loop) }
+// ratioPairs is how many alternated pairs a ratio entry takes the median
+// of per iteration. A pair's samples last a few milliseconds each: a burst
+// of other work on a shared host then spoils a few pairs, which the median
+// drops, where it would spoil most of a handful of long ones. On a 2-vCPU
+// VM, five runs of 75 short pairs read x_off 1.35-1.42, five of 7 pairs of
+// 0.1 s each 1.32-2.24.
+const ratioPairs = 75
+
+// dispatches is how many events each side of an engine ratio dispatches
+// per sample, or operations Ref runs.
+const dispatches = 1 << 16
+
+// sink keeps Ref's checksum, so the compiler cannot drop the kernel.
+var sink uint64
+
+// dispatch returns a body dispatching n events of loop on a fresh engine.
+func dispatch(loop simbench.Loop, n int) func() {
+	return func() {
+		e := sim.NewEngine()
+		loop(e, n)
+		e.Run()
+	}
+}
+
+// benchTypedVsRef reports x_ref: the plain dispatch loop's time per
+// dispatch over the reference kernel's time per operation, alternated in
+// one process. The typed loop is the event kernel's hot path, and the
+// kernel is code no change to the simulator touches, so a simulator change
+// moves the ratio only through the engine. The host moves it too: on a
+// busy host the typed loop slows more than the kernel.
+func benchTypedVsRef(b *testing.B) {
+	x, typed, ref := simbench.Ratio(ratioPairs*b.N, dispatch(simbench.Typed, dispatches), func() { sink = simbench.Ref(dispatches) })
+	b.ReportMetric(x, "x_ref")
+	b.ReportMetric(float64(typed)/dispatches, "typed_ns")
+	b.ReportMetric(float64(ref)/dispatches, "ref_ns")
+}
+
+// tieVsTyped returns a body reporting x_typed: loop's time per dispatch
+// over the plain dispatch loop's, alternated in one process.
+func tieVsTyped(loop simbench.Loop) func(b *testing.B) {
+	return func(b *testing.B) {
+		x, tie, typed := simbench.Ratio(ratioPairs*b.N, dispatch(loop, dispatches), dispatch(simbench.Typed, dispatches))
+		b.ReportMetric(x, "x_typed")
+		b.ReportMetric(float64(tie)/dispatches, "tie_ns")
+		b.ReportMetric(float64(typed)/dispatches, "typed_ns")
+	}
 }
 
 func benchScale() exp.Scale {
@@ -325,30 +290,50 @@ func benchScale() exp.Scale {
 	return sc
 }
 
-// benchTelemetryOverhead runs the root BenchmarkBaldurSimulator's workload
-// with the full telemetry layer enabled (counters, gauges, and the flight
-// recorder; no file export): the recording tax of the instrumented path.
-// The disabled path is BenchmarkBaldurSimulator itself, where probes stay
-// nil, so comparing the two ns/op on one host gives the full on/off cost
+// benchTelemetryOverhead reports x_off: the root BenchmarkBaldurSimulator's
+// workload with the full telemetry layer enabled (counters, gauges and the
+// flight recorder; no file export) over the same cell with telemetry off,
+// where probes stay nil, alternated in one process: the full on/off cost
 // of the observability layer.
 func benchTelemetryOverhead(b *testing.B) {
-	sc := benchScale()
-	var totalSamples, totalRecords int
-	for i := 0; i < b.N; i++ {
-		// Fresh Options per run: the harness treats them as per-run state.
-		sc.Telemetry = &telemetry.Options{}
-		d, err := exp.RunOpenLoopDetail("baldur", "random_permutation", 0.7, sc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tel := d.Telemetry
-		totalSamples += len(tel.Sampler.Samples)
-		for s := 0; s < tel.Reg.Shards(); s++ {
-			totalRecords += tel.Ring(s).Len()
+	cell := func(on bool) func() {
+		return func() {
+			sc := benchScale()
+			if on {
+				// Fresh Options per run: the harness treats them as per-run state.
+				sc.Telemetry = &telemetry.Options{}
+			}
+			if _, err := exp.RunOpenLoopDetail("baldur", "random_permutation", 0.7, sc); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
-	b.ReportMetric(float64(totalSamples)/float64(b.N), "samples/run")
-	b.ReportMetric(float64(totalRecords)/float64(b.N), "records/run")
+	x, on, off := simbench.Ratio(ratioPairs*b.N, cell(true), cell(false))
+	b.ReportMetric(x, "x_off")
+	b.ReportMetric(float64(on.Microseconds()), "on_us")
+	b.ReportMetric(float64(off.Microseconds()), "off_us")
+}
+
+// eventsRow is the entry gating network's events per injected packet in
+// the Quick random_permutation cell at load 0.5 at exactly
+// events/injected. The count is the same at any shard count.
+func eventsRow(network string, events, injected float64) entry {
+	body := func(b *testing.B) {
+		var ev, inj uint64
+		for range b.N {
+			d, err := exp.RunOpenLoopDetail(network, "random_permutation", 0.5, exp.Quick)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ev += d.Events
+			inj += d.Injected
+		}
+		b.ReportMetric(float64(ev)/float64(inj), "events_per_pkt")
+		b.ReportMetric(float64(ev)/float64(b.N), "events/run")
+		b.ReportMetric(float64(inj)/float64(b.N), "injected/run")
+	}
+	x := events / injected
+	return entry{"events_" + network, body, "events_per_pkt", x, x}
 }
 
 // benchTraceOverhead prices the packet-lifecycle tracer the way
@@ -358,9 +343,8 @@ func benchTelemetryOverhead(b *testing.B) {
 // extra_allocs_op. Both sides preallocate identical flight-recorder rings,
 // so the differential isolates the per-packet trace sites; spans are written
 // in place into the rings and must not allocate even when sampled. -check
-// gates extra_allocs_op against its absolute ceiling (no baseline needed),
-// pinning the acceptance claim that a trace-capable build costs untraced
-// runs nothing on the allocation side.
+// gates extra_allocs_op against its ceiling, pinning the claim that a
+// trace-capable build costs untraced runs nothing on the allocation side.
 func benchTraceOverhead(b *testing.B) {
 	measure := func(every int) float64 {
 		var before, after runtime.MemStats
@@ -437,7 +421,7 @@ func benchFaultsOverhead(b *testing.B) {
 // is excluded — so the differential isolates the per-delivery nil probe:
 // every OpenLoop packet traverses the workload's delivery hook and must
 // return after the one Flow == 0 branch without allocating. -check gates
-// extra_allocs_op against its absolute ceiling.
+// extra_allocs_op against its ceiling.
 func benchWorkloadOverhead(b *testing.B) {
 	idle := workload.Spec{
 		Name:       "idle",
@@ -519,22 +503,11 @@ func benchTwinSpeedup(b *testing.B) {
 		packetMS = append(packetMS, rep.PacketWallMS)
 		twinMS = append(twinMS, rep.TwinWallMS)
 	}
-	b.ReportMetric(median(speedup), "speedup_x")
+	b.ReportMetric(simbench.Median(speedup), "speedup_x")
 	b.ReportMetric(slices.Min(speedup), "speedup_x_min")
 	b.ReportMetric(slices.Max(speedup), "speedup_x_max")
-	b.ReportMetric(median(packetMS), "packet_wall_ms")
-	b.ReportMetric(median(twinMS), "twin_wall_ms")
-}
-
-// median returns the middle of xs (the mean of the two middles for an even
-// count), sorting xs in place.
-func median(xs []float64) float64 {
-	slices.Sort(xs)
-	mid := len(xs) / 2
-	if len(xs)%2 == 0 {
-		return (xs[mid-1] + xs[mid]) / 2
-	}
-	return xs[mid]
+	b.ReportMetric(simbench.Median(packetMS), "packet_wall_ms")
+	b.ReportMetric(simbench.Median(twinMS), "twin_wall_ms")
 }
 
 // benchScaleDatacenter runs the 128K-node memory-diet preset end to end —
@@ -542,8 +515,8 @@ func median(xs []float64) float64 {
 // iteration — and reports throughput plus the process's peak RSS read after
 // both complete. bytes_per_node divides that peak by the Baldur node count
 // (the larger denominator of the two would flatter the number; the preset's
-// nominal scale is the honest one). -check gates bytes_per_node against the
-// absolute ceiling rather than a baseline ratio.
+// nominal scale is the honest one). -check gates bytes_per_node against its
+// ceiling.
 func benchScaleDatacenter(b *testing.B) {
 	sc := exp.Datacenter
 	var baldurEvents, fattreeEvents uint64

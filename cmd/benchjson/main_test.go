@@ -1,91 +1,39 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"baldur/internal/sim/simbench"
 )
 
 func rep(rs ...result) report {
 	return report{GoOS: "linux", GoArch: "amd64", Benchmarks: rs}
 }
 
-// limit returns the ceiling or floor the entries table gates name against.
-func limit(name string) float64 {
+// gate returns the entry the table gates name with.
+func gate(name string) entry {
 	for _, en := range entries {
 		if en.name == name {
-			return en.limit
+			return en
 		}
 	}
 	panic("no entry " + name)
 }
 
-func TestCompareWithinTolerance(t *testing.T) {
-	base := rep(result{Name: "engine_schedule_dispatch_typed", NsPerOp: 100})
-	fresh := rep(result{Name: "engine_schedule_dispatch_typed", NsPerOp: 110})
-	var out strings.Builder
-	if !compare(base, fresh, &out) {
-		t.Errorf("10%% growth failed the %.0f%% gate:\n%s", checkTolerance*100, out.String())
-	}
-	if !strings.Contains(out.String(), "ok") {
-		t.Errorf("no ok verdict printed:\n%s", out.String())
-	}
-}
-
-func TestCompareRegression(t *testing.T) {
-	base := rep(result{Name: "engine_schedule_dispatch_typed", NsPerOp: 100})
-	fresh := rep(result{Name: "engine_schedule_dispatch_typed", NsPerOp: 130})
-	var out strings.Builder
-	if compare(base, fresh, &out) {
-		t.Error("30% growth passed the gate")
-	}
-	if !strings.Contains(out.String(), "REGRESSION") {
-		t.Errorf("no REGRESSION verdict printed:\n%s", out.String())
-	}
-}
-
-func TestCompareMissingFromBaseline(t *testing.T) {
-	// A gated benchmark introduced by this run must be an explicit SKIP, not
-	// a crash and not a silent pass.
-	base := rep(result{Name: "engine_schedule_dispatch_typed", NsPerOp: 100})
-	fresh := rep(
-		result{Name: "engine_schedule_dispatch_typed", NsPerOp: 100},
-		result{Name: "telemetry_overhead", NsPerOp: 50},
-	)
-	var out strings.Builder
-	if !compare(base, fresh, &out) {
-		t.Errorf("benchmark missing from baseline failed the gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "telemetry_overhead") || !strings.Contains(out.String(), "SKIP: not in baseline") {
-		t.Errorf("missing-from-baseline benchmark not reported as SKIP:\n%s", out.String())
-	}
-}
-
-func TestCompareMissingFromRun(t *testing.T) {
-	// A gated baseline entry the run no longer produces means the baseline is
-	// stale: warn loudly, don't fail (the rename PR regenerates it).
-	base := rep(
-		result{Name: "engine_schedule_dispatch_typed", NsPerOp: 100},
-		result{Name: "telemetry_overhead", NsPerOp: 50},
-	)
-	fresh := rep(result{Name: "engine_schedule_dispatch_typed", NsPerOp: 100})
-	var out strings.Builder
-	if !compare(base, fresh, &out) {
-		t.Errorf("stale baseline entry failed the gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "telemetry_overhead") || !strings.Contains(out.String(), "not produced by this run") {
-		t.Errorf("stale baseline entry not warned about:\n%s", out.String())
-	}
+// metric is a result of name reporting one metric.
+func metric(name, key string, v float64) report {
+	return rep(result{Name: name, NsPerOp: 100, Extra: map[string]float64{key: v}})
 }
 
 func TestCompareFaultsOverheadGate(t *testing.T) {
-	// The faults_overhead gate is absolute on the fresh run (no baseline
-	// entry needed): the disabled fault path may cost at most the per-run
-	// controller allocation.
-	fresh := rep(result{Name: "faults_overhead", NsPerOp: 100,
-		Extra: map[string]float64{"extra_allocs_op": 1}})
+	// The faults_overhead gate is absolute on the fresh run: the disabled
+	// fault path may cost at most the per-run controller allocation.
+	fresh := metric("faults_overhead", "extra_allocs_op", 1)
 	var out strings.Builder
-	if !compare(rep(), fresh, &out) {
-		t.Errorf("1 extra alloc/op failed the %.0f-alloc gate:\n%s", limit("faults_overhead"), out.String())
+	if !compare(fresh, &out) {
+		t.Errorf("1 extra alloc/op failed the %g-alloc gate:\n%s", gate("faults_overhead").hi, out.String())
 	}
 	if !strings.Contains(out.String(), "faults_overhead") || !strings.Contains(out.String(), "ok") {
 		t.Errorf("no ok verdict printed:\n%s", out.String())
@@ -93,10 +41,9 @@ func TestCompareFaultsOverheadGate(t *testing.T) {
 }
 
 func TestCompareFaultsOverheadRegression(t *testing.T) {
-	fresh := rep(result{Name: "faults_overhead", NsPerOp: 100,
-		Extra: map[string]float64{"extra_allocs_op": 192}})
+	fresh := metric("faults_overhead", "extra_allocs_op", 192)
 	var out strings.Builder
-	if compare(rep(), fresh, &out) {
+	if compare(fresh, &out) {
 		t.Error("a per-packet allocation on the disabled fault path passed the gate")
 	}
 	if !strings.Contains(out.String(), "REGRESSION") {
@@ -108,20 +55,18 @@ func TestCompareTraceOverheadGate(t *testing.T) {
 	// trace_overhead is gated absolutely on the fresh run, like
 	// faults_overhead: spans land in preallocated rings, so tracing may cost
 	// at most measurement-window slack on the allocation side.
-	fresh := rep(result{Name: "trace_overhead", NsPerOp: 100,
-		Extra: map[string]float64{"extra_allocs_op": 1}})
+	fresh := metric("trace_overhead", "extra_allocs_op", 1)
 	var out strings.Builder
-	if !compare(rep(), fresh, &out) {
-		t.Errorf("1 extra alloc/op failed the %.0f-alloc gate:\n%s", limit("trace_overhead"), out.String())
+	if !compare(fresh, &out) {
+		t.Errorf("1 extra alloc/op failed the %g-alloc gate:\n%s", gate("trace_overhead").hi, out.String())
 	}
 	if !strings.Contains(out.String(), "trace_overhead") || !strings.Contains(out.String(), "ok") {
 		t.Errorf("no ok verdict printed:\n%s", out.String())
 	}
 
-	leak := rep(result{Name: "trace_overhead", NsPerOp: 100,
-		Extra: map[string]float64{"extra_allocs_op": 960}})
+	leak := metric("trace_overhead", "extra_allocs_op", 960)
 	out.Reset()
-	if compare(rep(), leak, &out) {
+	if compare(leak, &out) {
 		t.Error("a per-span allocation passed the gate")
 	}
 	if !strings.Contains(out.String(), "REGRESSION") {
@@ -134,20 +79,18 @@ func TestCompareWorkloadOverheadGate(t *testing.T) {
 	// faults_overhead: non-flow packets traversing an attached workload
 	// driver's delivery hook return after one branch, so the event-loop
 	// allocation differential may cost at most measurement-window slack.
-	fresh := rep(result{Name: "workload_overhead", NsPerOp: 100,
-		Extra: map[string]float64{"extra_allocs_op": 1}})
+	fresh := metric("workload_overhead", "extra_allocs_op", 0)
 	var out strings.Builder
-	if !compare(rep(), fresh, &out) {
-		t.Errorf("1 extra alloc/op failed the %.0f-alloc gate:\n%s", limit("workload_overhead"), out.String())
+	if !compare(fresh, &out) {
+		t.Errorf("0 extra allocs/op failed the %g-alloc gate:\n%s", gate("workload_overhead").hi, out.String())
 	}
 	if !strings.Contains(out.String(), "workload_overhead") || !strings.Contains(out.String(), "ok") {
 		t.Errorf("no ok verdict printed:\n%s", out.String())
 	}
 
-	leak := rep(result{Name: "workload_overhead", NsPerOp: 100,
-		Extra: map[string]float64{"extra_allocs_op": 192}})
+	leak := metric("workload_overhead", "extra_allocs_op", 192)
 	out.Reset()
-	if compare(rep(), leak, &out) {
+	if compare(leak, &out) {
 		t.Error("a per-packet allocation on the no-workload delivery path passed the gate")
 	}
 	if !strings.Contains(out.String(), "REGRESSION") {
@@ -156,48 +99,33 @@ func TestCompareWorkloadOverheadGate(t *testing.T) {
 }
 
 func TestCompareOverheadMissingMetric(t *testing.T) {
-	// An overhead entry without its extra_allocs_op metric has measured
-	// nothing: it must FAIL, not read as 0 extra allocs and pass.
-	for _, name := range []string{"faults_overhead", "trace_overhead", "workload_overhead"} {
-		fresh := rep(result{Name: name, NsPerOp: 100, Extra: map[string]float64{"allocs_op": 3}})
+	// An entry without its metric has measured nothing: it must FAIL, not
+	// read as 0 and pass.
+	for _, en := range entries {
+		fresh := metric(en.name, "allocs_op", 3)
 		var out strings.Builder
-		if compare(rep(), fresh, &out) {
-			t.Errorf("%s without extra_allocs_op passed the gate:\n%s", name, out.String())
+		if compare(fresh, &out) {
+			t.Errorf("%s without %s passed the gate:\n%s", en.name, en.metric, out.String())
 		}
-		if !strings.Contains(out.String(), name) || !strings.Contains(out.String(), "FAIL") {
-			t.Errorf("%s: no FAIL verdict printed:\n%s", name, out.String())
+		if !strings.Contains(out.String(), en.name) || !strings.Contains(out.String(), "FAIL") {
+			t.Errorf("%s: no FAIL verdict printed:\n%s", en.name, out.String())
 		}
-	}
-}
-
-func TestCompareUnusableBaselineEntry(t *testing.T) {
-	base := rep(result{Name: "engine_schedule_dispatch_typed", NsPerOp: 0})
-	fresh := rep(result{Name: "engine_schedule_dispatch_typed", NsPerOp: 100})
-	var out strings.Builder
-	if !compare(base, fresh, &out) {
-		t.Errorf("zero-ns/op baseline entry failed the gate instead of warning:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "WARN") {
-		t.Errorf("unusable baseline entry not warned about:\n%s", out.String())
 	}
 }
 
 func TestCompareTwinSpeedupFloor(t *testing.T) {
-	// twin_speedup is gated against an absolute floor on the fresh run, not
-	// a baseline-relative tolerance — it must fail below the floor even when
-	// the baseline agrees, and pass above it with no baseline entry at all.
-	low := rep(result{Name: "twin_speedup", NsPerOp: 1, Extra: map[string]float64{"speedup_x": limit("twin_speedup") / 2}})
+	// twin_speedup is gated against an absolute floor on the fresh run.
+	floor := gate("twin_speedup").lo
 	var out strings.Builder
-	if compare(low, low, &out) {
-		t.Errorf("speedup below the %.0fx floor passed the gate:\n%s", limit("twin_speedup"), out.String())
+	if compare(metric("twin_speedup", "speedup_x", floor/2), &out) {
+		t.Errorf("speedup below the %gx floor passed the gate:\n%s", floor, out.String())
 	}
 	if !strings.Contains(out.String(), "REGRESSION") {
 		t.Errorf("no REGRESSION verdict printed:\n%s", out.String())
 	}
 
-	high := rep(result{Name: "twin_speedup", NsPerOp: 1, Extra: map[string]float64{"speedup_x": limit("twin_speedup") * 2}})
 	out.Reset()
-	if !compare(rep(), high, &out) {
+	if !compare(metric("twin_speedup", "speedup_x", floor*2), &out) {
 		t.Errorf("speedup above the floor failed the gate:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "ok") {
@@ -206,12 +134,10 @@ func TestCompareTwinSpeedupFloor(t *testing.T) {
 }
 
 func TestCompareIgnoresUngatedBenchmarks(t *testing.T) {
-	// Experiment-level entries vary across machines and are never gated,
-	// whatever their delta.
-	base := rep(result{Name: "fig6_transpose", NsPerOp: 100})
-	fresh := rep(result{Name: "fig6_transpose", NsPerOp: 1000})
+	// Names outside the entries table are never gated, whatever they report.
+	fresh := metric("fig6_transpose", "x_ref", 1000)
 	var out strings.Builder
-	if !compare(base, fresh, &out) {
+	if !compare(fresh, &out) {
 		t.Errorf("ungated benchmark failed the gate:\n%s", out.String())
 	}
 	if out.Len() != 0 {
@@ -220,102 +146,78 @@ func TestCompareIgnoresUngatedBenchmarks(t *testing.T) {
 }
 
 func TestCompareTieDispatchRatio(t *testing.T) {
-	// engine_tie_dispatch is gated as a ratio to the typed engine loop of
-	// the same run, with no baseline entry: a quadratic tie-group sort
-	// (about 100x) fails, an O(n log n) one (about 1x) passes.
-	typed := result{Name: "engine_schedule_dispatch_typed", NsPerOp: 50}
-	fast := rep(typed, result{Name: "engine_tie_dispatch", NsPerOp: 45})
+	// engine_tie_dispatch is gated on its x_typed ratio to the typed engine
+	// loop timed alternately in the same process: the radix sort (about
+	// 0.6x) passes, a quadratic tie-group sort (about 100x) fails.
 	var out strings.Builder
-	if !compare(rep(), fast, &out) {
-		t.Errorf("a 0.9x tie dispatch failed the %.0fx ceiling:\n%s", limit("engine_tie_dispatch"), out.String())
+	if !compare(metric("engine_tie_dispatch", "x_typed", 0.6), &out) {
+		t.Errorf("a 0.6x tie dispatch failed the %gx ceiling:\n%s", gate("engine_tie_dispatch").hi, out.String())
 	}
 	if !strings.Contains(out.String(), "engine_tie_dispatch") || !strings.Contains(out.String(), "ok") {
 		t.Errorf("no ok verdict printed:\n%s", out.String())
 	}
 
-	slow := rep(typed, result{Name: "engine_tie_dispatch", NsPerOp: 5000})
 	out.Reset()
-	if compare(rep(), slow, &out) {
+	if compare(metric("engine_tie_dispatch", "x_typed", 100), &out) {
 		t.Error("a 100x tie dispatch passed the gate")
 	}
 	if !strings.Contains(out.String(), "REGRESSION") {
 		t.Errorf("no REGRESSION verdict printed:\n%s", out.String())
 	}
-
-	alone := rep(result{Name: "engine_tie_dispatch", NsPerOp: 45})
-	out.Reset()
-	if compare(rep(), alone, &out) {
-		t.Error("a tie dispatch with no typed loop to divide by passed the gate")
-	}
-	if !strings.Contains(out.String(), "FAIL") {
-		t.Errorf("no FAIL verdict printed:\n%s", out.String())
-	}
 }
 
 func TestCompareTieActorsRatio(t *testing.T) {
-	// engine_tie_dispatch_actors has its own, tighter ceiling: the radix
-	// sort (about 0.7x) passes, pdqsort on permuted actor keys (about 2x)
-	// fails, and it too needs the typed loop of the same run.
-	typed := result{Name: "engine_schedule_dispatch_typed", NsPerOp: 100}
+	// engine_tie_dispatch_actors has its own ceiling: the radix sort (about
+	// 0.7x) passes, pdqsort on permuted actor keys (about 2x) fails.
 	var out strings.Builder
-	if !compare(rep(), rep(typed, result{Name: "engine_tie_dispatch_actors", NsPerOp: 70}), &out) {
-		t.Errorf("a 0.7x actor tie dispatch failed the %gx ceiling:\n%s", limit("engine_tie_dispatch_actors"), out.String())
+	if !compare(metric("engine_tie_dispatch_actors", "x_typed", 0.7), &out) {
+		t.Errorf("a 0.7x actor tie dispatch failed the %gx ceiling:\n%s", gate("engine_tie_dispatch_actors").hi, out.String())
 	}
 	out.Reset()
-	if compare(rep(), rep(typed, result{Name: "engine_tie_dispatch_actors", NsPerOp: 200}), &out) {
+	if compare(metric("engine_tie_dispatch_actors", "x_typed", 2), &out) {
 		t.Error("a 2x actor tie dispatch passed the gate")
 	}
 	if !strings.Contains(out.String(), "REGRESSION") {
 		t.Errorf("no REGRESSION verdict printed:\n%s", out.String())
 	}
-	out.Reset()
-	if compare(rep(), rep(result{Name: "engine_tie_dispatch_actors", NsPerOp: 70}), &out) {
-		t.Error("an actor tie dispatch with no typed loop to divide by passed the gate")
-	}
 }
 
 func TestCompareGateKinds(t *testing.T) {
-	// Every row of the entries table, on both sides of its gate: a
-	// measurement at or just inside the limit prints ok, one just outside
-	// prints REGRESSION and fails the check.
-	const typedNs = 100
-	typed := result{Name: "engine_schedule_dispatch_typed", NsPerOp: typedNs}
+	// Every row of the entries table, on both sides of each finite end of
+	// its range: a value at the end prints ok, the next float outside it
+	// prints REGRESSION and fails the check. An exact count is both ends.
 	for _, en := range entries {
-		var base, pass, fail report
-		switch en.gate {
-		case baselineNs:
-			base = rep(result{Name: en.name, NsPerOp: 1000})
-			pass = rep(result{Name: en.name, NsPerOp: 1000 * (1 + checkTolerance*0.9)})
-			fail = rep(result{Name: en.name, NsPerOp: 1000 * (1 + checkTolerance*1.1)})
-		case typedRatio:
-			pass = rep(typed, result{Name: en.name, NsPerOp: typedNs * en.limit * 0.9})
-			fail = rep(typed, result{Name: en.name, NsPerOp: typedNs * en.limit * 1.1})
-		case allocsCeil:
-			pass = rep(result{Name: en.name, Extra: map[string]float64{"extra_allocs_op": en.limit}})
-			fail = rep(result{Name: en.name, Extra: map[string]float64{"extra_allocs_op": en.limit + 1}})
-		case bytesPerNodeCeil:
-			pass = rep(result{Name: en.name, Extra: map[string]float64{"bytes_per_node": en.limit}})
-			fail = rep(result{Name: en.name, Extra: map[string]float64{"bytes_per_node": en.limit + 1}})
-		case speedupFloor:
-			pass = rep(result{Name: en.name, Extra: map[string]float64{"speedup_x": en.limit}})
-			fail = rep(result{Name: en.name, Extra: map[string]float64{"speedup_x": en.limit - 1}})
-		default:
-			t.Fatalf("%s: gate kind %d has no case here", en.name, en.gate)
-		}
-		var out strings.Builder
-		if !compare(base, pass, &out) || !strings.Contains(out.String(), en.name) || !strings.Contains(out.String(), " ok\n") {
-			t.Errorf("%s: a measurement inside the gate did not pass:\n%s", en.name, out.String())
-		}
-		out.Reset()
-		if compare(base, fail, &out) || !strings.Contains(out.String(), en.name+" ") || !strings.Contains(out.String(), "REGRESSION") {
-			t.Errorf("%s: a measurement outside the gate did not fail:\n%s", en.name, out.String())
+		for _, end := range []struct{ at, outside float64 }{
+			{en.lo, math.Nextafter(en.lo, math.Inf(-1))},
+			{en.hi, math.Nextafter(en.hi, math.Inf(1))},
+		} {
+			if math.IsInf(end.at, 0) {
+				continue
+			}
+			var out strings.Builder
+			if !compare(metric(en.name, en.metric, end.at), &out) || !strings.Contains(out.String(), en.name+" ") || !strings.HasSuffix(out.String(), " ok\n") {
+				t.Errorf("%s: %s = %g, at the end of its range, did not pass:\n%s", en.name, en.metric, end.at, out.String())
+			}
+			out.Reset()
+			if compare(metric(en.name, en.metric, end.outside), &out) || !strings.Contains(out.String(), en.name+" ") || !strings.Contains(out.String(), "REGRESSION") {
+				t.Errorf("%s: %s = %g, just outside its range, did not fail:\n%s", en.name, en.metric, end.outside, out.String())
+			}
 		}
 	}
 }
 
-// TestMedianIgnoresOneOutlier: twin_speedup's gated number is the median
-// of its passes, so one pass slowed (or sped up) by the host cannot move
-// it past the others.
+// TestComparePeakRSSUnavailable: a bytes_per_node of 0 means the platform
+// has no peak RSS to read; the entry WARNs and passes.
+func TestComparePeakRSSUnavailable(t *testing.T) {
+	var out strings.Builder
+	if !compare(metric("scale_datacenter", "bytes_per_node", 0), &out) || !strings.Contains(out.String(), "WARN") {
+		t.Errorf("an unavailable peak RSS did not WARN and pass:\n%s", out.String())
+	}
+}
+
+// TestMedianIgnoresOneOutlier: twin_speedup's gated number, and every
+// ratio entry's, is a median, so one pass slowed (or sped up) by the host
+// cannot move it past the others.
 func TestMedianIgnoresOneOutlier(t *testing.T) {
 	for _, c := range []struct {
 		xs   []float64
@@ -326,8 +228,8 @@ func TestMedianIgnoresOneOutlier(t *testing.T) {
 		{[]float64{4, 1, 3, 2}, 2.5},
 		{[]float64{7}, 7},
 	} {
-		if got := median(c.xs); got != c.want {
-			t.Errorf("median(%v) = %g, want %g", c.xs, got, c.want)
+		if got := simbench.Median(c.xs); got != c.want {
+			t.Errorf("Median(%v) = %g, want %g", c.xs, got, c.want)
 		}
 	}
 }

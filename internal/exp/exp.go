@@ -389,6 +389,9 @@ type OpenLoopDetail struct {
 	// count, so they are kept beside the Point, which stays bit-identical
 	// across shard counts.
 	Epochs uint64
+	// Injected counts the unique data packets the cell handed to the
+	// network (its ledger's Injected; 0 for twin-tier runs).
+	Injected uint64
 	// Telemetry is the cell's telemetry layer — the sampled series, flight
 	// records and registry totals (nil when sc.Telemetry is nil or the
 	// network is uninstrumented).
@@ -461,6 +464,7 @@ func runOpenLoopCell(col *netsim.Collector, network, pattern string, load float6
 			d.ThroughputPPS = float64(col.Delivered()) / sim.Duration(last).Seconds()
 		}
 		d.Epochs = net.Epochs()
+		d.Injected = net.Ledger().Injected
 		d.Telemetry = c.drive.Tel
 		return nil
 	})

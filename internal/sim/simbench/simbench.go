@@ -4,10 +4,14 @@
 //
 // A Loop schedules the first events of a loop on a fresh engine; running
 // the engine then dispatches exactly n events. Run times that dispatch.
+// Ratio times two bodies against each other in one process, and Ref is the
+// fixed kernel an engine loop is timed against.
 package simbench
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"baldur/internal/sim"
 )
@@ -117,4 +121,89 @@ func TieActors(width int) Loop {
 			e.ScheduleKey(0, ev.actors[p].Next(), ev)
 		}
 	}
+}
+
+// Ratio times a and b alternately, pairs times each, and returns the median
+// over the pairs of a's time over b's, with each side's median time. A
+// shared host's speed drifts by tens of percent over seconds to minutes;
+// two bodies timed a moment apart in one process see about the same
+// speed, so most of that drift cancels from their ratio, and the median
+// drops the pairs a burst of other work spoils. The side that runs first
+// alternates from pair to pair, so neither always pays what the other
+// leaves behind (the garbage collector's debt, a cold cache).
+func Ratio(pairs int, a, b func()) (x float64, aTime, bTime time.Duration) {
+	timed := func(f func()) float64 {
+		t0 := time.Now()
+		f()
+		return float64(time.Since(t0))
+	}
+	xs, as, bs := make([]float64, pairs), make([]float64, pairs), make([]float64, pairs)
+	for i := range pairs {
+		if i%2 == 0 {
+			as[i] = timed(a)
+			bs[i] = timed(b)
+		} else {
+			bs[i] = timed(b)
+			as[i] = timed(a)
+		}
+		xs[i] = as[i] / bs[i]
+	}
+	return Median(xs), time.Duration(Median(as)), time.Duration(Median(bs))
+}
+
+// Median returns the middle of xs (the mean of the two middles for an even
+// count), sorting xs in place.
+func Median(xs []float64) float64 {
+	slices.Sort(xs)
+	mid := len(xs) / 2
+	if len(xs)%2 == 0 {
+		return (xs[mid-1] + xs[mid]) / 2
+	}
+	return xs[mid]
+}
+
+// Ref runs ops operations of a fixed reference kernel and returns a
+// checksum of its final heap. The kernel is a hold-model loop on a 4-ary
+// min-heap of 4,096 timestamps, each operation replacing the earliest with
+// a later one: an event kernel's access pattern, but code no change to the
+// simulator touches, so an engine loop's time over Ref's cancels most of
+// the host's speed and no simulator change moves Ref's side. Every call
+// starts from the same heap and draws the same increments, so calls with
+// one op count do the same work; the checksum, which grows with every
+// operation, gives the caller something to keep so the loop cannot be
+// dropped.
+func Ref(ops int) uint64 {
+	h := make([]uint64, 4096)
+	for i := range h {
+		h[i] = uint64(i) << 20
+	}
+	x := uint64(1)
+	for range ops {
+		x = x*6364136223846793005 + 1442695040888963407
+		key := h[0] + 1 + x>>44
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= len(h) {
+				break
+			}
+			m := c
+			for j := c + 1; j < c+4 && j < len(h); j++ {
+				if h[j] < h[m] {
+					m = j
+				}
+			}
+			if h[m] >= key {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = key
+	}
+	var sum uint64
+	for _, v := range h {
+		sum += v
+	}
+	return sum
 }
