@@ -6,12 +6,6 @@ import (
 
 	"baldur/internal/netsim"
 	"baldur/internal/workload"
-
-	// The built-in policy plugins register themselves by name; linking them
-	// here makes every exp entry point (baldursim, campaign, tests) able to
-	// resolve spec policy names.
-	_ "baldur/internal/workload/admission"
-	_ "baldur/internal/workload/routing"
 )
 
 // SLOReport is one workload cell's service-level report: per-tenant rows

@@ -308,3 +308,21 @@ func TestCampaignWorkloadCells(t *testing.T) {
 		t.Error("workload campaign lost its script cells")
 	}
 }
+
+// TestCampaignUnknownPolicyRefusedBeforeCells: a campaign whose workload
+// names an unknown policy fails on the name before any cell runs. The
+// grid's network does not exist, so a cell that ran would fail on that
+// instead.
+func TestCampaignUnknownPolicyRefusedBeforeCells(t *testing.T) {
+	ws := testWorkloadSpec()
+	ws.Tenants[1].Routing.Policy = "token_bucke"
+	spec := CampaignSpec{
+		Name:     "unknown-policy",
+		Grid:     CampaignGrid{Nets: []string{"no-such-net"}},
+		Workload: &ws,
+	}
+	_, err := RunCampaign(spec)
+	if err == nil || !strings.Contains(err.Error(), `unknown routing policy "token_bucke"`) || strings.Contains(err.Error(), "no-such-net") {
+		t.Fatalf("RunCampaign = %v, want the unknown policy refused before any cell", err)
+	}
+}

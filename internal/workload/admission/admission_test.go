@@ -1,19 +1,17 @@
 package admission
 
 import (
-	"slices"
 	"testing"
 
 	"baldur/internal/sim"
-	"baldur/internal/workload"
 )
 
 // newBucket builds a token_bucket instance refilling 1 byte/ns per source
 // (8 Gbit/s over sources) with a 1 KB burst.
-func newBucket(t *testing.T, sources int) workload.AdmissionPolicy {
+func newBucket(t *testing.T, sources int) Policy {
 	t.Helper()
-	p := workload.Params{"rate_gbps": 8 * float64(sources), "burst_kb": 1}
-	pol, err := workload.NewAdmission("token_bucket", p, workload.AdmissionContext{Nodes: sources, Sources: sources, LinkRate: 100e9})
+	p := map[string]float64{"rate_gbps": 8 * float64(sources), "burst_kb": 1}
+	pol, err := New("token_bucket", p, sources, 100e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,20 +19,10 @@ func newBucket(t *testing.T, sources int) workload.AdmissionPolicy {
 }
 
 // admit offers one flow of bytes arriving at ns and checks the verdict.
-func admit(t *testing.T, pol workload.AdmissionPolicy, ns int64, bytes int64, want bool) {
+func admit(t *testing.T, pol Policy, ns int64, bytes int64, want bool) {
 	t.Helper()
-	f := &workload.Flow{Bytes: bytes, Arrival: sim.Time(ns * int64(sim.Nanosecond))}
-	if got := pol.Admit(f); got != want {
+	if got := pol.Admit(bytes, sim.Time(ns*int64(sim.Nanosecond))); got != want {
 		t.Fatalf("Admit(%d B at %d ns) = %v, want %v", bytes, ns, got, want)
-	}
-}
-
-func TestRegisteredPolicies(t *testing.T) {
-	got := workload.AdmissionPolicies()
-	for _, name := range []string{"always", "reject_all", "token_bucket"} {
-		if !slices.Contains(got, name) {
-			t.Errorf("admission policy %q not registered (have %v)", name, got)
-		}
 	}
 }
 
@@ -72,12 +60,11 @@ func TestTokenBucketRejectsFlowLargerThanBucket(t *testing.T) {
 }
 
 func TestAlwaysAndRejectAll(t *testing.T) {
-	ctx := workload.AdmissionContext{Nodes: 4, Sources: 4, LinkRate: 100e9}
-	always, err := workload.NewAdmission("always", nil, ctx)
+	always, err := New("always", nil, 4, 100e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	none, err := workload.NewAdmission("reject_all", nil, ctx)
+	none, err := New("reject_all", nil, 4, 100e9)
 	if err != nil {
 		t.Fatal(err)
 	}

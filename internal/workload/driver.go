@@ -2,10 +2,13 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"baldur/internal/netsim"
 	"baldur/internal/sim"
 	"baldur/internal/stats"
+	"baldur/internal/workload/admission"
+	"baldur/internal/workload/routing"
 )
 
 // Driver runs one workload spec against one network: per-(tenant, source)
@@ -36,7 +39,6 @@ type Driver struct {
 
 	nodeShard []int32
 	perShard  []shardAcc
-	routing   []FlowRoutingPolicy // per tenant, immutable, shared across shards
 }
 
 // shardAcc is one shard's slice of the accounting, padded like the
@@ -92,7 +94,7 @@ func New(spec Spec) (*Driver, error) {
 // Spec returns the resolved spec the driver runs (defaults filled in).
 func (d *Driver) Spec() Spec { return d.spec }
 
-// Attach wires the driver to a network: resolves every policy, registers
+// Attach wires the driver to a network: builds every policy, registers
 // the completion callback, and schedules the first arrival of every
 // (tenant, source) injector. Call exactly once, before the run starts.
 func (d *Driver) Attach(net netsim.Network) error {
@@ -121,18 +123,14 @@ func (d *Driver) Attach(net netsim.Network) error {
 		}
 		sh.flows = make(map[uint64]flowProg)
 	}
-	d.routing = make([]FlowRoutingPolicy, len(d.spec.Tenants))
+	// One routing policy per tenant, immutable and shared across shards.
+	routes := make([]routing.Policy, len(d.spec.Tenants))
 	for t, ts := range d.spec.Tenants {
-		rp, err := NewRouting(ts.Routing.Policy, ts.Routing.Params, RoutingContext{
-			Nodes:      nodes,
-			Tenant:     t,
-			TenantName: ts.Name,
-			Seed:       d.spec.Seed ^ mix(uint64(t)+1),
-		})
+		rp, err := routing.New(ts.Routing.Policy, ts.Routing.Params, nodes, d.spec.Seed^mix(uint64(t)+1))
 		if err != nil {
 			return fmt.Errorf("workload: tenant %q: %w", ts.Name, err)
 		}
-		d.routing[t] = rp
+		routes[t] = rp
 	}
 	net.OnDeliver(d.onDeliver)
 	for t, ts := range d.spec.Tenants {
@@ -141,10 +139,7 @@ func (d *Driver) Attach(net netsim.Network) error {
 		// traffic.OpenLoop uses per source, one level up.
 		tseed := d.spec.Seed ^ mix(uint64(t)+1)
 		for src := 0; src < nodes; src++ {
-			ap, err := NewAdmission(ts.Admission.Policy, ts.Admission.Params, AdmissionContext{
-				Nodes: nodes, Sources: nodes, Src: src,
-				Tenant: t, TenantName: ts.Name, LinkRate: d.linkRate,
-			})
+			ap, err := admission.New(ts.Admission.Policy, ts.Admission.Params, nodes, d.linkRate)
 			if err != nil {
 				return fmt.Errorf("workload: tenant %q: %w", ts.Name, err)
 			}
@@ -156,7 +151,7 @@ func (d *Driver) Attach(net netsim.Network) error {
 				arr:    newArrival(ts.Arrival),
 				size:   newSizeSampler(ts.Size),
 				admit:  ap,
-				route:  d.routing[t],
+				route:  routes[t],
 				limit:  uint64(d.spec.MaxFlowsPerSource),
 				rng:    sim.NewRNG(tseed).Fork(uint64(src) + 1),
 			}
@@ -178,8 +173,16 @@ func mix(x uint64) uint64 {
 	return x
 }
 
+// maxTenants and maxFlowsPerSource are what flowID's tenant and sequence
+// fields hold; Spec.Validate refuses a spec beyond either.
+const (
+	maxTenants        = 256
+	maxFlowsPerSource = math.MaxUint32
+)
+
 // flowID packs (tenant, src, per-source sequence) into a globally unique,
-// shard-count-independent id. Nonzero by construction (seq starts at 1).
+// shard-count-independent id: one byte of tenant, 24 bits of source and 32
+// of sequence. Nonzero by construction (seq starts at 1).
 func flowID(tenant int32, src int, seq uint64) uint64 {
 	return (uint64(tenant)+1)<<56 | (uint64(src)+1)<<32 | (seq & 0xffffffff)
 }
@@ -196,8 +199,8 @@ type injector struct {
 	limit  uint64
 	arr    arrivalProc
 	size   sizeSampler
-	admit  AdmissionPolicy
-	route  FlowRoutingPolicy
+	admit  admission.Policy
+	route  routing.Policy
 	rng    *sim.RNG
 }
 
@@ -205,26 +208,27 @@ func (in *injector) Run(e *sim.Engine) {
 	d := in.d
 	now := e.Now()
 	in.seq++
-	f := Flow{
-		Tenant:  int(in.tenant),
-		ID:      flowID(in.tenant, in.src, in.seq),
-		Src:     in.src,
-		Arrival: now,
-	}
-	f.Bytes = in.size.Sample(in.rng)
-	f.Packets = int((f.Bytes + int64(d.psize) - 1) / int64(d.psize))
-	f.Dst = in.route.Dest(&f, in.rng)
-	if f.Dst < 0 || f.Dst >= d.nodes || f.Dst == f.Src {
+	id := flowID(in.tenant, in.src, in.seq)
+	// Draw order per flow is fixed: size, destination, then admission.
+	bytes := in.size.Sample(in.rng)
+	packets := (bytes + int64(d.psize) - 1) / int64(d.psize)
+	dst := in.route.Dest(in.src, in.rng)
+	if dst < 0 || dst >= d.nodes || dst == in.src {
 		panic(fmt.Sprintf("workload: routing policy returned invalid destination %d (flow %#x, src %d, %d nodes)",
-			f.Dst, f.ID, f.Src, d.nodes))
+			dst, id, in.src, d.nodes))
 	}
 	acc := &d.perShard[in.shard].tenants[in.tenant]
 	acc.arrived++
-	if in.admit.Admit(&f) {
+	if in.admit.Admit(bytes, now) {
 		acc.admitted++
-		acc.admittedBytes += uint64(f.Bytes)
-		acc.admittedPackets += uint64(f.Packets)
-		d.startFlow(e, &f)
+		acc.admittedBytes += uint64(bytes)
+		acc.admittedPackets += uint64(packets)
+		fs := &flowSender{
+			d: d, src: in.src, dst: dst, id: id,
+			tenant: in.tenant + 1, total: int32(packets),
+			bytesLeft: bytes,
+		}
+		fs.Run(e)
 	} else {
 		acc.rejected++
 	}
@@ -248,15 +252,6 @@ type flowSender struct {
 	total     int32
 	sent      int32
 	bytesLeft int64
-}
-
-func (d *Driver) startFlow(e *sim.Engine, f *Flow) {
-	fs := &flowSender{
-		d: d, src: f.Src, dst: f.Dst, id: f.ID,
-		tenant: int32(f.Tenant) + 1, total: int32(f.Packets),
-		bytesLeft: f.Bytes,
-	}
-	fs.Run(e)
 }
 
 func (fs *flowSender) Run(e *sim.Engine) {

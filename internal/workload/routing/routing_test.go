@@ -1,30 +1,19 @@
 package routing
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
 	"baldur/internal/sim"
-	"baldur/internal/workload"
 )
 
-func newRouting(t *testing.T, name string, p workload.Params, nodes int, seed uint64) workload.FlowRoutingPolicy {
+func newRouting(t *testing.T, name string, p map[string]float64, nodes int, seed uint64) Policy {
 	t.Helper()
-	pol, err := workload.NewRouting(name, p, workload.RoutingContext{Nodes: nodes, Seed: seed})
+	pol, err := New(name, p, nodes, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return pol
-}
-
-func TestRegisteredPolicies(t *testing.T) {
-	got := workload.RoutingPolicies()
-	for _, name := range []string{"hotspot", "permutation", "uniform"} {
-		if !slices.Contains(got, name) {
-			t.Errorf("routing policy %q not registered (have %v)", name, got)
-		}
-	}
 }
 
 func TestUniformCoversEveryOtherNode(t *testing.T) {
@@ -34,7 +23,7 @@ func TestUniformCoversEveryOtherNode(t *testing.T) {
 	for src := 0; src < nodes; src++ {
 		seen := make([]int, nodes)
 		for i := 0; i < 100*nodes; i++ {
-			d := u.Dest(&workload.Flow{Src: src}, rng)
+			d := u.Dest(src, rng)
 			if d < 0 || d >= nodes {
 				t.Fatalf("src %d: destination %d out of range [0, %d)", src, d, nodes)
 			}
@@ -57,7 +46,7 @@ func TestPermutationHasNoFixedPoint(t *testing.T) {
 			p := newRouting(t, "permutation", nil, nodes, seed)
 			hit := make([]bool, nodes)
 			for src := 0; src < nodes; src++ {
-				d := p.Dest(&workload.Flow{Src: src}, nil)
+				d := p.Dest(src, nil)
 				if d == src {
 					t.Fatalf("nodes %d seed %d: src %d routed to itself", nodes, seed, src)
 				}
@@ -73,9 +62,9 @@ func TestPermutationHasNoFixedPoint(t *testing.T) {
 func TestHotspot(t *testing.T) {
 	const nodes = 8
 	for _, target := range []int{0, 3, nodes - 1} {
-		h := newRouting(t, "hotspot", workload.Params{"target": float64(target)}, nodes, 1)
+		h := newRouting(t, "hotspot", map[string]float64{"target": float64(target)}, nodes, 1)
 		for src := 0; src < nodes; src++ {
-			d := h.Dest(&workload.Flow{Src: src}, nil)
+			d := h.Dest(src, nil)
 			want := target
 			if src == target {
 				want = (target + 1) % nodes // the target spills its own flows
@@ -89,7 +78,7 @@ func TestHotspot(t *testing.T) {
 
 func TestHotspotRejectsOutOfRangeTarget(t *testing.T) {
 	for _, target := range []float64{-1, 8, 100} {
-		_, err := workload.NewRouting("hotspot", workload.Params{"target": target}, workload.RoutingContext{Nodes: 8})
+		_, err := New("hotspot", map[string]float64{"target": target}, 8, 0)
 		if err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("target %v on 8 nodes: err = %v, want out of range", target, err)
 		}

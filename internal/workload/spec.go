@@ -1,3 +1,22 @@
+// Package workload is the multi-tenant service layer on top of
+// netsim.Network: named tenants generate open-loop request *flows* (arrival
+// process × heavy-tailed size distribution), each flow is admitted or
+// rejected by an admission policy, routed to a destination by a routing
+// policy, packetized onto the existing injector path, and accounted into a
+// per-tenant SLO report (p50/p99/p99.9 flow-completion time, goodput,
+// admission-reject rate).
+//
+// Determinism: every (tenant, source) pair owns a forked RNG stream — the
+// same per-source discipline traffic.OpenLoop uses — and all flow state
+// lives either on the source node's shard (generation, admission) or on the
+// destination node's shard (completion accounting; possible because every
+// packet of a flow shares one (src, dst) pair). The SLO report folds
+// per-shard accumulators in a fixed order, so it is bit-identical for any
+// shard count K.
+//
+// Every kind of choice a spec makes is a closed set, checked when the spec
+// is parsed: arrival processes and size distributions here, admission and
+// routing policies in the admission and routing sub-packages.
 package workload
 
 import (
@@ -5,6 +24,8 @@ import (
 	"fmt"
 
 	"baldur/internal/netsim"
+	"baldur/internal/workload/admission"
+	"baldur/internal/workload/routing"
 )
 
 // Spec is the declarative form of a multi-tenant workload: a named mix of
@@ -51,11 +72,15 @@ type TenantSpec struct {
 	Routing   PolicySpec `json:"routing,omitempty"`
 }
 
-// PolicySpec names a registered policy factory and its parameters.
+// PolicySpec names an admission or routing policy and its parameters;
+// the admission and routing packages list the names and what each reads.
 type PolicySpec struct {
 	Policy string `json:"policy,omitempty"`
 	Params Params `json:"params,omitempty"`
 }
+
+// Params carries a policy's free parameters from the JSON spec.
+type Params map[string]float64
 
 // ArrivalSpec selects a per-source flow arrival process.
 type ArrivalSpec struct {
@@ -108,15 +133,24 @@ func ParseSpec(data []byte) (Spec, error) {
 	return s, nil
 }
 
-// Validate checks the spec's static structure. Policy names are resolved at
-// driver build time (against whatever registries the binary linked in).
+// Validate checks the whole spec: its structure, every arrival process,
+// size distribution and policy name, and every policy parameter. What
+// depends on the network is left to Attach: a hotspot target must be one
+// of its nodes.
 func (s Spec) Validate() error {
 	if len(s.Tenants) == 0 {
 		return fmt.Errorf("workload: spec %q has no tenants", s.Name)
 	}
+	if len(s.Tenants) > maxTenants {
+		return fmt.Errorf("workload: spec %q has %d tenants; flow ids hold at most %d", s.Name, len(s.Tenants), maxTenants)
+	}
 	if s.PacketSize < 0 || s.LinkRateGbps < 0 || s.DurationUS < 0 {
 		return fmt.Errorf("workload: spec %q: negative packet_size/link_rate/duration", s.Name)
 	}
+	if s.MaxFlowsPerSource < 0 || int64(s.MaxFlowsPerSource) > maxFlowsPerSource {
+		return fmt.Errorf("workload: spec %q: max_flows_per_source %d outside [0, %d]", s.Name, s.MaxFlowsPerSource, maxFlowsPerSource)
+	}
+	policies := s.resolved().Tenants // unnamed policies take their defaults
 	seen := map[string]bool{}
 	for i, t := range s.Tenants {
 		if t.Name == "" {
@@ -132,22 +166,45 @@ func (s Spec) Validate() error {
 		if err := t.Size.validate(); err != nil {
 			return fmt.Errorf("workload: tenant %q: %w", t.Name, err)
 		}
+		if err := admission.Check(policies[i].Admission.Policy, t.Admission.Params); err != nil {
+			return fmt.Errorf("workload: tenant %q: %w", t.Name, err)
+		}
+		if err := routing.Check(policies[i].Routing.Policy, t.Routing.Params); err != nil {
+			return fmt.Errorf("workload: tenant %q: %w", t.Name, err)
+		}
 	}
 	return nil
 }
 
+// Arrival gaps and dwells are drawn on the picosecond clock. A positive
+// rate below minRateFPS or a dwell above maxDwellUS makes draws that
+// overflow it into negative times, and a dwell below minDwellUS rounds to
+// 0 ps, where an mmpp state ends before it can emit a flow.
+const (
+	minRateFPS = 1e-3 // one flow per 1000 s
+	minDwellUS = 1e-6 // 1 ps
+	maxDwellUS = 1e9  // 1000 s
+)
+
 func (a ArrivalSpec) validate() error {
 	switch a.Process {
 	case "poisson":
-		if a.RateFPS <= 0 {
-			return fmt.Errorf("poisson arrival needs rate_fps > 0")
+		if a.RateFPS < minRateFPS {
+			return fmt.Errorf("poisson arrival needs rate_fps >= %g", minRateFPS)
 		}
 	case "mmpp":
 		if a.RateFPS < 0 || a.BurstRateFPS < 0 || a.RateFPS+a.BurstRateFPS == 0 {
 			return fmt.Errorf("mmpp arrival needs a positive rate in at least one state")
 		}
-		if a.DwellUS < 0 || a.BurstDwellUS < 0 {
-			return fmt.Errorf("mmpp dwell times must be non-negative")
+		for _, r := range []float64{a.RateFPS, a.BurstRateFPS} {
+			if r > 0 && r < minRateFPS {
+				return fmt.Errorf("mmpp rate %g is below %g flows/s", r, minRateFPS)
+			}
+		}
+		for _, d := range []float64{a.DwellUS, a.BurstDwellUS} {
+			if d != 0 && (d < minDwellUS || d > maxDwellUS) { // 0 takes the default
+				return fmt.Errorf("mmpp dwell %g us outside [%g, %g]", d, minDwellUS, maxDwellUS)
+			}
 		}
 	default:
 		return fmt.Errorf("unknown arrival process %q (poisson, mmpp)", a.Process)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -106,53 +107,115 @@ func TestDiurnalEnvelopeThins(t *testing.T) {
 }
 
 // TestSpecValidation exercises the error paths a hand-written spec hits.
+// Each bad spec must be refused for the reason its want names, so a case
+// cannot pass by tripping an unrelated check.
 func TestSpecValidation(t *testing.T) {
-	good := Spec{Name: "ok", Tenants: []TenantSpec{{
-		Name:    "t",
-		Arrival: ArrivalSpec{Process: "poisson", RateFPS: 1000},
-		Size:    SizeSpec{Dist: "fixed", Bytes: 512},
-	}}}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
-	}
-	bad := []Spec{
-		{Name: "no-tenants"},
-		{Name: "dup", Tenants: []TenantSpec{
-			{Name: "t", Arrival: good.Tenants[0].Arrival, Size: good.Tenants[0].Size},
-			{Name: "t", Arrival: good.Tenants[0].Arrival, Size: good.Tenants[0].Size},
-		}},
-		{Name: "bad-arrival", Tenants: []TenantSpec{{
-			Name: "t", Arrival: ArrivalSpec{Process: "weibull", RateFPS: 1}, Size: good.Tenants[0].Size,
-		}}},
-		{Name: "bad-size", Tenants: []TenantSpec{{
-			Name: "t", Arrival: good.Tenants[0].Arrival, Size: SizeSpec{Dist: "zipf"},
-		}}},
-		{Name: "bad-amp", Tenants: []TenantSpec{{
-			Name:    "t",
-			Arrival: ArrivalSpec{Process: "poisson", RateFPS: 1, DiurnalAmp: 1.5},
-			Size:    good.Tenants[0].Size,
-		}}},
-		{Name: "bad-pareto", Tenants: []TenantSpec{{
-			Name:    "t",
-			Arrival: good.Tenants[0].Arrival,
-			Size:    SizeSpec{Dist: "pareto", MinBytes: 4096, MaxBytes: 512},
-		}}},
-	}
-	for _, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("spec %q: expected validation error", s.Name)
+	tenant := func(name string) TenantSpec {
+		return TenantSpec{
+			Name:    name,
+			Arrival: ArrivalSpec{Process: "poisson", RateFPS: 1000},
+			Size:    SizeSpec{Dist: "fixed", Bytes: 512},
 		}
 	}
-}
-
-// TestRegistryUnknownNames: unknown policy names fail with the registered
-// menu in the error, at driver build time.
-func TestRegistryUnknownNames(t *testing.T) {
-	if _, err := NewAdmission("no-such", nil, AdmissionContext{}); err == nil || !strings.Contains(err.Error(), "registered") {
-		t.Errorf("NewAdmission(no-such) = %v, want registered-names error", err)
+	tenants := func(n int) []TenantSpec {
+		ts := make([]TenantSpec, n)
+		for i := range ts {
+			ts[i] = tenant(fmt.Sprint(i))
+		}
+		return ts
 	}
-	if _, err := NewRouting("no-such", nil, RoutingContext{}); err == nil || !strings.Contains(err.Error(), "registered") {
-		t.Errorf("NewRouting(no-such) = %v, want registered-names error", err)
+	withPolicies := func(admission, routing PolicySpec) []TenantSpec {
+		ts := tenant("t")
+		ts.Admission, ts.Routing = admission, routing
+		return []TenantSpec{ts}
+	}
+	good := []Spec{
+		{Name: "ok", Tenants: []TenantSpec{tenant("t")}},
+		{Name: "every-policy", Tenants: []TenantSpec{
+			{Name: "a", Arrival: tenant("").Arrival, Size: tenant("").Size,
+				Admission: PolicySpec{Policy: "always"}, Routing: PolicySpec{Policy: "uniform"}},
+			{Name: "b", Arrival: tenant("").Arrival, Size: tenant("").Size,
+				Admission: PolicySpec{Policy: "reject_all"}, Routing: PolicySpec{Policy: "permutation"}},
+			{Name: "c", Arrival: tenant("").Arrival, Size: tenant("").Size,
+				Admission: PolicySpec{Policy: "token_bucket", Params: Params{"rate_gbps": 0, "burst_kb": 8}},
+				// A target past any network's size is refused at Attach, not here.
+				Routing: PolicySpec{Policy: "hotspot", Params: Params{"target": 1e6}}},
+		}},
+		{Name: "most-tenants", Tenants: tenants(maxTenants)},
+		{Name: "most-flows", MaxFlowsPerSource: maxFlowsPerSource, Tenants: []TenantSpec{tenant("t")}},
+	}
+	for _, s := range good {
+		if err := s.Validate(); err != nil {
+			t.Errorf("valid spec %q rejected: %v", s.Name, err)
+		}
+	}
+	bad := []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Name: "no-tenants"}, "no tenants"},
+		{Spec{Name: "dup", Tenants: []TenantSpec{tenant("t"), tenant("t")}}, "duplicate"},
+		{Spec{Name: "bad-arrival", Tenants: []TenantSpec{{
+			Name: "t", Arrival: ArrivalSpec{Process: "weibull", RateFPS: 1}, Size: tenant("").Size,
+		}}}, "weibull"},
+		{Spec{Name: "bad-size", Tenants: []TenantSpec{{
+			Name: "t", Arrival: tenant("").Arrival, Size: SizeSpec{Dist: "zipf"},
+		}}}, "zipf"},
+		{Spec{Name: "bad-amp", Tenants: []TenantSpec{{
+			Name:    "t",
+			Arrival: ArrivalSpec{Process: "poisson", RateFPS: 1, DiurnalAmp: 1.5},
+			Size:    tenant("").Size,
+		}}}, "diurnal_amp"},
+		// Gaps and dwells that overflow the picosecond clock or round to 0.
+		{Spec{Name: "slow-poisson", Tenants: []TenantSpec{{
+			Name: "t", Arrival: ArrivalSpec{Process: "poisson", RateFPS: 1e-9}, Size: tenant("").Size,
+		}}}, "rate_fps >= 0.001"},
+		{Spec{Name: "slow-mmpp", Tenants: []TenantSpec{{
+			Name: "t", Arrival: ArrivalSpec{Process: "mmpp", RateFPS: 1e5, BurstRateFPS: 1e-9}, Size: tenant("").Size,
+		}}}, "mmpp rate 1e-09"},
+		{Spec{Name: "zero-dwell", Tenants: []TenantSpec{{
+			Name: "t", Arrival: ArrivalSpec{Process: "mmpp", RateFPS: 1, DwellUS: 1e-9, BurstDwellUS: 1e-9}, Size: tenant("").Size,
+		}}}, "mmpp dwell 1e-09"},
+		{Spec{Name: "huge-dwell", Tenants: []TenantSpec{{
+			Name: "t", Arrival: ArrivalSpec{Process: "mmpp", RateFPS: 1, DwellUS: 1e300}, Size: tenant("").Size,
+		}}}, "mmpp dwell 1e+300"},
+		{Spec{Name: "bad-pareto", Tenants: []TenantSpec{{
+			Name:    "t",
+			Arrival: tenant("").Arrival,
+			Size:    SizeSpec{Dist: "pareto", MinBytes: 4096, MaxBytes: 512},
+		}}}, "min_bytes < max_bytes"},
+		// An unknown policy name is refused with the menu in the error.
+		{Spec{Name: "unknown-admission", Tenants: withPolicies(PolicySpec{Policy: "token_bucke"}, PolicySpec{})},
+			`"token_bucke" (always, reject_all, token_bucket)`},
+		{Spec{Name: "unknown-routing", Tenants: withPolicies(PolicySpec{}, PolicySpec{Policy: "random"})},
+			`"random" (uniform, permutation, hotspot)`},
+		// A parameter the policy does not read, also on a defaulted policy.
+		{Spec{Name: "typo-param", Tenants: withPolicies(
+			PolicySpec{Policy: "token_bucket", Params: Params{"rate_gpbs": 5}}, PolicySpec{})}, `"rate_gpbs"`},
+		{Spec{Name: "param-on-default", Tenants: withPolicies(
+			PolicySpec{}, PolicySpec{Params: Params{"target": 3}})}, `"uniform" does not read`},
+		{Spec{Name: "param-on-always", Tenants: withPolicies(
+			PolicySpec{Policy: "always", Params: Params{"burst_kb": 1}}, PolicySpec{})}, `"always" does not read`},
+		// Out-of-range parameters.
+		{Spec{Name: "negative-rate", Tenants: withPolicies(
+			PolicySpec{Policy: "token_bucket", Params: Params{"rate_gbps": -5}}, PolicySpec{})}, "rate_gbps -5"},
+		{Spec{Name: "negative-burst", Tenants: withPolicies(
+			PolicySpec{Policy: "token_bucket", Params: Params{"burst_kb": -1}}, PolicySpec{})}, "burst_kb -1"},
+		{Spec{Name: "negative-target", Tenants: withPolicies(
+			PolicySpec{}, PolicySpec{Policy: "hotspot", Params: Params{"target": -1}})}, "target -1"},
+		{Spec{Name: "fractional-target", Tenants: withPolicies(
+			PolicySpec{}, PolicySpec{Policy: "hotspot", Params: Params{"target": 2.5}})}, "target 2.5"},
+		// Values flowID cannot encode: the tenant byte and the 32-bit
+		// per-source sequence would wrap and merge distinct flows.
+		{Spec{Name: "too-many-tenants", Tenants: tenants(maxTenants + 1)}, "at most 256"},
+		{Spec{Name: "negative-flow-cap", MaxFlowsPerSource: -1, Tenants: []TenantSpec{tenant("t")}}, "max_flows_per_source -1"},
+		{Spec{Name: "flow-cap-wraps", MaxFlowsPerSource: maxFlowsPerSource + 1, Tenants: []TenantSpec{tenant("t")}}, "max_flows_per_source 4294967296"},
+	}
+	for _, c := range bad {
+		err := c.spec.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("spec %q: err = %v, want one naming %s", c.spec.Name, err, c.want)
+		}
 	}
 }
 
