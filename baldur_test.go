@@ -67,7 +67,7 @@ func TestFacadeBaselines(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		delivered := 0
-		net.OnDeliver(func(p *baldur.Packet, _ baldur.Time) { delivered++ })
+		net.OnDeliver(func(_ int, p *baldur.Packet, _ baldur.Time) { delivered++ })
 		net.Send(0, net.NumNodes()-1, 0)
 		drain(t, net)
 		if delivered != 1 {

@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"slices"
 	"testing"
 
 	"baldur/internal/check"
+	"baldur/internal/netsim"
+	"baldur/internal/sim"
 )
 
 // TestAuditAllNetworks runs every network with audits enabled at K=1 and
@@ -109,5 +112,58 @@ func TestRunDeterminism(t *testing.T) {
 	}
 	if a.FP != b.FP {
 		t.Fatalf("rerun diverged:\n  a: %+v\n  b: %+v", a.FP, b.FP)
+	}
+}
+
+// TestDeliveryShardContract pins OnDeliver's contract on every network at
+// K = 1, 2 and 4: each callback is passed the destination node's shard, and
+// the Collector, which indexes its per-shard counts by that argument, takes
+// one latency sample per delivery.
+func TestDeliveryShardContract(t *testing.T) {
+	for _, name := range slices.Concat(check.Nets, []string{"ideal"}) {
+		for _, k := range []int{1, 2, 4} {
+			cfg := check.FuzzConfig{
+				Net: name, NodesExp: 4, Multiplicity: 2, LoadPct: 60,
+				PacketsPerNode: 6, Shards: k, FaultStage: -1, Seed: 5,
+			}
+			if name != "ideal" { // Canon knows only the fuzzed networks
+				cfg = cfg.Canon()
+			}
+			net, _, err := Build(cfg, k)
+			if err != nil {
+				t.Fatalf("%s K=%d: %v", name, k, err)
+			}
+			var col netsim.Collector
+			col.Attach(net)
+			// Counted per destination node, the state a callback may touch
+			// whatever shard it is passed.
+			type tally struct{ calls, wrong, off0 int }
+			perNode := make([]tally, net.NumNodes())
+			net.OnDeliver(func(shard int, p *netsim.Packet, _ sim.Time) {
+				n := &perNode[p.Dst]
+				n.calls++
+				if shard != net.NodeShard(p.Dst) {
+					n.wrong++
+				}
+				if shard != 0 {
+					n.off0++
+				}
+			})
+			StartOpenLoop(net, cfg)
+			net.Run(sim.Time(0).Add(Horizon))
+			calls, wrong, off0 := 0, 0, 0
+			for _, n := range perNode {
+				calls, wrong, off0 = calls+n.calls, wrong+n.wrong, off0+n.off0
+			}
+			if calls == 0 || wrong != 0 {
+				t.Errorf("%s K=%d: %d of %d callbacks passed a shard other than NodeShard(p.Dst)", name, k, wrong, calls)
+			}
+			if k > 1 && name != "ideal" && off0 == 0 {
+				t.Errorf("%s K=%d: every delivery landed on shard 0; the contract went unexercised", name, k)
+			}
+			if d := col.Delivered(); col.Samples() != int64(d) || d != uint64(calls) {
+				t.Errorf("%s K=%d: Samples %d, Delivered %d, callbacks %d; want all equal", name, k, col.Samples(), d, calls)
+			}
+		}
 	}
 }

@@ -12,9 +12,10 @@ import (
 // interval exactly, so their durations sum to the end-to-end latency the
 // Stats/Collector layer records for it. Deliveries are witnessed through
 // the same OnDeliver callback the Collector uses — netsim.AttachSpanAudit
-// wires it — with per-destination-shard buffers, so recording is race-free
-// in sharded runs; Verify then checks the assembled chains against the
-// witnessed (created, delivered) pairs at the end of the run.
+// wires it — into one buffer per destination shard, indexed by the shard
+// the callback is passed, so recording is race-free in sharded runs; Verify
+// then checks the assembled chains against the witnessed (created,
+// delivered) pairs at the end of the run.
 type SpanAudit struct {
 	shards [][]spanObs
 }
@@ -36,9 +37,9 @@ func NewSpanAudit(shards int) *SpanAudit {
 	return &SpanAudit{shards: make([][]spanObs, shards)}
 }
 
-// Observe records one traced delivery. It must be called from the delivery
-// callback of the packet's destination shard (shard is that shard's index);
-// each shard appends only to its own buffer.
+// Observe records one traced delivery. It must be called from a delivery
+// callback, with the shard index OnDeliver passed it (the packet's
+// destination shard); each shard appends only to its own buffer.
 func (a *SpanAudit) Observe(shard int, pkt uint64, created, delivered sim.Time) {
 	a.shards[shard] = append(a.shards[shard], spanObs{pkt: pkt, created: created, delivered: delivered})
 }

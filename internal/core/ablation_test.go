@@ -103,7 +103,7 @@ func TestMultiplicityLatencyTradeoff(t *testing.T) {
 	lat := func(m int) float64 {
 		n := mustNew(t, Config{Nodes: 64, Multiplicity: m, Seed: 2})
 		var got float64
-		n.OnDeliver(func(p *netsim.Packet, at sim.Time) { got = float64(at.Sub(p.Created).Nanoseconds()) })
+		n.OnDeliver(func(_ int, p *netsim.Packet, at sim.Time) { got = float64(at.Sub(p.Created).Nanoseconds()) })
 		n.Send(1, 62, 0)
 		drain(t, n)
 		return got

@@ -122,7 +122,7 @@ func TestSinglePacketZeroLoadLatency(t *testing.T) {
 	// ~379.5 ns for the default 1,024-node m=4 network.
 	n := mustNew(t, Config{})
 	var got sim.Duration
-	n.OnDeliver(func(p *netsim.Packet, at sim.Time) { got = at.Sub(p.Created) })
+	n.OnDeliver(func(_ int, p *netsim.Packet, at sim.Time) { got = at.Sub(p.Created) })
 	n.Send(3, 900, 0)
 	drain(t, n)
 	wantLo, wantHi := sim.Nanoseconds(378), sim.Nanoseconds(381)
@@ -139,7 +139,7 @@ func TestUncontendedStreamNoDrops(t *testing.T) {
 	// its own serialization spaces the packets.
 	n := mustNew(t, Config{Nodes: 64, Multiplicity: 1, Seed: 5})
 	var delivered int
-	n.OnDeliver(func(*netsim.Packet, sim.Time) { delivered++ })
+	n.OnDeliver(func(int, *netsim.Packet, sim.Time) { delivered++ })
 	for i := 0; i < 50; i++ {
 		n.Send(1, 37, 0)
 	}
@@ -158,7 +158,7 @@ func TestContentionDropsAndRetransmits(t *testing.T) {
 	// eventually deliver every one exactly once.
 	n := mustNew(t, Config{Nodes: 16, Multiplicity: 1, Seed: 2})
 	var delivered int
-	n.OnDeliver(func(*netsim.Packet, sim.Time) { delivered++ })
+	n.OnDeliver(func(int, *netsim.Packet, sim.Time) { delivered++ })
 	for i := 0; i < 20; i++ {
 		n.Send(0, 9, 0)
 		n.Send(5, 9, 0)
@@ -183,7 +183,7 @@ func TestExactlyOnceDeliveryUnderHeavyLoss(t *testing.T) {
 	// protocol must still deliver every packet exactly once.
 	n := mustNew(t, Config{Nodes: 32, Multiplicity: 1, Seed: 3})
 	seen := map[uint64]int{}
-	n.OnDeliver(func(p *netsim.Packet, _ sim.Time) { seen[p.ID]++ })
+	n.OnDeliver(func(_ int, p *netsim.Packet, _ sim.Time) { seen[p.ID]++ })
 	const perNode = 5
 	for src := 1; src < 32; src++ {
 		for k := 0; k < perNode; k++ {
@@ -259,7 +259,7 @@ func TestRetransmissionBufferBounded(t *testing.T) {
 func TestDisableRetransmitCountsLosses(t *testing.T) {
 	n := mustNew(t, Config{Nodes: 16, Multiplicity: 1, Seed: 4, DisableRetransmit: true})
 	var delivered int
-	n.OnDeliver(func(*netsim.Packet, sim.Time) { delivered++ })
+	n.OnDeliver(func(int, *netsim.Packet, sim.Time) { delivered++ })
 	for i := 0; i < 10; i++ {
 		n.Send(0, 9, 0)
 		n.Send(5, 9, 0)
@@ -464,5 +464,28 @@ func TestSeqTrackerWraparoundAdjacent(t *testing.T) {
 	}
 	if tr.record(0) {
 		t.Error("duplicate seq 0 accepted")
+	}
+}
+
+// TestNICQueueReclaimsConsumedPrefix holds a backlog of one packet across
+// 10,000 push/pop pairs, the pattern of a saturated NIC whose queue never
+// drains: qback must stay a few slots long, and packets must still leave in
+// arrival order.
+func TestNICQueueReclaimsConsumedPrefix(t *testing.T) {
+	var c nic
+	pkts := make([]netsim.Packet, 10_001)
+	for i := range pkts {
+		pkts[i].ID = uint64(i)
+	}
+	c.pushBack(&pkts[0])
+	for i := 1; i < len(pkts); i++ {
+		c.pushBack(&pkts[i])
+		if got := c.peekFront().ID; got != uint64(i-1) {
+			t.Fatalf("pop %d: head is packet %d, want %d", i, got, i-1)
+		}
+		c.popFront()
+	}
+	if c.queueLen() != 1 || cap(c.qback) > 64 {
+		t.Errorf("backlog %d in a qback of cap %d, want 1 in at most 64", c.queueLen(), cap(c.qback))
 	}
 }

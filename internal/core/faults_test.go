@@ -340,10 +340,10 @@ func TestProbePathRemovesOnlyItsObserver(t *testing.T) {
 	// firing after a probe.
 	n := mustNew(t, Config{Nodes: 16, Multiplicity: 1, Seed: 1, DisableRetransmit: true})
 	var aCount, bCount int
-	n.OnDeliver(func(*netsim.Packet, sim.Time) { aCount++ })
+	n.OnDeliver(func(int, *netsim.Packet, sim.Time) { aCount++ })
 	// Registered from an event at t=0, while the probe is in flight.
 	n.ScheduleNode(0, 0, sim.EventFunc(func() {
-		n.OnDeliver(func(*netsim.Packet, sim.Time) { bCount++ })
+		n.OnDeliver(func(int, *netsim.Packet, sim.Time) { bCount++ })
 	}))
 	if !n.ProbePath(0, 9) {
 		t.Fatal("probe lost on a healthy network")

@@ -38,7 +38,7 @@ type nic struct {
 	// The queue is a two-ended structure so neither end allocates in
 	// steady state: qfront is a LIFO stack of prepended packets (its last
 	// element is the head of the queue) and qback a FIFO slice consumed
-	// via qhead, with the backing array reused once drained.
+	// via qhead, whose consumed prefix pushBack reclaims.
 	qfront     []*netsim.Packet
 	qback      []*netsim.Packet
 	qhead      int
@@ -87,8 +87,20 @@ func (c *nic) popFront() {
 	}
 }
 
-func (c *nic) enqueueData(p *netsim.Packet) {
+// pushBack appends p at the tail of the queue. A backlog that never drains
+// would otherwise keep a slot for every packet it ever held, so when the
+// consumed prefix is at least half of qback it is compacted in place first.
+func (c *nic) pushBack(p *netsim.Packet) {
+	if c.qhead > 16 && c.qhead*2 >= len(c.qback) {
+		n := copy(c.qback, c.qback[c.qhead:])
+		clear(c.qback[n:])
+		c.qback, c.qhead = c.qback[:n], 0
+	}
 	c.qback = append(c.qback, p)
+}
+
+func (c *nic) enqueueData(p *netsim.Packet) {
+	c.pushBack(p)
 	if !c.net.cfg.DisableRetransmit {
 		c.outstanding.put(p.Seq, p)
 		c.retxBytes += p.Size
@@ -97,13 +109,9 @@ func (c *nic) enqueueData(p *netsim.Packet) {
 	c.pump()
 }
 
-func (c *nic) enqueueAckFront(p *netsim.Packet) {
-	c.qfront = append(c.qfront, p)
-	c.pump()
-}
-
-// requeueFront schedules a retransmission at the head of the queue.
-func (c *nic) requeueFront(p *netsim.Packet) {
+// pushFront puts p at the head of the queue: an ACK (control priority) or
+// a retransmission.
+func (c *nic) pushFront(p *netsim.Packet) {
 	c.qfront = append(c.qfront, p)
 	c.pump()
 }
@@ -230,7 +238,7 @@ func (c *nic) timeout(seq uint64, attempt int) {
 		slots := c.rng.Intn(window)
 		p.NotBefore = c.eng.Now().Add(sim.Duration(slots) * n.cfg.BEBSlot)
 	}
-	c.requeueFront(p)
+	c.pushFront(p)
 }
 
 // receive handles a packet arriving at this node.
@@ -278,7 +286,7 @@ func (c *nic) receive(p *netsim.Packet, at sim.Time) {
 	ack.Created = at
 	ack.Ack = true
 	ack.AckFor = p.Seq
-	c.enqueueAckFront(ack)
+	c.pushFront(ack)
 }
 
 // deliverUnique records the deliver event, then the delivered attempt's
@@ -288,7 +296,7 @@ func (c *nic) deliverUnique(p *netsim.Packet, at sim.Time) {
 	if p.Traced {
 		c.traceFlight(p, at)
 	}
-	c.net.Notify(p, at)
+	c.net.Notify(&c.sh.Shard, p, at)
 }
 
 // traceFlight reconstructs the delivered attempt's flight spans at the

@@ -55,7 +55,7 @@ func TestIdealIsUninstrumented(t *testing.T) {
 func TestIdealFlatLatency(t *testing.T) {
 	n := NewIdeal(64, 0)
 	var lat []sim.Duration
-	n.OnDeliver(func(p *netsim.Packet, at sim.Time) { lat = append(lat, at.Sub(p.Created)) })
+	n.OnDeliver(func(_ int, p *netsim.Packet, at sim.Time) { lat = append(lat, at.Sub(p.Created)) })
 	n.Send(0, 1, 512)
 	n.Send(5, 9, 512)
 	n.ScheduleNode(3, 1000, sim.EventFunc(func() { n.Send(3, 4, 512) }))
@@ -76,7 +76,7 @@ func TestMBZeroLoadLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got sim.Duration
-	n.OnDeliver(func(p *netsim.Packet, at sim.Time) { got = at.Sub(p.Created) })
+	n.OnDeliver(func(_ int, p *netsim.Packet, at sim.Time) { got = at.Sub(p.Created) })
 	n.Send(17, 901, 0)
 	drain(t, n)
 	// 100 ns host link + 10 x (90 ns router + serialization overlap...) —
@@ -160,7 +160,7 @@ func TestDragonflyAllPairsSmall(t *testing.T) {
 	}
 	type key struct{ src, dst int }
 	got := map[key]int{}
-	n.OnDeliver(func(p *netsim.Packet, _ sim.Time) { got[key{p.Src, p.Dst}]++ })
+	n.OnDeliver(func(_ int, p *netsim.Packet, _ sim.Time) { got[key{p.Src, p.Dst}]++ })
 	want := 0
 	for s := 0; s < 6; s++ {
 		for d := 0; d < 6; d++ {
@@ -244,7 +244,7 @@ func TestFatTreeAllPairsSmall(t *testing.T) {
 	}
 	type key struct{ src, dst int }
 	got := map[key]int{}
-	n.OnDeliver(func(p *netsim.Packet, _ sim.Time) { got[key{p.Src, p.Dst}]++ })
+	n.OnDeliver(func(_ int, p *netsim.Packet, _ sim.Time) { got[key{p.Src, p.Dst}]++ })
 	want := 0
 	for s := 0; s < 16; s++ {
 		for d := 0; d < 16; d++ {
@@ -266,7 +266,7 @@ func TestFatTreeZeroLoadLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sameEdge, crossPod sim.Duration
-	n.OnDeliver(func(p *netsim.Packet, at sim.Time) {
+	n.OnDeliver(func(_ int, p *netsim.Packet, at sim.Time) {
 		if p.Dst == 1 {
 			sameEdge = at.Sub(p.Created)
 		} else {

@@ -1,11 +1,16 @@
 package gatesim
 
-// ArbiterN generalizes Arbiter2 to n requesters contending for one resource
-// (one output path of a multiplicity-m switch, which 2m inputs can
-// request). Semantics match Arbiter2: non-queueing availability check — a
-// request asserted while the resource is held is permanently stale for that
-// assertion. Gate cost is 2n (a latch tree plus threshold gates), matching
-// the paper's observation that arbitration hardware grows with port count.
+// ArbiterN is the asynchronous arbiter of Sec IV-C ([47]) for n requesters
+// contending for one resource: one output of the 2x2 switch (n = 2: a latch
+// and two threshold NOT gates), or one output path of a multiplicity-m
+// switch, which 2m inputs can request. At most one grant is high at any
+// time. A request that arrives while the resource is already held is *not*
+// queued: it stays ungranted until it is dropped and re-asserted. This
+// availability-check semantics (rather than queueing) is what makes the
+// switch bufferless — a losing packet streams past ungranted and is gone;
+// granting its remainder later would emit a truncated fragment. Gate cost is
+// 2n (a latch tree plus threshold gates), matching the paper's observation
+// that arbitration hardware grows with port count.
 type ArbiterN struct {
 	Grants []Node
 }
@@ -17,8 +22,9 @@ type arbiterN struct {
 	grants []outputDriver
 }
 
-// NewArbiterN builds the arbiter. Ties at identical timestamps resolve to
-// the lowest port index.
+// NewArbiterN builds the arbiter; grant i is node name.G<i>. Ties at
+// identical timestamps resolve to the lowest port index, standing in for
+// the metastability filter.
 func (c *Circuit) NewArbiterN(reqs []Node, name string) *ArbiterN {
 	n := len(reqs)
 	if n < 2 {

@@ -215,78 +215,6 @@ func (l *srLatch) inputChanged(c *Circuit, port int, level bool) {
 	l.qbDrv.drive(!next)
 }
 
-// Arbiter2 is the 2x2 asynchronous arbiter of Sec IV-C ([47]): a latch and
-// two threshold NOT gates. At most one grant is high at any time. A request
-// that arrives while the resource is already held is *not* queued: it stays
-// ungranted until it is dropped and re-asserted. This availability-check
-// semantics (rather than queueing) is what makes the switch bufferless — a
-// losing packet streams past ungranted and is gone; granting its remainder
-// later would emit a truncated fragment. Ties at identical timestamps
-// resolve to port 0, standing in for the metastability filter.
-type Arbiter2 struct {
-	Grant0, Grant1 Node
-}
-
-type arbiter2 struct {
-	req    [2]bool
-	stale  [2]bool // asserted while busy: this assertion never wins
-	owner  int     // -1 none, 0 or 1
-	g0, g1 outputDriver
-}
-
-// NewArbiter2 builds the arbiter. It accounts for 4 TL gates (2-NOR latch +
-// 2 threshold NOTs).
-func (c *Circuit) NewArbiter2(req0, req1 Node, name string) *Arbiter2 {
-	g0 := c.NewNode(name + ".G0")
-	g1 := c.NewNode(name + ".G1")
-	a := &arbiter2{
-		owner: -1,
-		g0:    outputDriver{c: c, out: g0, delay: c.gateDelayFor() * 2},
-		g1:    outputDriver{c: c, out: g1, delay: c.gateDelayFor() * 2},
-	}
-	c.gateCount += 4
-	c.attach(req0, a, 0)
-	c.attach(req1, a, 1)
-	a.req[0] = c.nodes[req0].level
-	a.req[1] = c.nodes[req1].level
-	c.nodes[g0].driven = true
-	c.nodes[g1].driven = true
-	return &Arbiter2{Grant0: g0, Grant1: g1}
-}
-
-func (a *arbiter2) inputChanged(c *Circuit, port int, level bool) {
-	a.req[port] = level
-	if !level {
-		a.stale[port] = false // de-assertion clears the stale mark
-	} else if a.owner != -1 && a.owner != port {
-		a.stale[port] = true // arrived while busy: lost, permanently
-	}
-	switch {
-	case a.owner == -1:
-		if a.req[0] && !a.stale[0] {
-			a.owner = 0
-			a.g0.drive(true)
-		} else if a.req[1] && !a.stale[1] {
-			a.owner = 1
-			a.g1.drive(true)
-		}
-	case a.owner == 0 && !a.req[0]:
-		a.g0.drive(false)
-		a.owner = -1
-		if a.req[1] && !a.stale[1] {
-			a.owner = 1
-			a.g1.drive(true)
-		}
-	case a.owner == 1 && !a.req[1]:
-		a.g1.drive(false)
-		a.owner = -1
-		if a.req[0] && !a.stale[0] {
-			a.owner = 0
-			a.g0.drive(true)
-		}
-	}
-}
-
 // PlaySignal schedules sig's transitions onto node n.
 func (c *Circuit) PlaySignal(n Node, sig *optsig.Signal) {
 	c.nodes[n].driven = true

@@ -93,9 +93,10 @@ type Network interface {
 	Send(src, dst, size int) *Packet
 	// OnDeliver registers the delivery callback, invoked exactly once
 	// per unique data packet when its last bit reaches the destination.
-	// On sharded networks the callback runs on the destination node's
-	// shard; callbacks must only touch per-node or per-shard state.
-	OnDeliver(fn func(p *Packet, at sim.Time))
+	// The callback runs on the destination node's shard, and shard is
+	// that shard's index, NodeShard(p.Dst); callbacks must only touch
+	// per-node state or the state of the shard they are passed.
+	OnDeliver(fn func(shard int, p *Packet, at sim.Time))
 	// Ledger returns the network's packet accounting as of the last Run
 	// (the aggregate Run folds from the per-shard ledgers).
 	Ledger() Ledger
@@ -338,16 +339,16 @@ func Epochs(n Network) uint64 { return n.Epochs() }
 // Collector accumulates the latency statistics the paper reports: average
 // and 99th-percentile ("tail") packet latency in nanoseconds.
 //
-// Deliveries are recorded into per-shard histograms (each updated only by
-// its shard's goroutine) and exact per-node mean accumulators, then merged
-// in fixed order on demand — so the reported statistics are bit-identical
-// regardless of shard count. Attach may be called again after a run to
-// reuse the collector's allocations for another network of the same shape.
+// Deliveries are recorded into per-shard histograms and counts (each updated
+// only by its shard's goroutine, indexed by the callback's shard) and exact
+// per-node latency sums, then merged in fixed order on demand — so the
+// reported statistics are bit-identical regardless of shard count. Attach
+// may be called again after a run to reuse the collector's allocations for
+// another network of the same shape.
 type Collector struct {
-	shards    []colShard
-	perNode   []nodeAcc
-	nodeShard []int32
-	merged    stats.Histogram
+	shards []colShard
+	sums   []float64 // per destination node, merged in node order
+	merged stats.Histogram
 }
 
 // colShard is one shard's slice of the statistics, padded so neighbouring
@@ -359,20 +360,12 @@ type colShard struct {
 	_         [40]byte
 }
 
-// nodeAcc is one node's exact latency sum, merged in node order for an
-// order-invariant mean.
-type nodeAcc struct {
-	sum float64
-	n   int64
-}
-
 // Attach subscribes the collector to a network's deliveries, resetting any
 // previously collected statistics while keeping allocations. Latency is
 // measured from packet creation (entering the source queue) to last-bit
 // delivery, the same definition CODES reports.
 func (c *Collector) Attach(n Network) {
-	k, nodes := n.NumShards(), n.NumNodes()
-	if len(c.shards) != k {
+	if k := n.NumShards(); len(c.shards) != k {
 		c.shards = make([]colShard, k)
 	} else {
 		for i := range c.shards {
@@ -381,29 +374,21 @@ func (c *Collector) Attach(n Network) {
 			c.shards[i].last = 0
 		}
 	}
-	if len(c.perNode) != nodes {
-		c.perNode = make([]nodeAcc, nodes)
-		c.nodeShard = make([]int32, nodes)
+	if nodes := n.NumNodes(); len(c.sums) != nodes {
+		c.sums = make([]float64, nodes)
 	} else {
-		for i := range c.perNode {
-			c.perNode[i] = nodeAcc{}
-		}
-	}
-	for i := 0; i < nodes; i++ {
-		c.nodeShard[i] = int32(n.NodeShard(i))
+		clear(c.sums)
 	}
 	c.merged.Reset()
-	n.OnDeliver(func(p *Packet, at sim.Time) {
-		s := &c.shards[c.nodeShard[p.Dst]]
+	n.OnDeliver(func(shard int, p *Packet, at sim.Time) {
+		s := &c.shards[shard]
 		s.delivered++
 		if at > s.last {
 			s.last = at
 		}
 		lat := float64(at.Sub(p.Created).Nanoseconds())
 		s.hist.Add(lat)
-		acc := &c.perNode[p.Dst]
-		acc.sum += lat
-		acc.n++
+		c.sums[p.Dst] += lat
 	})
 }
 
@@ -429,26 +414,19 @@ func (c *Collector) LastDelivery() sim.Time {
 	return last
 }
 
-// Samples returns the number of latency observations.
-func (c *Collector) Samples() int64 {
-	var n int64
-	for i := range c.perNode {
-		n += c.perNode[i].n
-	}
-	return n
-}
+// Samples returns the number of latency observations: one per delivery.
+func (c *Collector) Samples() int64 { return int64(c.Delivered()) }
 
 // AvgNS returns the mean packet latency in nanoseconds, computed from exact
 // per-node sums folded in node order (shard-count invariant).
 func (c *Collector) AvgNS() float64 {
-	var sum float64
-	var n int64
-	for i := range c.perNode {
-		sum += c.perNode[i].sum
-		n += c.perNode[i].n
-	}
+	n := c.Delivered()
 	if n == 0 {
 		return 0
+	}
+	var sum float64
+	for _, s := range c.sums {
+		sum += s
 	}
 	return sum / float64(n)
 }
@@ -475,16 +453,10 @@ func (c *Collector) Merged() *stats.Histogram {
 // Attach before the run starts; call Verify/VerifyInto after it drains.
 func AttachSpanAudit(n Network) *check.SpanAudit {
 	a := check.NewSpanAudit(n.NumShards())
-	nodes := n.NumNodes()
-	nodeShard := make([]int32, nodes)
-	for i := 0; i < nodes; i++ {
-		nodeShard[i] = int32(n.NodeShard(i))
-	}
-	n.OnDeliver(func(p *Packet, at sim.Time) {
-		if !p.Traced {
-			return
+	n.OnDeliver(func(shard int, p *Packet, at sim.Time) {
+		if p.Traced {
+			a.Observe(shard, p.ID, p.Created, at)
 		}
-		a.Observe(int(nodeShard[p.Dst]), p.ID, p.Created, at)
 	})
 	return a
 }

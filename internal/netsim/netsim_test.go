@@ -12,7 +12,7 @@ import (
 // fakeNet is a minimal Network for collector testing.
 type fakeNet struct {
 	eng *sim.Engine
-	fns []func(*Packet, sim.Time)
+	fns []func(int, *Packet, sim.Time)
 }
 
 func (f *fakeNet) Engine() *sim.Engine { return f.eng }
@@ -20,22 +20,22 @@ func (f *fakeNet) NumNodes() int       { return 2 }
 func (f *fakeNet) Send(src, dst, size int) *Packet {
 	return &Packet{Src: src, Dst: dst, Size: size, Created: f.eng.Now()}
 }
-func (f *fakeNet) OnDeliver(fn func(*Packet, sim.Time)) { f.fns = append(f.fns, fn) }
-func (f *fakeNet) Ledger() Ledger                       { return Ledger{} }
-func (f *fakeNet) Run(deadline sim.Time) bool           { return f.eng.RunUntil(deadline) }
-func (f *fakeNet) Events() uint64                       { return f.eng.Executed }
-func (f *fakeNet) Epochs() uint64                       { return 0 }
-func (f *fakeNet) NumShards() int                       { return 1 }
-func (f *fakeNet) NodeShard(int) int                    { return 0 }
-func (f *fakeNet) Queued() int                          { return f.eng.Pending() }
-func (f *fakeNet) NextTime() sim.Time                   { return f.eng.NextTime() }
+func (f *fakeNet) OnDeliver(fn func(int, *Packet, sim.Time)) { f.fns = append(f.fns, fn) }
+func (f *fakeNet) Ledger() Ledger                            { return Ledger{} }
+func (f *fakeNet) Run(deadline sim.Time) bool                { return f.eng.RunUntil(deadline) }
+func (f *fakeNet) Events() uint64                            { return f.eng.Executed }
+func (f *fakeNet) Epochs() uint64                            { return 0 }
+func (f *fakeNet) NumShards() int                            { return 1 }
+func (f *fakeNet) NodeShard(int) int                         { return 0 }
+func (f *fakeNet) Queued() int                               { return f.eng.Pending() }
+func (f *fakeNet) NextTime() sim.Time                        { return f.eng.NextTime() }
 func (f *fakeNet) ScheduleNode(_ int, t sim.Time, ev sim.Event) {
 	f.eng.Schedule(t, ev)
 }
 
 func (f *fakeNet) deliver(p *Packet, at sim.Time) {
 	for _, fn := range f.fns {
-		fn(p, at)
+		fn(0, p, at)
 	}
 }
 

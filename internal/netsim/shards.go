@@ -19,7 +19,7 @@ type Shards struct {
 	se        *sim.ShardedEngine
 	shards    []*Shard
 	agg       *Ledger
-	onDeliver []func(*Packet, sim.Time)
+	onDeliver []func(shard int, p *Packet, at sim.Time)
 	// fold, when non-nil, runs after every ledger fold: the model's hook
 	// for aggregating its own per-shard diagnostics.
 	fold func()
@@ -66,9 +66,9 @@ func NewShards(lookahead sim.Duration, agg *Ledger, fold func(), shards ...*Shar
 func (r *Shards) Engine() *sim.Engine { return r.se.Shard(0).Eng }
 
 // OnDeliver registers a unique-delivery callback. Callbacks run in
-// registration order on the destination node's shard and must touch only
-// per-node or per-shard state.
-func (r *Shards) OnDeliver(fn func(p *Packet, at sim.Time)) {
+// registration order on the destination node's shard, are passed that
+// shard's index, and must touch only per-node or per-shard state.
+func (r *Shards) OnDeliver(fn func(shard int, p *Packet, at sim.Time)) {
 	r.onDeliver = append(r.onDeliver, fn)
 }
 
@@ -188,10 +188,12 @@ func (sh *Shard) Span(ph telemetry.Phase, from, to sim.Time, p *Packet, loc, aux
 	}
 }
 
-// Notify calls the delivery callbacks in registration order.
-func (r *Shards) Notify(p *Packet, at sim.Time) {
+// Notify calls the delivery callbacks in registration order, passing sh's
+// index: sh is the shard the delivery runs on, the destination node's.
+func (r *Shards) Notify(sh *Shard, p *Packet, at sim.Time) {
+	id := sh.Sim.ID
 	for _, fn := range r.onDeliver {
-		fn(p, at)
+		fn(id, p, at)
 	}
 }
 
@@ -199,5 +201,5 @@ func (r *Shards) Notify(p *Packet, at sim.Time) {
 // model that appends no spans of its own.
 func (r *Shards) Deliver(sh *Shard, p *Packet, at sim.Time) {
 	sh.Delivered(p, at)
-	r.Notify(p, at)
+	r.Notify(sh, p, at)
 }

@@ -26,7 +26,7 @@ func newRuntimeModel(k int) *runtimeModel {
 	m.Shards = NewShards(sim.Nanosecond, &m.agg, func() { m.folds++ }, m.shards...)
 	for i := 1; i <= 2; i++ {
 		i := i
-		m.OnDeliver(func(p *Packet, _ sim.Time) { m.calls[p.Dst] = append(m.calls[p.Dst], i) })
+		m.OnDeliver(func(_ int, p *Packet, _ sim.Time) { m.calls[p.Dst] = append(m.calls[p.Dst], i) })
 	}
 	for i, sh := range m.shards {
 		sh := sh

@@ -95,11 +95,11 @@ func Build(cfg gatesim.Config) *Switch {
 		s.Header[i] = buildHeader(c, s.In[i], i)
 	}
 
-	// Arbitration: one 2x2 asynchronous arbiter per output port.
-	arb0 := c.NewArbiter2(s.Header[0].ReqOut[0], s.Header[1].ReqOut[0], "arb.out0")
-	arb1 := c.NewArbiter2(s.Header[0].ReqOut[1], s.Header[1].ReqOut[1], "arb.out1")
-	s.Grant[0][0], s.Grant[1][0] = arb0.Grant0, arb0.Grant1
-	s.Grant[0][1], s.Grant[1][1] = arb1.Grant0, arb1.Grant1
+	// Arbitration: one two-requester asynchronous arbiter per output port.
+	for d := 0; d < 2; d++ {
+		arb := c.NewArbiterN([]gatesim.Node{s.Header[0].ReqOut[d], s.Header[1].ReqOut[d]}, name("arb.out", d))
+		s.Grant[0][d], s.Grant[1][d] = arb.Grants[0], arb.Grants[1]
+	}
 
 	// Switch fabric: mask off the first routing bit, delay in WD0/WD1
 	// until arbitration settles, then steer through the grant-controlled

@@ -400,7 +400,7 @@ func (st *rankState) step(now sim.Time) {
 
 // onDeliver runs on the destination node's shard and touches only the
 // destination rank's state.
-func (r *Replayer) onDeliver(p *netsim.Packet, at sim.Time) {
+func (r *Replayer) onDeliver(_ int, p *netsim.Packet, at sim.Time) {
 	if p.Dst >= len(r.ranks) {
 		return
 	}

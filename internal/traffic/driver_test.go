@@ -21,7 +21,7 @@ func TestOpenLoopInjectionCountAndSpacing(t *testing.T) {
 	net := elecnet.NewIdeal(16, 0)
 	var created []sim.Time
 	var horizon sim.Time // the last delivery
-	net.OnDeliver(func(p *netsim.Packet, at sim.Time) {
+	net.OnDeliver(func(_ int, p *netsim.Packet, at sim.Time) {
 		created = append(created, p.Created)
 		horizon = at
 	})
@@ -50,7 +50,7 @@ func TestOpenLoopInjectionCountAndSpacing(t *testing.T) {
 func TestOpenLoopSkipsIdleNodes(t *testing.T) {
 	net := elecnet.NewIdeal(8, 0)
 	count := 0
-	net.OnDeliver(func(*netsim.Packet, sim.Time) { count++ })
+	net.OnDeliver(func(int, *netsim.Packet, sim.Time) { count++ })
 	pat := &Pattern{Name: "partial", Dest: []int{1, -1, -1, -1, -1, -1, -1, 0}}
 	ol := OpenLoop{Pattern: pat, Load: 0.9, PacketsPerNode: 5, Seed: 1}
 	ol.Start(net)
@@ -63,7 +63,7 @@ func TestOpenLoopSkipsIdleNodes(t *testing.T) {
 func TestOpenLoopDefaultsApplied(t *testing.T) {
 	net := elecnet.NewIdeal(4, 0)
 	var size int
-	net.OnDeliver(func(p *netsim.Packet, _ sim.Time) { size = p.Size })
+	net.OnDeliver(func(_ int, p *netsim.Packet, _ sim.Time) { size = p.Size })
 	ol := OpenLoop{Pattern: Hotspot(4, 0), Load: 0.5, PacketsPerNode: 1, Seed: 1}
 	ol.Start(net)
 	drain(t, net)
@@ -77,7 +77,7 @@ func TestPingPongAlternation(t *testing.T) {
 	// packets, strictly alternating in time per pair.
 	net := elecnet.NewIdeal(4, 0)
 	var seq []int
-	net.OnDeliver(func(p *netsim.Packet, _ sim.Time) {
+	net.OnDeliver(func(_ int, p *netsim.Packet, _ sim.Time) {
 		if p.Src == 0 || p.Dst == 0 {
 			seq = append(seq, p.Src)
 		}
@@ -94,7 +94,7 @@ func TestPingPongAlternation(t *testing.T) {
 func TestPingPongTotalCount(t *testing.T) {
 	net := elecnet.NewIdeal(64, 0)
 	count := 0
-	net.OnDeliver(func(*netsim.Packet, sim.Time) { count++ })
+	net.OnDeliver(func(int, *netsim.Packet, sim.Time) { count++ })
 	pp := PingPong{Pattern: PingPongPairs1(64, 2), Rounds: 7}
 	pp.Start(net)
 	drain(t, net)
@@ -106,7 +106,7 @@ func TestPingPongTotalCount(t *testing.T) {
 func TestPingPongPacketSize(t *testing.T) {
 	net := elecnet.NewIdeal(4, 0)
 	var size int
-	net.OnDeliver(func(p *netsim.Packet, _ sim.Time) { size = p.Size })
+	net.OnDeliver(func(_ int, p *netsim.Packet, _ sim.Time) { size = p.Size })
 	pat := &Pattern{Name: "pairs", Dest: []int{1, 0, -1, -1}}
 	pp := PingPong{Pattern: pat, Rounds: 1}
 	pp.Start(net)
@@ -130,7 +130,7 @@ func TestOpenLoopSpecReuse(t *testing.T) {
 		net := elecnet.NewIdeal(16, 0)
 		var lastAt sim.Time
 		var count uint64
-		net.OnDeliver(func(p *netsim.Packet, at sim.Time) {
+		net.OnDeliver(func(_ int, p *netsim.Packet, at sim.Time) {
 			count++
 			if at > lastAt {
 				lastAt = at

@@ -288,7 +288,7 @@ func (p *PingPong) Start(net netsim.Network) {
 			remaining[src] = p.Rounds
 		}
 	}
-	net.OnDeliver(func(pkt *netsim.Packet, _ sim.Time) {
+	net.OnDeliver(func(_ int, pkt *netsim.Packet, _ sim.Time) {
 		// The receiver replies immediately if it still owes rounds.
 		me := pkt.Dst
 		if partner := p.Pattern.Dest[me]; partner == pkt.Src && remaining[me] > 0 {

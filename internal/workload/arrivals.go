@@ -7,11 +7,14 @@ import (
 )
 
 // arrivalProc is one source's flow arrival process: Next returns the time of
-// the next arrival strictly after now, consuming draws only from rng. The
+// the next arrival strictly after now, or some time after end once the
+// process has passed end without one, consuming draws only from rng. Every
+// arrival at or before end takes the same draws whatever end is, so the
+// window bounds the work of a draw without changing what it returns. The
 // draw sequence per instance is fixed by the spec and seed alone, never by
 // shard count — the backbone of the K-invariance argument.
 type arrivalProc interface {
-	Next(now sim.Time, rng *sim.RNG) sim.Time
+	Next(now, end sim.Time, rng *sim.RNG) sim.Time
 }
 
 // envelope is the optional diurnal rate modulation: arrivals are generated
@@ -49,10 +52,10 @@ type poissonProc struct {
 	env  envelope
 }
 
-func (p *poissonProc) Next(now sim.Time, rng *sim.RNG) sim.Time {
+func (p *poissonProc) Next(now, end sim.Time, rng *sim.RNG) sim.Time {
 	for {
 		now = now.Add(rng.ExpDuration(p.mean))
-		if p.env.accept(now, rng) {
+		if now > end || p.env.accept(now, rng) {
 			return now
 		}
 	}
@@ -69,14 +72,14 @@ type mmppProc struct {
 	env   envelope
 }
 
-func (m *mmppProc) Next(now sim.Time, rng *sim.RNG) sim.Time {
-	for {
+func (m *mmppProc) Next(now, end sim.Time, rng *sim.RNG) sim.Time {
+	for now <= end {
 		dwell := rng.ExpDuration(m.dwell[m.state])
 		if mean := m.mean[m.state]; mean > 0 {
 			gap := rng.ExpDuration(mean)
 			if gap < dwell {
 				now = now.Add(gap)
-				if m.env.accept(now, rng) {
+				if now > end || m.env.accept(now, rng) {
 					return now
 				}
 				continue
@@ -85,6 +88,7 @@ func (m *mmppProc) Next(now sim.Time, rng *sim.RNG) sim.Time {
 		now = now.Add(dwell)
 		m.state = 1 - m.state
 	}
+	return now
 }
 
 // newArrival builds the arrival process for a validated, resolved spec.

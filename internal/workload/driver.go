@@ -37,8 +37,7 @@ type Driver struct {
 	deadline sim.Time     // arrival-window close
 	exactCap int          // per-tenant exact-FCT retention (0 = bucketed only)
 
-	nodeShard []int32
-	perShard  []shardAcc
+	perShard []shardAcc
 }
 
 // shardAcc is one shard's slice of the accounting, padded like the
@@ -107,12 +106,7 @@ func (d *Driver) Attach(net netsim.Network) error {
 	}
 	d.net = net
 	d.nodes = nodes
-	k := net.NumShards()
-	d.nodeShard = make([]int32, nodes)
-	for i := 0; i < nodes; i++ {
-		d.nodeShard[i] = int32(net.NodeShard(i))
-	}
-	d.perShard = make([]shardAcc, k)
+	d.perShard = make([]shardAcc, net.NumShards())
 	for s := range d.perShard {
 		sh := &d.perShard[s]
 		sh.tenants = make([]tenantAcc, len(d.spec.Tenants))
@@ -147,7 +141,7 @@ func (d *Driver) Attach(net netsim.Network) error {
 				d:      d,
 				src:    src,
 				tenant: int32(t),
-				shard:  d.nodeShard[src],
+				shard:  int32(net.NodeShard(src)),
 				arr:    newArrival(ts.Arrival),
 				size:   newSizeSampler(ts.Size),
 				admit:  ap,
@@ -155,7 +149,7 @@ func (d *Driver) Attach(net netsim.Network) error {
 				limit:  uint64(d.spec.MaxFlowsPerSource),
 				rng:    sim.NewRNG(tseed).Fork(uint64(src) + 1),
 			}
-			if first := in.arr.Next(0, in.rng); first <= d.deadline {
+			if first := in.arr.Next(0, d.deadline, in.rng); first <= d.deadline {
 				net.ScheduleNode(src, first, in)
 			}
 		}
@@ -235,7 +229,7 @@ func (in *injector) Run(e *sim.Engine) {
 	if in.seq >= in.limit {
 		return
 	}
-	if next := in.arr.Next(now, in.rng); next <= d.deadline {
+	if next := in.arr.Next(now, d.deadline, in.rng); next <= d.deadline {
 		d.net.ScheduleNode(in.src, next, in)
 	}
 }
@@ -274,11 +268,11 @@ func (fs *flowSender) Run(e *sim.Engine) {
 // onDeliver accounts one delivered packet on the destination shard. The
 // nil-probe discipline of the telemetry/faults layers applies: packets that
 // are not flow traffic (Flow == 0) return after one branch.
-func (d *Driver) onDeliver(p *netsim.Packet, at sim.Time) {
+func (d *Driver) onDeliver(shard int, p *netsim.Packet, at sim.Time) {
 	if p.Flow == 0 {
 		return
 	}
-	sh := &d.perShard[d.nodeShard[p.Dst]]
+	sh := &d.perShard[shard]
 	fp, ok := sh.flows[p.Flow]
 	if !ok {
 		fp = flowProg{total: p.FlowPackets, tenant: p.Tenant, created: p.Created}

@@ -33,8 +33,9 @@ func FuzzParseSpec(f *testing.F) {
 			"arrival": {"process": "poisson", "rate_fps": 1000000},
 			"size": {"dist": "fixed", "bytes": 4096}, ` + policies + `}]}`))
 	}
-	// The slowest rate and the dwell bounds the spec accepts.
-	f.Add([]byte(`{"name": "edge", "tenants": [{"name": "t",
+	// The slowest rate and the dwell bounds the spec accepts; the window
+	// holds just under the bound of mean 1 ps dwells.
+	f.Add([]byte(`{"name": "edge", "duration_us": 0.09, "tenants": [{"name": "t",
 		"arrival": {"process": "mmpp", "rate_fps": 0.001, "dwell_us": 1e9, "burst_dwell_us": 1e-6},
 		"size": {"dist": "fixed", "bytes": 1}}]}`))
 	const nodes = 8

@@ -150,7 +150,7 @@ func (s Spec) Validate() error {
 	if s.MaxFlowsPerSource < 0 || int64(s.MaxFlowsPerSource) > maxFlowsPerSource {
 		return fmt.Errorf("workload: spec %q: max_flows_per_source %d outside [0, %d]", s.Name, s.MaxFlowsPerSource, maxFlowsPerSource)
 	}
-	policies := s.resolved().Tenants // unnamed policies take their defaults
+	r := s.resolved() // unnamed policies, dwells and the window take their defaults
 	seen := map[string]bool{}
 	for i, t := range s.Tenants {
 		if t.Name == "" {
@@ -163,13 +163,20 @@ func (s Spec) Validate() error {
 		if err := t.Arrival.validate(); err != nil {
 			return fmt.Errorf("workload: tenant %q: %w", t.Name, err)
 		}
+		if a := r.Tenants[i].Arrival; a.Process == "mmpp" {
+			dwell := min(a.DwellUS, a.BurstDwellUS)
+			if n := r.DurationUS / dwell; n > maxDwellsPerWindow {
+				return fmt.Errorf("workload: tenant %q: duration_us %g over mmpp dwell %g us is %g mean dwells, above the bound of %g",
+					t.Name, r.DurationUS, dwell, n, maxDwellsPerWindow)
+			}
+		}
 		if err := t.Size.validate(); err != nil {
 			return fmt.Errorf("workload: tenant %q: %w", t.Name, err)
 		}
-		if err := admission.Check(policies[i].Admission.Policy, t.Admission.Params); err != nil {
+		if err := admission.Check(r.Tenants[i].Admission.Policy, t.Admission.Params); err != nil {
 			return fmt.Errorf("workload: tenant %q: %w", t.Name, err)
 		}
-		if err := routing.Check(policies[i].Routing.Policy, t.Routing.Params); err != nil {
+		if err := routing.Check(r.Tenants[i].Routing.Policy, t.Routing.Params); err != nil {
 			return fmt.Errorf("workload: tenant %q: %w", t.Name, err)
 		}
 	}
@@ -179,11 +186,14 @@ func (s Spec) Validate() error {
 // Arrival gaps and dwells are drawn on the picosecond clock. A positive
 // rate below minRateFPS or a dwell above maxDwellUS makes draws that
 // overflow it into negative times, and a dwell below minDwellUS rounds to
-// 0 ps, where an mmpp state ends before it can emit a flow.
+// 0 ps, where an mmpp state ends before it can emit a flow. An mmpp draw
+// steps once per state change up to the window's end, so a window of more
+// than maxDwellsPerWindow mean dwells of the shorter state is refused.
 const (
-	minRateFPS = 1e-3 // one flow per 1000 s
-	minDwellUS = 1e-6 // 1 ps
-	maxDwellUS = 1e9  // 1000 s
+	minRateFPS         = 1e-3 // one flow per 1000 s
+	minDwellUS         = 1e-6 // 1 ps
+	maxDwellUS         = 1e9  // 1000 s
+	maxDwellsPerWindow = 1e5
 )
 
 func (a ArrivalSpec) validate() error {

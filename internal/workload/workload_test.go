@@ -2,9 +2,11 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"baldur/internal/elecnet"
 	"baldur/internal/sim"
 )
 
@@ -55,7 +57,7 @@ func TestArrivalGolden(t *testing.T) {
 		rng := sim.NewRNG(g.seed)
 		var now sim.Time
 		for i, want := range g.want {
-			now = a.Next(now, rng)
+			now = a.Next(now, sim.Time(math.MaxInt64), rng)
 			if int64(now) != want {
 				t.Errorf("%s seed=%d arrival %d: %d, want %d", g.spec.Process, g.seed, i, now, want)
 			}
@@ -86,7 +88,7 @@ func TestDiurnalEnvelopeThins(t *testing.T) {
 		end := sim.Time(0).Add(sim.Microseconds(100))
 		n := 0
 		for {
-			next := a.Next(now, rng)
+			next := a.Next(now, end, rng)
 			if next <= now {
 				t.Fatalf("arrival went backwards: %v -> %v", now, next)
 			}
@@ -179,6 +181,11 @@ func TestSpecValidation(t *testing.T) {
 		{Spec{Name: "huge-dwell", Tenants: []TenantSpec{{
 			Name: "t", Arrival: ArrivalSpec{Process: "mmpp", RateFPS: 1, DwellUS: 1e300}, Size: tenant("").Size,
 		}}}, "mmpp dwell 1e+300"},
+		// A window of 1e7 one-picosecond dwells: each draw would step once
+		// per state change.
+		{Spec{Name: "dwells-per-window", DurationUS: 10, Tenants: []TenantSpec{{
+			Name: "t", Arrival: ArrivalSpec{Process: "mmpp", RateFPS: 1, DwellUS: 1e-6, BurstDwellUS: 1e-6}, Size: tenant("").Size,
+		}}}, "duration_us 10 over mmpp dwell 1e-06 us is 1e+07 mean dwells, above the bound of 100000"},
 		{Spec{Name: "bad-pareto", Tenants: []TenantSpec{{
 			Name:    "t",
 			Arrival: tenant("").Arrival,
@@ -216,6 +223,24 @@ func TestSpecValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("spec %q: err = %v, want one naming %s", c.spec.Name, err, c.want)
 		}
+	}
+}
+
+// TestDwellBoundSpecAttaches: a spec with exactly maxDwellsPerWindow mean
+// dwells in its window is accepted, and its first draws, which at 1 flow/s
+// find no arrival and so step through the whole window, finish on 8 nodes.
+func TestDwellBoundSpecAttaches(t *testing.T) {
+	spec := Spec{Name: "at-cap", DurationUS: 10, Tenants: []TenantSpec{{
+		Name:    "t",
+		Arrival: ArrivalSpec{Process: "mmpp", RateFPS: 1, DwellUS: 1e-4, BurstDwellUS: 1e-4},
+		Size:    SizeSpec{Dist: "fixed", Bytes: 512},
+	}}}
+	d, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Attach(elecnet.NewIdeal(8, 0)); err != nil {
+		t.Fatal(err)
 	}
 }
 
