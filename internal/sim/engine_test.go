@@ -224,6 +224,20 @@ func TestEngineFillsWholeCacheLines(t *testing.T) {
 	}
 }
 
+// TestNewEngineTableBytes bounds what NewEngine allocates for the heap
+// arrays, the event table and the tie-group buffers by the 32 KiB of the
+// two 1,024-entry arrays it made when the heap carried 24-byte {key, event}
+// entries. Every cell and every shard builds an engine, so bytes here show
+// up in set-up time and in the bytes per node of small cells.
+func TestNewEngineTableBytes(t *testing.T) {
+	e := NewEngine()
+	n := cap(e.ats)*int(unsafe.Sizeof(int64(0))) + cap(e.hs)*int(unsafe.Sizeof(uint32(0))) +
+		cap(e.slots)*int(unsafe.Sizeof(slot{})) + (cap(e.batch)+cap(e.spare))*int(unsafe.Sizeof(tie{}))
+	if n > 32<<10 {
+		t.Errorf("NewEngine's tables hold %d bytes, want at most %d", n, 32<<10)
+	}
+}
+
 type rec struct {
 	at  Time
 	seq int
@@ -410,12 +424,6 @@ func TestEngineWideDuplicateTieKeyPanics(t *testing.T) {
 	t.Fatal("Run dispatched a duplicate tie-break key without panicking")
 }
 
-// idEvent is an Event that compares by value, so a test can check which
-// event an entry carries.
-type idEvent int
-
-func (idEvent) Run(*Engine) {}
-
 // TestRadixSortMatchesComparisonSort checks radixSort against
 // slices.SortFunc on random groups either side of radixMin and at 8,192
 // entries, reusing the returned spare buffer from one group to the next as
@@ -457,25 +465,25 @@ func TestRadixSortMatchesComparisonSort(t *testing.T) {
 			return keys
 		},
 	}
-	var spare []entry
+	var spare []tie
 	for _, n := range []int{radixMin - 1, radixMin, radixMin + 1, 8192} {
 		for _, name := range []string{"mixed", "top-byte", "low-byte"} {
 			keys := keySets[name](n)
 			idx := make([]int, len(keys))
 			rng.Perm(idx)
-			b := make([]entry, len(keys))
+			b := make([]tie, len(keys))
 			for i, j := range idx {
-				b[i] = entry{seq: keys[j], ev: idEvent(j)}
+				b[i] = tie{key: keys[j], slot: uint32(j)}
 			}
 			want := slices.Clone(b)
-			slices.SortFunc(want, func(x, y entry) int { return cmp.Compare(x.seq, y.seq) })
-			var got []entry
+			slices.SortFunc(want, func(x, y tie) int { return cmp.Compare(x.key, y.key) })
+			var got []tie
 			got, spare = radixSort(b, spare)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%d/%s: radixSort disagrees with slices.SortFunc", n, name)
 			}
-			if len(spare) != 0 || slices.ContainsFunc(spare[:cap(spare)], func(en entry) bool { return en.ev != nil }) {
-				t.Fatalf("%d/%s: the leftover buffer has length %d or still holds events", n, name, len(spare))
+			if len(spare) != 0 {
+				t.Fatalf("%d/%s: the leftover buffer has length %d", n, name, len(spare))
 			}
 		}
 	}

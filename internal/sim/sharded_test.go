@@ -301,10 +301,10 @@ func TestShardedInlineStartsNoGoroutines(t *testing.T) {
 }
 
 // TestShardedRunUntilShrinksDrainedShards: a burst that drains during a K=2
-// RunUntil returns every shard's queue and tie-group buffers to their
-// initial sizes, as Engine.RunUntil does for one engine. While any shard
-// still has work, no shard shrinks: an idle shard would regrow its arrays
-// on the next call.
+// RunUntil returns every shard's heap arrays, event table and tie-group
+// buffers to their initial sizes, as Engine.RunUntil does for one engine.
+// While any shard still has work, no shard shrinks: an idle shard would
+// regrow its arrays on the next call.
 func TestShardedRunUntilShrinksDrainedShards(t *testing.T) {
 	se := NewShardedEngine(2, 10*Nanosecond)
 	for i := 0; i < se.NumShards(); i++ {
@@ -316,13 +316,15 @@ func TestShardedRunUntilShrinksDrainedShards(t *testing.T) {
 	}
 	late := MakeActor(9999)
 	se.Shard(1).Eng.ScheduleKey(Time(2*Microsecond), late.Next(), EventFunc(func() {}))
-	caps := func(e *Engine) [4]int { return [4]int{cap(e.ats), cap(e.ents), cap(e.batch), cap(e.spare)} }
+	caps := func(e *Engine) [5]int {
+		return [5]int{cap(e.ats), cap(e.hs), cap(e.slots), cap(e.batch), cap(e.spare)}
+	}
 
 	if more := se.RunUntil(Time(Microsecond)); !more {
 		t.Fatal("RunUntil drained the late event early")
 	}
-	if c := caps(se.Shard(0).Eng); c[0] <= 4096 || c[2] <= 256 || c[3] <= 256 {
-		t.Errorf("idle shard 0 shrank to ats, ents, batch, spare = %v while shard 1 still had work", c)
+	if c := caps(se.Shard(0).Eng); c[0] <= 4096 || c[1] <= 4096 || c[2] <= 4096 || c[3] <= 256 || c[4] <= 256 {
+		t.Errorf("idle shard 0 shrank to ats, hs, slots, batch, spare = %v while shard 1 still had work", c)
 	}
 	if more := se.RunUntil(Time(3 * Microsecond)); more {
 		t.Fatal("RunUntil left events queued")
@@ -332,8 +334,13 @@ func TestShardedRunUntilShrinksDrainedShards(t *testing.T) {
 		if want := uint64(5000 + i); e.Executed != want {
 			t.Fatalf("shard %d dispatched %d events, want %d", i, e.Executed, want)
 		}
-		if c := caps(e); c != [4]int{1024, 1024, 0, 0} {
-			t.Errorf("shard %d keeps ats, ents, batch, spare = %v after draining; want [1024 1024 0 0]", i, c)
+		if c := caps(e); c != [5]int{initCap, initCap, initCap, 0, 0} {
+			t.Errorf("shard %d keeps ats, hs, slots, batch, spare = %v after draining; want [%d %d %d 0 0]",
+				i, c, initCap, initCap, initCap)
+		}
+		if len(e.ats) != 0 || len(e.hs) != 0 || len(e.slots) != 0 || e.free != 0 || e.vacant {
+			t.Errorf("shard %d: drained heap of %d/%d entries, table of %d slots, free head %d, vacant root %v; want all empty",
+				i, len(e.ats), len(e.hs), len(e.slots), e.free, e.vacant)
 		}
 	}
 }
