@@ -162,10 +162,15 @@ type Network struct {
 	fabAct sim.Actor
 
 	// busy[s*busyStride + k*2m + d*m + path] is the time until which
-	// that output wire of switch k at stage s is carrying a packet: one
-	// flat array for the whole fabric instead of a slice per stage.
+	// that output wire of switch k at stage s is carrying a packet, in
+	// picoseconds past busyBase: one flat array of 32-bit offsets for the
+	// whole fabric, not a slice per stage. A wire is free at t iff
+	// busyBase + busy[w] <= t. traverse moves busyBase up to its start
+	// time once that is 2^31 ps past it (see rebase); New refuses a
+	// reservation longer than 2^31 ps, so every offset fits.
 	// Touched only by the fabric shard.
-	busy       []sim.Time
+	busy       []uint32
+	busyBase   sim.Time
 	busyStride int
 
 	gap      sim.Duration // inter-packet dark gap a wire needs (6T + margin)
@@ -215,10 +220,23 @@ func New(cfg Config) (*Network, error) {
 	n.duration, n.ackDur, n.gap, n.rto = deriveTiming(cfg, mb)
 	n.perStage = switchLatency(cfg.Multiplicity)
 	n.flight = n.duration + 2*netsim.HostLinkDelay + sim.Duration(mb.Stages)*n.perStage
-	// One slot per (stage, output wire).
+	// A traversal starts at most 2^31 ps past busyBase and reserves a wire
+	// up to its last stage's start plus one occupancy past that start.
+	if reach := sim.Duration(mb.Stages)*n.perStage + max(n.duration, n.ackDur) + n.gap; reach >= busyWindow {
+		return nil, fmt.Errorf("core: a traversal reserves wires %v past its start (link rate %v bit/s), want < %v",
+			reach, cfg.LinkRate, busyWindow)
+	}
+	// One slot per (stage, output wire). Each stage of traverse writes
+	// busy[i] and reads the wiring table's entry i. Both tables have 4-byte
+	// entries in page-aligned arrays, so those two would share their low
+	// address bits and contend for the same cache sets. Starting busy one
+	// cache line into its array keeps them apart: without it a
+	// 131,072-node cell took 8% more CPU time (2-vCPU Xeon).
+	const pad = 64 / 4
 	n.busyStride = mb.SwitchesPerStage() * 2 * cfg.Multiplicity
-	n.busy = make([]sim.Time, mb.Stages*n.busyStride)
-	prof.AdviseHugePages(n.busy)
+	busy := make([]uint32, pad+mb.Stages*n.busyStride)
+	prof.AdviseHugePages(busy)
+	n.busy = busy[pad:]
 	n.Stats.DropsByStage = make([]uint64, mb.Stages)
 	n.testPath = -1
 	n.degradeRNG = sim.NewRNG(cfg.Seed ^ 0xdec4ade)
@@ -306,6 +324,9 @@ func (n *Network) Send(src, dst, size int) *netsim.Packet {
 // injection order, so wire occupancy can be resolved immediately for the
 // whole path without per-stage events.
 func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
+	if t0.Sub(n.busyBase) >= busyWindow {
+		n.rebase(t0)
+	}
 	m := n.cfg.Multiplicity
 	dur := n.duration
 	tp := n.fab.Probe
@@ -333,15 +354,16 @@ func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 		}
 		d := n.mb.RoutingBit(p.Dst, s)
 		base := s*n.busyStride + int(sw)*2*m + d*m
+		rel := uint32(t.Sub(n.busyBase))
 		found := -1 // path index
 		if n.testPath >= 0 {
 			// Diagnostic mode: only the configured path is enabled.
-			if n.busy[base+n.testPath] <= t {
+			if n.busy[base+n.testPath] <= rel {
 				found = n.testPath
 			}
 		} else {
 			for q := 0; q < m; q++ {
-				if n.busy[base+q] <= t {
+				if n.busy[base+q] <= rel {
 					found = q
 					break
 				}
@@ -355,7 +377,7 @@ func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 			n.drop(p, s, false, t)
 			return
 		}
-		n.busy[base+found] = t.Add(dur + n.gap)
+		n.busy[base+found] = rel + uint32(dur+n.gap)
 		if tp != nil {
 			tp.Hops.Inc()
 			n.fab.Record(telemetry.KindHop, p, t, dur, int32(s), int32(sw))
@@ -371,6 +393,34 @@ func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 		return
 	}
 	n.postReceive(t.Add(netsim.HostLinkDelay+dur), &n.nics[sw], p)
+}
+
+// busyWindow is how far past busyBase a traversal may start before traverse
+// rebases the occupancy table: 2^31 ps, about 2.1 ms of fabric time.
+const busyWindow = sim.Duration(1) << 31
+
+// rebase moves busyBase to t0, the start of a traversal, rewriting every
+// wire's offset relative to it. A reservation that ended before t0 becomes
+// 0, which is free at t0 and at every later query just as before: the fabric
+// shard's traversals start in time order. It costs one pass over the table
+// per 2^31 ps of fabric time.
+func (n *Network) rebase(t0 sim.Time) {
+	shift := t0.Sub(n.busyBase)
+	for w, e := range n.busy {
+		n.busy[w] = uint32(max(0, sim.Duration(e)-shift))
+	}
+	n.busyBase = t0
+}
+
+// busyWires counts the output wires carrying a packet at now.
+func (n *Network) busyWires(now sim.Time) uint64 {
+	var busy uint64
+	for _, e := range n.busy {
+		if n.busyBase.Add(sim.Duration(e)) > now {
+			busy++
+		}
+	}
+	return busy
 }
 
 // drop loses a transmission at a switch stage, or on a severed host fiber

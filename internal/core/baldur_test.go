@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"baldur/internal/netsim"
@@ -86,6 +87,9 @@ func TestRejectsValuesThatPanicMidRun(t *testing.T) {
 		{"negative nodes", Config{Nodes: -4}},
 		{"negative link rate", Config{Nodes: 16, LinkRate: -25e9}},
 		{"NaN link rate", Config{Nodes: 16, LinkRate: math.NaN()}},
+		// 512 B at 1 Mbit/s holds a wire for 4 ms, past the 2^31 ps the
+		// occupancy table's 32-bit offsets can reach.
+		{"link rate too slow for the occupancy table", Config{Nodes: 16, LinkRate: 1e6}},
 		{"negative RTO", Config{Nodes: 16, RTO: -5}},
 		{"negative BEB slot", Config{Nodes: 16, BEBSlot: -1}},
 		{"negative backoff exponent", Config{Nodes: 16, MaxBackoffExp: -1}},
@@ -175,6 +179,75 @@ func TestContentionDropsAndRetransmits(t *testing.T) {
 	}
 	if n.Stats.Delivered != 40 {
 		t.Errorf("unique deliveries = %d", n.Stats.Delivered)
+	}
+}
+
+// TestOccupancyRebaseIsExact runs one contended burst at time 0 and, once it
+// has drained, a second identical burst. The wire occupancy table holds
+// 32-bit offsets from a base that traverse moves up once a traversal starts
+// 2^31 ps past it, so the second burst starts right after the first, 2 µs
+// before 2^31 ps (the base moves mid-burst, with wires reserved), at 2^31 ps,
+// at 2^32 ps + 1 µs (where an offset that was never rebased wraps onto the
+// first burst's reservations) and at 3·2^31 ps. The second burst must come
+// out bit-identical whenever it starts: the same ledger, per-stage drops,
+// latency sum and busy-wire counts as it runs.
+func TestOccupancyRebaseIsExact(t *testing.T) {
+	const (
+		nodes   = 32
+		drainBy = sim.Time(500 * sim.Microsecond) // the first burst drains long before this
+	)
+	type result struct {
+		ledgerA, ledgerB netsim.Ledger
+		dropsB           []uint64
+		latencyB         sim.Duration
+		busyB            []uint64
+	}
+	burst := func(n *Network) {
+		for src := 0; src < nodes; src++ {
+			for k := 0; k < 4; k++ {
+				n.Send(src, (src+k)%4, 0)
+			}
+		}
+	}
+	run := func(start sim.Time) result {
+		n := mustNew(t, Config{Nodes: nodes, Multiplicity: 1, Seed: 5})
+		var lat sim.Duration
+		n.OnDeliver(func(_ int, p *netsim.Packet, at sim.Time) { lat += at.Sub(p.Created) })
+		burst(n)
+		if n.Run(drainBy) {
+			t.Fatalf("first burst still running at %v", drainBy)
+		}
+		r := result{ledgerA: n.Ledger()}
+		n.Run(start)
+		lat = 0
+		burst(n)
+		for _, at := range []sim.Duration{150, 450, 900, 2000} {
+			n.Run(start.Add(at * sim.Nanosecond))
+			r.busyB = append(r.busyB, n.busyWires(n.Engine().Now()))
+		}
+		if n.Run(start.Add(drainBy.Sub(0))) {
+			t.Fatalf("second burst from %v still running %v later", start, drainBy)
+		}
+		r.ledgerB, r.latencyB = n.Ledger(), lat
+		r.dropsB = append(r.dropsB, n.Stats.DropsByStage...)
+		return r
+	}
+	want := run(drainBy)
+	if want.ledgerB.DataDrops == want.ledgerA.DataDrops || want.busyB[0] == 0 {
+		t.Fatalf("burst does not contend: ledgers %+v then %+v, busy wires %v", want.ledgerA, want.ledgerB, want.busyB)
+	}
+	for _, start := range []sim.Time{
+		sim.Time(busyWindow - 2*sim.Microsecond),
+		sim.Time(busyWindow),
+		sim.Time(2*busyWindow + sim.Microsecond),
+		sim.Time(3 * busyWindow),
+	} {
+		got := run(start)
+		if got.ledgerA != want.ledgerA || got.ledgerB != want.ledgerB || got.latencyB != want.latencyB ||
+			!slices.Equal(got.dropsB, want.dropsB) || !slices.Equal(got.busyB, want.busyB) {
+			t.Errorf("second burst from %v gave ledger %+v, drops %v, latency sum %v, busy wires %v; from %v: %+v, %v, %v, %v",
+				start, got.ledgerB, got.dropsB, got.latencyB, got.busyB, drainBy, want.ledgerB, want.dropsB, want.latencyB, want.busyB)
+		}
 	}
 }
 

@@ -30,14 +30,7 @@ func (n *Network) AttachTelemetry(tel *telemetry.Telemetry) {
 		nicQueued.Set(queued)
 		inFlight.Set(flight)
 		retxBytes.Set(retx)
-		now := n.Engine().Now()
-		var busy uint64
-		for _, until := range n.busy {
-			if until > now {
-				busy++
-			}
-		}
-		wiresBusy.Set(busy)
+		wiresBusy.Set(n.busyWires(n.Engine().Now()))
 		wiresTotal.Set(uint64(len(n.busy)))
 	})
 }

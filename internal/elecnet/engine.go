@@ -91,7 +91,9 @@ type pktState struct {
 	// minimally) and whether it has been reached.
 	interGroup   int32
 	interReached bool
+	// qnext links the VC queue the state waits in (nil when not queued);
 	// nextFree links the shard free list.
+	qnext    *pktState
 	nextFree *pktState
 }
 
@@ -123,39 +125,39 @@ func (st *pktState) vc(nvc int) int {
 	return v
 }
 
-// fifo is a queue of packet states over a reusable backing array. Popping
-// advances a head index instead of reslicing, so steady-state push/pop
-// traffic reuses the array's capacity; the naive `q = q[1:]` pop discards
-// capacity and forces an allocation on nearly every push (two thirds of the
-// Fig 6 sweep's allocations before this type existed).
+// fifo is a queue of packet states linked through pktState.qnext. A state
+// waits in at most one queue at a time, so the queue needs no backing array:
+// an idle port or NIC costs only this header. n keeps len O(1), because the
+// audit sums every queue at every checkpoint.
 type fifo struct {
-	buf  []*pktState
-	head int
+	head, tail *pktState
+	n          int32
 }
 
 func (f *fifo) push(st *pktState) {
-	if f.head > 16 && f.head*2 >= len(f.buf) {
-		// Mostly dead space in front of head: compact in place.
-		n := copy(f.buf, f.buf[f.head:])
-		clear(f.buf[n:])
-		f.buf, f.head = f.buf[:n], 0
+	if f.tail == nil {
+		f.head = st
+	} else {
+		f.tail.qnext = st
 	}
-	f.buf = append(f.buf, st)
+	f.tail = st
+	f.n++
 }
 
+// pop unlinks the head, clearing its qnext so that no state outside a queue
+// points into one.
 func (f *fifo) pop() *pktState {
-	st := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head++
-	if f.head == len(f.buf) {
-		// Drained: rewind to the start of the backing array.
-		f.buf, f.head = f.buf[:0], 0
+	st := f.head
+	f.head, st.qnext = st.qnext, nil
+	if f.head == nil {
+		f.tail = nil
 	}
+	f.n--
 	return st
 }
 
-func (f *fifo) len() int        { return len(f.buf) - f.head }
-func (f *fifo) peek() *pktState { return f.buf[f.head] }
+func (f *fifo) len() int        { return int(f.n) }
+func (f *fifo) peek() *pktState { return f.head }
 
 // outPort is one transmit port of a router, feeding exactly one downstream
 // input port (or ejecting to a node). Queues are per virtual channel: a
