@@ -139,6 +139,19 @@ var entries = []entry{
 	eventsRow("dragonfly", 129821, 7200),
 	eventsRow("fattree", 118189, 5400),
 	eventsRow("ideal", 12800, 6400),
+	// The same cells' allocations per injected packet, construction
+	// included. Every model recycles its packets and pools its events, so
+	// what is left is construction, slice growth and the packets a pool
+	// makes before its first reuse. Five runs read 0.3450 (baldur), 0.3382
+	// (multibutterfly), 0.2191 (dragonfly), 0.2085-0.2086 (fattree) and
+	// 0.0442 (ideal); before recycling the same cells read 1.04-1.30. Each
+	// ceiling is 1.25x the highest run, rounded up to a hundredth: a Send
+	// that allocated its packet again would add 1.0.
+	allocsRow("baldur", 0.44),
+	allocsRow("multibutterfly", 0.43),
+	allocsRow("dragonfly", 0.28),
+	allocsRow("fattree", 0.27),
+	allocsRow("ideal", 0.06),
 	// Ten runs with the 32-bit occupancy table and the intrusive VC queues
 	// read 4,329-4,502 B/node (three at the 8-byte table and slice-backed
 	// queues read 5,010-5,441); the ceiling is 1.15x the highest, rounded
@@ -315,17 +328,24 @@ func benchTelemetryOverhead(b *testing.B) {
 	b.ReportMetric(float64(off.Microseconds()), "off_us")
 }
 
+// quickCell runs network's Quick random_permutation cell at load 0.5, the
+// cell of the events_<net> and allocs_<net> rows.
+func quickCell(b *testing.B, network string) exp.OpenLoopDetail {
+	d, err := exp.RunOpenLoopDetail(network, "random_permutation", 0.5, exp.Quick)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
 // eventsRow is the entry gating network's events per injected packet in
-// the Quick random_permutation cell at load 0.5 at exactly
-// events/injected. The count is the same at any shard count.
+// its quickCell at exactly events/injected. The count is the same at any
+// shard count.
 func eventsRow(network string, events, injected float64) entry {
 	body := func(b *testing.B) {
 		var ev, inj uint64
 		for range b.N {
-			d, err := exp.RunOpenLoopDetail(network, "random_permutation", 0.5, exp.Quick)
-			if err != nil {
-				b.Fatal(err)
-			}
+			d := quickCell(b, network)
 			ev += d.Events
 			inj += d.Injected
 		}
@@ -335,6 +355,22 @@ func eventsRow(network string, events, injected float64) entry {
 	}
 	x := events / injected
 	return entry{"events_" + network, body, "events_per_pkt", x, x}
+}
+
+// allocsRow is the entry gating network's heap allocations per injected
+// packet in its quickCell, construction included, at or below ceiling.
+func allocsRow(network string, ceiling float64) entry {
+	body := func(b *testing.B) {
+		var before, after runtime.MemStats
+		var inj uint64
+		runtime.ReadMemStats(&before)
+		for range b.N {
+			inj += quickCell(b, network).Injected
+		}
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(inj), "allocs_per_pkt")
+	}
+	return entry{"allocs_" + network, body, "allocs_per_pkt", -inf, ceiling}
 }
 
 // benchTraceOverhead prices the packet-lifecycle tracer the way

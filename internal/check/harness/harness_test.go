@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -163,6 +164,63 @@ func TestDeliveryShardContract(t *testing.T) {
 			}
 			if d := col.Delivered(); col.Samples() != int64(d) || d != uint64(calls) {
 				t.Errorf("%s K=%d: Samples %d, Delivered %d, callbacks %d; want all equal", name, k, col.Samples(), d, calls)
+			}
+		}
+	}
+}
+
+// sender is an injection event that sends one packet from src to dst.
+type sender struct {
+	net      netsim.Network
+	src, dst int
+}
+
+func (s *sender) Run(*sim.Engine) { s.net.Send(s.src, s.dst, 0) }
+
+// TestSendsRecyclePackets pins packet recycling on every network at K = 1
+// and 2: once a warm-up batch has drained, a second identical batch
+// allocates almost nothing per packet, so no Send allocates its packet. Each
+// node sends to its mirror node, so packets that die on another shard come
+// back to the shard that sent them in the next batch.
+func TestSendsRecyclePackets(t *testing.T) {
+	const perNode = 16
+	for _, name := range slices.Concat(check.Nets, []string{"ideal"}) {
+		for _, k := range []int{1, 2} {
+			cfg := check.FuzzConfig{Net: name, NodesExp: 5, Multiplicity: 2, Shards: k, FaultStage: -1, Seed: 3}
+			if name != "ideal" {
+				cfg = cfg.Canon()
+			}
+			net, _, err := Build(cfg, k)
+			if err != nil {
+				t.Fatalf("%s K=%d: %v", name, k, err)
+			}
+			nodes := net.NumNodes()
+			senders := make([]sender, nodes)
+			for i := range senders {
+				senders[i] = sender{net, i, nodes - 1 - i}
+			}
+			batch := func() {
+				start := net.Engine().Now()
+				for i := range senders {
+					for j := range perNode {
+						net.ScheduleNode(i, start.Add(sim.Duration(j)*200*sim.Nanosecond), &senders[i])
+					}
+				}
+				if net.Run(start.Add(Horizon)) {
+					t.Fatalf("%s K=%d: batch did not drain", name, k)
+				}
+			}
+			batch()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			batch()
+			runtime.ReadMemStats(&after)
+			pkts := float64(nodes * perNode)
+			if per := float64(after.Mallocs-before.Mallocs) / pkts; per >= 0.05 {
+				t.Errorf("%s K=%d: second batch allocated %.3f objects per packet, want < 0.05", name, k, per)
+			}
+			if got := net.Ledger().Delivered; got != 2*uint64(pkts) {
+				t.Errorf("%s K=%d: delivered %d of %d packets", name, k, got, 2*uint64(pkts))
 			}
 		}
 	}

@@ -81,10 +81,11 @@ func TestAckPriorityMatters(t *testing.T) {
 	}
 	ol.Start(n)
 	drain(t, n)
-	if n.Stats.AckLatency.N() == 0 {
+	ackLat := n.AckLatency()
+	if ackLat.N() == 0 {
 		t.Fatal("no ACK latencies recorded")
 	}
-	meanRTT := n.Stats.AckLatency.Mean() // ns
+	meanRTT := ackLat.Mean() // ns
 	rtoNS := float64(n.rto.Nanoseconds())
 	if meanRTT > rtoNS {
 		t.Errorf("mean ACK RTT %.0f ns exceeds RTO %.0f ns: spurious retransmissions everywhere", meanRTT, rtoNS)

@@ -9,14 +9,13 @@ import (
 // coreAudit is one shard's audit-only counters. A nil pointer (the default)
 // disables auditing; every hot-path hook is guarded by that single nil
 // check, exactly like the telemetry probe, so an unaudited run pays one
-// predictable branch per site and allocates nothing. The struct is padded so
-// neighbouring shards' counters never share a cache line.
+// predictable branch per site and allocates nothing. The struct fills one
+// 64-byte cache line, so neighbouring shards' counters never share one.
 type coreAudit struct {
-	// ev/ack census the pooled event and ACK-packet lifecycles. Pooled
-	// objects migrate between shards (acquired on the scheduling shard,
-	// freed on the executing one), so only the cross-shard sums balance.
-	ev  check.Pool
-	ack check.Pool
+	// ev censuses the pooled event lifecycle. Events migrate between
+	// shards (acquired on the scheduling shard, freed on the executing
+	// one), so only the cross-shard sums balance.
+	ev check.Pool
 	// overtaken counts queued (re)transmissions discarded because their
 	// ACK arrived first: they consume a queue entry without a wire
 	// attempt, so the attempt ledger must credit them.
@@ -24,7 +23,22 @@ type coreAudit struct {
 	// unmatchedAcks counts ACKs arriving after the sender already cleared
 	// the sequence (the redundant ACK of a duplicate delivery).
 	unmatchedAcks uint64
-	_             [16]byte
+	// held counts packets waiting at this shard's NICs outside the
+	// outstanding set: ACKs, data packets with the protocol off, and data
+	// packets whose ACK arrived while they were held.
+	held int64
+	// poisoned counts transmissions, traversals and receives that met a
+	// packet stamped netsim.ReleasedID, and receives of a packet addressed
+	// to another node: a packet used after its release or its reuse.
+	poisoned uint64
+	_        [16]byte
+}
+
+// checkLive counts p as poisoned if it carries the released stamp.
+func (a *coreAudit) checkLive(p *netsim.Packet) {
+	if p.ID == netsim.ReleasedID {
+		a.poisoned++
+	}
 }
 
 // AttachAudit arms the conservation auditor (netsim.Audited). Call before
@@ -50,16 +64,36 @@ type coreAudit struct {
 //     data attempts == drops + delivered + duplicates,
 //     injected + retransmissions == attempts + ACK-overtaken discards,
 //     ack attempts == ack drops + matched + unmatched.
-//   - core/pools — pooled events and ACK packets balance: live counts are
-//     non-negative summed across shards, bounded by the engines' queued
-//     events, and exactly zero once the run drains.
+//   - core/pools — pooled events balance: the live count is non-negative
+//     summed across shards, bounded by the engines' queued events, and
+//     exactly zero once the run drains.
+//   - core/packets — the packet census. Packets never leave the shard
+//     whose pool made them, so per shard: the packets its pool made, less
+//     those on its free stack, are exactly its NICs' outstanding packets,
+//     plus the packets held at them outside the outstanding set, plus its
+//     quarantine. The held tally is bounded by the queue walk: at least the
+//     queued packets outside the outstanding set, at most those plus one
+//     pending transmission per sending NIC. At drain nothing is outstanding
+//     or held.
+//   - core/poison — no transmission, traversal or receive met a packet
+//     that had left its pool's quarantine (the audit makes the pools stamp
+//     them), and every receive met a packet addressed to its node: a copy
+//     still in flight when its packet was reused would arrive rewritten.
 //
 // Violations carry the full ledger diff, the simulated time and the shard.
 func (n *Network) AttachAudit(a *check.Auditor) {
 	for _, sh := range n.shards {
 		sh.aud = &coreAudit{}
+		sh.pkts.Poison = true
 	}
 	a.OnCheckpoint(func(at sim.Time, drained bool) { n.audit(a, at, drained) })
+}
+
+// pktCensus is one shard's side of the core/packets census, from the NIC
+// walk: its outstanding packets, its queued packets outside the outstanding
+// set, and its NICs with the injection wire taken.
+type pktCensus struct {
+	outstanding, queuedHeld, sending int64
 }
 
 func (n *Network) audit(a *check.Auditor, at sim.Time, drained bool) {
@@ -71,11 +105,24 @@ func (n *Network) audit(a *check.Auditor, at sim.Time, drained bool) {
 	// every shard's NICs from here is safe.
 	var outstanding, queued, completed, tracked uint64
 	maxRetxNow := 0
+	census := make([]pktCensus, len(n.shards))
 	for i := range n.nics {
 		c := &n.nics[i]
 		outstanding += uint64(c.outstanding.Len())
 		queued += uint64(c.queueLen())
 		completed += uint64(c.ackLat.N())
+		cs := &census[c.sh.Sim.ID]
+		cs.outstanding += int64(c.outstanding.Len())
+		for _, q := range [][]*netsim.Packet{c.qfront, c.qback[c.qhead:]} {
+			for _, p := range q {
+				if p.Ack || p.Acked || !retxOn {
+					cs.queuedHeld++
+				}
+			}
+		}
+		if c.sending {
+			cs.sending++
+		}
 		want := 0
 		c.outstanding.foreach(func(_ uint64, p *netsim.Packet) {
 			want += p.Size
@@ -97,13 +144,29 @@ func (n *Network) audit(a *check.Auditor, at sim.Time, drained bool) {
 			"live retx buffer %d B above recorded high-water mark %d B", maxRetxNow, st.MaxRetxBufBytes)
 	}
 
-	var overtaken, unmatched uint64
-	var evLive, ackLive int64
-	for _, sh := range n.shards {
+	var overtaken, unmatched, poisoned uint64
+	var evLive int64
+	for i, sh := range n.shards {
 		overtaken += sh.aud.overtaken
 		unmatched += sh.aud.unmatchedAcks
+		poisoned += sh.aud.poisoned
 		evLive += sh.aud.ev.Live()
-		ackLive += sh.aud.ack.Live()
+		cs := &census[i]
+		held := sh.aud.held
+		made, quarantined, free := sh.pkts.Census()
+		if live := int64(made - free); live != cs.outstanding+held+int64(quarantined) {
+			a.Violatef(at, i, "core/packets",
+				"%d live packets (made %d, free %d) != outstanding %d + held %d + quarantined %d",
+				live, made, free, cs.outstanding, held, quarantined)
+		}
+		if held < cs.queuedHeld || held > cs.queuedHeld+cs.sending {
+			a.Violatef(at, i, "core/packets",
+				"held tally %d outside the queue walk's [%d, %d]", held, cs.queuedHeld, cs.queuedHeld+cs.sending)
+		}
+	}
+	if poisoned != 0 {
+		a.Violatef(at, -1, "core/poison",
+			"%d transmissions, traversals or receives of a released or reused packet", poisoned)
 	}
 
 	if retxOn {
@@ -152,9 +215,9 @@ func (n *Network) audit(a *check.Auditor, at sim.Time, drained bool) {
 	}
 
 	pending := n.Queued()
-	if evLive < 0 || ackLive < 0 {
+	if evLive < 0 {
 		a.Violatef(at, -1, "core/pools",
-			"negative live pool balance: events=%d acks=%d (double free)", evLive, ackLive)
+			"negative live pool balance: events=%d (double free)", evLive)
 	}
 	if evLive > int64(pending) {
 		a.Violatef(at, -1, "core/pools",
@@ -196,9 +259,9 @@ func (n *Network) audit(a *check.Auditor, at sim.Time, drained bool) {
 			a.Violatef(at, -1, "core/attempts",
 				"drained: drops+delivered+duplicates=%d != data attempts=%d", got, want)
 		}
-		if evLive != 0 || ackLive != 0 {
+		if evLive != 0 {
 			a.Violatef(at, -1, "core/pools",
-				"drained with live pool balance events=%d acks=%d", evLive, ackLive)
+				"drained with live pool balance events=%d", evLive)
 		}
 		if pending != 0 {
 			a.Violatef(at, -1, "core/pools",

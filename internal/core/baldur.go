@@ -21,7 +21,6 @@ import (
 	"baldur/internal/netsim"
 	"baldur/internal/prof"
 	"baldur/internal/sim"
-	"baldur/internal/stats"
 	"baldur/internal/telemetry"
 	"baldur/internal/tl"
 	"baldur/internal/topo"
@@ -129,7 +128,8 @@ func (c *Config) applyDefaults() error {
 
 // Stats aggregates the network-wide counters of one run: the packet ledger
 // plus Baldur's own diagnostics. Each shard counts into its own ledger and
-// diagnostics; Run folds them.
+// diagnostics; Run folds them. The ACK round-trip times are read with
+// Network.AckLatency.
 type Stats struct {
 	netsim.Ledger
 	// DropsByStage histograms where contention bites.
@@ -137,9 +137,6 @@ type Stats struct {
 	// MaxRetxBufBytes is the high-water mark of any node's unACKed
 	// buffer (the paper provisions 1 MB; measures 536 KB at load 0.7).
 	MaxRetxBufBytes int
-	// AckLatency collects ACK round-trip times (ns) for diagnostics, merged
-	// from the per-NIC moments in node order by Run's fold.
-	AckLatency stats.Running
 }
 
 // Network is a Baldur network instance. It implements netsim.Network; the
@@ -185,6 +182,10 @@ type Network struct {
 	// it to reconstruct the delivered attempt's per-stage spans at the
 	// destination without touching sender state.
 	flight sim.Duration
+	// reuse and ackReuse are how long a released data packet and ACK wait
+	// in their shard's quarantine: the kind's flight time plus the
+	// lookahead (see nic.release).
+	reuse, ackReuse sim.Duration
 
 	// onDrop, when non-nil, observes every drop (ProbePath's hook; fabric
 	// shard only).
@@ -220,6 +221,9 @@ func New(cfg Config) (*Network, error) {
 	n.duration, n.ackDur, n.gap, n.rto = deriveTiming(cfg, mb)
 	n.perStage = switchLatency(cfg.Multiplicity)
 	n.flight = n.duration + 2*netsim.HostLinkDelay + sim.Duration(mb.Stages)*n.perStage
+	// An ACK's flight differs from a data packet's only in serialization.
+	n.reuse = n.flight + netsim.HostLinkDelay
+	n.ackReuse = n.flight - n.duration + n.ackDur + netsim.HostLinkDelay
 	// A traversal starts at most 2^31 ps past busyBase and reserves a wire
 	// up to its last stage's start plus one occupancy past that start.
 	if reach := sim.Duration(mb.Stages)*n.perStage + max(n.duration, n.ackDur) + n.gap; reach >= busyWindow {
@@ -292,8 +296,8 @@ func (n *Network) Multiplicity() int { return n.cfg.Multiplicity }
 // Stages returns the number of switch stages (log2 N).
 func (n *Network) Stages() int { return n.mb.Stages }
 
-// Send creates and enqueues a data packet. It panics on invalid node ids
-// (always a workload bug).
+// Send creates and enqueues a data packet, taken from the source NIC's
+// shard's pool. It panics on invalid node ids (always a workload bug).
 func (n *Network) Send(src, dst, size int) *netsim.Packet {
 	if src < 0 || src >= n.cfg.Nodes || dst < 0 || dst >= n.cfg.Nodes {
 		panic(fmt.Sprintf("core: Send(%d,%d) outside [0,%d)", src, dst, n.cfg.Nodes))
@@ -304,7 +308,8 @@ func (n *Network) Send(src, dst, size int) *netsim.Packet {
 	nic := &n.nics[src]
 	// IDs are per-source (high bits = src+1) so allocation is shard-local
 	// and the numbering is invariant to shard count.
-	p := &netsim.Packet{
+	p := nic.sh.pkts.Get(nic.eng.Now())
+	*p = netsim.Packet{
 		ID:      uint64(src+1)<<32 | (nic.nextSeq + 1),
 		Src:     src,
 		Dst:     dst,
@@ -335,6 +340,9 @@ func (n *Network) traverse(p *netsim.Packet, t0 sim.Time) {
 		n.fab.Ledger.AckAttempts++
 	} else {
 		n.fab.Ledger.DataAttempts++
+	}
+	if n.fab.aud != nil {
+		n.fab.aud.checkLive(p)
 	}
 	sw, _ := n.mb.InjectionSwitch(p.Src)
 	if n.faulty && n.deadLink.Get(p.Src) {
@@ -428,7 +436,7 @@ func (n *Network) busyWires(now sim.Time) uint64 {
 // to an injected fault. The source discovers a lost data attempt via its
 // local timer, already scheduled. (With the protocol disabled the packet is
 // simply lost; nothing tracks it: enqueueData skips the outstanding set in
-// that mode.)
+// that mode.) The packet stays its source shard's to release.
 func (n *Network) drop(p *netsim.Packet, stage int, fault bool, t sim.Time) {
 	st := n.fab.Ledger
 	if stage >= 0 {
@@ -443,8 +451,7 @@ func (n *Network) drop(p *netsim.Packet, stage int, fault bool, t sim.Time) {
 	n.fab.Record(telemetry.KindDrop, p, t, 0, int32(stage), 0)
 	if p.Ack {
 		st.AckDrops++
-		n.fab.releaseAck(p)
-		return
+	} else {
+		st.DataDrops++
 	}
-	st.DataDrops++
 }

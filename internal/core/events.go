@@ -101,26 +101,20 @@ func (c *nic) Run(*sim.Engine) {
 	c.pump()
 }
 
-// acquireAck returns a reset ACK packet from this shard's pool. ACKs never
-// surface through OnDeliver and are consumed by the protocol at both
-// possible ends of their life (sender receive or in-network drop), so unlike
-// data packets they can be recycled safely.
-func (sh *coreShard) acquireAck() *netsim.Packet {
-	if sh.aud != nil {
-		sh.aud.ack.Get()
+// release hands back a packet this NIC created, once the NIC is done with
+// it: a data packet when it is ACKed and no longer held, when the sender
+// gives up on it, or at its transmission with the protocol off; an ACK at
+// its transmission. Copies of it may still be in flight, read by the fabric
+// or the destination shard, so it waits in the pool's quarantine for the
+// fixed flight time of its kind plus one lookahead. Every copy left at or
+// before now, so by then each has been received or dropped, in an earlier
+// epoch of the sharded engine than the reuse: the barrier between orders
+// those reads before the next writer. Counting copies instead would need
+// writes from the fabric and destination shards, a data race at K >= 2.
+func (c *nic) release(p *netsim.Packet) {
+	wait := c.net.reuse
+	if p.Ack {
+		wait = c.net.ackReuse
 	}
-	if last := len(sh.ackFree) - 1; last >= 0 {
-		p := sh.ackFree[last]
-		sh.ackFree = sh.ackFree[:last]
-		p.Reset()
-		return p
-	}
-	return &netsim.Packet{}
-}
-
-func (sh *coreShard) releaseAck(p *netsim.Packet) {
-	if sh.aud != nil {
-		sh.aud.ack.Put()
-	}
-	sh.ackFree = append(sh.ackFree, p)
+	c.sh.pkts.Put(p, c.eng.Now().Add(wait))
 }

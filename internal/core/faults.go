@@ -111,16 +111,19 @@ func (n *Network) ProbePath(src, dst int) bool {
 	if !n.cfg.DisableRetransmit {
 		panic("core: ProbePath requires DisableRetransmit (diagnosis runs without the reliability protocol)")
 	}
-	// The drop observer matches the probe packet by identity, not by any
+	// The drop observer matches the probe packet by its ID, not by any
 	// (src, dst, size) signature: workload packets with the same endpoints
-	// and size must not register as the probe. The probe pointer is filled
-	// in when the deferred Send runs.
+	// and size must not register as the probe. Nor by pointer: packets are
+	// recycled, so another packet may later occupy the probe's. The probe's
+	// ID is filled in when the deferred Send runs. Until then it is 0, which
+	// no packet carries here: data IDs start at 1<<32, and without the
+	// protocol there are no ACKs (ID 0).
 	const probeSize = 64
-	var probe *netsim.Packet
+	var probe uint64
 	dropped := false
-	n.onDrop = func(p *netsim.Packet) { dropped = dropped || p == probe }
+	n.onDrop = func(p *netsim.Packet) { dropped = dropped || p.ID == probe }
 	defer func() { n.onDrop = nil }()
-	n.ScheduleNode(src, n.Engine().Now(), sim.EventFunc(func() { probe = n.Send(src, dst, probeSize) }))
+	n.ScheduleNode(src, n.Engine().Now(), sim.EventFunc(func() { probe = n.Send(src, dst, probeSize).ID }))
 	// Run to each next event time in turn, so the clock stops at the last
 	// event, as a drained serial engine's does.
 	for n.Run(n.NextTime()) {

@@ -96,6 +96,7 @@ func (c *nic) pushBack(p *netsim.Packet) {
 		clear(c.qback[n:])
 		c.qback, c.qhead = c.qback[:n], 0
 	}
+	p.Held = true
 	c.qback = append(c.qback, p)
 }
 
@@ -105,6 +106,8 @@ func (c *nic) enqueueData(p *netsim.Packet) {
 		c.outstanding.put(p.Seq, p)
 		c.retxBytes += p.Size
 		c.sh.maxRetx = max(c.sh.maxRetx, c.retxBytes)
+	} else if aud := c.sh.aud; aud != nil {
+		aud.held++
 	}
 	c.pump()
 }
@@ -112,8 +115,19 @@ func (c *nic) enqueueData(p *netsim.Packet) {
 // pushFront puts p at the head of the queue: an ACK (control priority) or
 // a retransmission.
 func (c *nic) pushFront(p *netsim.Packet) {
+	p.Held = true
 	c.qfront = append(c.qfront, p)
 	c.pump()
+}
+
+// discard drops a held data packet whose ACK overtook it: it consumes its
+// queue entry without a wire attempt, and the NIC is done with it.
+func (c *nic) discard(p *netsim.Packet) {
+	if aud := c.sh.aud; aud != nil {
+		aud.overtaken++
+		aud.held--
+	}
+	c.release(p)
 }
 
 // forget removes a packet from the reliability state (ACK received, or the
@@ -132,10 +146,8 @@ func (c *nic) pump() {
 	p := c.peekFront()
 	if p.Acked {
 		// The ACK overtook the retransmission: discard silently.
-		if aud := c.sh.aud; aud != nil {
-			aud.overtaken++
-		}
 		c.popFront()
+		c.discard(p)
 		c.pump()
 		return
 	}
@@ -179,13 +191,16 @@ func (c *nic) transmit(p *netsim.Packet) {
 	n := c.net
 	now := c.eng.Now()
 	if p.Acked {
-		if aud := c.sh.aud; aud != nil {
-			aud.overtaken++
-		}
+		c.discard(p)
 		c.sending = false
 		c.pump()
 		return
 	}
+	aud := c.sh.aud
+	if aud != nil {
+		aud.checkLive(p)
+	}
+	p.Held = false
 	dur := n.duration
 	if p.Ack {
 		dur = n.ackDur
@@ -194,9 +209,15 @@ func (c *nic) transmit(p *netsim.Packet) {
 	// The head reaches the first-stage switch after the host fiber (one
 	// lookahead away: this is the cross-shard handoff).
 	c.postTraverse(now.Add(netsim.HostLinkDelay), p)
-	// Local retransmission timer for data packets.
+	// Local retransmission timer for data packets. An ACK, or a data
+	// packet with the protocol off, is never sent again.
 	if !p.Ack && !n.cfg.DisableRetransmit {
 		c.sched(now.Add(n.rto), evTimeout, nil, p.Seq, p.Retries)
+	} else {
+		if aud != nil {
+			aud.held--
+		}
+		c.release(p)
 	}
 	// Wire becomes free: send the next queued packet.
 	c.eng.ScheduleKey(c.wireFreeAt, c.act.Next(), c)
@@ -215,8 +236,10 @@ func (c *nic) timeout(seq uint64, attempt int) {
 		// Attempt cap: p.Retries+1 attempts are already on the wire or
 		// lost. Abandon the packet so a run facing a dead switch or a
 		// severed link drains instead of retransmitting forever. A late
-		// ACK for it lands in the auditor's unmatched tally.
+		// ACK for it lands in the auditor's unmatched tally. The packet
+		// is not held: this timer belongs to its latest attempt.
 		c.forget(p)
+		c.release(p)
 		c.sh.Ledger.GaveUp++
 		return
 	}
@@ -244,6 +267,15 @@ func (c *nic) timeout(seq uint64, attempt int) {
 // receive handles a packet arriving at this node.
 func (c *nic) receive(p *netsim.Packet, at sim.Time) {
 	n := c.net
+	aud := c.sh.aud
+	if aud != nil {
+		// A copy still in flight when its packet was reused arrives
+		// addressed elsewhere.
+		aud.checkLive(p)
+		if p.Dst != c.id {
+			aud.poisoned++
+		}
+	}
 	if p.Ack {
 		// We are the original sender: the ACK closes the loop (the ACK's
 		// Dst is the data packet's source, i.e. this NIC).
@@ -259,12 +291,16 @@ func (c *nic) receive(p *netsim.Packet, at sim.Time) {
 				c.sh.Span(telemetry.PhaseAck, p.Created, at, data, -1, 0)
 			}
 			c.ackLat.Add(float64(at.Sub(data.Created).Nanoseconds()))
-		} else if aud := c.sh.aud; aud != nil {
+			if !data.Held {
+				c.release(data)
+			} else if aud != nil {
+				aud.held++ // pump or transmit discards and releases it
+			}
+		} else if aud != nil {
 			// Late ACK for a sequence already cleared: the duplicate
 			// delivery's redundant ACK.
 			aud.unmatchedAcks++
 		}
-		c.sh.releaseAck(p)
 		return
 	}
 	if n.cfg.DisableRetransmit {
@@ -278,14 +314,12 @@ func (c *nic) receive(p *netsim.Packet, at sim.Time) {
 	} else {
 		c.sh.Ledger.Duplicates++
 	}
-	ack := c.sh.acquireAck()
-	ack.ID = 0 // ACKs are anonymous
-	ack.Src = c.id
-	ack.Dst = p.Src
-	ack.Size = ackSize
-	ack.Created = at
-	ack.Ack = true
-	ack.AckFor = p.Seq
+	// ACKs are anonymous (ID 0), and come from this NIC's own pool.
+	ack := c.sh.pkts.Get(at)
+	*ack = netsim.Packet{Src: c.id, Dst: p.Src, Size: ackSize, Created: at, Ack: true, AckFor: p.Seq}
+	if aud != nil {
+		aud.held++
+	}
 	c.pushFront(ack)
 }
 

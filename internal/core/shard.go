@@ -11,14 +11,15 @@ import (
 // network. It embeds the runtime's netsim.Shard (engine shard, ledger,
 // telemetry probe) and adds Baldur's own per-shard diagnostics and the free
 // lists its goroutine touches — nothing here is shared between shards during
-// an epoch. The diagnostics, like the ACK round-trip moments kept per NIC,
-// reach Network.Stats only through Run's fold.
+// an epoch. The diagnostics reach Network.Stats only through Run's fold.
 type coreShard struct {
 	netsim.Shard
 	dropsByStage []uint64
 	maxRetx      int
 	evFree       *coreEvent
-	ackFree      []*netsim.Packet
+	// pkts recycles the packets this shard's NICs create: their data
+	// packets and their ACKs (see nic.release).
+	pkts netsim.PacketPool
 	// aud is the shard's audit counters; nil disables auditing, like the
 	// probe.
 	aud *coreAudit
@@ -43,9 +44,8 @@ func (n *Network) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 }
 
 // foldDiag is the runtime's fold hook: after the ledgers fold it folds
-// Baldur's per-shard diagnostics and per-NIC ACK moments into n.Stats. All
-// merges run in fixed shard/node order, so the result is invariant to the
-// shard count.
+// Baldur's per-shard diagnostics into n.Stats. The merge runs in fixed
+// shard order, so the result is invariant to the shard count.
 func (n *Network) foldDiag() {
 	clear(n.Stats.DropsByStage)
 	n.Stats.MaxRetxBufBytes = 0
@@ -55,12 +55,16 @@ func (n *Network) foldDiag() {
 		}
 		n.Stats.MaxRetxBufBytes = max(n.Stats.MaxRetxBufBytes, sh.maxRetx)
 	}
-	// The ACK round-trip moments are accumulated per NIC and merged in node
-	// order: each NIC's sequence of observations is invariant to sharding,
-	// and so therefore is this merge.
+}
+
+// AckLatency returns the ACK round-trip times (ns) observed so far, for
+// diagnostics. The moments are accumulated per NIC and merged here, on
+// demand, in node order: each NIC's sequence of observations is invariant
+// to sharding, and so therefore is this merge. Call it between runs.
+func (n *Network) AckLatency() stats.Running {
 	var ack stats.Running
 	for i := range n.nics {
 		ack.Merge(&n.nics[i].ackLat)
 	}
-	n.Stats.AckLatency = ack
+	return ack
 }

@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"baldur/internal/check"
 	"baldur/internal/netsim"
 	"baldur/internal/sim"
+	"baldur/internal/traffic"
 )
 
 // loadInjector drives an open-loop Poisson-ish load from one node, living
@@ -108,5 +110,30 @@ func TestShardedEpochsProgress(t *testing.T) {
 	}
 	if n.Stats.Delivered != 1 {
 		t.Errorf("delivered %d, want 1", n.Stats.Delivered)
+	}
+}
+
+// TestRecyclingUnderParallelEpochs runs networks wide enough that most
+// epochs dispatch on worker goroutines, with an RTO far below the round
+// trip, so most packets are retransmitted and many are ACKed while a copy
+// is still in flight to the fabric or, at K=3, to a destination on another
+// shard. Under the race detector it checks that the quarantine orders every
+// read of such a copy before the packet's next use; the audit checks the
+// packet census and that no event met a released or reused packet.
+func TestRecyclingUnderParallelEpochs(t *testing.T) {
+	const nodes = 8192
+	for _, k := range []int{2, 3} {
+		n := mustNew(t, Config{Nodes: nodes, Seed: 1, RTO: 300 * sim.Nanosecond, Shards: k})
+		aud := check.New(check.Options{})
+		n.AttachAudit(aud)
+		ol := traffic.OpenLoop{Pattern: traffic.RandomPermutation(nodes, 4), Load: 0.9, PacketsPerNode: 6, Seed: 6}
+		ol.Start(n)
+		netsim.Drive(n, nil, netsim.DriveOptions{Deadline: sim.Time(200 * sim.Microsecond), Aud: aud})
+		if n.ParallelEpochs() == 0 || n.Stats.Duplicates == 0 {
+			t.Fatalf("K=%d: construction broke: %d parallel epochs, %d duplicates", k, n.ParallelEpochs(), n.Stats.Duplicates)
+		}
+		if err := aud.Err(); err != nil {
+			t.Errorf("K=%d: %v", k, err)
+		}
 	}
 }

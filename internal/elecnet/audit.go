@@ -2,6 +2,7 @@ package elecnet
 
 import (
 	"baldur/internal/check"
+	"baldur/internal/netsim"
 	"baldur/internal/sim"
 )
 
@@ -15,7 +16,17 @@ type elecAudit struct {
 	// shard, freed on the executing one), so only cross-shard sums balance.
 	state  check.Pool
 	credit check.Pool
-	_      [32]byte
+	// poisoned counts arrivals and deliveries of a packet stamped
+	// netsim.ReleasedID: a packet used after its release.
+	poisoned uint64
+	_        [24]byte
+}
+
+// checkLive counts p as poisoned if it carries the released stamp.
+func (a *elecAudit) checkLive(p *netsim.Packet) {
+	if p.ID == netsim.ReleasedID {
+		a.poisoned++
+	}
 }
 
 // AttachAudit arms the conservation auditor (netsim.Audited). Call before
@@ -36,9 +47,16 @@ type elecAudit struct {
 //     to capacity.
 //   - elec/pools — pooled states and credit events balance across shards
 //     and are exactly zero once the run drains, with no events left queued.
+//   - elec/packets — every packet in use has exactly one live state: a
+//     packet is taken with its state at Send and put back on the shard
+//     where both die, so the packets the pools made, less those they hold,
+//     summed across shards, equal the live states.
+//   - elec/poison — no router arrival or delivery met a packet that had
+//     left its pool's quarantine (the audit makes the pools stamp them).
 func (n *engine) AttachAudit(a *check.Auditor) {
 	for _, sh := range n.shards {
 		sh.aud = &elecAudit{}
+		sh.pkts.Poison = true
 	}
 	a.OnCheckpoint(func(at sim.Time, drained bool) { n.audit(a, at, drained) })
 }
@@ -47,10 +65,22 @@ func (n *engine) AttachAudit(a *check.Auditor) {
 func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 	per := int32(n.slotsPerVC())
 
-	var stateLive, credLive int64
+	var stateLive, credLive, pktLive int64
+	var poisoned uint64
 	for _, sh := range n.shards {
 		stateLive += sh.aud.state.Live()
 		credLive += sh.aud.credit.Live()
+		made, quarantined, free := sh.pkts.Census()
+		pktLive += int64(made - quarantined - free)
+		poisoned += sh.aud.poisoned
+	}
+	if pktLive != stateLive {
+		a.Violatef(at, -1, "elec/packets",
+			"%s: %d live packets but %d live packet states", n.name, pktLive, stateLive)
+	}
+	if poisoned != 0 {
+		a.Violatef(at, -1, "elec/poison",
+			"%s: %d arrivals or deliveries of a released packet", n.name, poisoned)
 	}
 
 	inj := n.Injected + a.SkewInjected
@@ -73,16 +103,16 @@ func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 			for vi := range port.queues {
 				q += port.queues[vi].len()
 			}
-			if q != port.queued {
+			if q != int(port.queued) {
 				a.Violatef(at, r.sh.Sim.ID, "elec/queues",
 					"%s: router %d port %d caches queued=%d but VC queues hold %d",
 					n.name, r.id, pi, port.queued, q)
 			}
 			queuedStates += int64(q)
-			if port.credits == nil {
+			if port.cred < 0 {
 				continue // ejection port: no downstream buffer
 			}
-			for vc, cr := range port.credits {
+			for vc, cr := range n.creditVec(port.cred) {
 				if cr < 0 || cr > per {
 					a.Violatef(at, r.sh.Sim.ID, "elec/credits",
 						"%s: router %d port %d vc %d holds %d credits (capacity %d)",
@@ -98,7 +128,7 @@ func (n *engine) audit(a *check.Auditor, at sim.Time, drained bool) {
 	for ni := range n.nics {
 		nic := &n.nics[ni]
 		queuedStates += int64(nic.queue.len())
-		for vc, cr := range nic.credits {
+		for vc, cr := range n.creditVec(nic.cred) {
 			if cr < 0 || cr > per {
 				a.Violatef(at, nic.sh.Sim.ID, "elec/credits",
 					"%s: nic %d vc %d holds %d credits (capacity %d)",

@@ -328,7 +328,7 @@ func TestCreditConservation(t *testing.T) {
 			if port.node >= 0 || port.peer < 0 {
 				continue
 			}
-			for vc, c := range port.credits {
+			for vc, c := range n.creditVec(port.cred) {
 				if c != per {
 					t.Fatalf("router %d port %d vc %d: credits %d != %d after drain",
 						r.id, pi, vc, c, per)
@@ -341,7 +341,7 @@ func TestCreditConservation(t *testing.T) {
 	}
 	for ni := range n.nics {
 		nic := &n.nics[ni]
-		for vc, c := range nic.credits {
+		for vc, c := range n.creditVec(nic.cred) {
 			if c != per {
 				t.Fatalf("nic %d vc %d: credits %d != %d", nic.id, vc, c, per)
 			}

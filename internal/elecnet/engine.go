@@ -58,11 +58,15 @@ type NetStats = netsim.Ledger
 // nothing here is shared between shards during an epoch. Pooled objects
 // (pktState, creditEvent) migrate: they are acquired from the free list of
 // the shard that schedules them and released into the free list of the
-// shard that executes them.
+// shard that executes them. Packets migrate with their state: taken from
+// the source NIC's shard's pool, and put back into the pool of the shard
+// where they die, after delivery or a fault drop, for immediate reuse.
 type eshard struct {
 	netsim.Shard
+	net      *engine // the network, for the port service event
 	stFree   *pktState
 	credFree *creditEvent
+	pkts     netsim.PacketPool
 	// aud is the shard's audit counters; nil disables auditing, like the
 	// probe.
 	aud *elecAudit
@@ -111,7 +115,11 @@ func (st *pktState) Run(e *sim.Engine) {
 			n.countDrop(sh, p, e.Now())
 			return
 		}
+		if sh.aud != nil {
+			sh.aud.checkLive(p)
+		}
 		n.Deliver(&sh.Shard, p, e.Now())
+		sh.pkts.Put(p, e.Now())
 		return
 	}
 	n.arrive(st.holdRouter, st.holdIn, st)
@@ -164,33 +172,35 @@ func (f *fifo) peek() *pktState { return f.head }
 // blocked VC must not block the others, or head-of-line coupling would
 // defeat the ascending-VC deadlock-freedom argument (we observed exactly
 // that deadlock with a single FIFO under adversarial dragonfly load).
+//
+// Ports are the bulk of a network's construction memory (every router's
+// sit in one slab), so the fields are ordered and sized to pack into 80
+// bytes.
 type outPort struct {
 	queues    []fifo // per VC
-	queued    int    // total packets across queues
-	rr        int    // round-robin VC scan start
 	busyUntil sim.Time
-	// credits[vc] counts free downstream slots of that VC. Vectors are
-	// carved from the engine's shared int32 slab: at datacenter scale the
-	// per-port allocation count is what dominates construction cost.
-	credits   []int32
 	linkDelay sim.Duration
-	peer      int32 // downstream router, or -1 for ejection
-	peerIn    int16
-	node      int32 // destination node for ejection ports, else -1
-	scheduled bool
-	// Backrefs for the typed service event (set on first kick; the
-	// scheduled flag guarantees at most one pending event per port, so
-	// the port itself is the event).
-	net *engine
+	// rtr and idx are the backrefs of the typed service event (set on
+	// first kick; the scheduled flag guarantees at most one pending event
+	// per port, so the port itself is the event).
 	rtr *router
 	idx int32
+	// cred is the offset of the port's credit vector in engine.credits,
+	// -1 for an ejection port.
+	cred      int32
+	queued    int32 // total packets across queues
+	rr        int32 // round-robin VC scan start
+	peer      int32 // downstream router, or -1 for ejection
+	node      int32 // destination node for ejection ports, else -1
+	peerIn    int16
+	scheduled bool
 }
 
 // Run services the port (typed service event).
-func (p *outPort) Run(*sim.Engine) { p.net.servicePort(p.rtr, int(p.idx)) }
+func (p *outPort) Run(*sim.Engine) { p.rtr.sh.net.servicePort(p.rtr, int(p.idx)) }
 
 // queueLen is the rough queue depth adaptive policies consult.
-func (p *outPort) queueLen() int { return p.queued }
+func (p *outPort) queueLen() int { return int(p.queued) }
 
 // inPort records who feeds a router input, for credit returns. feederPort
 // doubles as the NIC/node id when feederRouter == -1, so it must be wide
@@ -221,7 +231,7 @@ type enic struct {
 	net       *engine
 	queue     fifo
 	busyUntil sim.Time
-	credits   []int32
+	cred      int32 // offset of the NIC's credit vector in engine.credits
 	linkDelay sim.Duration
 	edge      int32
 	edgeIn    int16
@@ -262,11 +272,11 @@ func (c *creditEvent) Run(*sim.Engine) {
 		home.aud.credit.Put()
 	}
 	if nic != nil {
-		nic.credits[vc]++
+		n.credits[int(nic.cred)+vc]++
 		n.kickNIC(nic)
 		return
 	}
-	r.out[port].credits[vc]++
+	n.credits[int(r.out[port].cred)+vc]++
 	n.kickPort(r, port)
 }
 
@@ -294,9 +304,10 @@ type engine struct {
 	route   routeFunc
 	name    string
 
-	// creditSlab is the chunk allocator newCredits carves per-port credit
-	// vectors from, replacing one small heap object per port.
-	creditSlab []int32
+	// credits holds every port's and NIC's credit vector back to back:
+	// credits[cred+vc] counts the free downstream slots of VC vc. An
+	// int32 offset in place of a slice header keeps outPort small.
+	credits []int32
 
 	// Fault state (internal/faults): deadRouter is a set over router ids,
 	// deadPort over router*outStride+port, deadNode over node attachments;
@@ -427,7 +438,7 @@ func (n *engine) partition(shards, units int, routerUnit func(int) int, nodeUnit
 	n.shards = make([]*eshard, k)
 	views := make([]*netsim.Shard, k)
 	for i := range n.shards {
-		n.shards[i] = &eshard{}
+		n.shards[i] = &eshard{net: n}
 		views[i] = &n.shards[i].Shard
 	}
 	n.Shards = netsim.NewShards(la, &n.NetStats, nil, views...)
@@ -460,7 +471,7 @@ func (n *engine) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 
 // Send creates a packet and enqueues it at src's NIC. In sharded runs it
 // must be called from src's shard (injectors scheduled via ScheduleNode
-// are) or before the run starts.
+// are) or before the run starts. The packet comes from that shard's pool.
 func (n *engine) Send(src, dst, size int) *netsim.Packet {
 	if src < 0 || src >= len(n.nics) || dst < 0 || dst >= len(n.nics) {
 		panic(fmt.Sprintf("elecnet(%s): Send(%d,%d) outside [0,%d)", n.name, src, dst, len(n.nics)))
@@ -470,7 +481,8 @@ func (n *engine) Send(src, dst, size int) *netsim.Packet {
 	}
 	nic := &n.nics[src]
 	nic.nextSeq++
-	p := &netsim.Packet{
+	p := nic.sh.pkts.Get(nic.eng.Now())
+	*p = netsim.Packet{
 		ID:      uint64(src+1)<<32 | nic.nextSeq,
 		Src:     src,
 		Dst:     dst,
@@ -488,26 +500,19 @@ func (n *engine) ser(size int) sim.Duration {
 	return sim.SerializationTime(size, netsim.LineRate)
 }
 
-// newCredits carves a fully stocked credit vector from the shared slab.
-func (n *engine) newCredits() []int32 {
-	nvc := n.vcs
-	if len(n.creditSlab) < nvc {
-		// Chunked growth: the dead tail of the previous chunk (< nvc
-		// entries) is abandoned, bounded by one vector per chunk.
-		size := 4096
-		if size < nvc {
-			size = nvc
-		}
-		n.creditSlab = make([]int32, size)
-	}
-	c := n.creditSlab[:nvc:nvc]
-	n.creditSlab = n.creditSlab[nvc:]
+// newCredits appends a fully stocked credit vector to engine.credits and
+// returns its offset.
+func (n *engine) newCredits() int32 {
+	off := int32(len(n.credits))
 	per := int32(n.slotsPerVC())
-	for i := range c {
-		c[i] = per
+	for range n.vcs {
+		n.credits = append(n.credits, per)
 	}
-	return c
+	return off
 }
+
+// creditVec returns the credit vector at offset off.
+func (n *engine) creditVec(off int32) []int32 { return n.credits[off : int(off)+n.vcs] }
 
 // --- NIC service ---
 
@@ -537,7 +542,7 @@ func (n *engine) serviceNIC(nic *enic) {
 		}
 		st := nic.queue.peek()
 		vc := st.vc(n.vcs)
-		if nic.credits[vc] <= 0 {
+		if n.credits[int(nic.cred)+vc] <= 0 {
 			if tp := nic.sh.Probe; tp != nil {
 				tp.Blocks.Inc()
 				nic.sh.Record(telemetry.KindBlock, st.pkt, now, 0, -1, int32(vc))
@@ -545,7 +550,7 @@ func (n *engine) serviceNIC(nic *enic) {
 			return // waits for a credit return to kick us
 		}
 		nic.queue.pop()
-		nic.credits[vc]--
+		n.credits[int(nic.cred)+vc]--
 		dur := n.ser(st.pkt.Size)
 		nic.busyUntil = now.Add(dur)
 		if p := st.pkt; p.Traced {
@@ -571,6 +576,9 @@ func (n *engine) serviceNIC(nic *enic) {
 // an output queue.
 func (n *engine) arrive(rid int32, in int16, st *pktState) {
 	r := &n.routers[rid]
+	if r.sh.aud != nil {
+		r.sh.aud.checkLive(st.pkt)
+	}
 	if n.faulty && n.faultAtArrival(r, st) {
 		return
 	}
@@ -609,8 +617,8 @@ func (n *engine) kickPort(r *router, out int) {
 	if port.scheduled {
 		return
 	}
-	if port.net == nil {
-		port.net, port.rtr, port.idx = n, r, int32(out)
+	if port.rtr == nil {
+		port.rtr, port.idx = r, int32(out)
 	}
 	port.scheduled = true
 	r.eng.ScheduleKey(r.eng.Now(), r.act.Next(), port)
@@ -632,11 +640,11 @@ func (n *engine) servicePort(r *router, out int) {
 		nvc := len(port.queues)
 		vc := -1
 		for i := 0; i < nvc; i++ {
-			cand := (port.rr + i) % nvc
+			cand := (int(port.rr) + i) % nvc
 			if port.queues[cand].len() == 0 {
 				continue
 			}
-			if !isEject && port.credits[cand] <= 0 {
+			if !isEject && n.credits[int(port.cred)+cand] <= 0 {
 				continue
 			}
 			vc = cand
@@ -648,7 +656,7 @@ func (n *engine) servicePort(r *router, out int) {
 			}
 			return // every waiting VC is out of credits; a return kicks us
 		}
-		port.rr = (vc + 1) % nvc
+		port.rr = int32((vc + 1) % nvc)
 		st := port.queues[vc].pop()
 		port.queued--
 		dur := n.ser(st.pkt.Size)
@@ -682,7 +690,7 @@ func (n *engine) servicePort(r *router, out int) {
 			r.sh.Sim.Post(dst.sh.Sim, port.busyUntil.Add(port.linkDelay), r.act.Next(), st)
 			continue
 		}
-		port.credits[vc]--
+		n.credits[int(port.cred)+vc]--
 		st.holdRouter = port.peer
 		st.holdIn = port.peerIn
 		peer := &n.routers[port.peer]
@@ -728,7 +736,7 @@ func (n *engine) connect(a int32, ap int, b int32, bp int, delay sim.Duration) {
 	port.peerIn = int16(bp)
 	port.node = -1
 	port.linkDelay = delay
-	port.credits = n.newCredits()
+	port.cred = n.newCredits()
 	n.routers[b].in[bp] = inPort{feederRouter: a, feederPort: int32(ap)}
 }
 
@@ -738,6 +746,7 @@ func (n *engine) connectEject(a int32, ap int, node int32, delay sim.Duration) {
 	port := &n.routers[a].out[ap]
 	port.peer = -1
 	port.node = node
+	port.cred = -1
 	port.linkDelay = delay
 }
 
@@ -747,7 +756,7 @@ func (n *engine) connectNIC(node int32, b int32, bp int, delay sim.Duration) {
 	nic := &n.nics[node]
 	nic.id = node
 	nic.net = n
-	nic.credits = n.newCredits()
+	nic.cred = n.newCredits()
 	nic.linkDelay = delay
 	nic.edge = b
 	nic.edgeIn = int16(bp)
@@ -776,8 +785,10 @@ func (n *engine) initRouters(count, outPorts, inPorts int) {
 }
 
 // initNICs sizes the NIC slab, advised for huge pages; connectNIC fills
-// the slots in.
+// the slots in. It follows initRouters, so it also sizes the credit array
+// for every router port and NIC.
 func (n *engine) initNICs(count int) {
 	n.nics = make([]enic, count)
 	prof.AdviseHugePages(n.nics)
+	n.credits = make([]int32, 0, (len(n.routers)*n.outStride+count)*n.vcs)
 }

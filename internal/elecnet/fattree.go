@@ -124,13 +124,13 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 				return dPort // eject
 			}
 			// Adaptive up: least queue, then most credits.
-			return bestUpPort(r, half, st.vc(n.vcs))
+			return bestUpPort(n, r, half, st.vc(n.vcs))
 		case id < numEdge+numAgg: // aggregation switch
 			pod := (id - numEdge) / half
 			if pod == dPod {
 				return dEdge // down to the destination edge
 			}
-			return bestUpPort(r, half, st.vc(n.vcs))
+			return bestUpPort(n, r, half, st.vc(n.vcs))
 		default: // core switch
 			return dPod // down to the destination pod
 		}
@@ -153,12 +153,12 @@ func NewFatTree(cfg FatTreeConfig) (*FatTree, error) {
 }
 
 // bestUpPort selects the least-congested upward port (ports half..k-1).
-func bestUpPort(r *router, half int, vc int) int {
+func bestUpPort(n *engine, r *router, half int, vc int) int {
 	best := half
 	for u := half + 1; u < len(r.out); u++ {
 		cu, cb := &r.out[u], &r.out[best]
 		if cu.queueLen() < cb.queueLen() ||
-			(cu.queueLen() == cb.queueLen() && cu.credits[vc] > cb.credits[vc]) {
+			(cu.queueLen() == cb.queueLen() && n.credits[int(cu.cred)+vc] > n.credits[int(cb.cred)+vc]) {
 			best = u
 		}
 	}

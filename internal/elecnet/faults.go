@@ -22,10 +22,12 @@ func (n *engine) refreshFaulty() {
 	n.faulty = n.deadRouter.Any() || n.deadPort.Any() || n.deadNode.Any() || n.degrade > 0
 }
 
-// countDrop tallies one faulted-away packet on sh's ledger and flight ring.
+// countDrop tallies one faulted-away packet on sh's ledger and flight ring,
+// then puts it back into sh's pool.
 func (n *engine) countDrop(sh *eshard, p *netsim.Packet, at sim.Time) {
 	sh.Ledger.Dropped++
 	sh.Record(telemetry.KindDrop, p, at, 0, -1, 0)
+	sh.pkts.Put(p, at)
 }
 
 // dropState discards a packet that holds no input-buffer slot (still at its

@@ -23,19 +23,20 @@ type Ideal struct {
 	NetStats
 }
 
-// idealEvent is the pooled delivery event of one in-flight packet.
+// idealEvent is the pooled delivery event of one in-flight packet, which
+// lives in it by value: the event and its packet are recycled together once
+// the delivery callbacks return.
 type idealEvent struct {
 	n    *Ideal
-	p    *netsim.Packet
+	p    netsim.Packet
 	next *idealEvent
 }
 
 func (ev *idealEvent) Run(e *sim.Engine) {
-	n, p := ev.n, ev.p
-	ev.p = nil
+	n := ev.n
+	n.Deliver(&n.sh, &ev.p, e.Now())
 	ev.next = n.evFree
 	n.evFree = ev
-	n.Deliver(&n.sh, p, e.Now())
 }
 
 // NewIdeal builds an ideal network with the given node count. Latency 0
@@ -63,15 +64,14 @@ func (n *Ideal) ScheduleNode(_ int, t sim.Time, ev sim.Event) { n.sh.Sim.Eng.Sch
 func (n *Ideal) Send(src, dst, size int) *netsim.Packet {
 	n.nextID++
 	eng := n.sh.Sim.Eng
-	p := &netsim.Packet{ID: n.nextID, Src: src, Dst: dst, Size: size, Created: eng.Now()}
-	n.sh.Inject(p)
 	ev := n.evFree
 	if ev != nil {
 		n.evFree = ev.next
 	} else {
 		ev = &idealEvent{n: n}
 	}
-	ev.p = p
+	ev.p = netsim.Packet{ID: n.nextID, Src: src, Dst: dst, Size: size, Created: eng.Now()}
+	n.sh.Inject(&ev.p)
 	eng.ScheduleAfter(n.latency, ev)
-	return p
+	return &ev.p
 }

@@ -120,8 +120,8 @@ func NewMultiButterfly(cfg MBConfig) (*MultiButterfly, error) {
 		for p := 1; p < m; p++ {
 			cand := d*m + p
 			cb, bb := &r.out[cand], &r.out[best]
-			if cb.credits[vc] > bb.credits[vc] ||
-				(cb.credits[vc] == bb.credits[vc] && cb.queueLen() < bb.queueLen()) {
+			cc, bc := n.credits[int(cb.cred)+vc], n.credits[int(bb.cred)+vc]
+			if cc > bc || (cc == bc && cb.queueLen() < bb.queueLen()) {
 				best = cand
 			}
 		}

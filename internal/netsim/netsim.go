@@ -24,7 +24,9 @@ const (
 )
 
 // Packet is one network packet. Packets are created by Network.Send and
-// owned by the network until delivery.
+// owned by the network, which recycles them: a packet is valid only while
+// the delivery callback it is passed to runs, and Send's return value only
+// until the event that called Send returns.
 type Packet struct {
 	ID      uint64
 	Src     int
@@ -48,6 +50,10 @@ type Packet struct {
 	// Acked marks packets whose ACK arrived while they were still queued
 	// for retransmission; the NIC discards them instead of sending.
 	Acked bool
+	// Held marks a Baldur packet waiting at its source NIC: queued, or its
+	// transmission pending behind the wire or a backoff window. An ACK that
+	// finds its data packet held leaves the release to the NIC's discard.
+	Held bool
 	// Flow tags packets belonging to a service-workload flow
 	// (internal/workload); 0 means the packet is not flow traffic. The
 	// tag, tenant and per-flow packet count ride in the packet so the
@@ -70,11 +76,6 @@ type Packet struct {
 	TraceCursor sim.Time
 }
 
-// Reset clears p for reuse. Networks that recycle packets whose lifetime
-// they fully control (e.g. Baldur ACKs, which never surface through
-// OnDeliver) call this when taking a packet from their pool.
-func (p *Packet) Reset() { *p = Packet{} }
-
 // Network is a simulated interconnect and the one run contract every
 // workload and experiment drives: Baldur (internal/core), the electrical
 // baselines and the ideal reference network (internal/elecnet) all
@@ -89,13 +90,17 @@ type Network interface {
 	// NumNodes returns the number of server nodes.
 	NumNodes() int
 	// Send creates a data packet from src to dst and hands it to src's
-	// NIC at the current virtual time. It returns the packet.
+	// NIC at the current virtual time. It returns the packet, which the
+	// caller may read and tag (Flow, Tenant) until the event that called
+	// Send returns; the network recycles it after that.
 	Send(src, dst, size int) *Packet
 	// OnDeliver registers the delivery callback, invoked exactly once
 	// per unique data packet when its last bit reaches the destination.
 	// The callback runs on the destination node's shard, and shard is
 	// that shard's index, NodeShard(p.Dst); callbacks must only touch
-	// per-node state or the state of the shard they are passed.
+	// per-node state or the state of the shard they are passed. p is
+	// valid only during the call: the network recycles it afterwards, so
+	// a callback copies out the fields it keeps.
 	OnDeliver(fn func(shard int, p *Packet, at sim.Time))
 	// Ledger returns the network's packet accounting as of the last Run
 	// (the aggregate Run folds from the per-shard ledgers).

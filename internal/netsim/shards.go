@@ -67,7 +67,8 @@ func (r *Shards) Engine() *sim.Engine { return r.se.Shard(0).Eng }
 
 // OnDeliver registers a unique-delivery callback. Callbacks run in
 // registration order on the destination node's shard, are passed that
-// shard's index, and must touch only per-node or per-shard state.
+// shard's index, and must touch only per-node or per-shard state. The
+// packet is valid only during the call.
 func (r *Shards) OnDeliver(fn func(shard int, p *Packet, at sim.Time)) {
 	r.onDeliver = append(r.onDeliver, fn)
 }

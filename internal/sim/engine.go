@@ -25,9 +25,12 @@ import (
 // and threads it onto a free chain through the key field, so the table
 // costs no side array. Neither heap array holds a pointer, so a sift step
 // stores no pointer and pays no GC write barrier, and the collector does
-// not scan the heap. The models allocate a packet per send, so the GC is
-// marking for much of a run, and every pointer store then takes the
-// barrier. When the heap carried 24-byte {key, event} entries, a CPU
+// not scan the heap. While the GC is marking, every pointer store takes the
+// barrier; the models recycle their packets (netsim.PacketPool), so after
+// its warm-up a run allocates little and the GC marks rarely (`figures
+// -exp fig6 -scale medium` collects 55 times, against 403 when every send
+// allocated), but a run that grows its heap still marks. When every send
+// still allocated and the heap carried 24-byte {key, event} entries, a CPU
 // profile of `figures -exp fig6 -scale medium` (2-vCPU Xeon VM) put 45% of
 // 37.0 CPU-s in the kernel (pop 32.7% cumulative) and 9.4% in write
 // barriers, 81% of them from push and pop. With slot payloads and the
