@@ -134,11 +134,15 @@ var entries = []entry{
 	// gated exactly: the count is deterministic, so any change to it is a
 	// change to the model's event structure and lands as a reviewed edit
 	// of its row.
-	eventsRow("baldur", 51237, 6400),
-	eventsRow("multibutterfly", 173226, 6400),
-	eventsRow("dragonfly", 129821, 7200),
-	eventsRow("fattree", 118189, 5400),
-	eventsRow("ideal", 12800, 6400),
+	eventsRow("baldur", 1, 51237, 6400),
+	eventsRow("multibutterfly", 1, 173226, 6400),
+	eventsRow("dragonfly", 1, 129821, 7200),
+	eventsRow("fattree", 1, 118189, 5400),
+	eventsRow("ideal", 1, 12800, 6400),
+	// Baldur's cell again at K=2, where the fabric batches its traversals
+	// into stage-interleaved walks: the batching must leave the event
+	// count exactly at the serial one.
+	eventsRow("baldur", 2, 51237, 6400),
 	// The same cells' allocations per injected packet, construction
 	// included. Every model recycles its packets and pools its events, so
 	// what is left is construction, slice growth and the packets a pool
@@ -147,11 +151,14 @@ var entries = []entry{
 	// 0.0442 (ideal); before recycling the same cells read 1.04-1.30. Each
 	// ceiling is 1.25x the highest run, rounded up to a hundredth: a Send
 	// that allocated its packet again would add 1.0.
-	allocsRow("baldur", 0.44),
-	allocsRow("multibutterfly", 0.43),
-	allocsRow("dragonfly", 0.28),
-	allocsRow("fattree", 0.27),
-	allocsRow("ideal", 0.06),
+	allocsRow("baldur", 1, 0.44),
+	allocsRow("multibutterfly", 1, 0.43),
+	allocsRow("dragonfly", 1, 0.28),
+	allocsRow("fattree", 1, 0.27),
+	allocsRow("ideal", 1, 0.06),
+	// Baldur's cell at K=2: five runs read 0.3527, the same 1.25x gives
+	// the ceiling.
+	allocsRow("baldur", 2, 0.45),
 	// Ten runs with the 32-bit occupancy table and the intrusive VC queues
 	// read 4,329-4,502 B/node (three at the 8-byte table and slice-backed
 	// queues read 5,010-5,441); the ceiling is 1.15x the highest, rounded
@@ -328,24 +335,35 @@ func benchTelemetryOverhead(b *testing.B) {
 	b.ReportMetric(float64(off.Microseconds()), "off_us")
 }
 
-// quickCell runs network's Quick random_permutation cell at load 0.5, the
-// cell of the events_<net> and allocs_<net> rows.
-func quickCell(b *testing.B, network string) exp.OpenLoopDetail {
-	d, err := exp.RunOpenLoopDetail(network, "random_permutation", 0.5, exp.Quick)
+// quickCell runs network's Quick random_permutation cell at load 0.5 on
+// shards shards (1: serial), the cell of the events_<net> and allocs_<net>
+// rows.
+func quickCell(b *testing.B, network string, shards int) exp.OpenLoopDetail {
+	sc := exp.Quick
+	sc.Shards = shards
+	d, err := exp.RunOpenLoopDetail(network, "random_permutation", 0.5, sc)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return d
 }
 
+// cellName names a row's cell: the network, suffixed _k<K> when sharded.
+func cellName(network string, shards int) string {
+	if shards > 1 {
+		return fmt.Sprintf("%s_k%d", network, shards)
+	}
+	return network
+}
+
 // eventsRow is the entry gating network's events per injected packet in
 // its quickCell at exactly events/injected. The count is the same at any
 // shard count.
-func eventsRow(network string, events, injected float64) entry {
+func eventsRow(network string, shards int, events, injected float64) entry {
 	body := func(b *testing.B) {
 		var ev, inj uint64
 		for range b.N {
-			d := quickCell(b, network)
+			d := quickCell(b, network, shards)
 			ev += d.Events
 			inj += d.Injected
 		}
@@ -354,23 +372,23 @@ func eventsRow(network string, events, injected float64) entry {
 		b.ReportMetric(float64(inj)/float64(b.N), "injected/run")
 	}
 	x := events / injected
-	return entry{"events_" + network, body, "events_per_pkt", x, x}
+	return entry{"events_" + cellName(network, shards), body, "events_per_pkt", x, x}
 }
 
 // allocsRow is the entry gating network's heap allocations per injected
 // packet in its quickCell, construction included, at or below ceiling.
-func allocsRow(network string, ceiling float64) entry {
+func allocsRow(network string, shards int, ceiling float64) entry {
 	body := func(b *testing.B) {
 		var before, after runtime.MemStats
 		var inj uint64
 		runtime.ReadMemStats(&before)
 		for range b.N {
-			inj += quickCell(b, network).Injected
+			inj += quickCell(b, network, shards).Injected
 		}
 		runtime.ReadMemStats(&after)
 		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(inj), "allocs_per_pkt")
 	}
-	return entry{"allocs_" + network, body, "allocs_per_pkt", -inf, ceiling}
+	return entry{"allocs_" + cellName(network, shards), body, "allocs_per_pkt", -inf, ceiling}
 }
 
 // benchTraceOverhead prices the packet-lifecycle tracer the way

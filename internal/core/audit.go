@@ -75,6 +75,8 @@ func (a *coreAudit) checkLive(p *netsim.Packet) {
 //     queued packets outside the outstanding set, at most those plus one
 //     pending transmission per sending NIC. At drain nothing is outstanding
 //     or held.
+//   - core/walks — the fabric's batch of pending traversals is empty: the
+//     fabric walks it at the end of every epoch, before the barrier.
 //   - core/poison — no transmission, traversal or receive met a packet
 //     that had left its pool's quarantine (the audit makes the pools stamp
 //     them), and every receive met a packet addressed to its node: a copy
@@ -212,6 +214,11 @@ func (n *Network) audit(a *check.Auditor, at sim.Time, drained bool) {
 	if got, bound := st.AckDrops+completed+unmatched, st.AckAttempts; got > bound {
 		a.Violatef(at, -1, "core/attempts",
 			"ack drops+matched+unmatched=%d exceeds ack attempts=%d", got, bound)
+	}
+
+	if len(n.walks) != 0 {
+		a.Violatef(at, n.fab.Sim.ID, "core/walks",
+			"%d traversals still waiting for the fabric walk at a barrier", len(n.walks))
 	}
 
 	pending := n.Queued()

@@ -186,11 +186,13 @@ func TestContentionDropsAndRetransmits(t *testing.T) {
 // has drained, a second identical burst. The wire occupancy table holds
 // 32-bit offsets from a base that traverse moves up once a traversal starts
 // 2^31 ps past it, so the second burst starts right after the first, 2 µs
-// before 2^31 ps (the base moves mid-burst, with wires reserved), at 2^31 ps,
+// before 2^31 ps (the base moves mid-burst, with wires reserved), 960 ns and
+// 2.17 µs before it (the base moves inside a fabric epoch after traversals
+// that, at K >= 2, still wait in the fabric's batch), at 2^31 ps,
 // at 2^32 ps + 1 µs (where an offset that was never rebased wraps onto the
 // first burst's reservations) and at 3·2^31 ps. The second burst must come
-// out bit-identical whenever it starts: the same ledger, per-stage drops,
-// latency sum and busy-wire counts as it runs.
+// out bit-identical whenever it starts and on any shard count: the same
+// ledger, per-stage drops, latency sum and busy-wire counts as it runs.
 func TestOccupancyRebaseIsExact(t *testing.T) {
 	const (
 		nodes   = 32
@@ -209,17 +211,18 @@ func TestOccupancyRebaseIsExact(t *testing.T) {
 			}
 		}
 	}
-	run := func(start sim.Time) result {
-		n := mustNew(t, Config{Nodes: nodes, Multiplicity: 1, Seed: 5})
-		var lat sim.Duration
-		n.OnDeliver(func(_ int, p *netsim.Packet, at sim.Time) { lat += at.Sub(p.Created) })
+	run := func(shards int, start sim.Time) result {
+		n := mustNew(t, Config{Nodes: nodes, Multiplicity: 1, Seed: 5, Shards: shards})
+		// Deliveries run on their NIC's shard: one sum per shard.
+		lat := make([]sim.Duration, n.NumShards())
+		n.OnDeliver(func(sh int, p *netsim.Packet, at sim.Time) { lat[sh] += at.Sub(p.Created) })
 		burst(n)
 		if n.Run(drainBy) {
 			t.Fatalf("first burst still running at %v", drainBy)
 		}
 		r := result{ledgerA: n.Ledger()}
 		n.Run(start)
-		lat = 0
+		clear(lat)
 		burst(n)
 		for _, at := range []sim.Duration{150, 450, 900, 2000} {
 			n.Run(start.Add(at * sim.Nanosecond))
@@ -228,25 +231,36 @@ func TestOccupancyRebaseIsExact(t *testing.T) {
 		if n.Run(start.Add(drainBy.Sub(0))) {
 			t.Fatalf("second burst from %v still running %v later", start, drainBy)
 		}
-		r.ledgerB, r.latencyB = n.Ledger(), lat
+		r.ledgerB = n.Ledger()
+		for _, l := range lat {
+			r.latencyB += l
+		}
 		r.dropsB = append(r.dropsB, n.Stats.DropsByStage...)
 		return r
 	}
-	want := run(drainBy)
+	want := run(1, drainBy)
 	if want.ledgerB.DataDrops == want.ledgerA.DataDrops || want.busyB[0] == 0 {
 		t.Fatalf("burst does not contend: ledgers %+v then %+v, busy wires %v", want.ledgerA, want.ledgerB, want.busyB)
 	}
-	for _, start := range []sim.Time{
-		sim.Time(busyWindow - 2*sim.Microsecond),
-		sim.Time(busyWindow),
-		sim.Time(2*busyWindow + sim.Microsecond),
-		sim.Time(3 * busyWindow),
-	} {
-		got := run(start)
-		if got.ledgerA != want.ledgerA || got.ledgerB != want.ledgerB || got.latencyB != want.latencyB ||
-			!slices.Equal(got.dropsB, want.dropsB) || !slices.Equal(got.busyB, want.busyB) {
-			t.Errorf("second burst from %v gave ledger %+v, drops %v, latency sum %v, busy wires %v; from %v: %+v, %v, %v, %v",
-				start, got.ledgerB, got.dropsB, got.latencyB, got.busyB, drainBy, want.ledgerB, want.dropsB, want.latencyB, want.busyB)
+	for _, shards := range []int{1, 2, 3} {
+		for _, start := range []sim.Time{
+			drainBy,
+			sim.Time(busyWindow - 2*sim.Microsecond),
+			sim.Time(busyWindow - 960*sim.Nanosecond),
+			sim.Time(busyWindow - 2170*sim.Nanosecond),
+			sim.Time(busyWindow),
+			sim.Time(2*busyWindow + sim.Microsecond),
+			sim.Time(3 * busyWindow),
+		} {
+			if shards == 1 && start == drainBy {
+				continue
+			}
+			got := run(shards, start)
+			if got.ledgerA != want.ledgerA || got.ledgerB != want.ledgerB || got.latencyB != want.latencyB ||
+				!slices.Equal(got.dropsB, want.dropsB) || !slices.Equal(got.busyB, want.busyB) {
+				t.Errorf("K=%d: second burst from %v gave ledger %+v, drops %v, latency sum %v, busy wires %v; K=1 from %v: %+v, %v, %v, %v",
+					shards, start, got.ledgerB, got.dropsB, got.latencyB, got.busyB, drainBy, want.ledgerB, want.dropsB, want.latencyB, want.busyB)
+			}
 		}
 	}
 }

@@ -25,12 +25,15 @@ type coreShard struct {
 	aud *coreAudit
 }
 
-// Partitioning: shard 0 is the optical fabric — traverse() resolves a whole
-// path against the global per-stage busy arrays, so the fabric is a single
+// Partitioning: shard 0 is the optical fabric — a traversal resolves its
+// whole path against the global occupancy table, so the fabric is a single
 // sequential actor — and shards 1..K-1 hold contiguous blocks of NICs. The
 // lookahead is the host link delay (Table VI, 100 ns): every NIC<->fabric
 // interaction crosses one host fiber, and NICs never talk to each other
-// directly.
+// directly. The fabric batches its traversals into stage-interleaved walks
+// (Network.walk) and walks what is left of the batch at the end of every
+// epoch, from its engine shard's EpochEnd hook: the receive handoffs are
+// all a host link past their traversals, so at or after the epoch's end.
 
 // NodeShard returns the shard owning a node's NIC.
 func (n *Network) NodeShard(node int) int { return n.nics[node].sh.Sim.ID }

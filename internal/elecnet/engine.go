@@ -639,8 +639,12 @@ func (n *engine) servicePort(r *router, out int) {
 		isEject := port.node >= 0
 		nvc := len(port.queues)
 		vc := -1
+		// port.rr < nvc, so the candidate wraps with one subtraction.
 		for i := 0; i < nvc; i++ {
-			cand := (int(port.rr) + i) % nvc
+			cand := int(port.rr) + i
+			if cand >= nvc {
+				cand -= nvc
+			}
 			if port.queues[cand].len() == 0 {
 				continue
 			}
@@ -656,7 +660,10 @@ func (n *engine) servicePort(r *router, out int) {
 			}
 			return // every waiting VC is out of credits; a return kicks us
 		}
-		port.rr = int32((vc + 1) % nvc)
+		port.rr = int32(vc + 1)
+		if int(port.rr) == nvc {
+			port.rr = 0
+		}
 		st := port.queues[vc].pop()
 		port.queued--
 		dur := n.ser(st.pkt.Size)

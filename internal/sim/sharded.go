@@ -52,8 +52,16 @@ type ShardedEngine struct {
 type Shard struct {
 	Eng *Engine
 	ID  int
-	se  *ShardedEngine
-	in  []*mailbox // indexed by source shard ID
+	// EpochEnd, when non-nil, runs at the end of every epoch in which the
+	// shard was active: after its last event of the epoch, on the goroutine
+	// that dispatched them, before the barrier. It is where a model
+	// finishes work it deferred during the epoch. Its Posts follow the
+	// usual rule, so one to another shard must be timestamped at or after
+	// the epoch's end. Serial engines (K=1) have no epochs and never run
+	// it.
+	EpochEnd func()
+	se       *ShardedEngine
+	in       []*mailbox // indexed by source shard ID
 }
 
 // relay is one cross-shard handoff: an event plus its (time, key) slot.
@@ -160,8 +168,8 @@ func (s *Shard) Post(to *Shard, t Time, key uint64, ev Event) {
 	}
 }
 
-// runEpoch ingests any swapped-in relays and dispatches this shard's events
-// with timestamps in [now, end).
+// runEpoch ingests any swapped-in relays, dispatches this shard's events
+// with timestamps in [now, end) and then runs the EpochEnd hook.
 func (sh *Shard) runEpoch(end Time) {
 	for _, box := range sh.in {
 		if len(box.prev) == 0 {
@@ -176,6 +184,9 @@ func (sh *Shard) runEpoch(end Time) {
 		box.prevMin = maxTime
 	}
 	sh.Eng.RunBefore(end)
+	if sh.EpochEnd != nil {
+		sh.EpochEnd()
+	}
 }
 
 // parallelMinEvents is the smallest previous-epoch event count for which

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -343,4 +344,147 @@ func TestShardedRunUntilShrinksDrainedShards(t *testing.T) {
 				i, len(e.ats), len(e.hs), len(e.slots), e.free, e.vacant)
 		}
 	}
+}
+
+// hookEntry is one line of a shard's log in the EpochEnd tests: an event's
+// dispatch time, or for a hook call the end of its epoch, with the epoch
+// number it ran in.
+type hookEntry struct {
+	at    Time
+	epoch uint64
+	hook  bool
+}
+
+// bouncer hops between two shards with delays of at least the lookahead,
+// logging each dispatch on the log of the shard it runs on.
+type bouncer struct {
+	se   *ShardedEngine
+	on   int
+	hops int
+	rng  *RNG
+	act  Actor
+	logs [][]hookEntry
+}
+
+func (b *bouncer) Run(e *Engine) {
+	b.logs[b.on] = append(b.logs[b.on], hookEntry{at: e.Now(), epoch: b.se.Epochs})
+	if b.hops == 0 {
+		return
+	}
+	b.hops--
+	from := b.se.Shard(b.on)
+	b.on = b.rng.Intn(2)
+	d := Duration(100*Nanosecond) + Duration(b.rng.Intn(3))*Duration(50*Nanosecond)
+	from.Post(b.se.Shard(b.on), e.Now().Add(d), b.act.Next(), b)
+}
+
+// hookPost is an event posted by an EpochEnd hook: it records when and in
+// which epoch it was dispatched.
+type hookPost struct {
+	se              *ShardedEngine
+	at              Time
+	postedIn, ranIn uint64
+	dispatchedAt    Time
+}
+
+func (h *hookPost) Run(e *Engine) { h.ranIn, h.dispatchedAt = h.se.Epochs, e.Now() }
+
+// TestShardEpochEndHook: a shard's EpochEnd hook runs exactly once in every
+// epoch in which the shard dispatched events, after the last of them and in
+// no other epoch, whether epochs run inline or on worker goroutines. A Post
+// from the hook timestamped at the epoch's end or later is dispatched at its
+// time in a later epoch.
+func TestShardEpochEndHook(t *testing.T) {
+	for _, mode := range []struct {
+		name      string
+		threshold uint64
+	}{{"inline", math.MaxUint64}, {"parallel", 0}} {
+		t.Run(mode.name, func(t *testing.T) {
+			setParallelMin(t, mode.threshold)
+			se := NewShardedEngine(2, Duration(100*Nanosecond))
+			logs := make([][]hookEntry, 2)
+			var posts []*hookPost
+			for i := 0; i < 2; i++ {
+				sh := se.Shard(i)
+				sh.EpochEnd = func() {
+					logs[i] = append(logs[i], hookEntry{at: se.epochEnd, epoch: se.Epochs, hook: true})
+					if i == 0 && len(posts) < 6 {
+						// At the epoch's end, then 70 ns past it.
+						at := se.epochEnd.Add(Duration(len(posts)%2) * Duration(70*Nanosecond))
+						h := &hookPost{se: se, at: at, postedIn: se.Epochs}
+						posts = append(posts, h)
+						sh.Post(se.Shard(1), at, uint64(len(posts)), h)
+					}
+				}
+			}
+			rng := NewRNG(3)
+			for j := 0; j < 40; j++ {
+				b := &bouncer{se: se, on: j % 2, hops: 5 + rng.Intn(30), rng: NewRNG(uint64(j + 1)),
+					act: MakeActor(uint32(j + 1)), logs: logs}
+				se.Shard(b.on).Eng.ScheduleKey(Time(rng.Intn(300))*Time(Nanosecond), b.act.Next(), b)
+			}
+			se.RunUntil(Time(1 * Millisecond))
+			if parallel := se.ParallelEpochs != 0; parallel != (mode.threshold == 0) {
+				t.Fatalf("%d of %d epochs ran in parallel", se.ParallelEpochs, se.Epochs)
+			}
+			for i, log := range logs {
+				events, hooks := 0, 0
+				var lastHook uint64
+				for j, e := range log {
+					if !e.hook {
+						events++
+						continue
+					}
+					hooks++
+					if j == 0 || log[j-1].hook {
+						t.Errorf("shard %d: hook in epoch %d, which dispatched none of its events", i, e.epoch)
+					}
+					if e.epoch <= lastHook {
+						t.Errorf("shard %d: hook ran twice by epoch %d", i, e.epoch)
+					}
+					lastHook = e.epoch
+					for k := j - 1; k >= 0 && !log[k].hook; k-- {
+						if ev := log[k]; ev.epoch != e.epoch || ev.at >= e.at {
+							t.Errorf("shard %d: event at %v of epoch %d logged before the hook of epoch %d ending %v",
+								i, ev.at, ev.epoch, e.epoch, e.at)
+						}
+					}
+				}
+				if len(log) == 0 || !log[len(log)-1].hook {
+					t.Errorf("shard %d: events after its last hook call", i)
+				}
+				if events == 0 || hooks == 0 {
+					t.Errorf("shard %d: %d events, %d hook calls", i, events, hooks)
+				}
+			}
+			if len(posts) == 0 {
+				t.Fatal("the hook posted nothing")
+			}
+			for _, h := range posts {
+				if h.ranIn <= h.postedIn || h.dispatchedAt != h.at {
+					t.Errorf("hook post at %v from epoch %d ran at %v in epoch %d", h.at, h.postedIn, h.dispatchedAt, h.ranIn)
+				}
+			}
+		})
+	}
+}
+
+// TestShardEpochEndHookPostInsideEpochPanics: a cross-shard Post from the
+// hook timestamped before the epoch's end is a lookahead violation.
+func TestShardEpochEndHookPostInsideEpochPanics(t *testing.T) {
+	se := NewShardedEngine(2, Duration(100*Nanosecond))
+	sh := se.Shard(0)
+	sh.EpochEnd = func() {
+		sh.Post(se.Shard(1), se.epochEnd-1, 1, EventFunc(func() {}))
+	}
+	sh.Eng.ScheduleKey(0, 1, EventFunc(func() {}))
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "lookahead violation") {
+			t.Errorf("in-epoch post from the hook: recovered %q, want a lookahead violation", msg)
+		}
+	}()
+	// Only shard 0 is runnable, so the epoch and its hook run inline on
+	// this goroutine and the panic is recoverable here.
+	se.RunUntil(Time(1 * Microsecond))
 }
