@@ -103,6 +103,13 @@ var entries = []entry{
 	// 2-vCPU Xeon VM read 1.28-1.46x (median 1.33x); the ceiling is 1.15x
 	// that median, rounded down.
 	{"telemetry_overhead", benchTelemetryOverhead, "x_off", -inf, 1.53},
+	// The audit's time cost, audited over unaudited, in a saturated
+	// 16-node Baldur cell checkpointed every 0.5 us, as the fault campaign's
+	// Baldur cells are: each checkpoint re-sums every NIC's unACKed packets.
+	// Five runs on a 2-vCPU Xeon VM read 1.44-1.45x (median 1.45x); the
+	// ceiling is 1.15x that median, rounded down. It sits below every run
+	// with the unACKed set in an open-addressed hash (five read 1.93-2.01x).
+	{"audit_baldur", benchAuditOverhead, "x_aud", -inf, 1.66},
 	// Spans land in the preallocated flight-recorder rings, so even the
 	// enabled tracer must allocate nothing per span, which bounds the
 	// disabled path (one predictable branch per lifecycle site) a fortiori.
@@ -331,6 +338,31 @@ func benchTelemetryOverhead(b *testing.B) {
 	}
 	x, on, off := simbench.Ratio(ratioPairs*b.N, cell(true), cell(false))
 	b.ReportMetric(x, "x_off")
+	b.ReportMetric(float64(on.Microseconds()), "on_us")
+	b.ReportMetric(float64(off.Microseconds()), "off_us")
+}
+
+// benchAuditOverhead reports x_aud: a saturated 16-node Baldur cell (the
+// hotspot pattern, whose drops and retransmissions keep every NIC's unACKed
+// window wide) with the invariant audit attached and a checkpoint every
+// 0.5 us, over the same cell unaudited, alternated in one process: the
+// audit's whole cost, barrier slicing included.
+func benchAuditOverhead(b *testing.B) {
+	cell := func(audit bool) func() {
+		return func() {
+			sc := exp.Quick
+			sc.Nodes = 16
+			sc.PacketsPerNode = 200
+			if audit {
+				sc.Audit = &check.Options{Interval: 500 * sim.Nanosecond}
+			}
+			if _, err := exp.RunOpenLoopDetail("baldur", "hotspot", 0.5, sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	x, on, off := simbench.Ratio(ratioPairs*b.N, cell(true), cell(false))
+	b.ReportMetric(x, "x_aud")
 	b.ReportMetric(float64(on.Microseconds()), "on_us")
 	b.ReportMetric(float64(off.Microseconds()), "off_us")
 }

@@ -88,6 +88,7 @@ func (n *Network) AttachAudit(a *check.Auditor) {
 		sh.aud = &coreAudit{}
 		sh.pkts.Poison = true
 	}
+	n.census = make([]pktCensus, len(n.shards))
 	a.OnCheckpoint(func(at sim.Time, drained bool) { n.audit(a, at, drained) })
 }
 
@@ -107,7 +108,8 @@ func (n *Network) audit(a *check.Auditor, at sim.Time, drained bool) {
 	// every shard's NICs from here is safe.
 	var outstanding, queued, completed, tracked uint64
 	maxRetxNow := 0
-	census := make([]pktCensus, len(n.shards))
+	census := n.census
+	clear(census)
 	for i := range n.nics {
 		c := &n.nics[i]
 		outstanding += uint64(c.outstanding.Len())

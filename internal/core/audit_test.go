@@ -88,3 +88,36 @@ func TestAuditCatchesRetxLeak(t *testing.T) {
 		t.Errorf("no core/retx-bytes violation naming nic 3; first: %s", vs[0])
 	}
 }
+
+// TestAuditCheckpointAllocatesNothing times checkpoints of a saturated,
+// audited 16-node Baldur cell at K=2 mid-run, with packets outstanding at
+// every NIC: a checkpoint walks live state and must allocate nothing.
+func TestAuditCheckpointAllocatesNothing(t *testing.T) {
+	n := mustNew(t, Config{Nodes: 16, Multiplicity: 1, Seed: 1, Shards: 2})
+	aud := check.New(check.Options{})
+	n.AttachAudit(aud)
+	for src := 0; src < 16; src++ {
+		src := src
+		for i := 0; i < 64; i++ {
+			n.ScheduleNode(src, 0, sim.EventFunc(func() { n.Send(src, (src+1+i)%16, 0) }))
+		}
+	}
+	at := sim.Time(2 * sim.Microsecond)
+	netsim.Drive(n, nil, netsim.DriveOptions{Deadline: at, Aud: aud})
+	if n.Stats.Delivered == 0 || n.Stats.Delivered >= n.Stats.Injected {
+		t.Fatalf("construction broke: delivered %d of %d injected by the checkpoint", n.Stats.Delivered, n.Stats.Injected)
+	}
+	outstanding := 0
+	for i := range n.nics {
+		if n.nics[i].outstanding.Len() == 0 {
+			t.Fatalf("construction broke: nic %d has nothing outstanding", i)
+		}
+		outstanding += n.nics[i].outstanding.Len()
+	}
+	if allocs := testing.AllocsPerRun(100, func() { aud.Checkpoint(at, false) }); allocs != 0 {
+		t.Errorf("checkpoint over %d outstanding packets: %v allocs, want 0", outstanding, allocs)
+	}
+	if err := aud.Err(); err != nil {
+		t.Fatal(err)
+	}
+}

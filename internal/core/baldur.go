@@ -172,6 +172,9 @@ type Network struct {
 	// walks is the batch of traversals waiting for the next walk (fabric
 	// shard only). It is empty between epochs.
 	walks []walk
+	// census is the audit's per-shard packet census, one entry per shard,
+	// reused by every checkpoint (nil until AttachAudit).
+	census []pktCensus
 
 	gap      sim.Duration // inter-packet dark gap a wire needs (6T + margin)
 	duration sim.Duration // data packet wire occupancy

@@ -1,120 +1,110 @@
 package core
 
 import (
+	"fmt"
+
 	"baldur/internal/netsim"
 )
 
-// Compact open-addressed hash tables for the per-NIC hot-path state. At
-// datacenter scale (128K nodes) the per-flow maps dominated the heap: a Go
-// map costs ~48 B of header plus ~10 B/slot of bucket overhead, and the NIC
-// working sets are tiny (a handful of unACKed packets, one dedup tracker per
-// active source). These tables store entries inline in two parallel slices
-// with linear probing over a power-of-two capacity, so an idle NIC costs two
-// nil slices and an active one a single small allocation that grows
-// geometrically. Iteration order is arbitrary — both audit consumers reduce
-// with order-independent sums.
+// Compact tables for the per-NIC hot-path state. At datacenter scale (128K
+// nodes) the per-flow maps dominated the heap: a Go map costs ~48 B of
+// header plus ~10 B/slot of bucket overhead, and the NIC working sets are
+// tiny (a handful of unACKed packets, one dedup tracker per active source).
+// Both tables keep their entries inline in power-of-two slices, so an idle
+// NIC costs nil slices and an active one a single small allocation that
+// grows geometrically.
+//
+// The unACKed set is a ring over a sequence window rather than a hash: a
+// NIC numbers its data packets consecutively, so the live sequences sit in
+// [oldest unACKed, nextSeq) and the window is nearly dense. The dedup table
+// is keyed by arbitrary source ids and stays an open-addressed hash.
 
 // hashKey mixes a key with the 64-bit golden-ratio multiplier so that
-// sequential keys (NIC sequence numbers, node ids) scatter across the table.
+// sequential keys (node ids) scatter across the table.
 func hashKey(x uint64) uint64 {
 	x *= 0x9E3779B97F4A7C15
 	return x ^ (x >> 29)
 }
 
 // pktTable maps sequence numbers to in-flight packets (the NIC's unACKed
-// window). Empty slots are marked by a nil packet pointer, so sequence 0 is
-// a valid key; deletion uses backward-shift compaction, keeping probes short
-// without tombstones.
+// window). Live sequences lie in the window [lo, hi), and sequence s sits
+// at ring[s & (len(ring)-1)]; a nil slot is an ACKed sequence, so sequence
+// 0 is a valid key. Sequences are put in order — put writes at hi and
+// panics anywhere else — and del advances lo past cleared slots, so every
+// slot outside the window is nil.
+//
+// Memory bound: the ring doubles only when the window outgrows it, so it
+// holds at most twice the widest window the NIC ever had. The window is the
+// live count plus the ACKed sequences above the oldest unACKed one: a packet
+// stuck in retransmission keeps lo pinned while later sequences complete
+// (in the fault campaign the widest window was 989 sequences), and the ring
+// never shrinks.
 type pktTable struct {
-	keys []uint64
-	vals []*netsim.Packet
-	used int
+	ring   []*netsim.Packet
+	lo, hi uint64
+	used   int
 }
 
 // Len returns the number of live entries.
 func (t *pktTable) Len() int { return t.used }
 
-func (t *pktTable) slot(seq uint64) int {
-	mask := uint64(len(t.keys) - 1)
-	i := hashKey(seq) & mask
-	for t.vals[i] != nil {
-		if t.keys[i] == seq {
-			return int(i)
-		}
-		i = (i + 1) & mask
-	}
-	return int(i)
-}
-
 // get returns the packet stored under seq, or nil.
 func (t *pktTable) get(seq uint64) *netsim.Packet {
-	if t.used == 0 {
+	if seq < t.lo || seq >= t.hi {
 		return nil
 	}
-	return t.vals[t.slot(seq)]
+	return t.ring[seq&uint64(len(t.ring)-1)]
 }
 
-// put stores p under seq (which must not already be present: the protocol
-// assigns each in-flight packet a unique sequence).
+// put stores p under seq, which must be hi: a NIC numbers its packets
+// consecutively, so each put extends the window by one.
 func (t *pktTable) put(seq uint64, p *netsim.Packet) {
-	if len(t.keys) == 0 {
-		t.keys = make([]uint64, 8)
-		t.vals = make([]*netsim.Packet, 8)
-	} else if t.used >= len(t.keys)*3/4 {
+	if seq != t.hi {
+		panic(fmt.Sprintf("core: pktTable.put(%d) out of order: the window ends at %d", seq, t.hi))
+	}
+	if seq-t.lo == uint64(len(t.ring)) {
 		t.grow()
 	}
-	i := t.slot(seq)
-	t.keys[i], t.vals[i] = seq, p
+	t.ring[seq&uint64(len(t.ring)-1)] = p
+	t.hi++
 	t.used++
+}
+
+// grow doubles the ring (to two slots at first) and re-homes the window.
+func (t *pktTable) grow() {
+	old := t.ring
+	t.ring = make([]*netsim.Packet, max(2*len(old), 2))
+	om, nm := uint64(len(old)-1), uint64(len(t.ring)-1)
+	for s := t.lo; s < t.hi; s++ {
+		t.ring[s&nm] = old[s&om]
+	}
 }
 
 // del removes seq and returns whether it was present.
 func (t *pktTable) del(seq uint64) bool {
-	if t.used == 0 {
+	if seq < t.lo || seq >= t.hi {
 		return false
 	}
-	i := t.slot(seq)
-	if t.vals[i] == nil {
+	mask := uint64(len(t.ring) - 1)
+	i := seq & mask
+	if t.ring[i] == nil {
 		return false
 	}
-	mask := uint64(len(t.keys) - 1)
-	t.vals[i] = nil
+	t.ring[i] = nil
 	t.used--
-	// Backward-shift: slide any displaced follower into the hole so every
-	// surviving entry stays reachable from its home slot.
-	j := uint64(i)
-	hole := j
-	for {
-		j = (j + 1) & mask
-		if t.vals[j] == nil {
-			return true
-		}
-		home := hashKey(t.keys[j]) & mask
-		if (j-home)&mask >= (j-hole)&mask {
-			t.keys[hole], t.vals[hole] = t.keys[j], t.vals[j]
-			t.vals[j] = nil
-			hole = j
+	if seq == t.lo {
+		for t.lo++; t.lo < t.hi && t.ring[t.lo&mask] == nil; t.lo++ {
 		}
 	}
+	return true
 }
 
-func (t *pktTable) grow() {
-	ok, ov := t.keys, t.vals
-	t.keys = make([]uint64, 2*len(ok))
-	t.vals = make([]*netsim.Packet, 2*len(ov))
-	t.used = 0
-	for i, p := range ov {
-		if p != nil {
-			t.put(ok[i], p)
-		}
-	}
-}
-
-// foreach visits every live entry in arbitrary order.
+// foreach visits every live entry in ascending sequence order.
 func (t *pktTable) foreach(fn func(seq uint64, p *netsim.Packet)) {
-	for i, p := range t.vals {
-		if p != nil {
-			fn(t.keys[i], p)
+	mask := uint64(len(t.ring) - 1)
+	for s := t.lo; s < t.hi; s++ {
+		if p := t.ring[s&mask]; p != nil {
+			fn(s, p)
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // NICs live in one contiguous slab (Network.nics []nic) indexed by node id:
 // at datacenter scale the per-node header cost is what bounds the resident
 // set, so the struct embeds its RNG by value and keeps the reliability and
-// dedup state in compact open-addressed tables instead of Go maps. An idle
+// dedup state in compact inline tables instead of Go maps. An idle
 // NIC allocates nothing beyond its slab slot.
 type nic struct {
 	net *Network
@@ -46,7 +46,8 @@ type nic struct {
 	wireFreeAt sim.Time
 	nextSeq    uint64
 
-	// Reliability state: unACKed data packets by sequence.
+	// Reliability state: unACKed data packets by sequence, in a ring over
+	// the window from the oldest unACKed sequence to nextSeq.
 	outstanding pktTable
 	retxBytes   int
 
