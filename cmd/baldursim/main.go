@@ -102,6 +102,7 @@ func main() {
 
 	if strings.HasSuffix(*workload, ".json") {
 		runServiceWorkload(*network, *workload, sc)
+		reportPeakRSS(simulatedNodes(*network, sc), *maxBPN)
 		return
 	}
 
@@ -128,21 +129,30 @@ func main() {
 	fmt.Printf("p99 latency:  %10.1f ns\n", p.TailNS)
 	fmt.Printf("drop rate:    %10.3f %%\n", p.DropRate*100)
 	fmt.Printf("events:       %10d\n", p.Events)
-	if peak := prof.PeakRSSBytes(); peak > 0 {
-		n := simulatedNodes(*network, sc)
-		bpn := float64(peak) / float64(n)
-		fmt.Printf("peak rss:     %10.1f MiB  (%.0f B across %d nodes = %.0f B/node)\n",
-			float64(peak)/(1<<20), float64(peak), n, bpn)
-		if *maxBPN > 0 && bpn > *maxBPN {
-			fmt.Fprintf(os.Stderr, "baldursim: peak RSS %.0f B/node exceeds the -max-bytes-per-node budget %.0f\n", bpn, *maxBPN)
-			os.Exit(1)
-		}
-	} else if *maxBPN > 0 {
-		fmt.Fprintln(os.Stderr, "baldursim: -max-bytes-per-node set but peak RSS is unavailable on this platform")
-		os.Exit(1)
-	}
+	reportPeakRSS(simulatedNodes(*network, sc), *maxBPN)
 	if !p.Finished {
 		fmt.Println("warning: run hit the virtual-time safety horizon before draining")
+	}
+}
+
+// reportPeakRSS prints the process's peak RSS over the n simulated nodes
+// and exits 1 if maxBPN > 0 and the bytes per node exceed it, or if peak
+// RSS cannot be read while a budget is set.
+func reportPeakRSS(n int, maxBPN float64) {
+	peak := prof.PeakRSSBytes()
+	if peak == 0 {
+		if maxBPN > 0 {
+			fmt.Fprintln(os.Stderr, "baldursim: -max-bytes-per-node set but peak RSS is unavailable on this platform")
+			os.Exit(1)
+		}
+		return
+	}
+	bpn := float64(peak) / float64(n)
+	fmt.Printf("peak rss:     %10.1f MiB  (%.0f B across %d nodes = %.0f B/node)\n",
+		float64(peak)/(1<<20), float64(peak), n, bpn)
+	if maxBPN > 0 && bpn > maxBPN {
+		fmt.Fprintf(os.Stderr, "baldursim: peak RSS %.0f B/node exceeds the -max-bytes-per-node budget %.0f\n", bpn, maxBPN)
+		os.Exit(1)
 	}
 }
 

@@ -169,58 +169,82 @@ func TestDeliveryShardContract(t *testing.T) {
 	}
 }
 
-// sender is an injection event that sends one packet from src to dst.
+// sender is an injection event that sends packets from src round-robin
+// over dsts, one packet per run.
 type sender struct {
-	net      netsim.Network
-	src, dst int
+	net  netsim.Network
+	src  int
+	dsts []int
+	k    int
 }
 
-func (s *sender) Run(*sim.Engine) { s.net.Send(s.src, s.dst, 0) }
+func (s *sender) Run(*sim.Engine) {
+	s.net.Send(s.src, s.dsts[s.k%len(s.dsts)], 0)
+	s.k++
+}
 
-// TestSendsRecyclePackets pins packet recycling on every network at K = 1
-// and 2: once a warm-up batch has drained, a second identical batch
-// allocates almost nothing per packet, so no Send allocates its packet. Each
-// node sends to its mirror node, so packets that die on another shard come
-// back to the shard that sent them in the next batch.
+// TestSendsRecyclePackets pins packet and event recycling on every network
+// at K = 1 and 2: once two warm-up batches have drained, a third identical
+// batch allocates almost nothing per packet, so no Send allocates its packet
+// and no pool leaks entries between shards. In one shape each node sends to
+// its mirror node, so packets that die on another shard come back to the
+// shard that sent them in the next batch; in the other each node spreads its
+// packets round-robin over four destinations, so every receiver sees each
+// source's sequence numbers with gaps.
 func TestSendsRecyclePackets(t *testing.T) {
-	const perNode = 16
-	for _, name := range slices.Concat(check.Nets, []string{"ideal"}) {
-		for _, k := range []int{1, 2} {
-			cfg := check.FuzzConfig{Net: name, NodesExp: 5, Multiplicity: 2, Shards: k, FaultStage: -1, Seed: 3}
-			if name != "ideal" {
-				cfg = cfg.Canon()
+	for _, shape := range []struct {
+		name    string
+		perNode int
+		dsts    func(src, nodes int) []int
+	}{
+		{"mirror", 16, func(src, nodes int) []int { return []int{nodes - 1 - src} }},
+		{"fan4", 64, func(src, nodes int) []int {
+			d := make([]int, 4)
+			for j := range d {
+				d[j] = (src + 1 + j*nodes/4) % nodes
 			}
-			net, _, err := Build(cfg, k)
-			if err != nil {
-				t.Fatalf("%s K=%d: %v", name, k, err)
-			}
-			nodes := net.NumNodes()
-			senders := make([]sender, nodes)
-			for i := range senders {
-				senders[i] = sender{net, i, nodes - 1 - i}
-			}
-			batch := func() {
-				start := net.Engine().Now()
+			return d
+		}},
+	} {
+		for _, name := range slices.Concat(check.Nets, []string{"ideal"}) {
+			for _, k := range []int{1, 2} {
+				cfg := check.FuzzConfig{Net: name, NodesExp: 5, Multiplicity: 2, Shards: k, FaultStage: -1, Seed: 3}
+				if name != "ideal" {
+					cfg = cfg.Canon()
+				}
+				net, _, err := Build(cfg, k)
+				if err != nil {
+					t.Fatalf("%s %s K=%d: %v", shape.name, name, k, err)
+				}
+				nodes := net.NumNodes()
+				senders := make([]sender, nodes)
 				for i := range senders {
-					for j := range perNode {
-						net.ScheduleNode(i, start.Add(sim.Duration(j)*200*sim.Nanosecond), &senders[i])
+					senders[i] = sender{net: net, src: i, dsts: shape.dsts(i, nodes)}
+				}
+				batch := func() {
+					start := net.Engine().Now()
+					for i := range senders {
+						for j := range shape.perNode {
+							net.ScheduleNode(i, start.Add(sim.Duration(j)*200*sim.Nanosecond), &senders[i])
+						}
+					}
+					if net.Run(start.Add(Horizon)) {
+						t.Fatalf("%s %s K=%d: batch did not drain", shape.name, name, k)
 					}
 				}
-				if net.Run(start.Add(Horizon)) {
-					t.Fatalf("%s K=%d: batch did not drain", name, k)
+				batch()
+				batch()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				batch()
+				runtime.ReadMemStats(&after)
+				pkts := float64(nodes * shape.perNode)
+				if per := float64(after.Mallocs-before.Mallocs) / pkts; per >= 0.05 {
+					t.Errorf("%s %s K=%d: third batch allocated %.3f objects per packet, want < 0.05", shape.name, name, k, per)
 				}
-			}
-			batch()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			batch()
-			runtime.ReadMemStats(&after)
-			pkts := float64(nodes * perNode)
-			if per := float64(after.Mallocs-before.Mallocs) / pkts; per >= 0.05 {
-				t.Errorf("%s K=%d: second batch allocated %.3f objects per packet, want < 0.05", name, k, per)
-			}
-			if got := net.Ledger().Delivered; got != 2*uint64(pkts) {
-				t.Errorf("%s K=%d: delivered %d of %d packets", name, k, got, 2*uint64(pkts))
+				if got := net.Ledger().Delivered; got != 3*uint64(pkts) {
+					t.Errorf("%s %s K=%d: delivered %d of %d packets", shape.name, name, k, got, 3*uint64(pkts))
+				}
 			}
 		}
 	}

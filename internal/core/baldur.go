@@ -175,6 +175,10 @@ type Network struct {
 	// census is the audit's per-shard packet census, one entry per shard,
 	// reused by every checkpoint (nil until AttachAudit).
 	census []pktCensus
+	// evOwed counts, per shard, the pooled events left on the fabric's
+	// free list by traversals that died in the fabric (see coreEvent);
+	// foldDiag hands them back. Fabric shard only; nil when serial.
+	evOwed []int
 
 	gap      sim.Duration // inter-packet dark gap a wire needs (6T + margin)
 	duration sim.Duration // data packet wire occupancy
@@ -273,6 +277,7 @@ func New(cfg Config) (*Network, error) {
 	n.walks = make([]walk, 0, n.walkWidth())
 	if k > 1 {
 		n.fab.Sim.EpochEnd = n.walk
+		n.evOwed = make([]int, k)
 	}
 
 	base := sim.NewRNG(cfg.Seed ^ 0xba1d0e)
@@ -552,5 +557,14 @@ func (n *Network) drop(p *netsim.Packet, stage int, fault bool, t sim.Time) {
 		st.AckDrops++
 	} else {
 		st.DataDrops++
+	}
+	if n.evOwed != nil {
+		// The exchange the traversal belonged to will not hand its data
+		// packet's source shard an event back.
+		src := p.Src
+		if p.Ack {
+			src = p.Dst
+		}
+		n.evOwed[n.nics[src].sh.Sim.ID]++
 	}
 }

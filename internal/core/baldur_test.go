@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -265,33 +266,68 @@ func TestOccupancyRebaseIsExact(t *testing.T) {
 	}
 }
 
+// TestExactlyOnceDeliveryUnderHeavyLoss drives a hotspot at m=1, which drops
+// data and ACKs massively, and requires the protocol to deliver every packet
+// exactly once. Sequence numbers are per source, so a source spreading its
+// packets over several destinations leaves gaps at each of them; the
+// round-robin rows check that dedup does not depend on a receiver seeing a
+// source's sequences densely. At K=3 the destination shard marks packets
+// seen while their source shard writes the same packets' retry state.
 func TestExactlyOnceDeliveryUnderHeavyLoss(t *testing.T) {
-	// Hotspot with m=1 produces massive drops (data and ACK); the
-	// protocol must still deliver every packet exactly once.
-	n := mustNew(t, Config{Nodes: 32, Multiplicity: 1, Seed: 3})
-	seen := map[uint64]int{}
-	n.OnDeliver(func(_ int, p *netsim.Packet, _ sim.Time) { seen[p.ID]++ })
-	const perNode = 5
-	for src := 1; src < 32; src++ {
-		for k := 0; k < perNode; k++ {
-			n.Send(src, 0, 0)
+	const nodes, perNode = 32, 8
+	for _, tc := range []struct {
+		name  string
+		dests []int // a source sends its k-th packet to dests[k % len(dests)]
+	}{
+		{"to_node0", []int{0}},
+		{"round_robin4", []int{0, 8, 16, 24}},
+	} {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/K=%d", tc.name, shards), func(t *testing.T) {
+				n := mustNew(t, Config{Nodes: nodes, Multiplicity: 1, Seed: 3, Shards: shards})
+				// Counted per destination node: callbacks run on its shard.
+				seen := make([]map[uint64]int, nodes)
+				for i := range seen {
+					seen[i] = map[uint64]int{}
+				}
+				n.OnDeliver(func(_ int, p *netsim.Packet, _ sim.Time) { seen[p.Dst][p.ID]++ })
+				want := 0
+				for src := range nodes {
+					if slices.Contains(tc.dests, src) {
+						continue // the destinations do not send
+					}
+					want += perNode
+					n.ScheduleNode(src, 0, sim.EventFunc(func() {
+						for k := range perNode {
+							n.Send(src, tc.dests[k%len(tc.dests)], 0)
+						}
+					}))
+				}
+				drain(t, n)
+				got := 0
+				for dst, ids := range seen {
+					got += len(ids)
+					for id, count := range ids {
+						if count != 1 {
+							t.Errorf("packet %d delivered %d times to node %d via OnDeliver", id, count, dst)
+						}
+					}
+				}
+				if got != want {
+					t.Errorf("unique packets delivered = %d, want %d", got, want)
+				}
+				if q := n.Queued(); q != 0 {
+					t.Errorf("%d events still queued after drain", q)
+				}
+				l := n.Ledger()
+				if l.Delivered != l.Injected {
+					t.Errorf("ledger after drain: delivered %d of %d injected", l.Delivered, l.Injected)
+				}
+				if l.Duplicates == 0 {
+					t.Errorf("no duplicate copies arrived (%d retransmissions): dedup went unexercised", l.Retransmissions)
+				}
+			})
 		}
-	}
-	drain(t, n)
-	want := 31 * perNode
-	if len(seen) != want {
-		t.Fatalf("unique packets delivered = %d, want %d", len(seen), want)
-	}
-	for id, count := range seen {
-		if count != 1 {
-			t.Errorf("packet %d delivered %d times via OnDeliver", id, count)
-		}
-	}
-	if q := n.Queued(); q != 0 {
-		t.Errorf("%d events still queued after drain", q)
-	}
-	if l := n.Ledger(); l.Delivered != l.Injected {
-		t.Errorf("ledger after drain: delivered %d of %d injected", l.Delivered, l.Injected)
 	}
 }
 
@@ -467,90 +503,10 @@ func TestCollectorLatencyUnderLoad(t *testing.T) {
 	}
 }
 
-func TestSeqTracker(t *testing.T) {
-	var tr seqTracker
-	if !tr.record(0) || !tr.record(1) {
-		t.Error("fresh seqs rejected")
-	}
-	if tr.record(1) {
-		t.Error("duplicate accepted")
-	}
-	if !tr.record(5) {
-		t.Error("out-of-order fresh seq rejected")
-	}
-	if tr.record(5) {
-		t.Error("out-of-order duplicate accepted")
-	}
-	if !tr.record(2) || !tr.record(3) || !tr.record(4) {
-		t.Error("gap fill rejected")
-	}
-	// After compaction next should be 6: 5 was recorded as extra.
-	if tr.next != 6 {
-		t.Errorf("next = %d, want 6", tr.next)
-	}
-	if len(tr.extras) != 0 {
-		t.Errorf("extras not compacted: %v", tr.extras)
-	}
-}
-
 func TestHeaderDuration(t *testing.T) {
 	// 10 stages x 3T = 10 x 50 ps = 0.5 ns.
 	if got := headerDuration(10); got != 500*sim.Picosecond {
 		t.Errorf("headerDuration(10) = %v", got)
-	}
-}
-
-func TestSeqTrackerDuplicateAfterRetransmit(t *testing.T) {
-	// The protocol's real duplicate source: a timeout fires before the ACK
-	// returns, the retransmitted copy arrives after the original, and the
-	// receiver must reject the second copy whether the sequence has been
-	// compacted into next or still sits in the extras spill.
-	var tr seqTracker
-	if !tr.record(0) || !tr.record(1) {
-		t.Fatal("fresh in-order seqs rejected")
-	}
-	if tr.record(0) {
-		t.Error("retransmitted copy of a compacted seq accepted")
-	}
-	if !tr.record(3) {
-		t.Fatal("fresh out-of-order seq rejected")
-	}
-	if tr.record(3) {
-		t.Error("retransmitted copy of a spilled seq accepted")
-	}
-	if !tr.record(2) {
-		t.Fatal("gap fill rejected")
-	}
-	// 2 and 3 are now compacted (next == 4); both copies must still be
-	// duplicates through the seq < next path.
-	if tr.next != 4 {
-		t.Fatalf("next = %d after compaction, want 4", tr.next)
-	}
-	if tr.record(2) || tr.record(3) {
-		t.Error("retransmitted copy accepted after compaction moved it into next")
-	}
-}
-
-func TestSeqTrackerWraparoundAdjacent(t *testing.T) {
-	// Sequences adjacent to the uint64 wraparound point arrive as spilled
-	// extras (next stays 0); dedup must hold without the next counter
-	// overflowing past them.
-	const top = ^uint64(0)
-	var tr seqTracker
-	if !tr.record(top-1) || !tr.record(top) {
-		t.Fatal("fresh near-max seqs rejected")
-	}
-	if tr.record(top-1) || tr.record(top) {
-		t.Error("duplicate near-max seq accepted")
-	}
-	if tr.next != 0 {
-		t.Errorf("next = %d, want 0 (near-max seqs must spill, not compact)", tr.next)
-	}
-	if !tr.record(0) {
-		t.Error("seq 0 rejected with near-max extras pending")
-	}
-	if tr.record(0) {
-		t.Error("duplicate seq 0 accepted")
 	}
 }
 

@@ -6,25 +6,14 @@ import (
 	"baldur/internal/netsim"
 )
 
-// Compact tables for the per-NIC hot-path state. At datacenter scale (128K
-// nodes) the per-flow maps dominated the heap: a Go map costs ~48 B of
-// header plus ~10 B/slot of bucket overhead, and the NIC working sets are
-// tiny (a handful of unACKed packets, one dedup tracker per active source).
-// Both tables keep their entries inline in power-of-two slices, so an idle
-// NIC costs nil slices and an active one a single small allocation that
-// grows geometrically.
-//
-// The unACKed set is a ring over a sequence window rather than a hash: a
+// The NIC's unACKed set. At datacenter scale (128K nodes) per-flow Go maps
+// dominated the heap: a map costs ~48 B of header plus ~10 B/slot of bucket
+// overhead, and a NIC's working set is tiny (a handful of unACKed packets).
+// The table keeps its entries inline in a power-of-two slice, so an idle NIC
+// costs a nil slice and an active one a single small allocation that grows
+// geometrically. It is a ring over a sequence window rather than a hash: a
 // NIC numbers its data packets consecutively, so the live sequences sit in
-// [oldest unACKed, nextSeq) and the window is nearly dense. The dedup table
-// is keyed by arbitrary source ids and stays an open-addressed hash.
-
-// hashKey mixes a key with the 64-bit golden-ratio multiplier so that
-// sequential keys (node ids) scatter across the table.
-func hashKey(x uint64) uint64 {
-	x *= 0x9E3779B97F4A7C15
-	return x ^ (x >> 29)
-}
+// [oldest unACKed, nextSeq) and the window is nearly dense.
 
 // pktTable maps sequence numbers to in-flight packets (the NIC's unACKed
 // window). Live sequences lie in the window [lo, hi), and sequence s sits
@@ -105,80 +94,6 @@ func (t *pktTable) foreach(fn func(seq uint64, p *netsim.Packet)) {
 	for s := t.lo; s < t.hi; s++ {
 		if p := t.ring[s&mask]; p != nil {
 			fn(s, p)
-		}
-	}
-}
-
-// srcTable maps source node ids to receive-side dedup trackers. It is
-// append-only (a source once seen is tracked for the rest of the run), so
-// there is no deletion path; keys store src+1 with 0 marking an empty slot
-// and trackers live inline in the value slice. Pointers returned by lookup
-// are valid until the next insert (which may grow the table) — callers use
-// them immediately and never retain them.
-type srcTable struct {
-	keys []int32
-	vals []seqTracker
-	used int
-}
-
-// Len returns the number of tracked sources.
-func (t *srcTable) Len() int { return t.used }
-
-func (t *srcTable) slot(src int) int {
-	mask := uint64(len(t.keys) - 1)
-	i := hashKey(uint64(src)+1) & mask
-	for t.keys[i] != 0 {
-		if t.keys[i] == int32(src)+1 {
-			return int(i)
-		}
-		i = (i + 1) & mask
-	}
-	return int(i)
-}
-
-// lookup returns the tracker for src, or nil if the source is new.
-func (t *srcTable) lookup(src int) *seqTracker {
-	if t.used == 0 {
-		return nil
-	}
-	i := t.slot(src)
-	if t.keys[i] == 0 {
-		return nil
-	}
-	return &t.vals[i]
-}
-
-// insert returns the tracker for src, creating it if absent.
-func (t *srcTable) insert(src int) *seqTracker {
-	if len(t.keys) == 0 {
-		t.keys = make([]int32, 8)
-		t.vals = make([]seqTracker, 8)
-	} else if t.used >= len(t.keys)*3/4 {
-		ok, ov := t.keys, t.vals
-		t.keys = make([]int32, 2*len(ok))
-		t.vals = make([]seqTracker, 2*len(ov))
-		t.used = 0
-		for i, k := range ok {
-			if k != 0 {
-				j := t.slot(int(k) - 1)
-				t.keys[j], t.vals[j] = k, ov[i]
-				t.used++
-			}
-		}
-	}
-	i := t.slot(src)
-	if t.keys[i] == 0 {
-		t.keys[i] = int32(src) + 1
-		t.used++
-	}
-	return &t.vals[i]
-}
-
-// foreach visits every tracker in arbitrary order.
-func (t *srcTable) foreach(fn func(src int, tr *seqTracker)) {
-	for i, k := range t.keys {
-		if k != 0 {
-			fn(int(k)-1, &t.vals[i])
 		}
 	}
 }

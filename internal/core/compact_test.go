@@ -195,46 +195,3 @@ func FuzzOutstandingWindow(f *testing.F) {
 		}
 	})
 }
-
-// TestSrcTableMatchesMap mirrors the append-only source table against a map,
-// including growth across the initial capacity and src 0 (a valid node id).
-func TestSrcTableMatchesMap(t *testing.T) {
-	var tbl srcTable
-	ref := make(map[int]uint64) // src -> next
-	rng := sim.NewRNG(7)
-	for op := 0; op < 5000; op++ {
-		src := rng.Intn(300)
-		tr := tbl.insert(src)
-		if _, ok := ref[src]; !ok {
-			ref[src] = 0
-		}
-		if tr.next != ref[src] {
-			t.Fatalf("op %d: src %d next = %d, want %d", op, src, tr.next, ref[src])
-		}
-		if tr.record(tr.next) {
-			ref[src]++
-		}
-	}
-	if tbl.Len() != len(ref) {
-		t.Fatalf("Len = %d, want %d", tbl.Len(), len(ref))
-	}
-	for src, next := range ref {
-		tr := tbl.lookup(src)
-		if tr == nil || tr.next != next {
-			t.Fatalf("lookup(%d) = %+v, want next %d", src, tr, next)
-		}
-	}
-	if tbl.lookup(9999) != nil {
-		t.Fatal("lookup of unseen src returned a tracker")
-	}
-	var count int
-	tbl.foreach(func(src int, tr *seqTracker) {
-		if tr.next != ref[src] {
-			t.Fatalf("foreach: src %d next = %d, want %d", src, tr.next, ref[src])
-		}
-		count++
-	})
-	if count != len(ref) {
-		t.Fatalf("foreach visited %d sources, want %d", count, len(ref))
-	}
-}

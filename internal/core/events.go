@@ -14,8 +14,14 @@ import (
 // Events are pooled per shard. An event is acquired from the pool of the
 // shard that schedules it and freed into the pool of the shard that executes
 // it (home), so each free list is only ever touched by its owning shard's
-// goroutine; cross-shard traffic migrates pool entries in both directions
-// symmetrically (a traverse out, a receive back).
+// goroutine. Cross-shard traffic migrates pool entries: each traversal
+// carries one to the fabric, and each delivered traversal carries one on to
+// its receiver, so a data packet's exchange (the data out, its ACK back)
+// returns its source shard's event. A traversal that dies in the fabric
+// leaves its event there; the fabric counts it against the data packet's
+// source shard (Network.evOwed) and foldDiag hands it back when Run
+// returns. One long Run therefore still allocates an event per drop until
+// it returns.
 type coreEvent struct {
 	kind    uint8
 	nic     *nic // transmit/timeout: the sender; receive: the destination

@@ -14,9 +14,10 @@ import (
 //
 // NICs live in one contiguous slab (Network.nics []nic) indexed by node id:
 // at datacenter scale the per-node header cost is what bounds the resident
-// set, so the struct embeds its RNG by value and keeps the reliability and
-// dedup state in compact inline tables instead of Go maps. An idle
-// NIC allocates nothing beyond its slab slot.
+// set, so the struct embeds its RNG by value and keeps the unACKed set in a
+// compact inline ring instead of a Go map. Receive-side dedup keeps no
+// per-peer state at all: it rides on the packet (netsim.Packet.Seen). An
+// idle NIC allocates nothing beyond its slab slot.
 type nic struct {
 	net *Network
 	id  int
@@ -50,9 +51,6 @@ type nic struct {
 	// the window from the oldest unACKed sequence to nextSeq.
 	outstanding pktTable
 	retxBytes   int
-
-	// Receive side dedup, per source.
-	seen srcTable
 }
 
 // init wires a slab slot up as node id's NIC.
@@ -308,9 +306,10 @@ func (c *nic) receive(p *netsim.Packet, at sim.Time) {
 		c.deliverUnique(p, at)
 		return
 	}
-	// Dedup, then always ACK (the original ACK may have been lost).
-	fresh := c.seen.insert(p.Src).record(p.Seq)
-	if fresh {
+	// Dedup on the packet's own mark (exact: see netsim.Packet.Seen), then
+	// always ACK (the original ACK may have been lost).
+	if !p.Seen {
+		p.Seen = true
 		c.deliverUnique(p, at)
 	} else {
 		c.sh.Ledger.Duplicates++
@@ -353,39 +352,4 @@ func (c *nic) traceFlight(p *netsim.Packet, at sim.Time) {
 	}
 	c.sh.Span(telemetry.PhaseLink, t, t.Add(netsim.HostLinkDelay), p, -1, 1)
 	c.sh.Span(telemetry.PhaseWire, at.Add(-n.duration), at, p, -1, 0)
-}
-
-// seqTracker deduplicates per-source sequence numbers with O(1) memory for
-// in-order delivery and a small spill set for reordering caused by
-// retransmissions.
-type seqTracker struct {
-	next   uint64 // all seq < next have been seen
-	extras map[uint64]struct{}
-}
-
-// record returns true if seq is new.
-func (t *seqTracker) record(seq uint64) bool {
-	if seq < t.next {
-		return false
-	}
-	if seq == t.next {
-		t.next++
-		// Compact any contiguous extras.
-		for {
-			if _, ok := t.extras[t.next]; !ok {
-				break
-			}
-			delete(t.extras, t.next)
-			t.next++
-		}
-		return true
-	}
-	if t.extras == nil {
-		t.extras = make(map[uint64]struct{})
-	}
-	if _, dup := t.extras[seq]; dup {
-		return false
-	}
-	t.extras[seq] = struct{}{}
-	return true
 }

@@ -48,7 +48,9 @@ func (n *Network) ScheduleNode(node int, t sim.Time, ev sim.Event) {
 
 // foldDiag is the runtime's fold hook: after the ledgers fold it folds
 // Baldur's per-shard diagnostics into n.Stats. The merge runs in fixed
-// shard order, so the result is invariant to the shard count.
+// shard order, so the result is invariant to the shard count. It runs at a
+// full barrier, so it also hands the shards the pooled events the fabric
+// owes them (see coreEvent).
 func (n *Network) foldDiag() {
 	clear(n.Stats.DropsByStage)
 	n.Stats.MaxRetxBufBytes = 0
@@ -57,6 +59,15 @@ func (n *Network) foldDiag() {
 			n.Stats.DropsByStage[j] += v
 		}
 		n.Stats.MaxRetxBufBytes = max(n.Stats.MaxRetxBufBytes, sh.maxRetx)
+	}
+	fab := n.fab
+	for i, owed := range n.evOwed {
+		sh := n.shards[i]
+		for ; owed > 0 && fab.evFree != nil; owed-- {
+			ev := fab.evFree
+			fab.evFree, ev.next, sh.evFree = ev.next, sh.evFree, ev
+		}
+		n.evOwed[i] = owed
 	}
 }
 

@@ -137,3 +137,50 @@ func TestRecyclingUnderParallelEpochs(t *testing.T) {
 		}
 	}
 }
+
+// TestLostTraversalsReturnTheirEvents sends a lossy burst from the NICs of
+// shard 1 to those of shard 2 and a light one back, batch after batch, at
+// K=3. Every traversal that dies in the fabric leaves its pooled event on
+// the fabric's free list; Run's fold must hand it back to the shard that
+// lost it, so once the pools have grown to the batch's peak no shard
+// allocates events any more. Dealing the fabric's spare events evenly
+// instead starves shard 1 and keeps it allocating every batch.
+func TestLostTraversalsReturnTheirEvents(t *testing.T) {
+	n := mustNew(t, Config{Nodes: 32, Multiplicity: 2, Seed: 3, Shards: 3})
+	pooled := func() (total int) {
+		for _, sh := range n.shards {
+			for ev := sh.evFree; ev != nil; ev = ev.next {
+				total++
+			}
+		}
+		return total
+	}
+	var grown, sent int
+	for b := range 10 {
+		start, before := n.Engine().Now(), pooled()
+		for src := range 32 {
+			burst, dst := 4, 47-src
+			if src < 16 { // shard 1's NICs
+				burst, dst = 32, 16+src%4
+			}
+			for k := range burst {
+				n.ScheduleNode(src, start.Add(sim.Duration(k)*100*sim.Nanosecond), sim.EventFunc(func() { n.Send(src, dst, 0) }))
+			}
+			if b >= 4 {
+				sent += burst
+			}
+		}
+		if n.Run(start.Add(sim.Second)) {
+			t.Fatalf("batch %d did not drain", b)
+		}
+		if b >= 4 {
+			grown += pooled() - before
+		}
+	}
+	if l := n.Ledger(); l.DataDrops+l.AckDrops == 0 {
+		t.Fatal("no traversal died in the fabric")
+	}
+	if per := float64(grown) / float64(sent); per >= 0.05 {
+		t.Errorf("pooled events grew by %d over the last six batches, %.3f per packet; want < 0.05", grown, per)
+	}
+}

@@ -26,7 +26,10 @@ const (
 // Packet is one network packet. Packets are created by Network.Send and
 // owned by the network, which recycles them: a packet is valid only while
 // the delivery callback it is passed to runs, and Send's return value only
-// until the event that called Send returns.
+// until the event that called Send returns. In a sharded Baldur network
+// (internal/core) the source NIC's shard owns a packet's mutable fields;
+// the fabric and the destination shard only read them, except Seen, which
+// only the destination shard writes.
 type Packet struct {
 	ID      uint64
 	Src     int
@@ -54,6 +57,13 @@ type Packet struct {
 	// transmission pending behind the wire or a backoff window. An ACK that
 	// finds its data packet held leaves the release to the NIC's discard.
 	Held bool
+	// Seen marks a Baldur data packet whose first copy reached its
+	// destination NIC; a later copy (a retransmission of the same packet
+	// object) finds it set and counts as a duplicate. It is the one field
+	// the destination shard writes: the source shard never reads it, and
+	// Send clears it only when the packet is reused, after the pool's
+	// quarantine has outlasted every copy in flight.
+	Seen bool
 	// Flow tags packets belonging to a service-workload flow
 	// (internal/workload); 0 means the packet is not flow traffic. The
 	// tag, tenant and per-flow packet count ride in the packet so the

@@ -3,11 +3,20 @@ package netsim
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"baldur/internal/check"
 	"baldur/internal/sim"
 	"baldur/internal/telemetry"
 )
+
+// TestPacketSize pins the packet at 120 B, inside Go's 128 B size class: a
+// new flag belongs in the padding beside the existing ones.
+func TestPacketSize(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n != 120 {
+		t.Errorf("unsafe.Sizeof(Packet{}) = %d B, want 120", n)
+	}
+}
 
 // fakeNet is a minimal Network for collector testing.
 type fakeNet struct {
